@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, bar, acc_product, vk, Y_FAM, ONE, ZERO)
+                   Qv, acc_product, poly_sum, vk, Y_FAM, ONE, ZERO)
 from .tableaux import gen_column_tableaux, gen_row_tableaux, tableau_weight
 
 
@@ -55,11 +55,9 @@ def fundamental_poly(n: int, a: int) -> LaurentPoly:
     if a > n + 1:
         return -fundamental_poly(n, N - a)
     table = _table(n)
-    out = ZERO
-    for t in gen_column_tableaux(n, a):
-        # stagger: k-th letter at u + (a - 2k)/2 relative to base u
-        out = out + tableau_weight(t, table, "Z", base_half=a - 2)
-    return out
+    # stagger: k-th letter at u + (a - 2k)/2 relative to base u
+    return poly_sum(tableau_weight(t, table, "Z", base_half=a - 2)
+                    for t in gen_column_tableaux(n, a))
 
 
 def fundamental(n: int, a: int) -> QCharacter:
@@ -76,13 +74,13 @@ def row_poly(n: int, m: int) -> LaurentPoly:
     if m == 0:
         return ONE
     table = _table(n)
-    total = ZERO
+    weights = []
     for t in gen_row_tableaux(n, m):
         w = ONE
         for k, c in enumerate(t, start=1):
             w = w * table.z(c, 2 * k - m - 2)
-        total = total + w
-    return total
+        weights.append(w)
+    return poly_sum(weights)
 
 
 def row_character(n: int, m: int) -> QCharacter:
@@ -146,20 +144,14 @@ def det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
         return ONE
     minors = {frozenset(): ONE}
     for j in range(msize):
-        nxt: dict = {}
+        parts: dict = {}
         for cols, val in minors.items():
-            if len(cols) != j:
-                continue
             free = [c for c in range(msize) if c not in cols]
             for pos, c in enumerate(free):
-                e = mat[j][c]
-                if e.is_zero or val.is_zero:
-                    term = ZERO
-                else:
-                    term = e * val if pos % 2 == 0 else -(e * val)
-                key = cols | {c}
-                nxt[key] = nxt.get(key, ZERO) + term
-        minors = nxt
+                term = mat[j][c] * val
+                parts.setdefault(cols | {c}, []).append(
+                    term if pos % 2 == 0 else -term)
+        minors = {cols: poly_sum(terms) for cols, terms in parts.items()}
     (val,) = minors.values()
     return val
 
@@ -179,12 +171,11 @@ def pfaffian(mat: list[list[LaurentPoly]]) -> LaurentPoly:
             return memo[idx]
         i0 = idx[0]
         rest = idx[1:]
-        acc = ZERO
+        terms = []
         for pos, j in enumerate(rest):
-            sub = tuple(x for x in rest if x != j)
-            term = mat[i0][j] * rec(sub)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        memo[idx] = acc
+            term = mat[i0][j] * rec(tuple(x for x in rest if x != j))
+            terms.append(term if pos % 2 == 0 else -term)
+        acc = memo[idx] = poly_sum(terms)
         return acc
 
     return rec(tuple(range(size)))
@@ -311,26 +302,27 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     N = 2 * n + 2
     cartan = CartanData(AlgebraSpec("C", n))
     for m in range(0, m_max + 1):
-        s1 = ZERO
-        s2 = ZERO
+        s1, s2 = [], []
         for a in range(0, N + 1):
             sign = -1 if a % 2 else 1
             r = row_poly(n, m - a)
             f = fundamental_poly(n, a)
             if not r.is_zero and not f.is_zero:
-                s1 = s1 + sign * (r.shift(-a) * f.shift(m - a))
-                s2 = s2 + sign * (r.shift(m + a) * f.shift(a))
+                s1.append(sign * (r.shift(-a) * f.shift(m - a)))
+                s2.append(sign * (r.shift(m + a) * f.shift(a)))
+        s1, s2 = poly_sum(s1), poly_sum(s2)
         target = ONE if m == 0 else ZERO
         rep.add(f"first convolution m={m}", s1 == target)
         rep.add(f"second convolution m={m}", s2 == target)
-    tq = ZERO
+    tq = []
     for a in range(0, N + 1):
         sign = -1 if a % 2 else 1
         q1 = Qv(1, 2 * a)  # Q_1(u+a)
         f = fundamental_poly(n, a)
         if not f.is_zero:
             fq = f.to_q(cartan).shift(a)
-            tq = tq + sign * (q1 * fq)
+            tq.append(sign * (q1 * fq))
+    tq = poly_sum(tq)
     rep.add("Baxter-function relation", tq.is_zero)
     return rep
 

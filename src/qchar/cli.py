@@ -179,6 +179,9 @@ def _suite_checks(args) -> tuple[list, dict]:
     seed = _resolve(args, "seed", int, 0)
     max_m = _resolve(args, "max_m", int)
     order = _resolve(args, "order", int)
+    for flag, val in (("--max-m", max_m), ("--order", order)):
+        if val is not None and val < 0:
+            raise UsageError(f"{flag} must be >= 0, got {val}")
     params: dict = {"suite": suite}
 
     def need_rank(default=None):
@@ -190,7 +193,9 @@ def _suite_checks(args) -> tuple[list, dict]:
 
     if suite == "screening":
         rank = need_rank()
-        params.update(rank=rank, max_m=max_m or 4)
+        if max_m is None:
+            max_m = 4
+        params.update(rank=rank, max_m=max_m)
         cartan = CartanData(AlgebraSpec("C", rank))
         checks = []
         L = build_L_C(rank, "zFactored")
@@ -204,7 +209,7 @@ def _suite_checks(args) -> tuple[list, dict]:
                 checks.append(
                     {"identity": f"fundamental {b} kernel under node {a}",
                      "ok": in_kernel(a, p, cartan)})
-        for m in range(1, (max_m or 4) + 1):
+        for m in range(1, max_m + 1):
             p = characters.row_poly(rank, m)
             for a in range(1, rank + 1):
                 checks.append(
@@ -236,14 +241,14 @@ def _suite_checks(args) -> tuple[list, dict]:
 
     if suite == "tsystem":
         rank = need_rank()
-        mm = max_m or 3
+        mm = 3 if max_m is None else max_m
         pf = 3 if rank == 2 else 2
         params.update(rank=rank, max_m=mm, pf_max=pf)
         return characters.verify_tsystem(rank, mm, pf).checks, params
 
     if suite == "tt-tq":
         rank = need_rank()
-        mm = max_m or 2 * (2 * rank + 2)
+        mm = 2 * (2 * rank + 2) if max_m is None else max_m
         params.update(rank=rank, max_m=mm)
         return characters.verify_tt_tq(rank, mm).checks, params
 
@@ -303,15 +308,15 @@ def _suite_checks(args) -> tuple[list, dict]:
         rank = need_rank()
         params.update(algebra=algebra, rank=rank)
         if algebra == "B":
-            ok = bd.verify_b_expansion(rank, order or 10)
+            ok = bd.verify_b_expansion(rank, 10 if order is None else order)
         else:
-            ok = bd.verify_d_expansion(rank, order or 12)
+            ok = bd.verify_d_expansion(rank, 12 if order is None else order)
         return [{"identity": f"{algebra}-series middle-factor expansion",
                  "ok": ok}], params
 
     if suite == "product-formula":
         rank = need_rank()
-        kmax = max_m or (2 * rank + 2 + 2)
+        kmax = 2 * rank + 2 + 2 if max_m is None else max_m
         params.update(rank=rank, k_max=kmax)
         return [{"identity": f"transfer-matrix product at k={k}",
                  "ok": characters.verify_product_formula(rank, k)}
@@ -322,7 +327,8 @@ def _suite_checks(args) -> tuple[list, dict]:
 
 def cmd_verify(args) -> int:
     checks, params = _suite_checks(args)
-    ok = all(c["ok"] for c in checks)
+    # a suite that ran no check has shown nothing
+    ok = bool(checks) and all(c["ok"] for c in checks)
     payload = {"params": params, "checks": checks, "ok": ok,
                "text": "\n".join(
                    f"[{'PASS' if c['ok'] else 'FAIL'}] {c['identity']}"

@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .ring import (LaurentPoly, AlgebraSpec, VariableTable, ONE, bar)
+from .ring import (LaurentPoly, AlgebraSpec, VariableTable, ONE, bar,
+                   poly_sum)
 
 log = logging.getLogger(__name__)
 
@@ -115,13 +116,9 @@ class DiffOp:
         rest = {j: c for j, c in self.coeffs.items() if 0 < j <= order}
         b: dict = {0: LaurentPoly.const(s0)}
         for k in range(1, order + 1):
-            acc = LaurentPoly.zero()
-            for i, c in rest.items():
-                if i > k:
-                    continue
-                bj = b.get(k - i)
-                if bj is not None:
-                    acc = acc + c * bj.shift(2 * i)
+            acc = poly_sum(c * b[k - i].shift(2 * i)
+                           for i, c in rest.items()
+                           if i <= k and k - i in b)
             if not acc.is_zero:
                 b[k] = (-s0) * acc
         return DiffOp(b, order)

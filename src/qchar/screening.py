@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import (LaurentPoly, CartanData, Q_FAM, vk, ZERO)
+from .ring import LaurentPoly, CartanData, Q_FAM, Y_FAM, poly_sum, vk
 from .diffop import DiffOp
 
 
@@ -38,15 +38,12 @@ def apply_screening(a: int, p: LaurentPoly,
     Returns {half_argument: coefficient} with coefficients already in
     the Q-representation, one entry per symbol argument encountered.
     """
-    out: dict = {}
-    for key, c in p.terms():
-        mono = LaurentPoly.monomial(c, dict(key)).to_q(cartan)
-        for (fam, idx, half), e in key:
-            if fam != 0 or idx != a:
-                continue
-            prev = out.get(half, ZERO)
-            out[half] = prev + e * mono
-    return {h: v for h, v in out.items() if not v.is_zero}
+    out = {}
+    for half, part in p.euler_parts(Y_FAM, a).items():
+        q = part.to_q(cartan)
+        if not q.is_zero:
+            out[half] = q
+    return out
 
 
 def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
@@ -60,13 +57,14 @@ def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
     out: dict = {}
     for r, halves in classes.items():
         v0 = min(halves)
-        acc = ZERO
+        terms = []
         for v in halves:
             chain = LaurentPoly.one()
             steps = (v - v0) // t
             for s in range(steps):
                 chain = chain * a_factor(cartan, a, v0 + s * t + t // 2)
-            acc = acc + sym[v] * chain
+            terms.append(sym[v] * chain)
+        acc = poly_sum(terms)
         if not acc.is_zero:
             out[v0] = acc
     return out

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .ring import (LaurentPoly, VariableTable, AlgebraSpec, CartanData,
-                   bar, is_barred, letter_value, letter_text)
+from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
+                   letter_text, poly_sum)
 
 
 # ---------------------------------------------------------------------
@@ -48,7 +48,9 @@ def gen_column_tableaux(n: int, a: int) -> list[tuple]:
     if not (0 <= a <= n):
         raise ValueError(f"column length out of range: {a}")
     out = [t for t in combinations(range(1, 2 * n + 1), a) if pair_ok(t, n)]
-    assert len(out) == comb(2 * n, a) - (comb(2 * n, a - 2) if a >= 2 else 0)
+    if len(out) != comb(2 * n, a) - (comb(2 * n, a - 2) if a >= 2 else 0):
+        raise AssertionError(
+            f"admissible column count wrong for n={n}, a={a}: {len(out)}")
     return out
 
 
@@ -351,7 +353,8 @@ def maximal_breaking_pair(t: tuple, n: int) -> tuple[int, int]:
             if t[l] == cb and n + (k + 1) - (l + 1) < c:
                 if best is None or c > best[0]:
                     best = (c, l - k - 1)
-    assert best is not None
+    if best is None:
+        raise AssertionError(f"no breaking pair in {t}")
     return best
 
 
@@ -405,16 +408,11 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
     cartan = table.cartan
 
     # (i) signed x-sum equals the admissible z-sum, in Q-representation
-    xsum = LaurentPoly.zero()
-    mixed = LaurentPoly.zero()
-    for t in gen_x_tableaux(n, a):
-        w = tableau_weight(t, table, "X")
-        xsum = xsum + w
-        if ((n + 1) in t) != ((n + 2) in t):
-            mixed = mixed + w
-    zsum = LaurentPoly.zero()
-    for t in gen_column_tableaux(n, a):
-        zsum = zsum + tableau_weight(t, table, "Z")
+    xs = [(t, tableau_weight(t, table, "X")) for t in gen_x_tableaux(n, a)]
+    xsum = poly_sum(w for _, w in xs)
+    mixed = poly_sum(w for t, w in xs if ((n + 1) in t) != ((n + 2) in t))
+    zsum = poly_sum(tableau_weight(t, table, "Z")
+                    for t in gen_column_tableaux(n, a))
     zsum_q = zsum.to_q(cartan)
     rep.x_term_count = xsum.n_terms
     rep.admissible_count = len(gen_column_tableaux(n, a))
@@ -461,12 +459,8 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
                 rep.failures.append(f"raise map failed at {s}")
     else:
         # length < 3: W is empty and V sums telescope directly
-        vsum = LaurentPoly.zero()
-        for t in gen_V(n, a):
-            vsum = vsum + tableau_weight(t, table, "Z")
-        wsum = LaurentPoly.zero()
-        for t in gen_W(n, a):
-            wsum = wsum + tableau_weight(t, table, "Z")
+        vsum = poly_sum(tableau_weight(t, table, "Z") for t in gen_V(n, a))
+        wsum = poly_sum(tableau_weight(t, table, "Z") for t in gen_W(n, a))
         if vsum != wsum:
             rep.bijection_ok = False
             rep.failures.append("V-sum != W-sum at small length")
@@ -475,7 +469,3 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
 
 def tableau_text(t: tuple, n: int) -> str:
     return " ".join(letter_text(c, n) for c in t)
-
-
-def tableau_json(t: tuple, n: int) -> list:
-    return [{"bar": is_barred(c, n), "v": letter_value(c, n)} for c in t]

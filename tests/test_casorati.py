@@ -68,6 +68,17 @@ def test_free_skew_lemma_standalone():
     assert rep.ok
 
 
+def test_free_skew_lemma_redraws_singular_tables():
+    # seed 59 draws a table with a singular denominator minor at rank 2
+    sets = default_index_sets(2)
+    rep = GridReport(seed=59)
+    verify_free_skew_lemma(6, sets, seed=59, rep=rep)
+    assert rep.ok and len(rep.checks) == len(sets)
+    with pytest.raises(RuntimeError):
+        verify_free_skew_lemma(6, sets, seed=59, rep=GridReport(seed=59),
+                               max_tries=1)
+
+
 def test_suite_rank2():
     rep = run_suite(2, seed=11)
     assert rep.ok, [c for c in rep.checks if not c["ok"]]

@@ -139,3 +139,44 @@ def test_console_script_entrypoint():
         env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "fundamental_r2_a1.txt").read_text()
+
+
+def test_explicit_zero_max_m_is_honoured(capsys):
+    code, out, _ = run_cli(["verify", "tt-tq", "--rank", "2", "--max-m", "0",
+                            "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["params"]["max_m"] == 0
+    assert len(payload["checks"]) == 3  # two convolutions at m=0, Baxter
+
+
+def test_negative_bounds_are_usage_errors(capsys):
+    assert main(["verify", "product-formula", "--rank", "2",
+                 "--max-m", "-1"]) == 2
+    assert main(["verify", "lemma-exp", "--algebra", "B", "--rank", "2",
+                 "--order", "-2"]) == 2
+
+
+def test_suite_without_checks_fails(capsys):
+    code, out, _ = run_cli(["verify", "product-formula", "--rank", "2",
+                            "--max-m", "0"], capsys)
+    assert code == 1 and out.endswith("suite FAILED\n")
+
+
+def test_output_independent_of_hash_seed():
+    # Packed monomial slots are interned in the order one process meets
+    # its variables; no output may depend on that order or on the hash
+    # seed, which the in-process determinism checks cannot vary.
+    src = str(Path(__file__).parents[1] / "src")
+    for args in (["character", "--rank", "2", "--rect", "2", "2"],
+                 ["verify", "bd", "--algebra", "B", "--rank", "2",
+                  "--order", "8", "--format", "json"]):
+        outs = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qchar.cli", *args],
+                capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": hash_seed})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]

@@ -1,5 +1,6 @@
 """Ring axioms and representation maps for the sparse Laurent ring."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
+from qchar.ring import EXP_MAX, Q_FAM, _format_shift, poly_sum
 
 
 def small_polys():
@@ -103,3 +105,155 @@ def test_algebra_spec_validation():
     with pytest.raises(ValueError):
         AlgebraSpec("E", 3)
     assert AlgebraSpec("C", 2).N == 6
+
+
+# -- the tuple-key kernel the packed keys replaced, kept as an oracle ------
+#
+# A tuple-key polynomial is a {monomial: coefficient} dict whose monomial
+# is the sorted tuple of ((family, index, half), exponent) pairs, exactly
+# what LaurentPoly.terms() yields.
+
+def _o_mul(ta, tb, acc=None, sign=1):
+    out = {} if acc is None else acc
+    for k1, c1 in ta.items():
+        d1 = dict(k1)
+        for k2, c2 in tb.items():
+            m = dict(d1)
+            for var, e in k2:
+                s = m.get(var, 0) + e
+                if s:
+                    m[var] = s
+                else:
+                    del m[var]
+            key = tuple(sorted(m.items()))
+            s = out.get(key, 0) + sign * c1 * c2
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _o_shift(t, d):
+    return {tuple(((f, i, h + d), e) for (f, i, h), e in key): c
+            for key, c in t.items()}
+
+
+def _o_to_q(t, cartan):
+    out = {}
+    for key, c in t.items():
+        term = {(): c}
+        for (f, i, h), e in key:
+            th = cartan.pair2(i, i) // 2
+            q = tuple(sorted({(Q_FAM, i, h - th): e,
+                              (Q_FAM, i, h + th): -e}.items()))
+            term = _o_mul(term, {q: 1})
+        _o_mul(term, {(): 1}, acc=out)
+    return out
+
+
+def _o_text(t):
+    if not t:
+        return "0"
+    parts = []
+    for key, c in sorted(t.items()):
+        factors = [str(c)]
+        for (f, i, h), e in key:
+            name = f"{'YQ'[f]}[{i}]({_format_shift(h)})"
+            factors.append(name if e == 1 else f"{name}^{e}")
+        parts.append(" * ".join(factors))
+    return "  +  ".join(parts)
+
+
+def _o_json(t):
+    return [{"coeff": str(c),
+             "vars": [{"fam": "YQ"[f], "idx": i, "half_shift": h, "exp": e}
+                      for (f, i, h), e in key]}
+            for key, c in sorted(t.items())]
+
+
+def _canonical(terms):
+    out = {}
+    for exps, c in terms:
+        _o_mul({tuple(sorted(exps.items())): c}, {(): 1}, acc=out)
+    return out
+
+
+def tuple_polys(families=(Y_FAM, Q_FAM)):
+    var = st.tuples(st.sampled_from(families), st.integers(1, 3),
+                    st.integers(-6, 6))
+    mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
+    coeff = st.integers(-5, 5).filter(bool)
+    return st.lists(st.tuples(mono, coeff), max_size=6).map(_canonical)
+
+
+def packed(t):
+    return poly_sum(LaurentPoly.monomial(c, dict(key)) for key, c in t.items())
+
+
+def unpacked(p):
+    return dict(p.terms())
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_polys(), tuple_polys())
+def test_packed_product_matches_oracle(a, b):
+    assert unpacked(packed(a) * packed(b)) == _o_mul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1)), tuple_polys(),
+                          tuple_polys()), max_size=4))
+def test_packed_accumulation_matches_oracle(triples):
+    acc, want = {}, {}
+    for sign, a, b in triples:
+        acc_product(acc, packed(a), packed(b), sign)
+        _o_mul(a, b, acc=want, sign=sign)
+    assert unpacked(LaurentPoly(acc)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuple_polys(), st.integers(-9, 9))
+def test_packed_shift_matches_oracle(a, d):
+    p = packed(a)
+    assert unpacked(p.shift(d)) == _o_shift(a, d)
+    assert p.shift(d).shift(-d) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuple_polys(families=(Y_FAM,)), st.sampled_from(("C", "B", "D")))
+def test_packed_to_q_matches_oracle(a, series):
+    cartan = CartanData(AlgebraSpec(series, 3))
+    assert unpacked(packed(a).to_q(cartan)) == _o_to_q(a, cartan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tuple_polys())
+def test_packed_terms_and_rendering_match_oracle(a):
+    p = packed(a)
+    assert list(p.terms()) == sorted(a.items())
+    assert p.text() == _o_text(a)
+    assert (json.dumps(p.to_json(), sort_keys=True)
+            == json.dumps(_o_json(a), sort_keys=True))
+
+
+def test_exponent_past_digit_range_raises_overflow():
+    cartan = CartanData(AlgebraSpec("C", 3))
+    top = Y(1, 0, EXP_MAX)
+    # the extreme digits decode exactly, next to a neighbouring slot
+    assert Y(1, 0, 16383) * Y(1, 0, 16384) == top
+    edge = LaurentPoly.monomial(1, {vk(Y_FAM, 1, 0): -EXP_MAX,
+                                    vk(Y_FAM, 2, 0): EXP_MAX})
+    assert unpacked(edge) == {(((Y_FAM, 1, 0), -EXP_MAX),
+                               ((Y_FAM, 2, 0), EXP_MAX)): 1}
+    with pytest.raises(OverflowError):
+        Y(1, 0, EXP_MAX + 1)
+    with pytest.raises(OverflowError):
+        top * Y(1, 0)
+    with pytest.raises(OverflowError):
+        acc_product({}, Y(2, 1), top)
+    with pytest.raises(OverflowError):
+        Y(1, 0, 20000).to_q(cartan)
+    # a loose bound is replaced by the exact one before any refusal
+    loose = (Y(1, 0, 20000) + ONE) - Y(1, 0, 20000)
+    assert loose * Y(1, 0, 20000) == Y(1, 0, 20000)
