@@ -26,6 +26,7 @@ from .classical import det_frac
 log = logging.getLogger(__name__)
 
 BIT_GUARD = 200_000
+MAX_DRAWS = 8  # random grids or tables tried before giving up
 
 
 class QAssignment:
@@ -99,12 +100,11 @@ class TriangularBasis:
         return self.casorati(idx, shift)
 
 
-def build_grid(n: int, seed: int, imax: int,
-               max_tries: int = 8) -> TriangularBasis:
+def build_grid(n: int, seed: int, imax: int) -> TriangularBasis:
     """Triangular basis with a non-degenerate reference minor; the seed
     is bumped until [0..N-1] and [1..N] are nonzero at the grid."""
     N = 2 * n + 2
-    for t in range(max_tries):
+    for t in range(MAX_DRAWS):
         qa = QAssignment(n, seed + t)
         basis = TriangularBasis(n, qa, imax)
         ok = all(basis.casorati(tuple(range(N)), g) != 0
@@ -396,7 +396,7 @@ def _free_skew_holds(N: int, indices: tuple, width: int,
 
 
 def verify_free_skew_lemma(N: int, index_sets: list, seed: int,
-                           rep: GridReport, max_tries: int = 8) -> None:
+                           rep: GridReport) -> None:
     """The ninth-variation identity on an unconstrained random table:
     minor ratio = skew tableau sum = elementary determinant.  A table
     with a singular minor in a denominator is redrawn from the same
@@ -407,7 +407,7 @@ def verify_free_skew_lemma(N: int, index_sets: list, seed: int,
     for indices in index_sets:
         width = max(indices[-1] - N + 1, 1) + width_pad
         imax = width + 2 * N
-        for _ in range(max_tries):
+        for _ in range(MAX_DRAWS):
             table = [[Fraction(rng.randint(1, 19), rng.randint(1, 19))
                       for _ in range(imax + 1)] for _ in range(N)]
             try:
@@ -419,7 +419,7 @@ def verify_free_skew_lemma(N: int, index_sets: list, seed: int,
         else:
             raise RuntimeError(
                 f"no table without singular minors for {list(indices)} "
-                f"in {max_tries} draws")
+                f"in {MAX_DRAWS} draws")
         rep.add(f"free skew identity {list(indices)}", ok)
 
 

@@ -306,11 +306,16 @@ def _suite_checks(args) -> tuple[list, dict]:
         if algebra not in ("B", "D"):
             raise UsageError("lemma-exp suite requires --algebra B or D")
         rank = need_rank()
+        if order is None:
+            order = 10 if algebra == "B" else 12
+        if order < 2:
+            # below order 2 both sides are the unit operator
+            raise UsageError(f"lemma-exp needs --order >= 2, got {order}")
         params.update(algebra=algebra, rank=rank)
         if algebra == "B":
-            ok = bd.verify_b_expansion(rank, 10 if order is None else order)
+            ok = bd.verify_b_expansion(rank, order)
         else:
-            ok = bd.verify_d_expansion(rank, 12 if order is None else order)
+            ok = bd.verify_d_expansion(rank, order)
         return [{"identity": f"{algebra}-series middle-factor expansion",
                  "ok": ok}], params
 

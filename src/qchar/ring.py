@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress
-from operator import mul
 from typing import Iterable, Iterator
 
 Y_FAM, Q_FAM = 0, 1
@@ -98,31 +97,6 @@ def _mono(key: int) -> MonoKey:
 def _exact_bound(t: dict) -> int:
     return max((max(map(abs, _digits(k)[1]), default=0) for k in t),
                default=0)
-
-
-class _Remap(dict):
-    """slot -> packed image of its variable under a linear substitution,
-    computed by ``image(VarKey)`` the first time the slot is looked up."""
-
-    __slots__ = ("image",)
-
-    def __init__(self, image):
-        super().__init__()
-        self.image = image
-
-    def __missing__(self, slot: int) -> int:
-        key = self[slot] = self.image(_VAR[slot])
-        return key
-
-
-_REMAPS: dict = {}  # ("shift", half_delta) | ("to_q", CartanData) -> _Remap
-
-
-def _remap(tag: tuple, image) -> _Remap:
-    m = _REMAPS.get(tag)
-    if m is None:
-        m = _REMAPS[tag] = _Remap(image)
-    return m
 
 
 def _q_image(cartan: "CartanData", var: VarKey) -> int:
@@ -302,14 +276,18 @@ class LaurentPoly:
 
     # -- structural operations ---------------------------------------
 
-    def _remapped(self, image: _Remap, bound: int) -> "LaurentPoly":
-        """Apply the substitution ``image`` (slot -> packed image of its
+    def _remapped(self, image, bound: int) -> "LaurentPoly":
+        """Apply the substitution ``image`` (VarKey -> packed image of the
         variable) to every term; it is linear in the exponent vector."""
-        get = image.__getitem__
+        images: dict = {}  # slot -> image, computed on first use
         out: dict = {}
         for key, c in self._t.items():
-            slots, exps = _digits(key)
-            k = sum(map(mul, exps, map(get, slots)))
+            k = 0
+            for slot, e in zip(*_digits(key)):
+                x = images.get(slot)
+                if x is None:
+                    x = images[slot] = image(_VAR[slot])
+                k += e * x
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -321,9 +299,8 @@ class LaurentPoly:
         """Substitute u -> u + half_delta/2 in every variable."""
         if half_delta == 0 or not self._t:
             return self
-        image = _remap(("shift", half_delta),
-                       lambda v: _unit((v[0], v[1], v[2] + half_delta)))
-        return self._remapped(image, self._b)
+        return self._remapped(
+            lambda v: _unit((v[0], v[1], v[2] + half_delta)), self._b)
 
     def to_q(self, cartan: "CartanData") -> "LaurentPoly":
         """Replace every Y_a(u+s)^e by its Baxter-Q ratio image.
@@ -336,19 +313,25 @@ class LaurentPoly:
                 raise OverflowError(
                     f"Q images of exponents up to {self._b} could overflow "
                     f"packed digits (|e| <= {EXP_MAX})")
-        image = _remap(("to_q", cartan), partial(_q_image, cartan))
-        return self._remapped(image, 2 * self._b)
+        return self._remapped(partial(_q_image, cartan), 2 * self._b)
 
     def euler_parts(self, fam: int, idx: int) -> dict:
         """{half: x * d/dx of self} for every x = (fam, idx, half) that
         occurs: the part of self whose terms contain x, each term
-        multiplied by its exponent of x."""
+        multiplied by its exponent of x.
+
+        Rejects a polynomial with variables outside family ``fam``.
+        """
         out: dict = {}
         for key, c in self._t.items():
             slots, exps = _digits(key)
             for s, e in zip(slots, exps):
                 f, i, h = _VAR[s]
-                if f == fam and i == idx:
+                if f != fam:
+                    raise ValueError(
+                        f"expected {FAM_NAMES[fam]}-variables only, "
+                        f"found {FAM_NAMES[f]}")
+                if i == idx:
                     part = out.get(h)
                     if part is None:
                         part = out[h] = {}

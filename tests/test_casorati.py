@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qchar import casorati
 from qchar.casorati import (QAssignment, TriangularBasis, build_grid,
                             mu_from_indices, transpose, skew_ssyt,
                             run_suite, default_index_sets,
@@ -68,15 +69,15 @@ def test_free_skew_lemma_standalone():
     assert rep.ok
 
 
-def test_free_skew_lemma_redraws_singular_tables():
+def test_free_skew_lemma_redraws_singular_tables(monkeypatch):
     # seed 59 draws a table with a singular denominator minor at rank 2
     sets = default_index_sets(2)
     rep = GridReport(seed=59)
     verify_free_skew_lemma(6, sets, seed=59, rep=rep)
     assert rep.ok and len(rep.checks) == len(sets)
+    monkeypatch.setattr(casorati, "MAX_DRAWS", 1)
     with pytest.raises(RuntimeError):
-        verify_free_skew_lemma(6, sets, seed=59, rep=GridReport(seed=59),
-                               max_tries=1)
+        verify_free_skew_lemma(6, sets, seed=59, rep=GridReport(seed=59))
 
 
 def test_suite_rank2():

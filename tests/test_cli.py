@@ -152,8 +152,11 @@ def test_explicit_zero_max_m_is_honoured(capsys):
 def test_negative_bounds_are_usage_errors(capsys):
     assert main(["verify", "product-formula", "--rank", "2",
                  "--max-m", "-1"]) == 2
-    assert main(["verify", "lemma-exp", "--algebra", "B", "--rank", "2",
-                 "--order", "-2"]) == 2
+    for order in ("-2", "0", "1"):
+        assert main(["verify", "lemma-exp", "--algebra", "B", "--rank", "2",
+                     "--order", order]) == 2
+    assert main(["verify", "lemma-exp", "--algebra", "D", "--rank", "3",
+                 "--order", "1"]) == 2
 
 
 def test_suite_without_checks_fails(capsys):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from qchar.ring import AlgebraSpec, CartanData, VariableTable, Y, ONE, ZERO
+from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Y, Qv, ONE,
+                        ZERO)
 from qchar.screening import (a_factor, apply_screening, canonicalize,
                              screen_poly, in_kernel, screen_operator)
 from qchar.diffop import build_L_C
@@ -25,6 +26,13 @@ def test_action_counts_exponents(c2):
 def test_action_ignores_other_families(c2):
     assert apply_screening(1, Y(2, 0), c2) == {}
     assert apply_screening(2, Y(1, 4), c2) == {}
+
+
+def test_action_rejects_non_y_variables(c2):
+    # a Q-variable is refused whether or not its term contains Y_a
+    for p in (Y(1, 0) * Qv(1, 2), Y(1, 0) + Qv(2, 0), Y(2, 0) * Qv(1, 0)):
+        with pytest.raises(ValueError):
+            apply_screening(1, p, c2)
 
 
 def test_single_variable_not_in_kernel(c2):
