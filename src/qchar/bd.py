@@ -13,7 +13,7 @@ from __future__ import annotations
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Y_FAM, vk, ONE)
 from .diffop import DiffOp, prod
-from .screening import screen_poly, in_kernel, screen_operator, KernelReport
+from .screening import in_kernel, screen_operator
 from .characters import RelationReport
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Q_FAM, vk)
+                   Q_FAM)
 from .diffop import build_Lj_C
 from .classical import det_frac
 
@@ -47,12 +47,14 @@ class QAssignment:
                                         rng.randint(1, 19))
         return self._cache[key]
 
-    def eval(self, p: LaurentPoly) -> Fraction:
+    def eval(self, p: LaurentPoly, half: int = 0) -> Fraction:
+        """p(u + half/2) at this assignment; no shifted copy of p is
+        built."""
         assign = {}
-        for fam, idx, half in p.variables():
+        for fam, idx, h in p.variables():
             if fam != Q_FAM:
                 raise ValueError("assignment covers Q-variables only")
-            assign[(fam, idx, half)] = self.value(idx, half)
+            assign[(fam, idx, h)] = self.value(idx, h + half)
         return p.eval_rational(assign)
 
 
@@ -76,7 +78,7 @@ class TriangularBasis:
                 s = Fraction(0)
                 for j, c in coeffs.items():
                     if not c.is_zero:
-                        s -= qa.eval(c.shift(2 * t)) * vals[t + j]
+                        s -= qa.eval(c, 2 * t) * vals[t + j]
                 vals.append(s)
             self.w.append(vals)
         top = max(abs(v.numerator).bit_length() + v.denominator.bit_length()
@@ -135,11 +137,6 @@ class GridReport:
         return {"seed": self.seed, "ok": self.ok, "checks": self.checks}
 
 
-def _eval_char(poly: LaurentPoly, cartan: CartanData, qa: QAssignment,
-               half: int) -> Fraction:
-    return qa.eval(poly.to_q(cartan).shift(half))
-
-
 def verify_shift_identity(basis: TriangularBasis, grid: range,
                           rep: GridReport) -> None:
     N = basis.N
@@ -155,14 +152,13 @@ def verify_weyl_type(n: int, basis: TriangularBasis, grid: range,
     N = 2 * n + 2
     cartan = CartanData(AlgebraSpec("C", n))
     for a in range(0, N + 1):
-        poly = fundamental_poly(n, a)
+        q = fundamental_poly(n, a).to_q(cartan)
         ok = True
         for g in grid:
             num = basis.casorati(
                 tuple(range(a)) + tuple(range(a + 1, N + 1)), g)
             den = basis.casorati(tuple(range(1, N + 1)), g)
-            ok = ok and _eval_char(poly, cartan, qa=basis.qa,
-                                   half=a + 2 * g) == num / den
+            ok = ok and basis.qa.eval(q, a + 2 * g) == num / den
         rep.add(f"one-gap minor ratio a={a}", ok)
 
 
@@ -174,14 +170,13 @@ def verify_hook_ratio(n: int, k_max: int, basis: TriangularBasis,
     cartan = CartanData(AlgebraSpec("C", n))
     for k in range(N, k_max + 1):
         for i in range(0, N):
-            poly = h_poly(n, i, k)
+            q = h_poly(n, i, k).to_q(cartan)
             ok = True
             for g in grid:
                 num = basis.casorati(
                     tuple(range(i)) + tuple(range(i + 1, N)) + (k,), g)
                 den = basis.casorati(tuple(range(N)), g)
-                ok = ok and _eval_char(poly, cartan, basis.qa,
-                                       i + 2 * g) == -num / den
+                ok = ok and basis.qa.eval(q, i + 2 * g) == -num / den
             rep.add(f"hook minor ratio i={i} k={k}", ok)
 
 
@@ -192,6 +187,7 @@ def verify_x_ratio(n: int, basis: TriangularBasis, grid: range,
     table = VariableTable(AlgebraSpec("C", n))
     N = 2 * n + 2
     for m in range(1, N + 1):
+        x = table.x(m)
         ok = True
         for g in grid:
             num = (basis.casorati(tuple(range(m)), g)
@@ -201,7 +197,7 @@ def verify_x_ratio(n: int, basis: TriangularBasis, grid: range,
             if den == 0:
                 ok = False
                 break
-            ok = ok and basis.qa.eval(table.x(m, 2 * g)) == num / den
+            ok = ok and basis.qa.eval(x, 2 * g) == num / den
         rep.add(f"alphabet ratio m={m}", ok)
 
 
@@ -250,8 +246,12 @@ def verify_toda_solution(n: int, m_max: int, basis: TriangularBasis,
     cartan = CartanData(AlgebraSpec("C", n))
     xi = basis.xi
     go = N // 2
-    T = lambda a, m, half, g: _eval_char(rect_poly(n, a, m), cartan,
-                                         basis.qa, half + 2 * g)
+    rect_q: dict = {}
+
+    def T(a, m, half, g):
+        if (a, m) not in rect_q:
+            rect_q[(a, m)] = rect_poly(n, a, m).to_q(cartan)
+        return basis.qa.eval(rect_q[(a, m)], half + 2 * g)
     for a in range(1, n):
         for m in range(1, m_max + 1):
             ok = all(
@@ -314,7 +314,12 @@ def transpose(mu: list) -> list:
 
 def skew_ssyt(N: int, width: int, mu: list):
     """Semistandard fillings of (width^N)/mu with entries 1..N; rows
-    weakly increase, columns strictly increase downward."""
+    weakly increase, columns strictly increase downward.
+
+    mu is a partition, so every non-empty column runs down to row N-1
+    and the cell in row r has N-1-r cells below it: its entry is at
+    most r + 1.  Capping the range there cuts only dead branches, so
+    the fillings come in the same order as without the cap."""
     mu = list(mu) + [0] * (N - len(mu))
     rows = [list(range(mu[r], width)) for r in range(N)]
     cells = [(r, c) for r in range(N) for c in rows[r]]
@@ -330,7 +335,7 @@ def skew_ssyt(N: int, width: int, mu: list):
             lo = max(lo, filling[(r, c - 1)])
         if (r - 1, c) in filling:
             lo = max(lo, filling[(r - 1, c)] + 1)
-        for v in range(lo, N + 1):
+        for v in range(lo, r + 2):
             filling[(r, c)] = v
             yield from fill(pos + 1)
         filling.pop((r, c), None)
@@ -431,6 +436,13 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
     N = 2 * n + 2
     cartan = CartanData(AlgebraSpec("C", n))
     table = VariableTable(AlgebraSpec("C", n))
+    xs = {m: table.x(m) for m in range(1, N + 1)}
+    fund_q: dict = {}
+
+    def fund(a, half):
+        if a not in fund_q:
+            fund_q[a] = fundamental_poly(n, a).to_q(cartan)
+        return basis.qa.eval(fund_q[a], half)
     for indices in index_sets:
         mu = mu_from_indices(indices)
         mu1 = mu[0]
@@ -439,13 +451,11 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
         for g in grid:
             lhs = (basis.casorati(indices, g)
                    / basis.casorati(tuple(range(N)), g))
-            xval = lambda m, shift: basis.qa.eval(
-                table.x(m, 2 * (shift + g)))
+            xval = lambda m, shift: basis.qa.eval(xs[m], 2 * (shift + g))
             ssyt = ((-1) ** mu1) * _ssyt_sum(N, mu1, mu, xval)
-            mat = [[_eval_char(
-                fundamental_poly(n, mup[j - 1] - j + l), cartan, basis.qa,
-                N - 2 + j + l - mup[j - 1] + 2 * g)
-                for l in range(1, mu1 + 1)] for j in range(1, mu1 + 1)]
+            mat = [[fund(mup[j - 1] - j + l,
+                         N - 2 + j + l - mup[j - 1] + 2 * g)
+                    for l in range(1, mu1 + 1)] for j in range(1, mu1 + 1)]
             dt = det_frac(mat)
             ok = ok and lhs == ssyt == dt
         rep.add(f"basis skew identity {list(indices)}", ok)

@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .ring import LaurentPoly, Y_FAM, Q_FAM
+from .ring import LaurentPoly, Y_FAM
 
 _POOL_NUM = list(range(2, 40))
 
@@ -61,25 +62,34 @@ def beta_eval(p: LaurentPoly, point: ClassicalPoint) -> Fraction:
 
 
 def det_frac(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
+    """Exact determinant: clear denominators row by row, then run
+    Bareiss's fraction-free elimination on the integer matrix, swapping
+    rows past zero pivots."""
     size = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, size):
-            f = m[r][col] * inv
-            if f:
-                for cc in range(col, size):
-                    m[r][cc] -= f * m[col][cc]
-    return det
+    m = []
+    den = 1
+    for row in mat:
+        l = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (l // x.denominator) for x in row])
+        den *= l
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, size) if m[r][k]), None)
+            if piv is None:
+                return Fraction(0)
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        rk = m[k]
+        p = rk[k]
+        for ri in m[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, size):
+                # exact by Sylvester's identity
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1] if size else 1, den)
 
 
 def sp_character(lam: list[int], point: ClassicalPoint) -> Fraction:
@@ -116,12 +126,7 @@ def hook_char_value(n: int, alpha: int, gamma: int,
 
 
 def hook_dimension(n: int, alpha: int, gamma: int) -> int:
-    """Dimension of the hook module via a torus point near identity
-    (limits computed with a generic geometric point)."""
-    # evaluate at x_b = t^b for a generic rational t and take no limit:
-    # instead use the standard specialization x_b = q^b with q a symbol
-    # replaced by an exact rational close to 1 is unstable; use the
-    # Weyl dimension formula directly.
+    """Dimension of the hook module by the Weyl dimension formula."""
     if gamma <= -1 or gamma >= n or alpha <= -2:
         return 0
     if alpha == -1:

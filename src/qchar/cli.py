@@ -1,8 +1,10 @@
 """Command-line surface: characters, operators, and verification suites.
 
 Exit codes: 0 = success / all checks passed, 1 = at least one identity
-failed, 2 = usage or configuration error.  Reports are deterministic:
-identical configuration and seed produce byte-identical output.
+failed, 2 = usage or configuration error.  Only a ``UsageError`` gives
+exit 2; any other exception is an internal error and propagates.
+Reports are deterministic: identical configuration and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import os
 import sys
 
-from .ring import AlgebraSpec, CartanData, VariableTable, vk, Y_FAM
+from .ring import AlgebraSpec, CartanData, vk, Y_FAM
 from .diffop import build_L_C, EpsilonChoice, L_FORMS
 from . import characters, tableaux, classical, casorati, bd
 from .screening import screen_operator, in_kernel
@@ -25,6 +27,22 @@ SUITES = ("screening", "cancellation", "bijection", "tsystem", "tt-tq",
 
 class UsageError(Exception):
     pass
+
+
+def _spec(series: str, n: int) -> AlgebraSpec:
+    """The algebra at a requested rank; a rank it lacks is a usage
+    error."""
+    try:
+        return AlgebraSpec(series, n)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _series_order(order: int) -> int:
+    """A B/D series truncation order, which must reach D^2."""
+    if order < 2:
+        raise UsageError("order must be at least 2")
+    return order
 
 
 def _read_config(path: str) -> dict:
@@ -114,6 +132,7 @@ def cmd_character(args) -> int:
     algebra = _resolve(args, "algebra", str, "C")
     if algebra != "C":
         raise UsageError("character supports the C series only")
+    spec = _spec("C", n)
     picks = [p for p in ("fundamental", "row", "rect", "hseries")
              if getattr(args, p) is not None]
     if len(picks) != 1:
@@ -123,13 +142,20 @@ def cmd_character(args) -> int:
     if kind == "fundamental":
         ch = characters.fundamental(n, args.fundamental)
     elif kind == "row":
+        if args.row < 0:
+            raise UsageError("--row must be >= 0")
         ch = characters.row_character(n, args.row)
     elif kind == "rect":
         a, m = args.rect
-        ch = characters.QCharacter(AlgebraSpec("C", n), ("rect", a, m),
+        if not (0 <= a <= n and m >= 0):
+            raise UsageError(f"--rect needs 0 <= A <= {n} and M >= 0")
+        ch = characters.QCharacter(spec, ("rect", a, m),
                                    characters.rect_poly(n, a, m))
     else:
         i, k = args.hseries
+        if not (0 <= i <= 2 * n + 1 and k >= 0):
+            raise UsageError(f"--hseries needs 0 <= I <= {2 * n + 1} "
+                             f"and K >= 0")
         ch = characters.h_series(n, i, k)
     sigma = 1
     if kind == "hseries":
@@ -151,17 +177,16 @@ def cmd_operator(args) -> int:
     if n is None:
         raise UsageError("operator requires --rank")
     algebra = _resolve(args, "algebra", str, "C")
+    spec = _spec(algebra, n)
     if algebra == "C":
         if args.form not in L_FORMS:
             raise UsageError(f"--form must be one of {L_FORMS}")
         op = build_L_C(n, args.form, EpsilonChoice(args.eps))
         label = f"C rank {n} {args.form}"
-    elif algebra in ("B", "D"):
-        order = _resolve(args, "order", int, 2 * (2 * n + 2))
-        op = bd.build_series_L(AlgebraSpec(algebra, n), order)
-        label = f"{algebra} rank {n} series to D^{order}"
     else:
-        raise UsageError(f"unknown algebra {algebra!r}")
+        order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
+        op = bd.build_series_L(spec, order)
+        label = f"{algebra} rank {n} series to D^{order}"
     payload = {"label": label, "coefficients": op.to_json(),
                "text": op.text()}
     _emit(payload, args)
@@ -184,12 +209,11 @@ def _suite_checks(args) -> tuple[list, dict]:
             raise UsageError(f"{flag} must be >= 0, got {val}")
     params: dict = {"suite": suite}
 
-    def need_rank(default=None):
-        if n is not None:
-            return n
-        if default is not None:
-            return default
-        raise UsageError(f"suite {suite} requires --rank")
+    def need_rank():
+        if n is None:
+            raise UsageError(f"suite {suite} requires --rank")
+        _spec(algebra if suite in ("bd", "lemma-exp") else "C", n)
+        return n
 
     if suite == "screening":
         rank = need_rank()
@@ -299,7 +323,7 @@ def _suite_checks(args) -> tuple[list, dict]:
         rank = need_rank()
         params.update(algebra=algebra, rank=rank)
         if order is not None:
-            params.update(order=order)
+            params.update(order=_series_order(order))
         return bd.run_suite(algebra, rank, order).checks, params
 
     if suite == "lemma-exp":
@@ -351,9 +375,10 @@ def cmd_bd(args) -> int:
     n = _resolve(args, "rank", int)
     if n is None:
         raise UsageError("bd requires --rank")
-    order = _resolve(args, "order", int, 2 * (2 * n + 2))
+    spec = _spec(algebra, n)
+    order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
     if args.emit == "coeffs":
-        L = bd.build_series_L(AlgebraSpec(algebra, n), order)
+        L = bd.build_series_L(spec, order)
         ta = bd.extract_Ta(L)
         payload = {"algebra": algebra, "rank": n, "order": order,
                    "coefficients": {str(a): p.to_json()
@@ -429,9 +454,6 @@ def main(argv=None) -> int:
                                if args.config else {})
         return _DISPATCH[args.command](args)
     except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -339,12 +339,19 @@ class LaurentPoly:
         return {h: LaurentPoly._make(t, self._b) for h, t in out.items()}
 
     def eval_rational(self, assign: dict) -> Fraction:
-        """Exact rational evaluation; every variable must be assigned."""
+        """Exact rational evaluation; every variable must be assigned.
+
+        With x_s = p_s/q_s and e_s ranging over [lo_s, hi_s] (both
+        bounds taken with 0), every term times the common denominator
+        D = prod_s p_s^(-lo_s) q_s^(hi_s) is an integer, so the sum runs
+        over ints and one Fraction is built at the end."""
         values: dict = {}  # slot -> Fraction
-        total = Fraction(0)
+        lo: dict = {}
+        hi: dict = {}
+        decoded = []
         for key, c in self._t.items():
-            val = Fraction(c)
-            for s, e in zip(*_digits(key)):
+            slots, exps = _digits(key)
+            for s, e in zip(slots, exps):
                 x = values.get(s)
                 if x is None:
                     var = _VAR[s]
@@ -353,9 +360,38 @@ class LaurentPoly:
                         raise KeyError(f"no assignment for {FAM_NAMES[f]}"
                                        f"[{i}]({_format_shift(h)})")
                     x = values[s] = Fraction(assign[var])
-                val *= x ** e
-            total += val
-        return total
+                    lo[s] = hi[s] = 0
+                if e < 0:
+                    if not x:
+                        f, i, h = _VAR[s]
+                        raise ZeroDivisionError(
+                            f"{FAM_NAMES[f]}[{i}]({_format_shift(h)}) = 0 "
+                            f"under a negative exponent")
+                    if e < lo[s]:
+                        lo[s] = e
+                elif e > hi[s]:
+                    hi[s] = e
+            decoded.append((c, slots, exps))
+        full = {}  # slot -> its factor of D
+        den = 1
+        for s, x in values.items():
+            full[s] = f = x.numerator ** -lo[s] * x.denominator ** hi[s]
+            den *= f
+        powers: dict = {}  # (slot, e) -> p^(e - lo) q^(hi - e)
+        total = 0
+        for c, slots, exps in decoded:
+            num = c
+            part = 1
+            for s, e in zip(slots, exps):
+                g = powers.get((s, e))
+                if g is None:
+                    x = values[s]
+                    g = powers[(s, e)] = (x.numerator ** (e - lo[s])
+                                          * x.denominator ** (hi[s] - e))
+                num *= g
+                part *= full[s]
+            total += num * (den // part)
+        return Fraction(total, den)
 
     # -- rendering ----------------------------------------------------
 

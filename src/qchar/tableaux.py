@@ -140,15 +140,15 @@ def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
 # the pair-lowering maps tau_b / sigma_b
 # ---------------------------------------------------------------------
 
-def _matched_pairs(t: tuple, n: int, b: int) -> list[tuple[int, int]]:
-    """Positions (k, l), 0-based, of (b, bbar) pairs separated by
-    exactly n - b + 1 letters."""
-    gap = n - b + 1
-    bb = bar(b, n)
+def _matched_pairs(t: tuple, n: int, c: int,
+                   gap: int) -> list[tuple[int, int]]:
+    """Positions (k, l), 0-based, of (c, cbar) pairs separated by
+    exactly gap letters."""
+    cb = bar(c, n)
     out = []
-    for k, c in enumerate(t):
+    for k, v in enumerate(t):
         l = k + gap + 1
-        if c == b and l < len(t) and t[l] == bb:
+        if v == c and l < len(t) and t[l] == cb:
             out.append((k, l))
     return out
 
@@ -158,7 +158,7 @@ def tau_b(t: tuple, n: int, b: int) -> tuple:
     (b-1, (b-1)bar); identity when no pair matches."""
     if not (2 <= b <= n):
         raise ValueError(f"b out of range: {b}")
-    pairs = _matched_pairs(t, n, b)
+    pairs = _matched_pairs(t, n, b, n - b + 1)
     if not pairs:
         return t
     out = list(t)
@@ -173,14 +173,7 @@ def sigma_b(t: tuple, n: int, b: int) -> tuple:
     (b, bbar); inverse step of tau_b."""
     if not (3 <= b <= n):
         raise ValueError(f"b out of range: {b}")
-    gap = n - b + 1
-    c = b - 1
-    cb = bar(c, n)
-    pairs = []
-    for k, v in enumerate(t):
-        l = k + gap + 1
-        if v == c and l < len(t) and t[l] == cb:
-            pairs.append((k, l))
+    pairs = _matched_pairs(t, n, b - 1, n - b + 1)
     if not pairs:
         return t
     out = list(t)
@@ -311,15 +304,8 @@ def membership(t: tuple, n: int, which: str, b: int | None = None,
 def tau_full(t: tuple, n: int) -> tuple[tuple, int]:
     """Apply tau_n, tau_{n-1}, ... until a step acts trivially; returns
     the image (which lies in W) and the stopping index p."""
-    if not in_V(t, n):
-        raise ValueError(f"tableau not in V: {t}")
-    cur = t
-    for d in range(n, 1, -1):
-        nxt = tau_b(cur, n, d)
-        if nxt == cur:
-            return cur, d
-        cur = nxt
-    raise AssertionError(f"descent did not terminate for {t}")
+    chain, p = descent_chain(t, n)
+    return chain[-1], p
 
 
 def descent_chain(t: tuple, n: int) -> tuple[list[tuple], int]:

@@ -3,15 +3,10 @@
 Every check is exact (integer/rational arithmetic); no tolerances.
 """
 
-import json
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-import pytest
-
-from qchar.ring import AlgebraSpec, CartanData, Y, vk, Y_FAM
+from qchar.ring import AlgebraSpec, CartanData
 from qchar.diffop import build_L_C, EpsilonChoice
 from qchar import characters, tableaux, classical, casorati, bd
 from qchar.screening import in_kernel, screen_operator

@@ -63,6 +63,64 @@ def test_skew_ssyt_enumeration():
                 assert filling[(r - 1, c)] < v
 
 
+def _skew_ssyt_unpruned(N, width, mu):
+    """The enumerator before its entry cap: tries every value up to N
+    in every cell, dead branches included."""
+    mu = list(mu) + [0] * (N - len(mu))
+    rows = [list(range(mu[r], width)) for r in range(N)]
+    cells = [(r, c) for r in range(N) for c in rows[r]]
+    filling: dict = {}
+
+    def fill(pos: int):
+        if pos == len(cells):
+            yield dict(filling)
+            return
+        r, c = cells[pos]
+        lo = 1
+        if (r, c - 1) in filling:
+            lo = max(lo, filling[(r, c - 1)])
+        if (r - 1, c) in filling:
+            lo = max(lo, filling[(r - 1, c)] + 1)
+        for v in range(lo, N + 1):
+            filling[(r, c)] = v
+            yield from fill(pos + 1)
+        filling.pop((r, c), None)
+
+    yield from fill(0)
+
+
+def _box_partitions(N, width):
+    """Every partition with at most N parts, each at most width."""
+    if N == 0:
+        yield []
+        return
+    for first in range(width, -1, -1):
+        for rest in _box_partitions(N - 1, first):
+            yield [first] + rest
+
+
+def test_pruned_enumerator_matches_unpruned():
+    shapes = 0
+    for N in range(1, 6):
+        for width in range(1, 5):
+            for mu in _box_partitions(N, width):
+                assert (list(skew_ssyt(N, width, mu))
+                        == list(_skew_ssyt_unpruned(N, width, mu))), (
+                    N, width, mu)
+                shapes += 1
+    assert shapes == 451
+
+
+def test_rank3_filling_counts():
+    N = 8
+    counts = []
+    for indices in default_index_sets(3):
+        width = max(indices[-1] - N + 1, 1) + 2
+        counts.append(len(list(
+            skew_ssyt(N, width, mu_from_indices(indices)))))
+    assert counts == [36, 8, 63]
+
+
 def test_free_skew_lemma_standalone():
     rep = GridReport(seed=5)
     verify_free_skew_lemma(6, [(0, 1, 3, 4, 6, 7)], seed=5, rep=rep)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qchar.ring import Y
 from qchar.classical import (ClassicalPoint, beta_eval, det_frac,
@@ -17,6 +18,70 @@ def test_det_frac_known():
     assert det_frac(m) == Fraction(-2)
     assert det_frac([[Fraction(1), Fraction(2)],
                      [Fraction(2), Fraction(4)]]) == 0
+    assert det_frac([]) == 1
+    assert det_frac([[Fraction(5, 3)]]) == Fraction(5, 3)
+    # a zero leading pivot needs one row swap, which flips the sign
+    assert det_frac([[Fraction(0), Fraction(1)],
+                     [Fraction(1), Fraction(0)]]) == -1
+
+
+def _det_oracle(mat):
+    """Gaussian elimination on Fractions, the determinant used before
+    the integer Bareiss form."""
+    size = len(mat)
+    m = [row[:] for row in mat]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, size):
+            f = m[r][col] * inv
+            if f:
+                for cc in range(col, size):
+                    m[r][cc] -= f * m[col][cc]
+    return det
+
+
+_entries = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@st.composite
+def _matrices(draw):
+    size = draw(st.integers(0, 5))
+    mat = [[draw(_entries) for _ in range(size)] for _ in range(size)]
+    if size >= 2:
+        how = draw(st.sampled_from(("free", "zero pivot", "repeated row",
+                                    "zero column")))
+        if how == "zero pivot":
+            mat[0][0] = Fraction(0)
+        elif how == "repeated row":
+            scale = draw(_entries)
+            mat[-1] = [scale * x for x in mat[0]]
+        elif how == "zero column":
+            for row in mat:
+                row[0] = Fraction(0)
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+@example([])
+@example([[Fraction(-3, 7)]])
+@example([[Fraction(0)]])
+@example([[Fraction(0), Fraction(1, 2)], [Fraction(3), Fraction(5)]])
+@example([[Fraction(0), Fraction(0), Fraction(1)],
+          [Fraction(0), Fraction(2), Fraction(0)],
+          [Fraction(3), Fraction(0), Fraction(0)]])
+def test_det_frac_matches_fraction_elimination(mat):
+    copy = [row[:] for row in mat]
+    assert det_frac(mat) == _det_oracle(mat)
+    assert mat == copy  # the input is left as it was
 
 
 def test_beta_forgets_spectral_parameter():

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from qchar import casorati
 from qchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -157,6 +158,39 @@ def test_negative_bounds_are_usage_errors(capsys):
                      "--order", order]) == 2
     assert main(["verify", "lemma-exp", "--algebra", "D", "--rank", "3",
                  "--order", "1"]) == 2
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only argument validation exits 2; a KeyError or ValueError raised
+    # inside a suite is an internal error and propagates
+    def broken(rank, seed):
+        raise KeyError("no assignment for Q[1](u)")
+
+    monkeypatch.setattr(casorati, "run_suite", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "casorati", "--rank", "2"])
+    monkeypatch.setattr(casorati, "run_suite",
+                        lambda rank, seed: int("not a number"))
+    with pytest.raises(ValueError):
+        main(["verify", "casorati", "--rank", "2"])
+
+
+def test_bad_arguments_are_usage_errors(capsys):
+    for argv in (["character", "--rank", "1", "--fundamental", "1"],
+                 ["character", "--rank", "2", "--row", "-1"],
+                 ["character", "--rank", "2", "--rect", "3", "1"],
+                 ["character", "--rank", "2", "--hseries", "6", "7"],
+                 ["character", "--rank", "2", "--hseries", "1", "-1"],
+                 ["operator", "--rank", "2", "--algebra", "D"],
+                 ["operator", "--rank", "2", "--algebra", "B",
+                  "--order", "1"],
+                 ["bd", "--algebra", "B", "--rank", "2", "--order", "0"],
+                 ["verify", "cancellation", "--rank", "0"],
+                 ["verify", "bd", "--algebra", "B", "--rank", "2",
+                  "--order", "1"],
+                 ["verify", "lemma-exp", "--algebra", "D", "--rank", "2"]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2 and err.startswith("error: "), argv
 
 
 def test_suite_without_checks_fails(capsys):

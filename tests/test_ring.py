@@ -63,8 +63,14 @@ def test_eval_rational():
     p = Y(1, 0) * 2 + Y(2, 1, -1)
     assign = {vk(Y_FAM, 1, 0): Fraction(3, 2), vk(Y_FAM, 2, 1): Fraction(4)}
     assert p.eval_rational(assign) == Fraction(3) + Fraction(1, 4)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as err:
         p.eval_rational({vk(Y_FAM, 1, 0): Fraction(1)})
+    assert err.value.args == ("no assignment for Y[2](u+1/2)",)
+    with pytest.raises(ZeroDivisionError):
+        p.eval_rational({**assign, vk(Y_FAM, 2, 1): 0})
+    # a zero under a positive exponent is an ordinary value
+    assert p.eval_rational({**assign, vk(Y_FAM, 1, 0): 0}) == Fraction(1, 4)
+    assert ZERO.eval_rational({}) == 0 and ONE.eval_rational({}) == 1
 
 
 def test_acc_product_matches_mul():
@@ -235,6 +241,34 @@ def test_packed_terms_and_rendering_match_oracle(a):
     assert p.text() == _o_text(a)
     assert (json.dumps(p.to_json(), sort_keys=True)
             == json.dumps(_o_json(a), sort_keys=True))
+
+
+def _o_eval(t, assign):
+    """Per-term Fraction evaluation, as eval_rational did before it
+    moved to one common denominator."""
+    total = Fraction(0)
+    for key, c in t.items():
+        val = Fraction(c)
+        for var, e in key:
+            val *= Fraction(assign[var]) ** e
+        total += val
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_polys(), st.data())
+def test_eval_rational_matches_per_term_oracle(a, data):
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    assign = {var: data.draw(values)
+              for key in a for var, _ in key}
+    try:
+        want = _o_eval(a, assign)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            packed(a).eval_rational(assign)
+    else:
+        got = packed(a).eval_rational(assign)
+        assert isinstance(got, Fraction) and got == want
 
 
 def test_exponent_past_digit_range_raises_overflow():
