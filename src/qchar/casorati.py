@@ -49,13 +49,27 @@ class QAssignment:
 
     def eval(self, p: LaurentPoly, half: int = 0) -> Fraction:
         """p(u + half/2) at this assignment; no shifted copy of p is
-        built."""
-        assign = {}
-        for fam, idx, h in p.variables():
-            if fam != Q_FAM:
-                raise ValueError("assignment covers Q-variables only")
-            assign[(fam, idx, h)] = self.value(idx, h + half)
-        return p.eval_rational(assign)
+        built, and each key of p is decoded once."""
+        return p.eval_rational(_ShiftedValues(self, half))
+
+
+class _ShiftedValues:
+    """The values of a QAssignment read at u + half/2, looked up lazily
+    by ``LaurentPoly.eval_rational``; a non-Q variable is refused."""
+
+    __slots__ = ("qa", "half")
+
+    def __init__(self, qa: QAssignment, half: int):
+        self.qa = qa
+        self.half = half
+
+    def __contains__(self, var) -> bool:
+        if var[0] != Q_FAM:
+            raise ValueError("assignment covers Q-variables only")
+        return True
+
+    def __getitem__(self, var) -> Fraction:
+        return self.qa.value(var[1], var[2] + self.half)
 
 
 class TriangularBasis:

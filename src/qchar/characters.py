@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, acc_product, poly_sum, vk, Y_FAM, ONE, ZERO)
-from .tableaux import gen_column_tableaux, gen_row_tableaux, tableau_weight
+                   Qv, acc_product, poly_sum, product_sum, vk, Y_FAM, ONE,
+                   ZERO)
+from .tableaux import gen_column_tableaux, gen_row_tableaux, weight_sum
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,21 @@ def fundamental_poly(n: int, a: int) -> LaurentPoly:
         return ZERO
     if a > n + 1:
         return -fundamental_poly(n, N - a)
-    table = _table(n)
     # stagger: k-th letter at u + (a - 2k)/2 relative to base u
-    return poly_sum(tableau_weight(t, table, "Z", base_half=a - 2)
-                    for t in gen_column_tableaux(n, a))
+    return weight_sum(gen_column_tableaux(n, a), _table(n),
+                      [a - 2 * k for k in range(1, a + 1)])
 
 
 def fundamental(n: int, a: int) -> QCharacter:
     return QCharacter(AlgebraSpec("C", n), ("fundamental", a),
                       fundamental_poly(n, a))
+
+
+def _row_sum(n: int, m: int, words: list, half: int = 0) -> LaurentPoly:
+    """T^(1)_m(u + half/2) from the length-m row tableaux ``words``: the
+    k-th letter at argument u + (2k - m - 2 + half)/2."""
+    return weight_sum(words, _table(n),
+                      [2 * k - m - 2 + half for k in range(1, m + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -71,16 +78,7 @@ def row_poly(n: int, m: int) -> LaurentPoly:
     argument u + (2k - m - 2)/2."""
     if m < 0:
         return ZERO
-    if m == 0:
-        return ONE
-    table = _table(n)
-    weights = []
-    for t in gen_row_tableaux(n, m):
-        w = ONE
-        for k, c in enumerate(t, start=1):
-            w = w * table.z(c, 2 * k - m - 2)
-        weights.append(w)
-    return poly_sum(weights)
+    return _row_sum(n, m, gen_row_tableaux(n, m))
 
 
 def row_character(n: int, m: int) -> QCharacter:
@@ -245,10 +243,7 @@ class RelationReport:
 def _bilinear_zero(pairs) -> bool:
     """True when sum of sign * A * B over (sign, A, B) vanishes,
     accumulated in one dict to avoid holding both sides at once."""
-    acc: dict = {}
-    for sign, a, b in pairs:
-        acc_product(acc, a, b, sign)
-    return not acc
+    return product_sum(pairs).is_zero
 
 
 def verify_tsystem(n: int, m_max: int, pf_max: int | None = None) -> RelationReport:
@@ -301,29 +296,31 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     rep = RelationReport()
     N = 2 * n + 2
     cartan = CartanData(AlgebraSpec("C", n))
+    # row tableaux by length, for this call only: row_poly(n, r).shift(d)
+    # is built as _row_sum(n, r, rows[r], d), with shifted templates
+    rows = [gen_row_tableaux(n, r) for r in range(m_max + 1)]
     for m in range(0, m_max + 1):
-        s1, s2 = [], []
+        s1: dict = {}
+        s2: dict = {}
         for a in range(0, N + 1):
             sign = -1 if a % 2 else 1
-            r = row_poly(n, m - a)
             f = fundamental_poly(n, a)
-            if not r.is_zero and not f.is_zero:
-                s1.append(sign * (r.shift(-a) * f.shift(m - a)))
-                s2.append(sign * (r.shift(m + a) * f.shift(a)))
-        s1, s2 = poly_sum(s1), poly_sum(s2)
+            r = m - a
+            if r >= 0 and not f.is_zero:
+                acc_product(s1, _row_sum(n, r, rows[r], -a), f.shift(r), sign)
+                acc_product(s2, _row_sum(n, r, rows[r], m + a), f.shift(a),
+                            sign)
         target = ONE if m == 0 else ZERO
-        rep.add(f"first convolution m={m}", s1 == target)
-        rep.add(f"second convolution m={m}", s2 == target)
-    tq = []
+        rep.add(f"first convolution m={m}", LaurentPoly(s1) == target)
+        rep.add(f"second convolution m={m}", LaurentPoly(s2) == target)
+    tq: dict = {}
     for a in range(0, N + 1):
         sign = -1 if a % 2 else 1
         q1 = Qv(1, 2 * a)  # Q_1(u+a)
         f = fundamental_poly(n, a)
         if not f.is_zero:
-            fq = f.to_q(cartan).shift(a)
-            tq.append(sign * (q1 * fq))
-    tq = poly_sum(tq)
-    rep.add("Baxter-function relation", tq.is_zero)
+            acc_product(tq, q1, f.to_q(cartan).shift(a), sign)
+    rep.add("Baxter-function relation", not tq)
     return rep
 
 
@@ -347,17 +344,10 @@ def h_matrix(n: int, k: int, half: int) -> list[list[LaurentPoly]]:
 
 
 def _mat_mul(A, B):
-    size = len(A)
-    out = [[ZERO for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            if A[i][k].is_zero:
-                continue
-            for j in range(size):
-                if B[k][j].is_zero:
-                    continue
-                out[i][j] = out[i][j] + A[i][k] * B[k][j]
-    return out
+    size = range(len(A))
+    return [[product_sum((1, A[i][k], B[k][j]) for k in size
+                         if not A[i][k].is_zero and not B[k][j].is_zero)
+             for j in size] for i in size]
 
 
 def verify_product_formula(n: int, k: int) -> bool:

@@ -415,7 +415,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out")
         p.add_argument("--config")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, metavar="K",
+                       help="accepted for compatibility; K >= 1, and "
+                            "execution is serial whatever its value")
 
     p = sub.add_parser("character", help="emit one exact q-character")
     common(p)
@@ -450,6 +452,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         args._config_values = (_read_config(args.config)
                                if args.config else {})
         return _DISPATCH[args.command](args)

@@ -11,14 +11,17 @@ int, sum_v e_v * 2^(16 * slot(v)), with balanced 16-bit digits: every
 exponent lies in [-EXP_MAX, EXP_MAX], EXP_MAX = 2^15 - 1.  In that range
 each monomial has exactly one such int, so dict lookups compare
 monomials exactly, and the product of two monomials is one int add.
+``word_sum`` builds sums over words of single-term letters (tableau
+weights) that way: one int add per letter, no polynomial per letter.
 
 Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
-sums, the sum under products and twice the bound under ``to_q`` (which
-sends at most two Y exponents to each Q variable).  When a bound passes
-EXP_MAX it is first replaced by the exact maxima of the operands; only
-if those still pass does the operation raise OverflowError.
+sums, the sum under products, the sum of the per-position maxima under
+``word_sum`` and twice the bound under ``to_q`` (which sends at most
+two Y exponents to each Q variable).  When a bound passes EXP_MAX it is
+first replaced by the exact maxima of the operands; only if those still
+pass does the operation raise OverflowError.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import compress
+from math import prod
 from typing import Iterable, Iterator
 
 Y_FAM, Q_FAM = 0, 1
@@ -202,13 +206,6 @@ class LaurentPoly:
                     return 0
                 key += e * _unit(var)
         return self._t.get(key, 0)
-
-    def variables(self) -> set:
-        """Every VarKey that occurs with a nonzero exponent."""
-        slots: set = set()
-        for key in self._t:
-            slots.update(_digits(key)[0])
-        return {_VAR[s] for s in slots}
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -455,6 +452,65 @@ def acc_product(acc: dict, a: "LaurentPoly", b: "LaurentPoly",
     """
     _product_bound(a, b)
     _product_into(acc, a._t, b._t, sign)
+
+
+def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
+    """Sum of sign * a * b over (sign, a, b), accumulated in place in
+    one dict by ``acc_product``; no product is built on its own."""
+    out: dict = {}
+    bound = 0
+    for sign, a, b in triples:
+        acc_product(out, a, b, sign)
+        bound = max(bound, a._b + b._b)  # checked by acc_product
+    return LaurentPoly._make(out, bound)
+
+
+def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
+    """Sum over ``words`` of prod_k positions[k][word[k]].
+
+    ``positions[k]`` maps each letter that may stand at position k to a
+    single-term template.  A word's product is one int add per letter on
+    the packed keys and its coefficient the product of the templates'
+    coefficients; the sum is accumulated in place in one dict.  Every
+    word must have length ``len(positions)``.
+    """
+    keys, coeffs = [], []
+    unit = True
+    bound = 0
+    for pos in positions:
+        kmap, cmap, b = {}, {}, 0
+        for letter, p in pos.items():
+            if len(p._t) != 1:
+                raise ValueError(f"template for letter {letter!r} has "
+                                 f"{len(p._t)} terms, not one")
+            (kmap[letter], c), = p._t.items()
+            cmap[letter] = c
+            unit = unit and c == 1
+            b = max(b, p._b)
+        keys.append(kmap)
+        coeffs.append(cmap)
+        bound += b
+    if bound > EXP_MAX:
+        bound = sum(max((_exact_bound(p._t) for p in pos.values()), default=0)
+                    for pos in positions)
+        if bound > EXP_MAX:
+            raise OverflowError(
+                f"products of exponents summing to {bound} could overflow "
+                f"packed digits (|e| <= {EXP_MAX})")
+    length = len(positions)
+    pick = dict.__getitem__
+    out: dict = {}
+    get = out.get
+    for w in words:
+        if len(w) != length:
+            raise ValueError(f"word {w!r} does not have length {length}")
+        k = sum(map(pick, keys, w))
+        s = get(k, 0) + (1 if unit else prod(map(pick, coeffs, w)))
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    return LaurentPoly._make(out, bound)
 
 
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
-                   letter_text, poly_sum)
+                   letter_text, word_sum)
 
 
 # ---------------------------------------------------------------------
@@ -116,24 +116,32 @@ def gen_x_tableaux(n: int, a: int) -> list[tuple]:
 # weights
 # ---------------------------------------------------------------------
 
-def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
-                   base_half: int = 0) -> LaurentPoly:
-    """Staggered product weight: the k-th letter (1-based) contributes
-    its template at u + base_half/2 + 1 - k.
+def weight_sum(words, table: VariableTable, halves: list,
+               convention: str = "Z") -> LaurentPoly:
+    """Sum of the product weights of words of length len(halves): the
+    k-th letter (0-based) contributes its template at u + halves[k]/2.
 
     Convention 'Z' reads letters from the barred alphabet (Y-variables),
     'X' from the x-alphabet (Q-variables, middle letters signed).
     """
-    w = LaurentPoly.one()
-    for k, code in enumerate(t, start=1):
-        h = base_half + 2 * (1 - k)
-        if convention == "Z":
-            w = w * table.z(code, h)
-        elif convention == "X":
-            w = w * table.x(code, h, rep="Q")
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
-    return w
+    n = table.n
+    if convention == "Z":
+        positions = [{c: table.z(c, h) for c in range(1, 2 * n + 1)}
+                     for h in halves]
+    elif convention == "X":
+        positions = [{c: table.x(c, h, rep="Q") for c in range(1, 2 * n + 3)}
+                     for h in halves]
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    return word_sum(positions, words)
+
+
+def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
+                   base_half: int = 0) -> LaurentPoly:
+    """Staggered product weight: the k-th letter (1-based) contributes
+    its template at u + base_half/2 + 1 - k."""
+    return weight_sum((t,), table, [base_half - 2 * k for k in range(len(t))],
+                      convention)
 
 
 # ---------------------------------------------------------------------
@@ -394,11 +402,12 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
     cartan = table.cartan
 
     # (i) signed x-sum equals the admissible z-sum, in Q-representation
-    xs = [(t, tableau_weight(t, table, "X")) for t in gen_x_tableaux(n, a)]
-    xsum = poly_sum(w for _, w in xs)
-    mixed = poly_sum(w for t, w in xs if ((n + 1) in t) != ((n + 2) in t))
-    zsum = poly_sum(tableau_weight(t, table, "Z")
-                    for t in gen_column_tableaux(n, a))
+    halves = [-2 * k for k in range(a)]
+    xs = gen_x_tableaux(n, a)
+    xsum = weight_sum(xs, table, halves, "X")
+    mixed = weight_sum((t for t in xs if ((n + 1) in t) != ((n + 2) in t)),
+                       table, halves, "X")
+    zsum = weight_sum(gen_column_tableaux(n, a), table, halves)
     zsum_q = zsum.to_q(cartan)
     rep.x_term_count = xsum.n_terms
     rep.admissible_count = len(gen_column_tableaux(n, a))
@@ -445,8 +454,8 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
                 rep.failures.append(f"raise map failed at {s}")
     else:
         # length < 3: W is empty and V sums telescope directly
-        vsum = poly_sum(tableau_weight(t, table, "Z") for t in gen_V(n, a))
-        wsum = poly_sum(tableau_weight(t, table, "Z") for t in gen_W(n, a))
+        vsum = weight_sum(gen_V(n, a), table, halves)
+        wsum = weight_sum(gen_W(n, a), table, halves)
         if vsum != wsum:
             rep.bijection_ok = False
             rep.failures.append("V-sum != W-sum at small length")

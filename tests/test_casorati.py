@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from qchar import casorati
-from qchar.casorati import (QAssignment, TriangularBasis, build_grid,
-                            mu_from_indices, transpose, skew_ssyt,
-                            run_suite, default_index_sets,
-                            verify_free_skew_lemma, GridReport)
+from qchar.ring import Qv, Y
+from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
+                            transpose, skew_ssyt, run_suite,
+                            default_index_sets, verify_free_skew_lemma,
+                            GridReport)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,18 @@ def test_assignment_determinism():
     assert vals_a == vals_b
     assert vals_a != [c.value(i, h) for i in (1, 2) for h in range(-3, 4)]
     assert all(isinstance(v, Fraction) and v > 0 for v in vals_a)
+
+
+def test_eval_reads_shifted_values():
+    qa = QAssignment(2, seed=5)
+    p = Qv(1, 1) * Qv(2, -3, -2) - 3 * Qv(1, 4, 2) + 2
+    for half in (-2, 0, 3):
+        assign = {(fam, idx, h): qa.value(idx, h + half)
+                  for key, _ in p.terms() for (fam, idx, h), _ in key}
+        assert qa.eval(p, half) == p.eval_rational(assign)
+    assert qa.eval(p.shift(4)) == qa.eval(p, 4)
+    with pytest.raises(ValueError, match="Q-variables only"):
+        qa.eval(Qv(1) * Y(1))
 
 
 def test_basis_solves_recurrence(basis2):

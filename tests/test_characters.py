@@ -2,14 +2,26 @@
 
 import pytest
 
-from qchar.ring import AlgebraSpec, CartanData, Y, vk, Y_FAM, ONE, ZERO
-from qchar.characters import (fundamental_poly, fundamental, row_poly,
-                              h_poly, hook_jacobi_trudi, det, pfaffian,
-                              tam_jacobi_trudi, tnm_pfaffian, rect_poly,
-                              verify_tsystem, verify_tt_tq, verify_hseries,
-                              verify_highest_weight, verify_product_formula,
-                              highest_weight_key)
+from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Y, vk,
+                        Y_FAM, ONE, ZERO, poly_sum)
+from qchar.characters import (_row_sum, fundamental_poly, fundamental,
+                              row_poly, h_poly, hook_jacobi_trudi, det,
+                              pfaffian, tam_jacobi_trudi, tnm_pfaffian,
+                              rect_poly, verify_tsystem, verify_tt_tq,
+                              verify_hseries, verify_highest_weight,
+                              verify_product_formula, highest_weight_key)
 from qchar.diffop import build_L_C
+from qchar.tableaux import (gen_column_tableaux, gen_row_tableaux, gen_W,
+                            gen_x_tableaux, tableau_weight)
+
+
+def per_letter_weight(t, template, halves):
+    """The product weight as it was built before word_sum: one
+    polynomial product per letter."""
+    w = ONE
+    for c, h in zip(t, halves):
+        w = w * template(c, h)
+    return w
 
 
 def test_known_fundamentals_rank2():
@@ -116,3 +128,37 @@ def test_leading_monomials():
     # the i = n+1 slot starts its tail one step later
     k7 = highest_weight_key(2, 3, 7)
     assert k7 == {vk(Y_FAM, 2, 4): 1}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_builders_match_per_letter_products(n):
+    table = VariableTable(AlgebraSpec("C", n))
+    for m in range(0, 6):
+        halves = [2 * k - m - 2 for k in range(1, m + 1)]
+        assert row_poly(n, m) == poly_sum(
+            per_letter_weight(t, table.z, halves)
+            for t in gen_row_tableaux(n, m))
+    x_q = lambda c, h: table.x(c, h, rep="Q")
+    for a in range(1, n + 1):
+        cols = gen_column_tableaux(n, a)
+        assert fundamental_poly(n, a) == poly_sum(
+            per_letter_weight(t, table.z, [a - 2 * k for k in range(1, a + 1)])
+            for t in cols)
+        for base in (-1, 0, 3):
+            halves = [base + 2 * (1 - k) for k in range(1, a + 1)]
+            for t in cols + gen_W(n, a):
+                assert (tableau_weight(t, table, "Z", base)
+                        == per_letter_weight(t, table.z, halves))
+            for t in gen_x_tableaux(n, a):
+                assert (tableau_weight(t, table, "X", base)
+                        == per_letter_weight(t, x_q, halves))
+    with pytest.raises(ValueError, match="convention"):
+        tableau_weight((1,), table, "W")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shifted_rows_built_directly(n):
+    for m in range(0, 7):
+        words = gen_row_tableaux(n, m)
+        for d in range(-3, 6):
+            assert _row_sum(n, m, words, d) == row_poly(n, m).shift(d)

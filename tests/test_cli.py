@@ -217,3 +217,13 @@ def test_output_independent_of_hash_seed():
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0]
+
+
+def test_jobs_is_a_serial_no_op(capsys):
+    argv = ["verify", "tt-tq", "--rank", "2", "--max-m", "3"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and out.endswith("suite ok\n")
+    assert run_cli(argv + ["--jobs", "2"], capsys) == (code, out, "")
+    for jobs in ("0", "-1"):
+        code, _, err = run_cli(argv + ["--jobs", jobs], capsys)
+        assert code == 2 and err.startswith("error: "), jobs

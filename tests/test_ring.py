@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
-from qchar.ring import EXP_MAX, Q_FAM, _format_shift, poly_sum
+from qchar.ring import (EXP_MAX, Q_FAM, _format_shift, poly_sum,
+                        product_sum, word_sum)
 
 
 def small_polys():
@@ -291,3 +292,80 @@ def test_exponent_past_digit_range_raises_overflow():
     # a loose bound is replaced by the exact one before any refusal
     loose = (Y(1, 0, 20000) + ONE) - Y(1, 0, 20000)
     assert loose * Y(1, 0, 20000) == Y(1, 0, 20000)
+
+
+def _o_word_sum(positions, words):
+    """The per-letter products word_sum replaced: one polynomial product
+    per letter, one polynomial sum per word."""
+    total = ZERO
+    for w in words:
+        p = ONE
+        for pos, letter in zip(positions, w):
+            p = p * pos[letter]
+        total = total + p
+    return total
+
+
+def letter_templates():
+    # few variables and small exponents, so that words often collide
+    # and, with signs, cancel
+    mono = st.builds(lambda c, i, h, e, f: c * Y(i, h, e) * Y(1, 0, f),
+                     st.sampled_from((1, -1)), st.integers(1, 2),
+                     st.integers(-2, 2), st.integers(-2, 2),
+                     st.integers(-1, 1))
+    return st.dictionaries(st.integers(0, 2), mono, min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(letter_templates(), max_size=4), st.data())
+def test_word_sum_matches_per_letter_products(positions, data):
+    word = st.tuples(*(st.sampled_from(sorted(p)) for p in positions))
+    words = data.draw(st.lists(word, max_size=10))
+    assert word_sum(positions, words) == _o_word_sum(positions, words)
+
+
+def test_word_sum_edge_cases():
+    assert word_sum([], []) == ZERO
+    assert word_sum([], [()]) == ONE  # the empty word
+    assert word_sum([], [(), ()]) == LaurentPoly.const(2)
+    pos = [{1: Y(1, 0), 2: -Y(1, 0), 3: Y(1, 0, -1)}, {1: Y(2, 1)}]
+    assert word_sum(pos, [(1, 1), (2, 1)]) == ZERO  # cancelling words
+    assert word_sum(pos, [(1, 1), (3, 1), (1, 1)]) == (
+        2 * Y(1, 0) * Y(2, 1) + Y(2, 1) * Y(1, 0, -1))
+    with pytest.raises(ValueError, match="length 2"):
+        word_sum(pos, [(1,)])
+    with pytest.raises(KeyError):
+        word_sum(pos, [(4, 1)])
+    for bad in (Y(1) + Y(2), ZERO):
+        with pytest.raises(ValueError, match="not one"):
+            word_sum([{1: bad}], [(1,)])
+
+
+def test_word_sum_exponents_past_digit_range_raise_overflow():
+    edge = [{1: Y(1, 0, 16383)}, {1: Y(1, 0, 16384)}]
+    assert word_sum(edge, [(1, 1)]) == Y(1, 0, EXP_MAX)
+    with pytest.raises(OverflowError):
+        word_sum([{1: Y(1, 0, 16384)}, {1: Y(1, 0, 16384)}], [(1, 1)])
+    # the bound sums the largest template of every position, used or not
+    with pytest.raises(OverflowError):
+        word_sum([{1: Y(1, 0), 2: Y(2, 0, 20000)}, {1: Y(1, 0, 20000)}],
+                 [(1, 1)])
+    # a loose bound is replaced by the exact one before any refusal
+    loose = (Y(1, 0, 20000) + ONE) - Y(1, 0, 20000)
+    assert word_sum([{1: loose}, {1: Y(1, 0, 20000)}],
+                    [(1, 1)]) == Y(1, 0, 20000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, -1, 3)), small_polys(),
+                          small_polys()), max_size=4))
+def test_product_sum_matches_signed_products(triples):
+    got = product_sum(triples)
+    assert got == poly_sum(s * (a * b) for s, a, b in triples)
+    # the overflow guard relies on the carried bound covering every term
+    assert all(abs(e) <= got._b for key, _ in got.terms() for _, e in key)
+
+
+def test_product_sum_exponents_past_digit_range_raise_overflow():
+    with pytest.raises(OverflowError):
+        product_sum([(1, ONE, Y(1, 0)), (-1, Y(2, 1), Y(1, 0, EXP_MAX))])

@@ -2,10 +2,9 @@
 
 import pytest
 
-from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Y, Qv, ONE,
-                        ZERO)
+from qchar.ring import AlgebraSpec, CartanData, Y, Qv, ONE
 from qchar.screening import (a_factor, apply_screening, canonicalize,
-                             screen_poly, in_kernel, screen_operator)
+                             in_kernel, screen_operator)
 from qchar.diffop import build_L_C
 from qchar.characters import fundamental_poly, row_poly, h_poly
 

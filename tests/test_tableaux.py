@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.ring import AlgebraSpec, VariableTable, bar
 from qchar.tableaux import (pair_ok, gen_column_tableaux, gen_row_tableaux,
-                            gen_x_tableaux, tableau_weight, tau_b, sigma_b,
-                            gen_V, gen_W, in_V, in_W, in_V_b, tau_full,
-                            sigma_full, descent_chain, maximal_breaking_pair,
+                            gen_x_tableaux, tableau_weight, gen_V, gen_W,
+                            in_V, in_W, in_V_b, tau_full, sigma_full,
+                            descent_chain, maximal_breaking_pair,
                             verify_cancellation, tableau_text)
 
 
