@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .ring import (LaurentPoly, AlgebraSpec, VariableTable, ONE, bar,
-                   poly_sum)
+                   product_sum)
 
 log = logging.getLogger(__name__)
 
@@ -53,11 +53,6 @@ class DiffOp:
     def unit(cls, order: int | None = None) -> "DiffOp":
         return cls({0: ONE}, order)
 
-    @classmethod
-    def from_poly(cls, p: LaurentPoly, deg: int = 0,
-                  order: int | None = None) -> "DiffOp":
-        return cls({deg: p}, order)
-
     def coeff(self, j: int) -> LaurentPoly:
         return self.coeffs.get(j, LaurentPoly.zero())
 
@@ -86,15 +81,15 @@ class DiffOp:
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         order = _merge_order(self.order, other.order)
-        out: dict = {}
-        for i, c in self.coeffs.items():
-            for j, d in other.coeffs.items():
-                k = i + j
-                if order is not None and k > order:
-                    continue
-                term = c * d.shift(2 * i)
-                out[k] = out.get(k, LaurentPoly.zero()) + term
-        return DiffOp(out, order)
+        pairs: dict = {}  # k -> [(i, j)] with i + j = k
+        for i in self.coeffs:
+            for j in other.coeffs:
+                if order is None or i + j <= order:
+                    pairs.setdefault(i + j, []).append((i, j))
+        return DiffOp({k: product_sum((1, self.coeffs[i],
+                                       other.coeffs[j].shift(2 * i))
+                                      for i, j in ij)
+                       for k, ij in pairs.items()}, order)
 
     def truncated(self, order: int) -> "DiffOp":
         return DiffOp({j: c for j, c in self.coeffs.items() if j <= order},
@@ -116,11 +111,11 @@ class DiffOp:
         rest = {j: c for j, c in self.coeffs.items() if 0 < j <= order}
         b: dict = {0: LaurentPoly.const(s0)}
         for k in range(1, order + 1):
-            acc = poly_sum(c * b[k - i].shift(2 * i)
-                           for i, c in rest.items()
-                           if i <= k and k - i in b)
+            acc = product_sum((-s0, c, b[k - i].shift(2 * i))
+                              for i, c in rest.items()
+                              if i <= k and k - i in b)
             if not acc.is_zero:
-                b[k] = (-s0) * acc
+                b[k] = acc
         return DiffOp(b, order)
 
     def map_coeffs(self, fn) -> "DiffOp":

@@ -18,10 +18,10 @@ Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
 sums, the sum under products, the sum of the per-position maxima under
-``word_sum`` and twice the bound under ``to_q`` (which sends at most
-two Y exponents to each Q variable).  When a bound passes EXP_MAX it is
-first replaced by the exact maxima of the operands; only if those still
-pass does the operation raise OverflowError.
+``word_sum`` and twice the bound under ``to_q`` and ``q_euler_parts``
+(which send at most two Y exponents to each Q variable).  When a bound
+passes EXP_MAX it is first replaced by the exact maxima of the operands;
+only if those still pass does the operation raise OverflowError.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -30,7 +30,9 @@ and ``to_json()`` decode every key to the sorted tuple of
 makes their output the same in every process.  A decode is a bias add,
 an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
 zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
-top slot is 246, on a 2-core Xeon under KVM.
+top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
+counted: ``q_euler_parts``, which feeds the screening of every node,
+decodes each key once, not once per node and again per Y variable.
 """
 
 from __future__ import annotations
@@ -299,41 +301,53 @@ class LaurentPoly:
         return self._remapped(
             lambda v: _unit((v[0], v[1], v[2] + half_delta)), self._b)
 
-    def to_q(self, cartan: "CartanData") -> "LaurentPoly":
-        """Replace every Y_a(u+s)^e by its Baxter-Q ratio image.
-
-        Rejects input that already contains non-Y variables.
-        """
+    def _q_bound(self) -> int:
+        """Bound of the Q image's exponents; OverflowError past EXP_MAX."""
         if 2 * self._b > EXP_MAX:
             self._b = _exact_bound(self._t)
             if 2 * self._b > EXP_MAX:
                 raise OverflowError(
                     f"Q images of exponents up to {self._b} could overflow "
                     f"packed digits (|e| <= {EXP_MAX})")
-        return self._remapped(partial(_q_image, cartan), 2 * self._b)
+        return 2 * self._b
 
-    def euler_parts(self, fam: int, idx: int) -> dict:
-        """{half: x * d/dx of self} for every x = (fam, idx, half) that
-        occurs: the part of self whose terms contain x, each term
-        multiplied by its exponent of x.
+    def to_q(self, cartan: "CartanData") -> "LaurentPoly":
+        """Replace every Y_a(u+s)^e by its Baxter-Q ratio image.
 
-        Rejects a polynomial with variables outside family ``fam``.
+        Rejects input that already contains non-Y variables.
         """
+        return self._remapped(partial(_q_image, cartan), self._q_bound())
+
+    def q_euler_parts(self, cartan: "CartanData") -> dict:
+        """{(idx, half): (x * d/dx of self).to_q(cartan)} for every
+        x = Y_idx(half) that occurs: the part of self whose terms contain
+        x, each term multiplied by its exponent of x, in Q-variables.
+
+        Each key is decoded once and its Q image computed once, then
+        stored in the part of every Y variable of the term.  The Q image
+        is injective on monomials, so no two terms meet in one part.
+        Rejects input that contains non-Y variables.
+        """
+        bound = self._q_bound()
+        images: dict = {}  # slot -> (Q image, (idx, half)), on first use
         out: dict = {}
         for key, c in self._t.items():
             slots, exps = _digits(key)
+            k = 0
+            where = []
             for s, e in zip(slots, exps):
-                f, i, h = _VAR[s]
-                if f != fam:
-                    raise ValueError(
-                        f"expected {FAM_NAMES[fam]}-variables only, "
-                        f"found {FAM_NAMES[f]}")
-                if i == idx:
-                    part = out.get(h)
-                    if part is None:
-                        part = out[h] = {}
-                    part[key] = e * c
-        return {h: LaurentPoly._make(t, self._b) for h, t in out.items()}
+                x = images.get(s)
+                if x is None:
+                    var = _VAR[s]
+                    x = images[s] = (_q_image(cartan, var), var[1:])
+                k += e * x[0]
+                where.append(x[1])
+            for v, e in zip(where, exps):
+                part = out.get(v)
+                if part is None:
+                    part = out[v] = {}
+                part[k] = e * c
+        return {v: LaurentPoly._make(t, bound) for v, t in out.items()}
 
     def eval_rational(self, assign: dict) -> Fraction:
         """Exact rational evaluation; every variable must be assigned.

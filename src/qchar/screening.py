@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ring import LaurentPoly, CartanData, Q_FAM, Y_FAM, poly_sum, vk
+from .ring import LaurentPoly, CartanData, Q_FAM, product_sum, vk
 from .diffop import DiffOp
 
 
@@ -38,12 +38,12 @@ def apply_screening(a: int, p: LaurentPoly,
     Returns {half_argument: coefficient} with coefficients already in
     the Q-representation, one entry per symbol argument encountered.
     """
-    out = {}
-    for half, part in p.euler_parts(Y_FAM, a).items():
-        q = part.to_q(cartan)
-        if not q.is_zero:
-            out[half] = q
-    return out
+    return _node(p.q_euler_parts(cartan), a)
+
+
+def _node(parts: dict, a: int) -> dict:
+    """Node a's entries of ``LaurentPoly.q_euler_parts``, keyed by half."""
+    return {h: q for (i, h), q in parts.items() if i == a}
 
 
 def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
@@ -63,8 +63,8 @@ def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
             steps = (v - v0) // t
             for s in range(steps):
                 chain = chain * a_factor(cartan, a, v0 + s * t + t // 2)
-            terms.append(sym[v] * chain)
-        acc = poly_sum(terms)
+            terms.append((1, sym[v], chain))
+        acc = product_sum(terms)
         if not acc.is_zero:
             out[v0] = acc
     return out
@@ -72,6 +72,14 @@ def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
 
 def screen_poly(a: int, p: LaurentPoly, cartan: CartanData) -> dict:
     return canonicalize(a, apply_screening(a, p, cartan), cartan)
+
+
+def screen_all(p: LaurentPoly, cartan: CartanData) -> dict:
+    """{a: screen_poly(a, p, cartan)} for every node a, from one
+    ``q_euler_parts`` pass over p."""
+    parts = p.q_euler_parts(cartan)
+    return {a: canonicalize(a, _node(parts, a), cartan)
+            for a in range(1, cartan.algebra.n + 1)}
 
 
 def in_kernel(a: int, p: LaurentPoly, cartan: CartanData) -> bool:
@@ -97,9 +105,21 @@ def screen_operator(a: int, op: DiffOp, cartan: CartanData,
                     target: str = "operator") -> KernelReport:
     """Apply S_a coefficientwise to a difference operator with
     Y-variable coefficients and report residuals per D-degree."""
-    rep = KernelReport(target=target, node_a=a)
+    reps = screen_operator_all(op, cartan, target)
+    if not 1 <= a <= len(reps):
+        raise ValueError(f"node out of range: {a}")
+    return reps[a - 1]
+
+
+def screen_operator_all(op: DiffOp, cartan: CartanData,
+                        target: str = "operator") -> list:
+    """``screen_operator`` for every node, screening each coefficient
+    once; one KernelReport per node in node order."""
+    reps = [KernelReport(target=target, node_a=a)
+            for a in range(1, cartan.algebra.n + 1)]
     for deg in sorted(op.coeffs):
-        res = screen_poly(a, op.coeff(deg), cartan)
-        count = sum(v.n_terms for v in res.values())
-        rep.per_degree.append({"deg": deg, "residual_term_count": count})
-    return rep
+        res = screen_all(op.coeff(deg), cartan)
+        for rep in reps:
+            count = sum(v.n_terms for v in res[rep.node_a].values())
+            rep.per_degree.append({"deg": deg, "residual_term_count": count})
+    return reps

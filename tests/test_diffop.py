@@ -1,8 +1,9 @@
 """Difference-operator algebra and the factorized C-series operator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qchar.ring import AlgebraSpec, CartanData, Y, ONE
+from qchar.ring import AlgebraSpec, CartanData, LaurentPoly, Y, ONE
 from qchar.diffop import (DiffOp, EpsilonChoice, build_L_C, build_Lj_C,
                           extract_e, prod, L_FORMS)
 from qchar.characters import fundamental_poly
@@ -91,3 +92,47 @@ def test_unknown_form_rejected():
         build_L_C(2, "diagonal")
     assert set(L_FORMS) == {"zFactored", "zReversed", "xFactored",
                             "xReversed"}
+
+
+# -- the coefficient sums DiffOp used to build with ``+`` chains, as oracles
+
+def _o_mul(x, y):
+    order = (y.order if x.order is None else
+             x.order if y.order is None else min(x.order, y.order))
+    out = {}
+    for i, c in x.coeffs.items():
+        for j, d in y.coeffs.items():
+            if order is None or i + j <= order:
+                out[i + j] = out.get(i + j, LaurentPoly.zero()) + (
+                    c * d.shift(2 * i))
+    return DiffOp(out, order)
+
+
+def _o_inverse(x, order):
+    s0 = 1 if x.coeff(0) == ONE else -1
+    b = {0: LaurentPoly.const(s0)}
+    for k in range(1, order + 1):
+        acc = LaurentPoly.zero()
+        for i, c in x.coeffs.items():
+            if 0 < i <= k and k - i in b:
+                acc = acc + c * b[k - i].shift(2 * i)
+        if acc:
+            b[k] = (-s0) * acc
+    return DiffOp(b, order)
+
+
+def small_ops(order=None):
+    coeff = st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2),
+                               st.integers(-3, 3)), max_size=3).map(
+        lambda ts: sum((c * Y(i, h) for c, i, h in ts), LaurentPoly.zero()))
+    return st.dictionaries(st.integers(0, 4), coeff, max_size=4).map(
+        lambda cs: DiffOp(cs, order))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ops(), small_ops(), small_ops(5), st.sampled_from((1, -1)))
+def test_mul_and_inverse_match_plus_chain_oracle(x, y, z, s0):
+    assert x * y == _o_mul(x, y)
+    assert x * z == _o_mul(x, z)
+    u = DiffOp({**z.coeffs, 0: LaurentPoly.const(s0)}, 5)
+    assert u.inverse_series(5) == _o_inverse(u, 5)

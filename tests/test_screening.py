@@ -1,12 +1,16 @@
 """Screening operators: Leibniz action, shift canonicalization, kernels."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qchar.ring import AlgebraSpec, CartanData, Y, Qv, ONE
+from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Y, Qv, ONE,
+                        EXP_MAX, Y_FAM, poly_sum)
 from qchar.screening import (a_factor, apply_screening, canonicalize,
-                             in_kernel, screen_operator)
-from qchar.diffop import build_L_C
+                             in_kernel, screen_all, screen_operator,
+                             screen_operator_all, screen_poly)
+from qchar.diffop import DiffOp, build_L_C
 from qchar.characters import fundamental_poly, row_poly, h_poly
+from qchar.bd import build_series_L, extract_Ta, extract_Tm
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +102,141 @@ def test_report_serialization():
                           target="operator")
     js = rep.to_json()
     assert js["zero"] and js["target"] == "operator" and js["node_a"] == 1
+
+
+# -- the per-node screening pass q_euler_parts replaced, kept as an oracle --
+
+def _o_euler_parts(p, idx):
+    """{half: x * d/dx of p} for every x = Y_idx(half) that occurs: one
+    pass over p per node, as ``LaurentPoly.euler_parts`` computed it."""
+    out = {}
+    for key, c in p.terms():
+        for (f, i, h), e in key:
+            if f != Y_FAM:
+                raise ValueError("expected Y-variables only")
+            if i == idx:
+                out.setdefault(h, []).append(
+                    LaurentPoly.monomial(e * c, dict(key)))
+    return {h: poly_sum(ts) for h, ts in out.items()}
+
+
+def _o_q_euler_parts(p, cartan):
+    """Every node's Euler parts, each mapped by its own ``to_q``."""
+    out = {}
+    for a in range(1, cartan.algebra.n + 1):
+        for h, part in _o_euler_parts(p, a).items():
+            q = part.to_q(cartan)
+            if q:
+                out[(a, h)] = q
+    return out
+
+
+def y_polys():
+    var = st.tuples(st.integers(1, 3), st.integers(-6, 6))
+    mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
+    term = st.tuples(st.integers(-5, 5).filter(bool), mono).map(
+        lambda t: LaurentPoly.monomial(
+            t[0], {(Y_FAM, i, h): e for (i, h), e in t[1].items()}))
+    return st.lists(term, max_size=6).map(poly_sum)
+
+
+@settings(max_examples=150, deadline=None)
+@given(y_polys(), y_polys(), st.sampled_from(("C", "B", "D")))
+def test_q_euler_parts_matches_per_node_oracle(a, b, series):
+    cartan = CartanData(AlgebraSpec(series, 3))
+    # products and differences make colliding monomials cancel
+    for p in (a, a * b, a * b - a, a - a):
+        assert p.q_euler_parts(cartan) == _o_q_euler_parts(p, cartan)
+
+
+def test_q_euler_parts_within_term_cancellation(c2):
+    # Y_1(u) Y_1(u+1): the two Q images share Q_1(u+1/2), which cancels
+    p = Y(1, 0) * Y(1, 2) - 3 * Y(1, 0, 2) * Y(2, 5, -1)
+    parts = p.q_euler_parts(c2)
+    assert parts == _o_q_euler_parts(p, c2)
+    assert set(parts) == {(1, 0), (1, 2), (2, 5)}
+    assert parts[(1, 0)] == Qv(1, -1) * Qv(1, 3, -1) + (-6) * (
+        Y(1, 0, 2) * Y(2, 5, -1)).to_q(c2)
+
+
+def test_q_euler_parts_rejects_non_y_variables(c2):
+    for p in (Y(1, 0) * Qv(1, 2), Y(1, 0) + Qv(2, 0), Qv(1, 0)):
+        with pytest.raises(ValueError):
+            p.q_euler_parts(c2)
+        with pytest.raises(ValueError):
+            screen_all(p, c2)
+
+
+def test_q_euler_parts_exponents_past_digit_range_raise_overflow():
+    cartan = CartanData(AlgebraSpec("C", 3))
+    with pytest.raises(OverflowError):
+        Y(1, 0, 20000).q_euler_parts(cartan)
+    with pytest.raises(OverflowError):
+        screen_all(Y(1, 0, 20000), cartan)
+    with pytest.raises(OverflowError):
+        apply_screening(1, Y(1, 0, 20000), cartan)
+    # at the edge the doubled exponent still fits
+    half = EXP_MAX // 2
+    edge = Y(1, 0, half)
+    assert edge.q_euler_parts(cartan) == {(1, 0): half * edge.to_q(cartan)}
+    with pytest.raises(OverflowError):
+        Y(1, 0, half + 1).q_euler_parts(cartan)
+    # a loose bound is replaced by the exact one before any refusal
+    loose = (Y(1, 0, 20000) + Y(2, 1)) - Y(1, 0, 20000)
+    assert loose.q_euler_parts(cartan) == _o_q_euler_parts(Y(2, 1), cartan)
+
+
+def _kernel_cases():
+    """(cartan, kernel polynomials) for C, B and D."""
+    out = []
+    for n in (2, 3):
+        polys = [fundamental_poly(n, b) for b in range(1, n + 1)]
+        out.append((CartanData(AlgebraSpec("C", n)), polys + [row_poly(n, 2)]))
+    for series, n in (("B", 3), ("D", 4)):
+        spec = AlgebraSpec(series, n)
+        L = build_series_L(spec, 6)
+        polys = list(extract_Ta(L).values()) + list(extract_Tm(L).values())
+        out.append((CartanData(spec), polys))
+    return out
+
+
+@pytest.mark.parametrize("cartan,polys", _kernel_cases(),
+                         ids=("C2", "C3", "B3", "D4"))
+def test_screen_all_matches_per_node_screening(cartan, polys):
+    n = cartan.algebra.n
+    key, c = max(polys[0].terms())
+    broken = polys[0] - LaurentPoly.monomial(c, dict(key))
+    for p in polys + [broken]:
+        res = screen_all(p, cartan)
+        assert list(res) == list(range(1, n + 1))
+        parts = _o_q_euler_parts(p, cartan)
+        for a in res:
+            assert res[a] == screen_poly(a, p, cartan)
+            want = canonicalize(
+                a, {h: q for (i, h), q in parts.items() if i == a}, cartan)
+            assert res[a] == want
+            assert (not res[a]) == in_kernel(a, p, cartan)
+    # the kernel polynomials screen to zero at every node, the broken one
+    # does not: the all-node path cannot pass vacuously
+    assert all(not r for p in polys for r in screen_all(p, cartan).values())
+    assert any(screen_all(broken, cartan).values())
+
+
+@pytest.mark.parametrize("spec", [AlgebraSpec("C", 2), AlgebraSpec("B", 2),
+                                  AlgebraSpec("D", 3)])
+def test_screen_operator_all_matches_per_node(spec):
+    cartan = CartanData(spec)
+    if spec.series == "C":
+        L = build_L_C(spec.n, "zFactored")
+    else:
+        L = build_series_L(spec, 8)
+    L = L + DiffOp({2: Y(1, 0)}, L.order)  # a nonzero residual at D^2
+    reps = screen_operator_all(L, cartan, target="t")
+    assert [r.node_a for r in reps] == list(range(1, spec.n + 1))
+    for rep in reps:
+        assert rep.to_json() == screen_operator(rep.node_a, L, cartan,
+                                                target="t").to_json()
+    assert not reps[0].zero
+    for a in (0, spec.n + 1):
+        with pytest.raises(ValueError):
+            screen_operator(a, L, cartan)
