@@ -305,15 +305,8 @@ def _suite_checks(args) -> tuple[list, dict]:
 
     if suite == "nnsy":
         rank = need_rank()
-        N = 2 * rank + 2
         params.update(rank=rank, seed=seed)
-        rep = casorati.GridReport(seed=seed)
-        sets = casorati.default_index_sets(rank)
-        imax = max(i[-1] for i in sets) + 2 * N + 8
-        basis = casorati.build_grid(rank, seed, imax)
-        casorati.verify_free_skew_lemma(N, sets, seed, rep)
-        casorati.verify_skew_on_basis(rank, sets, basis, range(0, 3), rep)
-        return rep.checks, params
+        return casorati.run_suite(rank, seed, skew_only=True).checks, params
 
     if suite == "bd":
         if algebra not in ("B", "D"):

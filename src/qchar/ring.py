@@ -32,7 +32,8 @@ an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
 zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
 top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
 counted: ``q_euler_parts``, which feeds the screening of every node,
-decodes each key once, not once per node and again per Y variable.
+decodes each key once, not once per node and again per Y variable, and
+``eval_points`` decodes each key once for all the points it is given.
 """
 
 from __future__ import annotations
@@ -350,59 +351,72 @@ class LaurentPoly:
         return {v: LaurentPoly._make(t, bound) for v, t in out.items()}
 
     def eval_rational(self, assign: dict) -> Fraction:
-        """Exact rational evaluation; every variable must be assigned.
+        """Exact rational evaluation; every variable must be assigned."""
+        return self.eval_points([assign])[0]
+
+    def eval_points(self, assigns: Iterable[dict]) -> list[Fraction]:
+        """Exact rational values at each of ``assigns``; every variable
+        must be assigned at every point.
 
         With x_s = p_s/q_s and e_s ranging over [lo_s, hi_s] (both
         bounds taken with 0), every term times the common denominator
-        D = prod_s p_s^(-lo_s) q_s^(hi_s) is an integer, so the sum runs
-        over ints and one Fraction is built at the end."""
-        values: dict = {}  # slot -> Fraction
-        lo: dict = {}
+        D = prod_s p_s^(-lo_s) q_s^(hi_s) is an integer, so each sum runs
+        over ints and one Fraction is built per point.  Keys are decoded
+        and ranges found once for all points; at each point the guards
+        run in the order a term-by-term pass meets them."""
+        lo: dict = {}  # slot -> lowest exponent, with 0
         hi: dict = {}
+        guards = []    # (slot, negative?) at its first and first negative use
         decoded = []
         for key, c in self._t.items():
             slots, exps = _digits(key)
             for s, e in zip(slots, exps):
-                x = values.get(s)
-                if x is None:
-                    var = _VAR[s]
-                    if var not in assign:
-                        f, i, h = var
-                        raise KeyError(f"no assignment for {FAM_NAMES[f]}"
-                                       f"[{i}]({_format_shift(h)})")
-                    x = values[s] = Fraction(assign[var])
+                if s not in lo:
                     lo[s] = hi[s] = 0
-                if e < 0:
-                    if not x:
-                        f, i, h = _VAR[s]
-                        raise ZeroDivisionError(
-                            f"{FAM_NAMES[f]}[{i}]({_format_shift(h)}) = 0 "
-                            f"under a negative exponent")
-                    if e < lo[s]:
-                        lo[s] = e
+                    guards.append((s, False))
+                if e < lo[s]:
+                    if not lo[s]:
+                        guards.append((s, True))
+                    lo[s] = e
                 elif e > hi[s]:
                     hi[s] = e
             decoded.append((c, slots, exps))
-        full = {}  # slot -> its factor of D
-        den = 1
-        for s, x in values.items():
-            full[s] = f = x.numerator ** -lo[s] * x.denominator ** hi[s]
-            den *= f
-        powers: dict = {}  # (slot, e) -> p^(e - lo) q^(hi - e)
-        total = 0
-        for c, slots, exps in decoded:
-            num = c
-            part = 1
-            for s, e in zip(slots, exps):
-                g = powers.get((s, e))
-                if g is None:
-                    x = values[s]
-                    g = powers[(s, e)] = (x.numerator ** (e - lo[s])
-                                          * x.denominator ** (hi[s] - e))
-                num *= g
-                part *= full[s]
-            total += num * (den // part)
-        return Fraction(total, den)
+        out = []
+        for assign in assigns:
+            values: dict = {}  # slot -> Fraction
+            for s, negative in guards:
+                f, i, h = var = _VAR[s]
+                if negative:
+                    if not values[s]:
+                        raise ZeroDivisionError(
+                            f"{FAM_NAMES[f]}[{i}]({_format_shift(h)}) = 0 "
+                            f"under a negative exponent")
+                elif var not in assign:
+                    raise KeyError(f"no assignment for {FAM_NAMES[f]}"
+                                   f"[{i}]({_format_shift(h)})")
+                else:
+                    values[s] = Fraction(assign[var])
+            full = {}  # slot -> its factor of D
+            den = 1
+            for s, x in values.items():
+                full[s] = f = x.numerator ** -lo[s] * x.denominator ** hi[s]
+                den *= f
+            powers: dict = {}  # (slot, e) -> p^(e - lo) q^(hi - e)
+            total = 0
+            for c, slots, exps in decoded:
+                num = c
+                part = 1
+                for s, e in zip(slots, exps):
+                    g = powers.get((s, e))
+                    if g is None:
+                        x = values[s]
+                        g = powers[(s, e)] = (x.numerator ** (e - lo[s])
+                                              * x.denominator ** (hi[s] - e))
+                    num *= g
+                    part *= full[s]
+                total += num * (den // part)
+            out.append(Fraction(total, den))
+        return out
 
     # -- rendering ----------------------------------------------------
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qchar import casorati
-from qchar.ring import Qv, Y
+from qchar import casorati, characters
+from qchar.classical import det_frac
+from qchar.ring import LaurentPoly, Qv, VariableTable, Y
 from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
                             transpose, skew_ssyt, run_suite,
                             default_index_sets, verify_free_skew_lemma,
@@ -50,6 +51,38 @@ def test_basis_solves_recurrence(basis2):
 def test_casorati_negative_shift_guarded(basis2):
     with pytest.raises(IndexError):
         basis2.casorati((0, 1), -50)
+    # a refused window is never remembered as a minor, and a window just
+    # below the range is refused rather than wrapped to the far end
+    for shift in (-50, -1, -50, -1):
+        with pytest.raises(IndexError):
+            basis2.casorati((0, 1), shift)
+
+
+def test_eval_many_matches_one_point_calls():
+    qa = QAssignment(2, seed=5)
+    p = Qv(1, 1) * Qv(2, -3, -2) - 3 * Qv(1, 4, 2) + 2
+    hs = [-2, 0, 3, 3, 8]
+    assert qa.eval_many(p, hs) == [qa.eval(p, h) for h in hs]
+    assert qa.eval_many(p, []) == []
+    with pytest.raises(ValueError, match="Q-variables only"):
+        qa.eval_many(Qv(1) * Y(1), [0, 2])
+
+
+def test_memoized_minors_match_raw_windows(basis2):
+    sets = [(0,), (0, 2), (1, 3, 4), tuple(range(6)), tuple(range(1, 7)),
+            *default_index_sets(2)]
+    for idx in sets:
+        for g in (0, 1, 3):
+            raw = det_frac([[basis2.w[j + 1][g + i] for i in idx]
+                            for j in range(len(idx))])
+            assert basis2.casorati(idx, g) == raw
+            assert basis2.casorati(list(idx), g) == raw
+
+
+def test_skew_suite_is_the_skew_part_of_the_full_suite():
+    full = run_suite(2, seed=11).checks
+    assert run_suite(2, seed=11, skew_only=True).checks == [
+        c for c in full if "skew" in c["identity"]]
 
 
 def test_mu_and_transpose():
@@ -161,6 +194,81 @@ def test_suite_deterministic():
     a = run_suite(2, seed=11).to_json()
     b = run_suite(2, seed=11).to_json()
     assert a == b
+
+
+# -- mutants: a wrong character or alphabet must fail its batched check ----
+
+def _outer_only(orig, mutate):
+    """orig, with mutate applied to what outside callers get; the calls
+    orig makes to itself through its module still get orig's values."""
+    depth = [0]
+
+    def wrapper(*args):
+        depth[0] += 1
+        try:
+            p = orig(*args)
+        finally:
+            depth[0] -= 1
+        return p if depth[0] else mutate(p)
+    return wrapper
+
+
+def _drop_first_term(p):
+    for key, c in p.terms():
+        return p - LaurentPoly.monomial(c, dict(key))
+    return p
+
+
+MUTANTS = {"drop-term": _drop_first_term, "move-shift": lambda p: p.shift(1)}
+
+
+def _checks(verify, *args):
+    rep = GridReport(seed=7)
+    verify(*args, rep)
+    return rep.checks
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
+def test_hook_ratio_fails_on_mutated_hooks(basis2, monkeypatch, mutate):
+    args = (casorati.verify_hook_ratio, 2, 9, basis2, range(3))
+    assert all(c["ok"] for c in _checks(*args))
+    h = characters.h_poly
+    # a mutant that leaves a hook unchanged (zero, or constant under a
+    # shift) cannot fail its check
+    unchanged = {f"hook minor ratio i={i} k={k}"
+                 for k in range(6, 10) for i in range(6)
+                 if mutate(h(2, i, k)) == h(2, i, k)}
+    assert len(unchanged) <= 2
+    monkeypatch.setattr(characters, "h_poly", _outer_only(h, mutate))
+    assert {c["identity"] for c in _checks(*args) if c["ok"]} == unchanged
+
+
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
+def test_toda_fails_on_mutated_rectangles(basis2, monkeypatch, mutate):
+    args = (casorati.verify_toda_solution, 2, 2, basis2, range(3))
+    assert all(c["ok"] for c in _checks(*args))
+    monkeypatch.setattr(characters, "rect_poly",
+                        _outer_only(characters.rect_poly, mutate))
+    checks = _checks(*args)
+    assert any(c["identity"].startswith("bulk minor ratio") for c in checks)
+    assert not any(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("letter", (1, 6))
+@pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
+def test_skew_on_basis_fails_on_mutated_alphabet(basis2, monkeypatch,
+                                                 mutate, letter):
+    args = (casorati.verify_skew_on_basis, 2, default_index_sets(2), basis2,
+            range(3))
+    assert all(c["ok"] for c in _checks(*args))
+    x = VariableTable.x
+
+    def mutant(self, i, half=0, rep="Q"):
+        p = x(self, i, half, rep)
+        return mutate(p) if i == letter else p
+    monkeypatch.setattr(VariableTable, "x", mutant)
+    checks = _checks(*args)
+    assert checks and not any(c["ok"] for c in checks)
 
 
 def test_default_index_sets_rank2_includes_remark_shape():

@@ -272,6 +272,55 @@ def test_eval_rational_matches_per_term_oracle(a, data):
         assert isinstance(got, Fraction) and got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(tuple_polys(), st.data())
+def test_eval_points_matches_per_term_oracle(a, data):
+    values = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    variables = sorted({var for key in a for var, _ in key})
+
+    def point():
+        assign = {var: data.draw(values) for var in variables}
+        if variables and data.draw(st.integers(0, 4)) == 0:
+            del assign[data.draw(st.sampled_from(variables))]
+        return assign
+
+    assigns = [point() for _ in range(data.draw(st.integers(1, 4)))]
+    p = packed(a)
+    first_error = None
+    want = []
+    for assign in assigns:
+        try:
+            want.append(p.eval_rational(assign))
+        except (KeyError, ZeroDivisionError) as err:
+            first_error = first_error or err
+            with pytest.raises((KeyError, ZeroDivisionError)):
+                _o_eval(a, assign)
+        else:
+            assert want[-1] == _o_eval(a, assign)
+    if first_error is None:
+        got = p.eval_points(assigns)
+        assert got == want and all(isinstance(v, Fraction) for v in got)
+    else:
+        # the first bad point raises what its one-point call raised
+        with pytest.raises(type(first_error)) as err:
+            p.eval_points(assigns)
+        assert err.value.args == first_error.args
+
+
+def test_eval_points_guards_every_point():
+    p = Y(1, 0) * 2 + Y(2, 1, -1)
+    good = {vk(Y_FAM, 1, 0): Fraction(3, 2), vk(Y_FAM, 2, 1): Fraction(4)}
+    assert p.eval_points([good, good]) == [Fraction(13, 4)] * 2
+    assert p.eval_points([]) == [] and ZERO.eval_points([{}, {}]) == [0, 0]
+    with pytest.raises(KeyError) as err:
+        p.eval_points([good, {vk(Y_FAM, 1, 0): Fraction(1)}])
+    assert err.value.args == ("no assignment for Y[2](u+1/2)",)
+    with pytest.raises(ZeroDivisionError):
+        p.eval_points([good, {**good, vk(Y_FAM, 2, 1): 0}])
+    assert p.eval_points([good, {**good, vk(Y_FAM, 1, 0): 0}]) == [
+        Fraction(13, 4), Fraction(1, 4)]
+
+
 def test_exponent_past_digit_range_raises_overflow():
     cartan = CartanData(AlgebraSpec("C", 3))
     top = Y(1, 0, EXP_MAX)
