@@ -219,6 +219,42 @@ def test_output_independent_of_hash_seed():
         assert outs[0] == outs[1] and outs[0]
 
 
+# Small runs of every suite and of the bd command, whose stdout in each
+# format is recorded under tests/golden/ as <name>.txt and <name>.json.
+REPORT_RUNS = {
+    "verify_screening": ["verify", "screening", "--rank", "2",
+                         "--max-m", "2"],
+    "verify_cancellation": ["verify", "cancellation", "--rank", "2"],
+    "verify_bijection": ["verify", "bijection", "--rank", "3"],
+    "verify_tsystem": ["verify", "tsystem", "--rank", "2", "--max-m", "2"],
+    "verify_tt-tq": ["verify", "tt-tq", "--rank", "2", "--max-m", "3"],
+    "verify_hseries": ["verify", "hseries", "--rank", "2"],
+    "verify_hookchi": ["verify", "hookchi", "--rank", "2", "--seed", "9"],
+    "verify_casorati": ["verify", "casorati", "--rank", "2", "--seed", "11"],
+    "verify_nnsy": ["verify", "nnsy", "--rank", "2", "--seed", "11"],
+    "verify_bd": ["verify", "bd", "--algebra", "B", "--rank", "2",
+                  "--order", "6"],
+    "verify_lemma-exp": ["verify", "lemma-exp", "--algebra", "D",
+                         "--rank", "3", "--order", "6"],
+    "verify_product-formula": ["verify", "product-formula", "--rank", "2",
+                               "--max-m", "3"],
+    "verify_product-formula_empty": ["verify", "product-formula", "--rank",
+                                     "2", "--max-m", "0"],
+    "bd_report": ["bd", "--algebra", "D", "--rank", "3", "--order", "6"],
+    "bd_coeffs": ["bd", "--algebra", "B", "--rank", "2", "--order", "6",
+                  "--emit", "coeffs"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(REPORT_RUNS))
+def test_report_matches_golden(name, fmt, capsys):
+    code, out, err = run_cli(REPORT_RUNS[name] + ["--format", fmt], capsys)
+    want = (GOLDEN / f"{name}.{'txt' if fmt == 'text' else 'json'}")
+    assert (code, out, err) == (1 if name.endswith("_empty") else 0,
+                                want.read_text(), "")
+
+
 def test_jobs_is_a_serial_no_op(capsys):
     argv = ["verify", "tt-tq", "--rank", "2", "--max-m", "3"]
     code, out, _ = run_cli(argv, capsys)
