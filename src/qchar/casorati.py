@@ -15,14 +15,13 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Q_FAM)
 from .diffop import build_Lj_C
-from .classical import det_frac
+from .classical import det_frac, PointReport as GridReport
 
 log = logging.getLogger(__name__)
 
@@ -141,22 +140,6 @@ def build_grid(n: int, seed: int, imax: int) -> TriangularBasis:
         seed_used = seed + t
         log.info("degenerate grid at seed %d, resampling", seed_used)
     raise RuntimeError("could not find a non-degenerate grid")
-
-
-@dataclass
-class GridReport:
-    seed: int
-    checks: list = field(default_factory=list)
-
-    def add(self, name: str, ok: bool):
-        self.checks.append({"identity": name, "ok": bool(ok)})
-
-    @property
-    def ok(self) -> bool:
-        return all(c["ok"] for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "ok": self.ok, "checks": self.checks}
 
 
 def verify_shift_identity(basis: TriangularBasis, grid: range,
@@ -503,7 +486,7 @@ def run_suite(n: int, seed: int, grid_points: int = 3, m_max: int = 2,
     sets = default_index_sets(n)
     imax = (max(i[-1] for i in sets) + 2 * N + 8 if skew_only
             else 2 * N + 2 * m_max + grid_points + 4)
-    rep = GridReport(seed=seed)
+    rep = GridReport()
     basis = build_grid(n, seed, imax)
     grid = range(0, grid_points)
     if not skew_only:

@@ -228,9 +228,8 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
 class RelationReport:
     checks: list = field(default_factory=list)
 
-    def add(self, name: str, ok: bool, detail: str = ""):
-        self.checks.append({"identity": name, "ok": bool(ok),
-                            "detail": detail})
+    def add(self, name: str, ok: bool):
+        self.checks.append({"identity": name, "ok": bool(ok), "detail": ""})
 
     @property
     def ok(self) -> bool:

@@ -20,9 +20,7 @@ from . import characters, tableaux, classical, casorati, bd
 from .screening import screen_all, screen_operator_all
 
 
-SUITES = ("screening", "cancellation", "bijection", "tsystem", "tt-tq",
-          "hseries", "hookchi", "casorati", "nnsy", "bd", "lemma-exp",
-          "product-formula")
+CONFIG_KEYS = ("rank", "algebra", "seed", "order", "max_m")
 
 
 class UsageError(Exception):
@@ -57,8 +55,12 @@ def _read_config(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(
                         f"{path}:{line_no}: expected key=value")
-                k, v = line.split("=", 1)
-                out[k.strip()] = v.strip()
+                k, v = map(str.strip, line.split("=", 1))
+                if k not in CONFIG_KEYS:
+                    raise UsageError(f"{path}:{line_no}: unknown key {k!r};"
+                                     f" expected one of "
+                                     f"{', '.join(CONFIG_KEYS)}")
+                out[k] = v
     except OSError as e:
         raise UsageError(f"cannot read config: {e}")
     return out
@@ -194,167 +196,153 @@ def cmd_operator(args) -> int:
 
 
 # --- verify command ---------------------------------------------------
+#
+# Each runner takes the resolved flags (rank, algebra, seed, max_m,
+# order) and returns (checks, params): a list of {identity, ok} dicts and
+# the parameters the report shows besides suite and rank.  Runners look
+# library functions up when called, so a patched binding is honoured.
 
-def _suite_checks(args) -> tuple[list, dict]:
-    """Run one suite; returns (checks, params) where checks is a list of
-    {identity, ok} dicts."""
-    suite = args.suite
-    n = _resolve(args, "rank", int)
-    algebra = _resolve(args, "algebra", str)
-    seed = _resolve(args, "seed", int, 0)
-    max_m = _resolve(args, "max_m", int)
-    order = _resolve(args, "order", int)
-    for flag, val in (("--max-m", max_m), ("--order", order)):
-        if val is not None and val < 0:
-            raise UsageError(f"{flag} must be >= 0, got {val}")
-    params: dict = {"suite": suite}
+def _screening(r):
+    max_m = 4 if r.max_m is None else r.max_m
+    cartan = CartanData(AlgebraSpec("C", r.rank))
+    L = build_L_C(r.rank, "zFactored")
+    checks = [{"identity": f"operator kernel under node {rep.node_a}",
+               "ok": rep.zero}
+              for rep in screen_operator_all(L, cartan, target="operator")]
+    polys = ([(f"fundamental {b}", characters.fundamental_poly, b)
+              for b in range(1, r.rank + 1)]
+             + [(f"row {m}", characters.row_poly, m)
+                for m in range(1, max_m + 1)])
+    for name, build, i in polys:
+        for a, res in screen_all(build(r.rank, i), cartan).items():
+            checks.append({"identity": f"{name} kernel under node {a}",
+                           "ok": not res})
+    return checks, {"max_m": max_m}
 
-    def need_rank():
-        if n is None:
-            raise UsageError(f"suite {suite} requires --rank")
-        _spec(algebra if suite in ("bd", "lemma-exp") else "C", n)
-        return n
 
-    if suite == "screening":
-        rank = need_rank()
-        if max_m is None:
-            max_m = 4
-        params.update(rank=rank, max_m=max_m)
-        cartan = CartanData(AlgebraSpec("C", rank))
-        checks = []
-        L = build_L_C(rank, "zFactored")
-        for rep in screen_operator_all(L, cartan, target="operator"):
-            checks.append({"identity": f"operator kernel under node "
-                                       f"{rep.node_a}", "ok": rep.zero})
+def _bijection(r):
+    if r.rank < 3:
+        raise UsageError("bijection suite needs --rank >= 3")
+    return [{"identity": f"descent bijection a={a}",
+             "ok": tableaux.verify_cancellation(r.rank, a).bijection_ok}
+            for a in range(3, r.rank + 1)], {}
 
-        def node_checks(name, p):
-            for a, res in screen_all(p, cartan).items():
-                checks.append({"identity": f"{name} kernel under node {a}",
-                               "ok": not res})
 
-        for b in range(1, rank + 1):
-            node_checks(f"fundamental {b}",
-                        characters.fundamental_poly(rank, b))
-        for m in range(1, max_m + 1):
-            node_checks(f"row {m}", characters.row_poly(rank, m))
-        return checks, params
+def _tsystem(r):
+    max_m = 3 if r.max_m is None else r.max_m
+    pf = 3 if r.rank == 2 else 2
+    return (characters.verify_tsystem(r.rank, max_m, pf).checks,
+            {"max_m": max_m, "pf_max": pf})
 
-    if suite == "cancellation":
-        rank = need_rank()
-        params.update(rank=rank)
-        checks = []
-        for a in range(1, rank + 1):
-            rep = tableaux.verify_cancellation(rank, a)
-            checks.append({"identity": f"column collapse a={a}",
-                           "ok": rep.ok})
-        return checks, params
 
-    if suite == "bijection":
-        rank = need_rank()
-        if rank < 3:
-            raise UsageError("bijection suite needs --rank >= 3")
-        params.update(rank=rank)
-        checks = []
-        for a in range(3, rank + 1):
-            rep = tableaux.verify_cancellation(rank, a)
-            checks.append({"identity": f"descent bijection a={a}",
-                           "ok": rep.bijection_ok})
-        return checks, params
+def _tt_tq(r):
+    max_m = 2 * (2 * r.rank + 2) if r.max_m is None else r.max_m
+    return characters.verify_tt_tq(r.rank, max_m).checks, {"max_m": max_m}
 
-    if suite == "tsystem":
-        rank = need_rank()
-        mm = 3 if max_m is None else max_m
-        pf = 3 if rank == 2 else 2
-        params.update(rank=rank, max_m=mm, pf_max=pf)
-        return characters.verify_tsystem(rank, mm, pf).checks, params
 
-    if suite == "tt-tq":
-        rank = need_rank()
-        mm = 2 * (2 * rank + 2) if max_m is None else max_m
-        params.update(rank=rank, max_m=mm)
-        return characters.verify_tt_tq(rank, mm).checks, params
+def _hseries(r):
+    N = 2 * r.rank + 2
+    return (characters.verify_hseries(r.rank).checks
+            + characters.verify_highest_weight(r.rank, N + 1, N + 3).checks,
+            {})
 
-    if suite == "hseries":
-        rank = need_rank()
-        params.update(rank=rank)
-        N = 2 * rank + 2
-        checks = list(characters.verify_hseries(rank).checks)
-        checks += characters.verify_highest_weight(rank, N + 1, N + 3).checks
-        return checks, params
 
-    if suite == "hookchi":
-        rank = need_rank()
-        N = 2 * rank + 2
-        params.update(rank=rank, seed=seed)
-        checks = list(classical.verify_pieri(rank, 4, seed).checks)
-        checks += classical.verify_hook_decomposition(
-            rank, N + 1, N + 3, seed).checks
-        checks += classical.verify_fundamental_images(rank, seed).checks
-        if rank == 2:
-            dims = [classical.hook_dimension(2, a, g) for a, g in
-                    ((1, 0), (0, 1), (0, -1), (-1, 0))]
-            checks.append({"identity": "dimension instance 16 = 10+5+1",
-                           "ok": dims == [10, 5, 0, 1]
-                           and sum(dims) == 16})
-        return checks, params
+def _hookchi(r):
+    n, seed = r.rank, r.seed
+    N = 2 * n + 2
+    checks = (classical.verify_pieri(n, 4, seed).checks
+              + classical.verify_hook_decomposition(n, N + 1, N + 3,
+                                                    seed).checks
+              + classical.verify_fundamental_images(n, seed).checks)
+    if n == 2:
+        dims = [classical.hook_dimension(2, a, g) for a, g in
+                ((1, 0), (0, 1), (0, -1), (-1, 0))]
+        checks.append({"identity": "dimension instance 16 = 10+5+1",
+                       "ok": dims == [10, 5, 0, 1] and sum(dims) == 16})
+    return checks, {"seed": seed}
 
-    if suite == "casorati":
-        rank = need_rank()
-        params.update(rank=rank, seed=seed)
-        return casorati.run_suite(rank, seed).checks, params
 
-    if suite == "nnsy":
-        rank = need_rank()
-        params.update(rank=rank, seed=seed)
-        return casorati.run_suite(rank, seed, skew_only=True).checks, params
+def _bd_suite(r):
+    params = {"algebra": r.algebra}
+    if r.order is not None:
+        params.update(order=_series_order(r.order))
+    return bd.run_suite(r.algebra, r.rank, r.order).checks, params
 
-    if suite == "bd":
-        if algebra not in ("B", "D"):
-            raise UsageError("bd suite requires --algebra B or D")
-        rank = need_rank()
-        params.update(algebra=algebra, rank=rank)
-        if order is not None:
-            params.update(order=_series_order(order))
-        return bd.run_suite(algebra, rank, order).checks, params
 
-    if suite == "lemma-exp":
-        if algebra not in ("B", "D"):
-            raise UsageError("lemma-exp suite requires --algebra B or D")
-        rank = need_rank()
-        if order is None:
-            order = 10 if algebra == "B" else 12
-        if order < 2:
-            # below order 2 both sides are the unit operator
-            raise UsageError(f"lemma-exp needs --order >= 2, got {order}")
-        params.update(algebra=algebra, rank=rank)
-        if algebra == "B":
-            ok = bd.verify_b_expansion(rank, order)
-        else:
-            ok = bd.verify_d_expansion(rank, order)
-        return [{"identity": f"{algebra}-series middle-factor expansion",
-                 "ok": ok}], params
+def _lemma_exp(r):
+    order = (10 if r.algebra == "B" else 12) if r.order is None else r.order
+    if order < 2:
+        # below order 2 both sides are the unit operator
+        raise UsageError(f"lemma-exp needs --order >= 2, got {order}")
+    expand = (bd.verify_b_expansion if r.algebra == "B"
+              else bd.verify_d_expansion)
+    return [{"identity": f"{r.algebra}-series middle-factor expansion",
+             "ok": expand(r.rank, order)}], {"algebra": r.algebra}
 
-    if suite == "product-formula":
-        rank = need_rank()
-        kmax = 2 * rank + 2 + 2 if max_m is None else max_m
-        params.update(rank=rank, k_max=kmax)
-        return [{"identity": f"transfer-matrix product at k={k}",
-                 "ok": characters.verify_product_formula(rank, k)}
-                for k in range(1, kmax + 1)], params
 
-    raise UsageError(f"unknown suite {suite!r}")
+def _product_formula(r):
+    k_max = 2 * r.rank + 2 + 2 if r.max_m is None else r.max_m
+    return [{"identity": f"transfer-matrix product at k={k}",
+             "ok": characters.verify_product_formula(r.rank, k)}
+            for k in range(1, k_max + 1)], {"k_max": k_max}
+
+
+# suite -> (the algebras it runs on, its runner)
+SUITES = {
+    "screening": (("C",), _screening),
+    "cancellation": (("C",), lambda r: (
+        [{"identity": f"column collapse a={a}",
+          "ok": tableaux.verify_cancellation(r.rank, a).ok}
+         for a in range(1, r.rank + 1)], {})),
+    "bijection": (("C",), _bijection),
+    "tsystem": (("C",), _tsystem),
+    "tt-tq": (("C",), _tt_tq),
+    "hseries": (("C",), _hseries),
+    "hookchi": (("C",), _hookchi),
+    "casorati": (("C",), lambda r: (
+        casorati.run_suite(r.rank, r.seed).checks, {"seed": r.seed})),
+    "nnsy": (("C",), lambda r: (
+        casorati.run_suite(r.rank, r.seed, skew_only=True).checks,
+        {"seed": r.seed})),
+    "bd": (("B", "D"), _bd_suite),
+    "lemma-exp": (("B", "D"), _lemma_exp),
+    "product-formula": (("C",), _product_formula),
+}
+
+
+def _emit_checks(payload: dict, checks: list, args, verdict: bool) -> int:
+    """Emit checks as [PASS]/[FAIL] lines, closed by a suite verdict line
+    when ``verdict``; a run that made no check has shown nothing and
+    fails."""
+    ok = bool(checks) and all(c["ok"] for c in checks)
+    text = "\n".join(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['identity']}"
+                     for c in checks)
+    if verdict:
+        text += f"\nsuite {'ok' if ok else 'FAILED'}"
+    _emit({**payload, "checks": checks, "ok": ok, "text": text}, args)
+    return 0 if ok else 1
 
 
 def cmd_verify(args) -> int:
-    checks, params = _suite_checks(args)
-    # a suite that ran no check has shown nothing
-    ok = bool(checks) and all(c["ok"] for c in checks)
-    payload = {"params": params, "checks": checks, "ok": ok,
-               "text": "\n".join(
-                   f"[{'PASS' if c['ok'] else 'FAIL'}] {c['identity']}"
-                   for c in checks) + f"\nsuite {'ok' if ok else 'FAILED'}"}
-    _emit(payload, args)
-    return 0 if ok else 1
+    suite = args.suite
+    algebras, runner = SUITES[suite]
+    r = argparse.Namespace(rank=_resolve(args, "rank", int),
+                           algebra=_resolve(args, "algebra", str, "C"),
+                           seed=_resolve(args, "seed", int, 0),
+                           max_m=_resolve(args, "max_m", int),
+                           order=_resolve(args, "order", int))
+    for flag, val in (("--max-m", r.max_m), ("--order", r.order)):
+        if val is not None and val < 0:
+            raise UsageError(f"{flag} must be >= 0, got {val}")
+    if r.algebra not in algebras:
+        raise UsageError(f"{suite} suite requires --algebra "
+                         f"{' or '.join(algebras)}")
+    if r.rank is None:
+        raise UsageError(f"suite {suite} requires --rank")
+    _spec(r.algebra, r.rank)
+    checks, params = runner(r)
+    return _emit_checks({"params": {"suite": suite, "rank": r.rank,
+                                    **params}}, checks, args, verdict=True)
 
 
 # --- bd command -------------------------------------------------------
@@ -368,25 +356,17 @@ def cmd_bd(args) -> int:
         raise UsageError("bd requires --rank")
     spec = _spec(algebra, n)
     order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
-    if args.emit == "coeffs":
-        L = bd.build_series_L(spec, order)
-        ta = bd.extract_Ta(L)
-        payload = {"algebra": algebra, "rank": n, "order": order,
-                   "coefficients": {str(a): p.to_json()
-                                    for a, p in ta.items()},
-                   "text": "\n".join(f"T^{a}(u) = {p.text()}"
-                                     for a, p in sorted(ta.items()))}
-        _emit(payload, args)
-        return 0
-    rep = bd.run_suite(algebra, n, order)
-    ok = rep.ok
+    if args.emit == "report":
+        return _emit_checks({"algebra": algebra, "rank": n, "order": order},
+                            bd.run_suite(algebra, n, order).checks, args,
+                            verdict=False)
+    ta = bd.extract_Ta(bd.build_series_L(spec, order))
     payload = {"algebra": algebra, "rank": n, "order": order,
-               "checks": rep.checks, "ok": ok,
-               "text": "\n".join(
-                   f"[{'PASS' if c['ok'] else 'FAIL'}] {c['identity']}"
-                   for c in rep.checks)}
+               "coefficients": {str(a): p.to_json() for a, p in ta.items()},
+               "text": "\n".join(f"T^{a}(u) = {p.text()}"
+                                 for a, p in sorted(ta.items()))}
     _emit(payload, args)
-    return 0 if ok else 1
+    return 0
 
 
 # --- argument parsing -------------------------------------------------

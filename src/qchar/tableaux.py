@@ -407,10 +407,10 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
     xsum = weight_sum(xs, table, halves, "X")
     mixed = weight_sum((t for t in xs if ((n + 1) in t) != ((n + 2) in t)),
                        table, halves, "X")
-    zsum = weight_sum(gen_column_tableaux(n, a), table, halves)
-    zsum_q = zsum.to_q(cartan)
+    columns = gen_column_tableaux(n, a)
+    zsum_q = weight_sum(columns, table, halves).to_q(cartan)
     rep.x_term_count = xsum.n_terms
-    rep.admissible_count = len(gen_column_tableaux(n, a))
+    rep.admissible_count = len(columns)
     rep.x_equals_admissible = xsum == zsum_q
     if not rep.x_equals_admissible:
         rep.failures.append("signed x-sum != admissible z-sum")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qchar.ring import Y
+from qchar.ring import LaurentPoly, Y, Y_FAM, poly_sum, vk
 from qchar.classical import (ClassicalPoint, beta_eval, det_frac,
                              sp_character, hook_char_value, hook_dimension,
                              verify_pieri, verify_hook_decomposition,
@@ -91,6 +91,41 @@ def test_beta_forgets_spectral_parameter():
     with pytest.raises(ValueError):
         from qchar.ring import Qv
         beta_eval(Qv(1, 0), pt)
+
+
+def _beta_oracle(p, pt):
+    """Term-by-term classical image: each Y_a(u+s)^e contributes
+    (x_1 ... x_a)^e."""
+    total = Fraction(0)
+    for key, c in p.terms():
+        val = Fraction(c)
+        for (fam, idx, half), e in key:
+            assert fam == Y_FAM
+            for b in range(idx):
+                val *= pt.values[b] ** e
+        total += val
+    return total
+
+
+_coords = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+                    st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(
+           st.integers(-5, 5).filter(bool),
+           st.dictionaries(st.tuples(st.integers(1, 3), st.integers(-6, 6)),
+                           st.integers(-3, 3).filter(bool), max_size=4)),
+           max_size=6),
+       st.lists(st.tuples(_coords, _coords, _coords).map(ClassicalPoint),
+                min_size=1, max_size=3))
+def test_beta_eval_matches_per_term_oracle(terms, pts):
+    p = poly_sum(LaurentPoly.monomial(
+        c, {vk(Y_FAM, a, h): e for (a, h), e in exps.items()})
+        for c, exps in terms)
+    want = [_beta_oracle(p, pt) for pt in pts]
+    assert [beta_eval(p, pt) for pt in pts] == want
+    assert p.eval_points(pts) == want
 
 
 def test_character_at_unit_point_is_dimension():

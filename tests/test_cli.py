@@ -105,6 +105,14 @@ def test_bad_config_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("rank 2\n")
     assert main(["verify", "cancellation", "--config", str(cfg)]) == 2
+    # a key outside rank, algebra, seed, order, max_m is refused by name,
+    # the flag spelling max-m included
+    for line in ("max-m=0", "rnak=9", "suite=tsystem"):
+        cfg.write_text(f"rank=2\n{line}\n")
+        code, _, err = run_cli(["verify", "product-formula", "--config",
+                                str(cfg)], capsys)
+        key = line.split("=")[0]
+        assert code == 2 and err.startswith("error: ") and repr(key) in err
 
 
 def test_operator_command(capsys):
@@ -188,7 +196,9 @@ def test_bad_arguments_are_usage_errors(capsys):
                  ["verify", "cancellation", "--rank", "0"],
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
                   "--order", "1"],
-                 ["verify", "lemma-exp", "--algebra", "D", "--rank", "2"]):
+                 ["verify", "lemma-exp", "--algebra", "D", "--rank", "2"],
+                 ["verify", "cancellation", "--rank", "2", "--algebra", "B"],
+                 ["verify", "tsystem", "--rank", "2", "--algebra", "D"]):
         code, _, err = run_cli(argv, capsys)
         assert code == 2 and err.startswith("error: "), argv
 
@@ -202,21 +212,22 @@ def test_suite_without_checks_fails(capsys):
 def test_output_independent_of_hash_seed():
     # Packed monomial slots are interned in the order one process meets
     # its variables; no output may depend on that order or on the hash
-    # seed, which the in-process determinism checks cannot vary.
+    # seed, which the in-process determinism checks cannot vary.  Nor may
+    # it change under -O, which strips assert statements.
     src = str(Path(__file__).parents[1] / "src")
     for args in (["character", "--rank", "2", "--rect", "2", "2"],
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
                   "--order", "8", "--format", "json"]):
         outs = []
-        for hash_seed in ("0", "1"):
+        for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):
             proc = subprocess.run(
-                [sys.executable, "-m", "qchar.cli", *args],
+                [sys.executable, *flags, "-m", "qchar.cli", *args],
                 capture_output=True, timeout=120,
                 env={**os.environ, "PYTHONPATH": src,
                      "PYTHONHASHSEED": hash_seed})
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
-        assert outs[0] == outs[1] and outs[0]
+        assert outs[0] == outs[1] == outs[2] and outs[0]
 
 
 # Small runs of every suite and of the bd command, whose stdout in each
@@ -250,7 +261,7 @@ REPORT_RUNS = {
 @pytest.mark.parametrize("name", sorted(REPORT_RUNS))
 def test_report_matches_golden(name, fmt, capsys):
     code, out, err = run_cli(REPORT_RUNS[name] + ["--format", fmt], capsys)
-    want = (GOLDEN / f"{name}.{'txt' if fmt == 'text' else 'json'}")
+    want = GOLDEN / f"{name}.{'txt' if fmt == 'text' else 'json'}"
     assert (code, out, err) == (1 if name.endswith("_empty") else 0,
                                 want.read_text(), "")
 
