@@ -35,6 +35,7 @@ class QAssignment:
     def __init__(self, n: int, seed: int):
         self.n = n
         self.seed = seed
+        self.cartan = CartanData(AlgebraSpec("C", n))
         self._cache: dict = {}
 
     def value(self, a: int, half: int) -> Fraction:
@@ -52,13 +53,17 @@ class QAssignment:
         return self.eval_many(p, (half,))[0]
 
     def eval_many(self, p: LaurentPoly, halves) -> list[Fraction]:
-        """[p(u + h/2) for h in halves], decoding p's keys once."""
+        """[p(u + h/2) for h in halves], decoding p's keys once.  A Y
+        variable takes the value of its Q image under ``to_q``."""
         return p.eval_points([_ShiftedValues(self, h) for h in halves])
 
 
 class _ShiftedValues:
     """The values of a QAssignment read at u + half/2, looked up lazily
-    by ``LaurentPoly.eval_points``; a non-Q variable is refused."""
+    by ``LaurentPoly.eval_points``.  Y_a(v) reads as Q_a(v - t)/Q_a(v + t)
+    with t = pair2(a, a)/2, Baxter's substitution as ``to_q`` makes it;
+    that substitution is a ring map, so a Y-character evaluates to the
+    value of its Q image without building the image."""
 
     __slots__ = ("qa", "half")
 
@@ -67,12 +72,15 @@ class _ShiftedValues:
         self.half = half
 
     def __contains__(self, var) -> bool:
-        if var[0] != Q_FAM:
-            raise ValueError("assignment covers Q-variables only")
         return True
 
     def __getitem__(self, var) -> Fraction:
-        return self.qa.value(var[1], var[2] + self.half)
+        fam, a, half = var
+        half += self.half
+        if fam == Q_FAM:
+            return self.qa.value(a, half)
+        t = self.qa.cartan.pair2(a, a) // 2
+        return self.qa.value(a, half - t) / self.qa.value(a, half + t)
 
 
 class TriangularBasis:
@@ -155,10 +163,9 @@ def verify_weyl_type(n: int, basis: TriangularBasis, grid: range,
     """Fundamental characters as ratios of one-gap Casorati minors."""
     from .characters import fundamental_poly
     N = 2 * n + 2
-    cartan = CartanData(AlgebraSpec("C", n))
     for a in range(0, N + 1):
-        q = fundamental_poly(n, a).to_q(cartan)
-        vals = basis.qa.eval_many(q, [a + 2 * g for g in grid])
+        vals = basis.qa.eval_many(fundamental_poly(n, a),
+                                  [a + 2 * g for g in grid])
         ok = True
         for g, v in zip(grid, vals):
             num = basis.casorati(
@@ -173,11 +180,10 @@ def verify_hook_ratio(n: int, k_max: int, basis: TriangularBasis,
     """Hook family H^(i)_k as ratios of a jumped-index minor."""
     from .characters import h_poly
     N = 2 * n + 2
-    cartan = CartanData(AlgebraSpec("C", n))
     for k in range(N, k_max + 1):
         for i in range(0, N):
-            q = h_poly(n, i, k).to_q(cartan)
-            vals = basis.qa.eval_many(q, [i + 2 * g for g in grid])
+            vals = basis.qa.eval_many(h_poly(n, i, k),
+                                      [i + 2 * g for g in grid])
             ok = True
             for g, v in zip(grid, vals):
                 num = basis.casorati(
@@ -250,18 +256,14 @@ def verify_toda_solution(n: int, m_max: int, basis: TriangularBasis,
     and the dual-gap forms."""
     from .characters import rect_poly
     N = 2 * n + 2
-    cartan = CartanData(AlgebraSpec("C", n))
     xi = basis.xi
     go = N // 2
-    rect_q: dict = {}
     rect_vals: dict = {}  # (a, m, half) -> {g: T at half + 2g}
 
     def T(a, m, half, g):
         if (a, m, half) not in rect_vals:
-            if (a, m) not in rect_q:
-                rect_q[(a, m)] = rect_poly(n, a, m).to_q(cartan)
             rect_vals[(a, m, half)] = dict(zip(grid, basis.qa.eval_many(
-                rect_q[(a, m)], [half + 2 * g for g in grid])))
+                rect_poly(n, a, m), [half + 2 * g for g in grid])))
         return rect_vals[(a, m, half)][g]
     for a in range(1, n):
         for m in range(1, m_max + 1):
@@ -445,19 +447,12 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
     (-1)^{mu_1} and its determinant form uses fundamentals."""
     from .characters import fundamental_poly
     N = 2 * n + 2
-    cartan = CartanData(AlgebraSpec("C", n))
     table = VariableTable(AlgebraSpec("C", n))
     xs = {m: table.x(m) for m in range(1, N + 1)}
-    fund_q: dict = {}
 
     @cache
     def x(m, half):
         return basis.qa.eval(xs[m], half)
-
-    def fund(a, half):
-        if a not in fund_q:
-            fund_q[a] = fundamental_poly(n, a).to_q(cartan)
-        return basis.qa.eval(fund_q[a], half)
     for indices in index_sets:
         mu = mu_from_indices(indices)
         mu1 = mu[0]
@@ -468,8 +463,8 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
                    / basis.casorati(tuple(range(N)), g))
             ssyt = ((-1) ** mu1) * _ssyt_sum(
                 N, mu1, mu, lambda m, shift: x(m, 2 * (shift + g)))
-            mat = [[fund(mup[j - 1] - j + l,
-                         N - 2 + j + l - mup[j - 1] + 2 * g)
+            mat = [[basis.qa.eval(fundamental_poly(n, mup[j - 1] - j + l),
+                                  N - 2 + j + l - mup[j - 1] + 2 * g)
                     for l in range(1, mu1 + 1)] for j in range(1, mu1 + 1)]
             dt = det_frac(mat)
             ok = ok and lhs == ssyt == dt

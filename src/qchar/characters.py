@@ -10,28 +10,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, acc_product, poly_sum, product_sum, vk, Y_FAM, ONE,
-                   ZERO)
+                   Qv, product_sum, vk, Y_FAM, ONE, ZERO)
 from .tableaux import gen_column_tableaux, gen_row_tableaux, weight_sum
-
-
-@dataclass(frozen=True)
-class QCharacter:
-    algebra: AlgebraSpec
-    label: tuple
-    value: LaurentPoly
-
-    @property
-    def n_terms(self) -> int:
-        return self.value.n_terms
-
-    def has_highest_weight(self, mono: dict) -> bool:
-        return self.value.coeff_of(mono) == 1
-
-    def to_json(self) -> dict:
-        return {"series": self.algebra.series, "rank": self.algebra.n,
-                "label": list(self.label), "monomials": self.value.n_terms,
-                "value": self.value.to_json()}
 
 
 @lru_cache(maxsize=None)
@@ -60,11 +40,6 @@ def fundamental_poly(n: int, a: int) -> LaurentPoly:
                       [a - 2 * k for k in range(1, a + 1)])
 
 
-def fundamental(n: int, a: int) -> QCharacter:
-    return QCharacter(AlgebraSpec("C", n), ("fundamental", a),
-                      fundamental_poly(n, a))
-
-
 def _row_sum(n: int, m: int, words: list, half: int = 0) -> LaurentPoly:
     """T^(1)_m(u + half/2) from the length-m row tableaux ``words``: the
     k-th letter at argument u + (2k - m - 2 + half)/2."""
@@ -79,10 +54,6 @@ def row_poly(n: int, m: int) -> LaurentPoly:
     if m < 0:
         return ZERO
     return _row_sum(n, m, gen_row_tableaux(n, m))
-
-
-def row_character(n: int, m: int) -> QCharacter:
-    return QCharacter(AlgebraSpec("C", n), ("row", m), row_poly(n, m))
 
 
 # ---------------------------------------------------------------------
@@ -107,10 +78,6 @@ def h_poly(n: int, i: int, k: int) -> LaurentPoly:
     prev_top = h_poly(n, N - 1, k - 1).shift(N + 1 - i)
     prev_left = h_poly(n, i - 1, k - 1).shift(1) if i >= 1 else ZERO
     return -(t * prev_top) - prev_left
-
-
-def h_series(n: int, i: int, k: int) -> QCharacter:
-    return QCharacter(AlgebraSpec("C", n), ("hseries", i, k), h_poly(n, i, k))
 
 
 def hook_jacobi_trudi(n: int, i: int, k: int) -> LaurentPoly:
@@ -146,10 +113,10 @@ def det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
         for cols, val in minors.items():
             free = [c for c in range(msize) if c not in cols]
             for pos, c in enumerate(free):
-                term = mat[j][c] * val
                 parts.setdefault(cols | {c}, []).append(
-                    term if pos % 2 == 0 else -term)
-        minors = {cols: poly_sum(terms) for cols, terms in parts.items()}
+                    (-1 if pos % 2 else 1, mat[j][c], val))
+        minors = {cols: product_sum(triples)
+                  for cols, triples in parts.items()}
     (val,) = minors.values()
     return val
 
@@ -167,19 +134,17 @@ def pfaffian(mat: list[list[LaurentPoly]]) -> LaurentPoly:
             return ONE
         if idx in memo:
             return memo[idx]
-        i0 = idx[0]
-        rest = idx[1:]
-        terms = []
-        for pos, j in enumerate(rest):
-            term = mat[i0][j] * rec(tuple(x for x in rest if x != j))
-            terms.append(term if pos % 2 == 0 else -term)
-        acc = memo[idx] = poly_sum(terms)
+        i0, rest = idx[0], idx[1:]
+        acc = memo[idx] = product_sum(
+            (-1 if pos % 2 else 1, mat[i0][j],
+             rec(tuple(x for x in rest if x != j)))
+            for pos, j in enumerate(rest))
         return acc
 
     return rec(tuple(range(size)))
 
 
-def tam_jacobi_trudi(n: int, a: int, m: int) -> QCharacter:
+def tam_jacobi_trudi(n: int, a: int, m: int) -> LaurentPoly:
     """Rectangle character T^(a)_m(u) as the m x m determinant of
     shifted extended fundamentals, 1 <= a <= n-1."""
     if not (1 <= a <= n - 1):
@@ -188,10 +153,10 @@ def tam_jacobi_trudi(n: int, a: int, m: int) -> QCharacter:
         raise ValueError("m must be >= 1")
     mat = [[fundamental_poly(n, a - j + l).shift(j + l - m - 1)
             for l in range(1, m + 1)] for j in range(1, m + 1)]
-    return QCharacter(AlgebraSpec("C", n), ("rect", a, m), det(mat))
+    return det(mat)
 
 
-def tnm_pfaffian(n: int, m: int) -> QCharacter:
+def tnm_pfaffian(n: int, m: int) -> LaurentPoly:
     """Rectangle character T^(n)_m(u) as (-1)^m times the Pfaffian of
     the antisymmetrized 2m x 2m fundamental array."""
     if m < 1:
@@ -203,8 +168,7 @@ def tnm_pfaffian(n: int, m: int) -> QCharacter:
             if mat[j][l] != -mat[l][j]:
                 raise ValueError("fundamental array is not antisymmetric")
     pf = pfaffian(mat)
-    return QCharacter(AlgebraSpec("C", n), ("rect", n, m),
-                      pf if m % 2 == 0 else -pf)
+    return pf if m % 2 == 0 else -pf
 
 
 @lru_cache(maxsize=None)
@@ -214,10 +178,10 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
     if a == 0 or m == 0:
         return ONE
     if a == n:
-        return tnm_pfaffian(n, m).value
+        return tnm_pfaffian(n, m)
     if a == 1:
         return row_poly(n, m)
-    return tam_jacobi_trudi(n, a, m).value
+    return tam_jacobi_trudi(n, a, m)
 
 
 # ---------------------------------------------------------------------
@@ -234,9 +198,6 @@ class RelationReport:
     @property
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checks": self.checks}
 
 
 def _bilinear_zero(pairs) -> bool:
@@ -295,31 +256,23 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     rep = RelationReport()
     N = 2 * n + 2
     cartan = CartanData(AlgebraSpec("C", n))
+    # (sign, a, T^(a)_1(u)) for the nonzero extended fundamentals
+    funds = [(-1 if a % 2 else 1, a, fundamental_poly(n, a))
+             for a in range(0, N + 1) if not fundamental_poly(n, a).is_zero]
     # row tableaux by length, for this call only: row_poly(n, r).shift(d)
     # is built as _row_sum(n, r, rows[r], d), with shifted templates
     rows = [gen_row_tableaux(n, r) for r in range(m_max + 1)]
     for m in range(0, m_max + 1):
-        s1: dict = {}
-        s2: dict = {}
-        for a in range(0, N + 1):
-            sign = -1 if a % 2 else 1
-            f = fundamental_poly(n, a)
-            r = m - a
-            if r >= 0 and not f.is_zero:
-                acc_product(s1, _row_sum(n, r, rows[r], -a), f.shift(r), sign)
-                acc_product(s2, _row_sum(n, r, rows[r], m + a), f.shift(a),
-                            sign)
         target = ONE if m == 0 else ZERO
-        rep.add(f"first convolution m={m}", LaurentPoly(s1) == target)
-        rep.add(f"second convolution m={m}", LaurentPoly(s2) == target)
-    tq: dict = {}
-    for a in range(0, N + 1):
-        sign = -1 if a % 2 else 1
-        q1 = Qv(1, 2 * a)  # Q_1(u+a)
-        f = fundamental_poly(n, a)
-        if not f.is_zero:
-            acc_product(tq, q1, f.to_q(cartan).shift(a), sign)
-    rep.add("Baxter-function relation", not tq)
+        first = product_sum((sign, _row_sum(n, m - a, rows[m - a], -a),
+                             f.shift(m - a)) for sign, a, f in funds if a <= m)
+        rep.add(f"first convolution m={m}", first == target)
+        second = product_sum((sign, _row_sum(n, m - a, rows[m - a], m + a),
+                              f.shift(a)) for sign, a, f in funds if a <= m)
+        rep.add(f"second convolution m={m}", second == target)
+    tq = product_sum((sign, Qv(1, 2 * a), f.to_q(cartan).shift(a))  # Q_1(u+a)
+                     for sign, a, f in funds)
+    rep.add("Baxter-function relation", tq.is_zero)
     return rep
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm, prod
 
-from .ring import LaurentPoly, Y_FAM
+from .ring import Y_FAM
 
 _POOL_NUM = list(range(2, 40))
 
@@ -50,11 +50,6 @@ class ClassicalPoint:
 
     def __getitem__(self, var) -> Fraction:
         return prod(self.values[:var[1]], start=Fraction(1))
-
-
-def beta_eval(p: LaurentPoly, point: ClassicalPoint) -> Fraction:
-    """Evaluate the classical image of a Y-polynomial at a torus point."""
-    return p.eval_rational(point)
 
 
 def det_frac(mat: list[list[Fraction]]) -> Fraction:

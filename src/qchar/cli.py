@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from .ring import AlgebraSpec, CartanData, vk, Y_FAM
 from .diffop import build_L_C, EpsilonChoice, L_FORMS
@@ -102,31 +103,6 @@ def _emit(payload: dict, args) -> None:
 
 # --- character command ------------------------------------------------
 
-def _hw_exps(n: int, label: tuple) -> dict:
-    """Expected leading monomial of a character, as an exponent dict."""
-    kind = label[0]
-    exps: dict = {}
-    if kind == "fundamental":
-        a = label[1]
-        if 1 <= a <= n:
-            exps[vk(Y_FAM, a, 0)] = 1
-    elif kind == "row":
-        m = label[1]
-        for j in range(1, m + 1):
-            key = vk(Y_FAM, 1, m + 1 - 2 * j)
-            exps[key] = exps.get(key, 0) + 1
-    elif kind == "rect":
-        a, m = label[1], label[2]
-        t = 2 if a == n else 1
-        for j in range(1, m + 1):
-            key = vk(Y_FAM, a, t * (m + 1 - 2 * j))
-            exps[key] = exps.get(key, 0) + 1
-    elif kind == "hseries":
-        i, k = label[1], label[2]
-        return characters.highest_weight_key(n, i, k)
-    return exps
-
-
 def cmd_character(args) -> int:
     n = _resolve(args, "rank", int)
     if n is None:
@@ -134,41 +110,47 @@ def cmd_character(args) -> int:
     algebra = _resolve(args, "algebra", str, "C")
     if algebra != "C":
         raise UsageError("character supports the C series only")
-    spec = _spec("C", n)
+    _spec("C", n)
     picks = [p for p in ("fundamental", "row", "rect", "hseries")
              if getattr(args, p) is not None]
     if len(picks) != 1:
         raise UsageError(
             "choose exactly one of --fundamental/--row/--rect/--hseries")
     kind = picks[0]
+    # each branch: the label, the character, its expected leading
+    # monomial (an exponent dict) and the sign and half-shift at which
+    # that monomial has coefficient 1
+    sigma, shift = 1, 0
     if kind == "fundamental":
-        ch = characters.fundamental(n, args.fundamental)
+        a = args.fundamental
+        label, p = (a,), characters.fundamental_poly(n, a)
+        hw = {vk(Y_FAM, a, 0): 1} if 1 <= a <= n else {}
     elif kind == "row":
-        if args.row < 0:
+        m = args.row
+        if m < 0:
             raise UsageError("--row must be >= 0")
-        ch = characters.row_character(n, args.row)
+        label, p = (m,), characters.row_poly(n, m)
+        hw = Counter(vk(Y_FAM, 1, m + 1 - 2 * j) for j in range(1, m + 1))
     elif kind == "rect":
         a, m = args.rect
         if not (0 <= a <= n and m >= 0):
             raise UsageError(f"--rect needs 0 <= A <= {n} and M >= 0")
-        ch = characters.QCharacter(spec, ("rect", a, m),
-                                   characters.rect_poly(n, a, m))
+        label, p = (a, m), characters.rect_poly(n, a, m)
+        t = 2 if a == n else 1
+        hw = Counter(vk(Y_FAM, a, t * (m + 1 - 2 * j))
+                     for j in range(1, m + 1)) if a else {}  # T^(0)_m = 1
     else:
         i, k = args.hseries
         if not (0 <= i <= 2 * n + 1 and k >= 0):
             raise UsageError(f"--hseries needs 0 <= I <= {2 * n + 1} "
                              f"and K >= 0")
-        ch = characters.h_series(n, i, k)
-    sigma = 1
-    if kind == "hseries":
-        sigma = 1 if ch.label[1] <= n else -1
-    hw = _hw_exps(n, ch.label)
-    shift = ch.label[1] if kind == "hseries" else 0
-    flag = sigma * ch.value.shift(shift).coeff_of(hw) == 1
-    payload = ch.to_json()
-    payload["highest_weight_present"] = bool(flag)
-    payload["text"] = ch.value.text()
-    _emit(payload, args)
+        label, p = (i, k), characters.h_poly(n, i, k)
+        hw = characters.highest_weight_key(n, i, k)
+        sigma, shift = (1 if i <= n else -1), i
+    _emit({"series": "C", "rank": n, "label": [kind, *label],
+           "monomials": p.n_terms, "value": p.to_json(),
+           "highest_weight_present": sigma * p.shift(shift).coeff_of(hw) == 1,
+           "text": p.text()}, args)
     return 0
 
 
@@ -287,26 +269,26 @@ def _product_formula(r):
             for k in range(1, k_max + 1)], {"k_max": k_max}
 
 
-# suite -> (the algebras it runs on, its runner)
+# suite -> (the algebras it runs on, the bounds it reads, its runner)
 SUITES = {
-    "screening": (("C",), _screening),
-    "cancellation": (("C",), lambda r: (
+    "screening": (("C",), ("max_m",), _screening),
+    "cancellation": (("C",), (), lambda r: (
         [{"identity": f"column collapse a={a}",
           "ok": tableaux.verify_cancellation(r.rank, a).ok}
          for a in range(1, r.rank + 1)], {})),
-    "bijection": (("C",), _bijection),
-    "tsystem": (("C",), _tsystem),
-    "tt-tq": (("C",), _tt_tq),
-    "hseries": (("C",), _hseries),
-    "hookchi": (("C",), _hookchi),
-    "casorati": (("C",), lambda r: (
+    "bijection": (("C",), (), _bijection),
+    "tsystem": (("C",), ("max_m",), _tsystem),
+    "tt-tq": (("C",), ("max_m",), _tt_tq),
+    "hseries": (("C",), (), _hseries),
+    "hookchi": (("C",), (), _hookchi),
+    "casorati": (("C",), (), lambda r: (
         casorati.run_suite(r.rank, r.seed).checks, {"seed": r.seed})),
-    "nnsy": (("C",), lambda r: (
+    "nnsy": (("C",), (), lambda r: (
         casorati.run_suite(r.rank, r.seed, skew_only=True).checks,
         {"seed": r.seed})),
-    "bd": (("B", "D"), _bd_suite),
-    "lemma-exp": (("B", "D"), _lemma_exp),
-    "product-formula": (("C",), _product_formula),
+    "bd": (("B", "D"), ("order",), _bd_suite),
+    "lemma-exp": (("B", "D"), ("order",), _lemma_exp),
+    "product-formula": (("C",), ("max_m",), _product_formula),
 }
 
 
@@ -325,7 +307,7 @@ def _emit_checks(payload: dict, checks: list, args, verdict: bool) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    algebras, runner = SUITES[suite]
+    algebras, bounds, runner = SUITES[suite]
     r = argparse.Namespace(rank=_resolve(args, "rank", int),
                            algebra=_resolve(args, "algebra", str, "C"),
                            seed=_resolve(args, "seed", int, 0),
@@ -340,6 +322,11 @@ def cmd_verify(args) -> int:
     if r.rank is None:
         raise UsageError(f"suite {suite} requires --rank")
     _spec(r.algebra, r.rank)
+    # a bound from a config file may serve other suites; one given on
+    # the command line to a suite that ignores it is refused
+    for key, flag in (("max_m", "--max-m"), ("order", "--order")):
+        if getattr(args, key) is not None and key not in bounds:
+            raise UsageError(f"{suite} suite does not read {flag}")
     checks, params = runner(r)
     return _emit_checks({"params": {"suite": suite, "rank": r.rank,
                                     **params}}, checks, args, verdict=True)

@@ -474,9 +474,9 @@ def acc_product(acc: dict, a: "LaurentPoly", b: "LaurentPoly",
                 sign: int = 1) -> None:
     """Accumulate sign * a * b into a raw term dict in place.
 
-    Keeps only one large product alive at a time when verifying
-    bilinear identities whose two sides mostly cancel; ``LaurentPoly(acc)``
-    turns the dict into a polynomial.
+    The step of ``product_sum``, which keeps only one large product
+    alive at a time when verifying bilinear identities whose two sides
+    mostly cancel, and wraps the dict without decoding its keys.
     """
     _product_bound(a, b)
     _product_into(acc, a._t, b._t, sign)

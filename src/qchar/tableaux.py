@@ -292,19 +292,6 @@ def in_V_b(t: tuple, n: int, b: int) -> bool:
     return in_Vlm_b(t, n, b, l, m)
 
 
-def membership(t: tuple, n: int, which: str, b: int | None = None,
-               l: int | None = None, m: int | None = None) -> bool:
-    if which == "V":
-        return in_V(t, n)
-    if which == "W":
-        return in_W(t, n)
-    if which == "V_b":
-        return in_V_b(t, n, b)
-    if which == "V_b^{l,m}":
-        return in_Vlm_b(t, n, b, l, m)
-    raise ValueError(f"unknown set {which!r}")
-
-
 # ---------------------------------------------------------------------
 # the full descent map and its inverse
 # ---------------------------------------------------------------------

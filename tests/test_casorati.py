@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qchar import casorati, characters
 from qchar.classical import det_frac
-from qchar.ring import LaurentPoly, Qv, VariableTable, Y
+from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Qv,
+                        VariableTable, Y, Y_FAM, poly_sum, vk)
 from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
                             transpose, skew_ssyt, run_suite,
                             default_index_sets, verify_free_skew_lemma,
@@ -37,8 +39,6 @@ def test_eval_reads_shifted_values():
                   for key, _ in p.terms() for (fam, idx, h), _ in key}
         assert qa.eval(p, half) == p.eval_rational(assign)
     assert qa.eval(p.shift(4)) == qa.eval(p, 4)
-    with pytest.raises(ValueError, match="Q-variables only"):
-        qa.eval(Qv(1) * Y(1))
 
 
 def test_basis_solves_recurrence(basis2):
@@ -64,8 +64,30 @@ def test_eval_many_matches_one_point_calls():
     hs = [-2, 0, 3, 3, 8]
     assert qa.eval_many(p, hs) == [qa.eval(p, h) for h in hs]
     assert qa.eval_many(p, []) == []
-    with pytest.raises(ValueError, match="Q-variables only"):
-        qa.eval_many(Qv(1) * Y(1), [0, 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_y_polynomial_evaluates_as_its_q_image(n, data):
+    # Y_a(v) reads as Q_a(v - t)/Q_a(v + t); the long node a = n has
+    # t = 2, the others t = 1
+    terms = data.draw(st.lists(st.tuples(
+        st.integers(-5, 5).filter(bool),
+        st.dictionaries(st.tuples(st.integers(1, n), st.integers(-6, 6)),
+                        st.integers(-3, 3).filter(bool), max_size=4)),
+        max_size=6))
+    hs = data.draw(st.lists(st.integers(-6, 6), max_size=4))
+    p = poly_sum(LaurentPoly.monomial(
+        c, {vk(Y_FAM, a, h): e for (a, h), e in exps.items()})
+        for c, exps in terms)
+    qa = QAssignment(n, seed=data.draw(st.integers(0, 99)))
+    cartan = CartanData(AlgebraSpec("C", n))
+    assert qa.eval_many(p, hs) == qa.eval_many(p.to_q(cartan), hs)
+    # a node above the rank is refused, as to_q refuses it
+    with pytest.raises(ValueError):
+        Y(n + 1).to_q(cartan)
+    with pytest.raises(ValueError):
+        qa.eval_many(Y(n + 1, 3), [0])
 
 
 def test_memoized_minors_match_raw_windows(basis2):

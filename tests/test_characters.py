@@ -1,13 +1,14 @@
 """Character families: fundamentals, rows, rectangles, hook series."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Y, vk,
-                        Y_FAM, ONE, ZERO, poly_sum)
-from qchar.characters import (_row_sum, fundamental_poly, fundamental,
-                              row_poly, h_poly, hook_jacobi_trudi, det,
-                              pfaffian, tam_jacobi_trudi, tnm_pfaffian,
-                              rect_poly, verify_tsystem, verify_tt_tq,
+from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
+                        Y, vk, Y_FAM, ONE, ZERO, poly_sum)
+from qchar.characters import (_row_sum, fundamental_poly, row_poly, h_poly,
+                              hook_jacobi_trudi, det, pfaffian,
+                              tam_jacobi_trudi, tnm_pfaffian, rect_poly,
+                              verify_tsystem, verify_tt_tq,
                               verify_hseries, verify_highest_weight,
                               verify_product_formula, highest_weight_key)
 from qchar.diffop import build_L_C
@@ -48,9 +49,8 @@ def test_extended_fundamental_indices():
 
 
 def test_highest_weight_flags():
-    ch = fundamental(2, 1)
-    assert ch.has_highest_weight({vk(Y_FAM, 1, 0): 1})
-    assert not ch.has_highest_weight({vk(Y_FAM, 2, 0): 1})
+    assert fundamental_poly(2, 1).coeff_of({vk(Y_FAM, 1, 0): 1}) == 1
+    assert fundamental_poly(2, 1).coeff_of({vk(Y_FAM, 2, 0): 1}) != 1
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -71,15 +71,65 @@ def test_det_and_pfaffian_consistency():
     assert det(mat) == pf * pf
 
 
+def _det_oracle(mat):
+    """Laplace expansion along the first row, each product built with
+    * and negated before poly_sum adds them."""
+    if not mat:
+        return ONE
+    terms = []
+    for c in range(len(mat)):
+        term = mat[0][c] * _det_oracle([row[:c] + row[c + 1:]
+                                        for row in mat[1:]])
+        terms.append(-term if c % 2 else term)
+    return poly_sum(terms)
+
+
+def _pfaffian_oracle(mat, idx):
+    if not idx:
+        return ONE
+    terms = []
+    for pos, j in enumerate(idx[1:]):
+        term = mat[idx[0]][j] * _pfaffian_oracle(
+            mat, [x for x in idx[1:] if x != j])
+        terms.append(-term if pos % 2 else term)
+    return poly_sum(terms)
+
+
+_entries = st.lists(st.tuples(
+    st.integers(-3, 3).filter(bool),
+    st.dictionaries(st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+                    st.integers(-2, 2).filter(bool), max_size=2)),
+    max_size=3).map(lambda terms: poly_sum(LaurentPoly.monomial(
+        c, {vk(Y_FAM, a, h): e for (a, h), e in exps.items()})
+        for c, exps in terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(_entries, min_size=k, max_size=k),
+                       min_size=k, max_size=k)))
+def test_det_and_pfaffian_match_expansion_oracle(mat):
+    k = len(mat)
+    assert det(mat) == _det_oracle(mat)
+    # the strict upper triangle of mat, made antisymmetric
+    anti = [[mat[i][j] if i < j else -mat[j][i] if i > j else ZERO
+             for j in range(k)] for i in range(k)]
+    if k % 2:
+        with pytest.raises(ValueError):
+            pfaffian(anti)
+    else:
+        assert pfaffian(anti) == _pfaffian_oracle(anti, list(range(k)))
+
+
 def test_rectangles_match_rows_at_width_one():
     # the a=1 rectangle determinant reproduces the tableau row sum
     for m in range(1, 4):
-        assert tam_jacobi_trudi(2, 1, m).value == row_poly(2, m)
+        assert tam_jacobi_trudi(2, 1, m) == row_poly(2, m)
 
 
 def test_rect_poly_dispatch():
-    assert rect_poly(2, 1, 2) == tam_jacobi_trudi(2, 1, 2).value
-    assert rect_poly(2, 2, 2) == tnm_pfaffian(2, 2).value
+    assert rect_poly(2, 1, 2) == tam_jacobi_trudi(2, 1, 2)
+    assert rect_poly(2, 2, 2) == tnm_pfaffian(2, 2)
     assert rect_poly(3, 2, 1) == fundamental_poly(3, 2)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qchar.ring import LaurentPoly, Y, Y_FAM, poly_sum, vk
-from qchar.classical import (ClassicalPoint, beta_eval, det_frac,
+from qchar.classical import (ClassicalPoint, det_frac,
                              sp_character, hook_char_value, hook_dimension,
                              verify_pieri, verify_hook_decomposition,
                              verify_fundamental_images, hook_decomposition)
@@ -86,11 +86,12 @@ def test_det_frac_matches_fraction_elimination(mat):
 
 def test_beta_forgets_spectral_parameter():
     pt = ClassicalPoint((Fraction(2), Fraction(3)))
-    assert beta_eval(Y(1, 0), pt) == beta_eval(Y(1, 7), pt) == Fraction(2)
-    assert beta_eval(Y(2, 3), pt) == Fraction(6)
+    assert (Y(1, 0).eval_rational(pt) == Y(1, 7).eval_rational(pt)
+            == Fraction(2))
+    assert Y(2, 3).eval_rational(pt) == Fraction(6)
     with pytest.raises(ValueError):
         from qchar.ring import Qv
-        beta_eval(Qv(1, 0), pt)
+        Qv(1, 0).eval_rational(pt)
 
 
 def _beta_oracle(p, pt):
@@ -124,7 +125,7 @@ def test_beta_eval_matches_per_term_oracle(terms, pts):
         c, {vk(Y_FAM, a, h): e for (a, h), e in exps.items()})
         for c, exps in terms)
     want = [_beta_oracle(p, pt) for pt in pts]
-    assert [beta_eval(p, pt) for pt in pts] == want
+    assert [p.eval_rational(pt) for pt in pts] == want
     assert p.eval_points(pts) == want
 
 

@@ -39,6 +39,19 @@ def test_character_trivial_and_json(capsys):
     assert payload["monomials"] == 1 and payload["text"] == "1"
 
 
+def test_character_rect_with_zero_rows_is_one(capsys):
+    # T^(0)_M = 1, whose leading monomial is the empty one
+    for m in ("0", "2"):
+        argv = ["character", "--rank", "2", "--rect", "0", m]
+        assert run_cli(argv, capsys) == (0, "1\n", "")
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        payload = json.loads(out)
+        assert code == 0 and err == ""
+        assert payload["label"] == ["rect", 0, int(m)]
+        assert payload["text"] == "1" and payload["monomials"] == 1
+        assert payload["highest_weight_present"] is True
+
+
 def test_character_requires_exactly_one_kind(capsys):
     code, _, err = run_cli(["character", "--rank", "2"], capsys)
     assert code == 2
@@ -198,9 +211,31 @@ def test_bad_arguments_are_usage_errors(capsys):
                   "--order", "1"],
                  ["verify", "lemma-exp", "--algebra", "D", "--rank", "2"],
                  ["verify", "cancellation", "--rank", "2", "--algebra", "B"],
-                 ["verify", "tsystem", "--rank", "2", "--algebra", "D"]):
+                 ["verify", "tsystem", "--rank", "2", "--algebra", "D"],
+                 ["verify", "cancellation", "--rank", "2", "--max-m", "5"],
+                 ["verify", "tsystem", "--rank", "2", "--order", "5"],
+                 ["verify", "casorati", "--rank", "2", "--max-m", "1"]):
         code, _, err = run_cli(argv, capsys)
         assert code == 2 and err.startswith("error: "), argv
+
+
+def test_unused_bound_flags_are_refused(tmp_path, capsys):
+    assert run_cli(["verify", "tsystem", "--rank", "2", "--order", "5"],
+                   capsys) == (2, "", "error: tsystem suite does not read "
+                                      "--order\n")
+    assert run_cli(["verify", "bd", "--algebra", "B", "--rank", "2",
+                    "--max-m", "3"], capsys) == (
+        2, "", "error: bd suite does not read --max-m\n")
+    # the earlier checks keep their messages
+    code, _, err = run_cli(["verify", "cancellation", "--rank", "2",
+                            "--max-m", "-1"], capsys)
+    assert code == 2 and err == "error: --max-m must be >= 0, got -1\n"
+    # a shared config file may carry bounds that one suite ignores
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank=2\nmax_m=3\norder=6\n")
+    code, out, _ = run_cli(["verify", "cancellation", "--config", str(cfg)],
+                           capsys)
+    assert code == 0 and out.endswith("suite ok\n")
 
 
 def test_suite_without_checks_fails(capsys):

@@ -1,0 +1,49 @@
+"""Every definition in the library is used somewhere."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+LIBRARY = sorted((ROOT / "src" / "qchar").glob("*.py"))
+
+
+def _definitions(tree):
+    """(name, line) of the top-level functions and classes and of the
+    non-dunder methods of those classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, kinds[:2])
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def _references(tree):
+    """Names a module refers to: loaded or stored names, attributes,
+    imported names and the dot-separated parts of string constants (a
+    tracer names the functions it patches that way)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from node.value.split(".")
+
+
+def test_every_library_definition_is_referenced():
+    refs = set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            refs.update(_references(ast.parse(path.read_text())))
+    unused = [f"{path.stem}.{name} (line {line})"
+              for path in LIBRARY
+              for name, line in _definitions(ast.parse(path.read_text()))
+              if name.split(".")[-1] not in refs]
+    assert unused == []
