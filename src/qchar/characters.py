@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, product_sum, vk, Y_FAM, ONE, ZERO)
+                   Qv, product_sum, product_sum_vanishes, vk, Y_FAM, ONE,
+                   ZERO)
 from .tableaux import gen_column_tableaux, gen_row_tableaux, weight_sum
 
 
@@ -202,8 +203,8 @@ class RelationReport:
 
 def _bilinear_zero(pairs) -> bool:
     """True when sum of sign * A * B over (sign, A, B) vanishes,
-    accumulated in one dict to avoid holding both sides at once."""
-    return product_sum(pairs).is_zero
+    accumulated in one dict on call-local keys."""
+    return product_sum_vanishes(pairs)
 
 
 def verify_tsystem(n: int, m_max: int, pf_max: int | None = None) -> RelationReport:

@@ -23,6 +23,18 @@ sums, the sum under products, the sum of the per-position maxima under
 passes EXP_MAX it is first replaced by the exact maxima of the operands;
 only if those still pass does the operation raise OverflowError.
 
+Local packing.  A key carries 16 bits for every slot up to its highest,
+so keys grow with all the variables a process has met.  The zero-test
+``product_sum_vanishes`` repacks: with B the largest product bound of
+its triples (checked as above), every exponent of every operand and
+product fits one balanced w-bit digit, w = bit_length(B) + 1.  Each
+distinct operand is decoded once and rewritten at that width over this
+call's own slots, numbered in first use.  That map is injective and
+additive on every monomial that can occur, so the sum vanishes iff it
+does on global keys.  Only zero-tests repack: nothing repacked outlives
+the call, and where one operand is small (a fundamental, a DiffOp
+coefficient) the decode costs more than the shorter keys save.
+
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
 and ``to_json()`` decode every key to the sorted tuple of
@@ -491,6 +503,32 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
         acc_product(out, a, b, sign)
         bound = max(bound, a._b + b._b)  # checked by acc_product
     return LaurentPoly._make(out, bound)
+
+
+def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
+    """Whether ``product_sum(triples)`` is zero, decided on keys repacked
+    for this call only (see "Local packing" in the module docstring)."""
+    triples = list(triples)  # keeps every operand, and so its id, alive
+    w = max((_product_bound(a, b) for _, a, b in triples),
+            default=0).bit_length() + 1
+    place: dict = {}  # global slot -> w * local slot, in first-use order
+    local: dict = {}  # id(operand) -> its terms on local keys
+
+    def repack(p: LaurentPoly) -> dict:
+        t = local.get(id(p))
+        if t is None:
+            t = local[id(p)] = {}
+            for key, c in p._t.items():
+                k = 0
+                for s, e in zip(*_digits(key)):
+                    k += e << place.setdefault(s, w * len(place))
+                t[k] = c
+        return t
+
+    acc: dict = {}
+    for sign, a, b in triples:
+        _product_into(acc, repack(a), repack(b), sign)
+    return not acc
 
 
 def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:

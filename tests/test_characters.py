@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import characters
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
-                        Y, vk, Y_FAM, ONE, ZERO, poly_sum)
+                        Y, vk, Y_FAM, ONE, ZERO, poly_sum, product_sum,
+                        product_sum_vanishes)
 from qchar.characters import (_row_sum, fundamental_poly, row_poly, h_poly,
                               hook_jacobi_trudi, det, pfaffian,
                               tam_jacobi_trudi, tnm_pfaffian, rect_poly,
@@ -155,6 +157,33 @@ def test_hook_determinant_matches_recursion():
 def test_tsystem_rank2():
     rep = verify_tsystem(2, 2, 2)
     assert rep.ok, [c for c in rep.checks if not c["ok"]]
+
+
+def _drop_first_term(p):
+    mono, c = next(p.terms())
+    return p - LaurentPoly.monomial(c, dict(mono))
+
+
+@pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
+def test_tsystem_mutants_fail(n, m_max, monkeypatch):
+    # record every relation's (sign, A, B) triples instead of testing them
+    relations = []
+    monkeypatch.setattr(characters, "_bilinear_zero",
+                        lambda triples: relations.append(list(triples)))
+    checks = verify_tsystem(n, m_max).checks
+    assert len(relations) == len(checks) > 0
+    for name, triples in zip((c["identity"] for c in checks), relations):
+        (s0, a0, b0), (s1, a1, b1) = triples[:2]
+        mutants = {
+            "half-unit shift": [(s0, a0.shift(1), b0)] + triples[1:],
+            "dropped term": [(s0, a0, _drop_first_term(b0))] + triples[1:],
+            "flipped sign": [triples[0], (-s1, a1, b1)] + triples[2:],
+        }
+        assert product_sum_vanishes(triples), name
+        assert product_sum(triples).is_zero, name
+        for kind, bad in mutants.items():
+            assert not product_sum_vanishes(bad), (name, kind)
+            assert not product_sum(bad).is_zero, (name, kind)
 
 
 def test_tt_tq_rank2():

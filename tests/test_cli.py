@@ -246,13 +246,16 @@ def test_suite_without_checks_fails(capsys):
 
 def test_output_independent_of_hash_seed():
     # Packed monomial slots are interned in the order one process meets
-    # its variables; no output may depend on that order or on the hash
-    # seed, which the in-process determinism checks cannot vary.  Nor may
-    # it change under -O, which strips assert statements.
+    # its variables, and the T-system zero-tests number their call-local
+    # slots in dict order; no output may depend on either order or on the
+    # hash seed, which the in-process determinism checks cannot vary.  Nor
+    # may it change under -O, which strips assert statements.
     src = str(Path(__file__).parents[1] / "src")
     for args in (["character", "--rank", "2", "--rect", "2", "2"],
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
-                  "--order", "8", "--format", "json"]):
+                  "--order", "8", "--format", "json"],
+                 ["verify", "tsystem", "--rank", "2"],
+                 ["verify", "tsystem", "--rank", "2", "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):
             proc = subprocess.run(

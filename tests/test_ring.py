@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qchar.ring as ring
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
 from qchar.ring import (EXP_MAX, Q_FAM, _format_shift, poly_sum,
-                        product_sum, word_sum)
+                        product_sum, product_sum_vanishes, word_sum)
 
 
 def small_polys():
@@ -416,5 +417,68 @@ def test_product_sum_matches_signed_products(triples):
 
 
 def test_product_sum_exponents_past_digit_range_raise_overflow():
-    with pytest.raises(OverflowError):
-        product_sum([(1, ONE, Y(1, 0)), (-1, Y(2, 1), Y(1, 0, EXP_MAX))])
+    for total in (product_sum, product_sum_vanishes):
+        with pytest.raises(OverflowError):
+            total([(1, ONE, Y(1, 0)), (-1, Y(2, 1), Y(1, 0, EXP_MAX))])
+
+
+def vanishing_candidates():
+    """Lists of (sign, A, B) triples, several of them built to cancel:
+    A*B - B*A and (A + B)*C - A*C - B*C, with any sign and coefficient."""
+    sign = st.sampled_from((1, -1, 2, -3))
+    poly = st.one_of(small_polys(), tuple_polys().map(packed))
+    plain = st.lists(st.tuples(sign, poly, poly), max_size=2)
+    swap = st.builds(lambda s, a, b: [(s, a, b), (-s, b, a)], sign, poly, poly)
+    spread = st.builds(lambda s, a, b, c: [(s, a + b, c), (-s, a, c),
+                                           (-s, b, c)], sign, poly, poly, poly)
+    return st.lists(st.one_of(plain, swap, spread), max_size=3).map(
+        lambda blocks: sum(blocks, []))
+
+
+@settings(max_examples=120, deadline=None)
+@given(vanishing_candidates())
+def test_product_sum_vanishes_matches_product_sum(triples):
+    assert product_sum_vanishes(triples) == product_sum(triples).is_zero
+
+
+@pytest.mark.parametrize("bound", [1, 3, 4, 7, 8, 15, 16])
+def test_product_sum_vanishes_at_width_edges(bound):
+    def x(e):
+        return Y(1, 0, e) if e else ONE
+
+    # the exponent sum of the first product reaches ``bound`` exactly
+    half = bound // 2
+    k = bound.bit_length()
+    for s in (1, -1):
+        top = [(1, x(s * (bound - half)), x(s * half))]
+        assert product_sum_vanishes(top + [(-1, x(s * bound), ONE)])
+        # one bit narrower, x^(s*bound) and this monomial share a key
+        alias = LaurentPoly.monomial(
+            1, {vk(Y_FAM, 1, 0): s * (bound - 2 ** k), vk(Y_FAM, 2, 0): s})
+        assert not product_sum_vanishes(top + [(-1, alias, ONE)])
+        assert not product_sum(top + [(-1, alias, ONE)]).is_zero
+
+
+def test_product_sum_vanishes_edge_cases():
+    assert product_sum_vanishes([])
+    assert product_sum_vanishes(iter([(1, ONE, ONE), (-1, ONE, ONE)]))
+    assert not product_sum_vanishes([(1, ONE, ONE)])
+    assert product_sum_vanishes([(1, ZERO, Y(1, 0)), (5, Y(2, 1), ZERO)])
+    assert product_sum_vanishes([(2, Y(1, 0), ONE), (-2, ONE, Y(1, 0))])
+    assert not product_sum_vanishes([(2, Y(1, 0), ONE), (-1, ONE, Y(1, 0))])
+
+
+def test_product_sum_vanishes_decodes_each_operand_once(monkeypatch):
+    decoded = []
+    digits = ring._digits
+
+    def counted(key):
+        decoded.append(key)
+        return digits(key)
+
+    monkeypatch.setattr(ring, "_digits", counted)
+    a = Y(1, 0) + 2 * Y(2, 1, -1)
+    b = Y(1, 2) - Y(3, -1) + Y(2, 0)
+    assert product_sum_vanishes([(1, a, b), (-1, b, a), (3, a, a),
+                                 (-3, a, a)])
+    assert len(decoded) == a.n_terms + b.n_terms
