@@ -28,12 +28,11 @@ so keys grow with all the variables a process has met.  The zero-test
 ``product_sum_vanishes`` repacks: with B the largest product bound of
 its triples (checked as above), every exponent of every operand and
 product fits one balanced w-bit digit, w = bit_length(B) + 1.  Each
-distinct operand is decoded once and rewritten at that width over this
-call's own slots, numbered in first use.  That map is injective and
-additive on every monomial that can occur, so the sum vanishes iff it
-does on global keys.  Only zero-tests repack: nothing repacked outlives
-the call, and where one operand is small (a fundamental, a DiffOp
-coefficient) the decode costs more than the shorter keys save.
+operand is decoded and rewritten at that width over this call's own
+slots, numbered in first use.  That map is injective and additive on
+every monomial that can occur, so the sum vanishes iff it does on
+global keys.  Only zero-tests repack, and nothing repacked outlives the
+call: every other caller needs the resulting polynomial on global keys.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -508,22 +507,15 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
 def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     """Whether ``product_sum(triples)`` is zero, decided on keys repacked
     for this call only (see "Local packing" in the module docstring)."""
-    triples = list(triples)  # keeps every operand, and so its id, alive
+    triples = list(triples)
     w = max((_product_bound(a, b) for _, a, b in triples),
             default=0).bit_length() + 1
     place: dict = {}  # global slot -> w * local slot, in first-use order
-    local: dict = {}  # id(operand) -> its terms on local keys
 
     def repack(p: LaurentPoly) -> dict:
-        t = local.get(id(p))
-        if t is None:
-            t = local[id(p)] = {}
-            for key, c in p._t.items():
-                k = 0
-                for s, e in zip(*_digits(key)):
-                    k += e << place.setdefault(s, w * len(place))
-                t[k] = c
-        return t
+        return {sum(e << place.setdefault(s, w * len(place))
+                    for s, e in zip(*_digits(k))): c
+                for k, c in p._t.items()}
 
     acc: dict = {}
     for sign, a, b in triples:
