@@ -192,8 +192,7 @@ def verify_bd_screening(algebra: AlgebraSpec, order: int) -> list:
     """S_a applied coefficientwise to the truncated series operator, one
     kernel report per node."""
     L = build_series_L(algebra, order)
-    return screen_operator_all(L, CartanData(algebra),
-                               target=f"{algebra.series}-series operator")
+    return screen_operator_all(L, CartanData(algebra))
 
 
 def verify_block_lemmas(algebra: AlgebraSpec) -> RelationReport:

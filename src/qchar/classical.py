@@ -151,9 +151,6 @@ class PointReport:
     def ok(self) -> bool:
         return all(c["ok"] for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checks": self.checks}
-
 
 def verify_pieri(n: int, p_max: int, seed: int, n_points: int = 5) -> PointReport:
     """Tensor-by-row rule: chi_{(p-1|0)} chi_{(0|a-1)} equals the sum of

@@ -95,8 +95,11 @@ def _emit(payload: dict, args) -> None:
     else:
         text = payload.get("text", json.dumps(payload, sort_keys=True)) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise UsageError(f"cannot write {args.out}: {e}") from None
     else:
         sys.stdout.write(text)
 
@@ -190,7 +193,7 @@ def _screening(r):
     L = build_L_C(r.rank, "zFactored")
     checks = [{"identity": f"operator kernel under node {rep.node_a}",
                "ok": rep.zero}
-              for rep in screen_operator_all(L, cartan, target="operator")]
+              for rep in screen_operator_all(L, cartan)]
     polys = ([(f"fundamental {b}", characters.fundamental_poly, b)
               for b in range(1, r.rank + 1)]
              + [(f"row {m}", characters.row_poly, m)

@@ -88,7 +88,6 @@ def in_kernel(a: int, p: LaurentPoly, cartan: CartanData) -> bool:
 
 @dataclass
 class KernelReport:
-    target: str
     node_a: int
     per_degree: list = field(default_factory=list)
 
@@ -96,27 +95,20 @@ class KernelReport:
     def zero(self) -> bool:
         return all(d["residual_term_count"] == 0 for d in self.per_degree)
 
-    def to_json(self) -> dict:
-        return {"target": self.target, "node_a": self.node_a,
-                "per_degree": self.per_degree, "zero": self.zero}
 
-
-def screen_operator(a: int, op: DiffOp, cartan: CartanData,
-                    target: str = "operator") -> KernelReport:
+def screen_operator(a: int, op: DiffOp, cartan: CartanData) -> KernelReport:
     """Apply S_a coefficientwise to a difference operator with
     Y-variable coefficients and report residuals per D-degree."""
-    reps = screen_operator_all(op, cartan, target)
+    reps = screen_operator_all(op, cartan)
     if not 1 <= a <= len(reps):
         raise ValueError(f"node out of range: {a}")
     return reps[a - 1]
 
 
-def screen_operator_all(op: DiffOp, cartan: CartanData,
-                        target: str = "operator") -> list:
+def screen_operator_all(op: DiffOp, cartan: CartanData) -> list:
     """``screen_operator`` for every node, screening each coefficient
     once; one KernelReport per node in node order."""
-    reps = [KernelReport(target=target, node_a=a)
-            for a in range(1, cartan.algebra.n + 1)]
+    reps = [KernelReport(node_a=a) for a in range(1, cartan.algebra.n + 1)]
     for deg in sorted(op.coeffs):
         res = screen_all(op.coeff(deg), cartan)
         for rep in reps:

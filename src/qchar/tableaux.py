@@ -20,18 +20,23 @@ from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
 # admissibility
 # ---------------------------------------------------------------------
 
-def pair_ok(t: tuple, n: int) -> bool:
-    """Check the column condition: whenever t_k = c and t_l = cbar
-    (1-based k < l), n + k - l >= c must hold."""
-    for k in range(len(t)):
-        if is_barred(t[k], n):
+def _breaking_pairs(t: tuple, n: int):
+    """(c, gap) for every pair t_k = c, t_l = cbar (k < l) that breaks
+    the column condition n + k - l >= c; gap = l - k - 1 letters lie
+    between the two entries."""
+    for k, c in enumerate(t):
+        if is_barred(c, n):
             continue
-        c = t[k]
         cb = bar(c, n)
         for l in range(k + 1, len(t)):
-            if t[l] == cb and n + (k + 1) - (l + 1) < c:
-                return False
-    return True
+            if t[l] == cb and n + k - l < c:
+                yield c, l - k - 1
+
+
+def pair_ok(t: tuple, n: int) -> bool:
+    """Check the column condition: whenever t_k = c and t_l = cbar
+    (k < l), n + k - l >= c must hold."""
+    return not any(_breaking_pairs(t, n))
 
 
 def strictly_increasing(t: tuple) -> bool:
@@ -129,7 +134,7 @@ def weight_sum(words, table: VariableTable, halves: list,
         positions = [{c: table.z(c, h) for c in range(1, 2 * n + 1)}
                      for h in halves]
     elif convention == "X":
-        positions = [{c: table.x(c, h, rep="Q") for c in range(1, 2 * n + 3)}
+        positions = [{c: table.x(c, h) for c in range(1, 2 * n + 3)}
                      for h in halves]
     else:
         raise ValueError(f"unknown convention {convention!r}")
@@ -148,17 +153,16 @@ def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
 # the pair-lowering maps tau_b / sigma_b
 # ---------------------------------------------------------------------
 
-def _matched_pairs(t: tuple, n: int, c: int,
-                   gap: int) -> list[tuple[int, int]]:
-    """Positions (k, l), 0-based, of (c, cbar) pairs separated by
-    exactly gap letters."""
+def _move_pairs(t: tuple, n: int, c: int, to: int, gap: int) -> tuple:
+    """Replace every (c, cbar) pair separated by exactly gap letters
+    with (to, tobar)."""
     cb = bar(c, n)
-    out = []
-    for k, v in enumerate(t):
+    out = list(t)
+    for k in range(len(t) - gap - 1):
         l = k + gap + 1
-        if v == c and l < len(t) and t[l] == cb:
-            out.append((k, l))
-    return out
+        if t[k] == c and t[l] == cb:
+            out[k], out[l] = to, bar(to, n)
+    return tuple(out)
 
 
 def tau_b(t: tuple, n: int, b: int) -> tuple:
@@ -166,14 +170,7 @@ def tau_b(t: tuple, n: int, b: int) -> tuple:
     (b-1, (b-1)bar); identity when no pair matches."""
     if not (2 <= b <= n):
         raise ValueError(f"b out of range: {b}")
-    pairs = _matched_pairs(t, n, b, n - b + 1)
-    if not pairs:
-        return t
-    out = list(t)
-    for k, l in pairs:
-        out[k] = b - 1
-        out[l] = bar(b - 1, n)
-    return tuple(out)
+    return _move_pairs(t, n, b, b - 1, n - b + 1)
 
 
 def sigma_b(t: tuple, n: int, b: int) -> tuple:
@@ -181,14 +178,7 @@ def sigma_b(t: tuple, n: int, b: int) -> tuple:
     (b, bbar); inverse step of tau_b."""
     if not (3 <= b <= n):
         raise ValueError(f"b out of range: {b}")
-    pairs = _matched_pairs(t, n, b - 1, n - b + 1)
-    if not pairs:
-        return t
-    out = list(t)
-    for k, l in pairs:
-        out[k] = b
-        out[l] = bar(b, n)
-    return tuple(out)
+    return _move_pairs(t, n, b - 1, b, n - b + 1)
 
 
 # ---------------------------------------------------------------------
@@ -230,68 +220,6 @@ def in_W(t: tuple, n: int) -> bool:
     return strictly_increasing(t) and not pair_ok(t, n)
 
 
-def in_Vlm_b(t: tuple, n: int, b: int, l: int, m: int) -> bool:
-    """Exact predicate for the graded subsets of V used in the descent
-    analysis: l copies of b, m copies of bbar, with the position and
-    partial-admissibility conditions (A), (B), (C)."""
-    if not (2 <= b <= n):
-        return False
-    if (l, m) == (0, 0) or abs(l - m) > 1 or l < 0 or m < 0:
-        return False
-    bb = bar(b, n)
-    if sum(1 for c in t if c == b) != l or sum(1 for c in t if c == bb) != m:
-        return False
-    # split: prefix < b, run of b's, middle strictly between b and bbar,
-    # run of bbar's, suffix > bbar
-    i = 0
-    while i < len(t) and t[i] < b:
-        i += 1
-    pre = t[:i]
-    j = i
-    while j < len(t) and t[j] == b:
-        j += 1
-    if j - i != l:
-        return False
-    k = j
-    while k < len(t) and b < t[k] < bb:
-        k += 1
-    mid = t[j:k]
-    r = k
-    while r < len(t) and t[r] == bb:
-        r += 1
-    if r - k != m:
-        return False
-    suf = t[r:]
-    if any(c <= bb for c in suf):
-        return False
-    if not (strictly_increasing(pre) and strictly_increasing(mid)
-            and strictly_increasing(suf)):
-        return False
-    beta = len(mid)
-    # (B): the column condition restricted to the middle segment
-    for rr in range(beta):
-        d = mid[rr]
-        if is_barred(d, n) or not (b < d <= n):
-            continue
-        db = bar(d, n)
-        for ss in range(rr + 1, beta):
-            if mid[ss] == db and n + (rr + 1) - (ss + 1) < d:
-                return False
-    # (C): one of the four run-length patterns
-    c1 = l == m >= 1 and l + beta == n - b + 1
-    c2 = l == m >= 1 and l + beta == n - b + 2
-    c3 = l == m + 1 >= 1 and l + beta == n - b + 2
-    c4 = l == m - 1 >= 0 and l + beta == n - b + 1
-    return c1 or c2 or c3 or c4
-
-
-def in_V_b(t: tuple, n: int, b: int) -> bool:
-    bb = bar(b, n)
-    l = sum(1 for c in t if c == b)
-    m = sum(1 for c in t if c == bb)
-    return in_Vlm_b(t, n, b, l, m)
-
-
 # ---------------------------------------------------------------------
 # the full descent map and its inverse
 # ---------------------------------------------------------------------
@@ -324,19 +252,7 @@ def maximal_breaking_pair(t: tuple, n: int) -> tuple[int, int]:
     the letter count between the two entries."""
     if not in_W(t, n):
         raise ValueError(f"tableau not in W: {t}")
-    best = None
-    for k in range(len(t)):
-        c = t[k]
-        if is_barred(c, n):
-            continue
-        cb = bar(c, n)
-        for l in range(k + 1, len(t)):
-            if t[l] == cb and n + (k + 1) - (l + 1) < c:
-                if best is None or c > best[0]:
-                    best = (c, l - k - 1)
-    if best is None:
-        raise AssertionError(f"no breaking pair in {t}")
-    return best
+    return max(_breaking_pairs(t, n))
 
 
 def sigma_full(s: tuple, n: int) -> tuple:
@@ -355,9 +271,6 @@ def sigma_full(s: tuple, n: int) -> tuple:
 
 @dataclass
 class CancellationReport:
-    n: int
-    a: int
-    x_term_count: int = 0
     admissible_count: int = 0
     x_equals_admissible: bool = False
     mixed_groups_cancel: bool = False
@@ -369,22 +282,13 @@ class CancellationReport:
         return (self.x_equals_admissible and self.mixed_groups_cancel
                 and self.bijection_ok)
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "a": self.a,
-                "x_term_count": self.x_term_count,
-                "admissible_count": self.admissible_count,
-                "x_equals_admissible": self.x_equals_admissible,
-                "mixed_groups_cancel": self.mixed_groups_cancel,
-                "bijection_ok": self.bijection_ok,
-                "failures": self.failures, "ok": self.ok}
-
 
 def verify_cancellation(n: int, a: int) -> CancellationReport:
     """Three independent confirmations that the signed x-sum collapses
     to the admissible column sum."""
     if not (1 <= a <= n):
         raise ValueError(f"a out of range: {a}")
-    rep = CancellationReport(n=n, a=a)
+    rep = CancellationReport()
     table = VariableTable(AlgebraSpec("C", n))
     cartan = table.cartan
 
@@ -396,7 +300,6 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
                        table, halves, "X")
     columns = gen_column_tableaux(n, a)
     zsum_q = weight_sum(columns, table, halves).to_q(cartan)
-    rep.x_term_count = xsum.n_terms
     rep.admissible_count = len(columns)
     rep.x_equals_admissible = xsum == zsum_q
     if not rep.x_equals_admissible:
@@ -422,6 +325,7 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
             if not in_W(img, n):
                 rep.bijection_ok = False
                 rep.failures.append(f"image not in W: {t} -> {img}")
+                continue  # sigma_full and the breaking pair need W
             if sigma_full(img, n) != t:
                 rep.bijection_ok = False
                 rep.failures.append(f"inverse failed at {t}")

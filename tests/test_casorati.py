@@ -213,8 +213,8 @@ def test_suite_rank2():
 
 
 def test_suite_deterministic():
-    a = run_suite(2, seed=11).to_json()
-    b = run_suite(2, seed=11).to_json()
+    a = run_suite(2, seed=11).checks
+    b = run_suite(2, seed=11).checks
     assert a == b
 
 
@@ -285,8 +285,8 @@ def test_skew_on_basis_fails_on_mutated_alphabet(basis2, monkeypatch,
     assert all(c["ok"] for c in _checks(*args))
     x = VariableTable.x
 
-    def mutant(self, i, half=0, rep="Q"):
-        p = x(self, i, half, rep)
+    def mutant(self, i, half=0):
+        p = x(self, i, half)
         return mutate(p) if i == letter else p
     monkeypatch.setattr(VariableTable, "x", mutant)
     checks = _checks(*args)

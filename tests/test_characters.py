@@ -217,7 +217,6 @@ def test_builders_match_per_letter_products(n):
         assert row_poly(n, m) == poly_sum(
             per_letter_weight(t, table.z, halves)
             for t in gen_row_tableaux(n, m))
-    x_q = lambda c, h: table.x(c, h, rep="Q")
     for a in range(1, n + 1):
         cols = gen_column_tableaux(n, a)
         assert fundamental_poly(n, a) == poly_sum(
@@ -230,7 +229,7 @@ def test_builders_match_per_letter_products(n):
                         == per_letter_weight(t, table.z, halves))
             for t in gen_x_tableaux(n, a):
                 assert (tableau_weight(t, table, "X", base)
-                        == per_letter_weight(t, x_q, halves))
+                        == per_letter_weight(t, table.x, halves))
     with pytest.raises(ValueError, match="convention"):
         tableau_weight((1,), table, "W")
 

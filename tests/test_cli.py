@@ -128,6 +128,15 @@ def test_bad_config_line(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["character", "--rank", "2", "--fundamental", "1"],
+    ["verify", "cancellation", "--rank", "2"]])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    code, _, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert code == 2 and err.startswith(f"error: cannot write {out}")
+
+
 def test_operator_command(capsys):
     code, out, _ = run_cli(["operator", "--rank", "2", "--form",
                             "zFactored"], capsys)

@@ -1,14 +1,16 @@
 """Column/row tableau generation, the descent map, and cancellation."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.ring import AlgebraSpec, VariableTable, bar
+from qchar import tableaux
+from qchar.ring import AlgebraSpec, VariableTable, bar, is_barred
 from qchar.tableaux import (pair_ok, gen_column_tableaux, gen_row_tableaux,
                             gen_x_tableaux, tableau_weight, gen_V, gen_W,
-                            in_V, in_W, in_V_b, tau_full, sigma_full,
+                            in_V, in_W, tau_full, sigma_full, tau_b, sigma_b,
                             descent_chain, maximal_breaking_pair,
                             verify_cancellation, tableau_text)
 
@@ -112,7 +114,6 @@ def test_v_w_membership_predicates():
     W = set(gen_W(n, 3))
     assert all(in_V(t, n) for t in V)
     assert all(in_W(t, n) for t in W)
-    assert not (V & W) or all(in_V_b(t, n, n) for t in V)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -123,11 +124,97 @@ def test_cancellation_small_ranks(n):
         assert rep.x_equals_admissible and rep.mixed_groups_cancel
 
 
-def test_report_serialization():
-    rep = verify_cancellation(2, 2)
-    js = rep.to_json()
-    assert js["ok"] and js["n"] == 2 and js["a"] == 2
-
-
 def test_tableau_text_uses_bars():
     assert tableau_text((1, 2, 3, 4), 2) == "1 2 2~ 1~"
+
+
+# Reference loops: each rule written out with its own scan, independent
+# of the library's shared `_breaking_pairs` scan and `_move_pairs` move.
+
+def pair_ok_oracle(t, n):
+    for k in range(len(t)):
+        if is_barred(t[k], n):
+            continue
+        c = t[k]
+        cb = bar(c, n)
+        for l in range(k + 1, len(t)):
+            if t[l] == cb and n + (k + 1) - (l + 1) < c:
+                return False
+    return True
+
+
+def maximal_breaking_pair_oracle(t, n):
+    best = None
+    for k in range(len(t)):
+        c = t[k]
+        if is_barred(c, n):
+            continue
+        cb = bar(c, n)
+        for l in range(k + 1, len(t)):
+            if t[l] == cb and n + (k + 1) - (l + 1) < c:
+                if best is None or c > best[0]:
+                    best = (c, l - k - 1)
+    return best
+
+
+def _matched_pairs(t, n, c, gap):
+    cb = bar(c, n)
+    out = []
+    for k, v in enumerate(t):
+        l = k + gap + 1
+        if v == c and l < len(t) and t[l] == cb:
+            out.append((k, l))
+    return out
+
+
+def _replace_pairs(t, n, pairs, to):
+    out = list(t)
+    for k, l in pairs:
+        out[k] = to
+        out[l] = bar(to, n)
+    return tuple(out)
+
+
+def tau_b_oracle(t, n, b):
+    return _replace_pairs(t, n, _matched_pairs(t, n, b, n - b + 1), b - 1)
+
+
+def sigma_b_oracle(t, n, b):
+    return _replace_pairs(t, n, _matched_pairs(t, n, b - 1, n - b + 1), b)
+
+
+def _oracle_words(n):
+    """Every strictly increasing word over 1..2n (the words of V and W
+    among them) and every descent-chain step from V."""
+    words = set()
+    for a in range(2 * n + 1):
+        words.update(combinations(range(1, 2 * n + 1), a))
+    for a in range(1, n + 1):
+        for t in gen_V(n, a):
+            words.update(descent_chain(t, n)[0])
+    return sorted(words)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_shared_rules_match_reference_loops(n):
+    for t in _oracle_words(n):
+        assert pair_ok(t, n) == pair_ok_oracle(t, n), t
+        if in_W(t, n):
+            assert maximal_breaking_pair(t, n) == \
+                maximal_breaking_pair_oracle(t, n), t
+        for b in range(2, n + 1):
+            assert tau_b(t, n, b) == tau_b_oracle(t, n, b), (t, b)
+        for b in range(3, n + 1):
+            assert sigma_b(t, n, b) == sigma_b_oracle(t, n, b), (t, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_bijection_check_catches_a_misplaced_pair_move(n, monkeypatch):
+    # moving pairs one letter too far apart must break the descent
+    # bijection that verify_cancellation certifies
+    move = tableaux._move_pairs
+    monkeypatch.setattr(tableaux, "_move_pairs",
+                        lambda t, rank, c, to, gap:
+                        move(t, rank, c, to, gap + 1))
+    assert any(not verify_cancellation(n, a).bijection_ok
+               for a in range(3, n + 1))
