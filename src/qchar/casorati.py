@@ -304,9 +304,7 @@ def verify_toda_solution(n: int, m_max: int, basis: TriangularBasis,
         rep.add(f"long-node odd dual ratio m={m}", ok)
 
 
-# ---------------------------------------------------------------------
-# ninth-variation skew Schur identities
-# ---------------------------------------------------------------------
+# --- ninth-variation skew Schur identities ----------------------------
 
 def mu_from_indices(indices: tuple) -> list:
     """Partition mu with mu_j = i_{N-j} + j - N from strictly increasing

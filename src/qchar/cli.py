@@ -94,14 +94,23 @@ def _emit(payload: dict, args) -> None:
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = payload.get("text", json.dumps(payload, sort_keys=True)) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise UsageError(f"cannot write {args.out}: {e}") from None
+    if args.out:  # writable: main checked it before the run
+        with open(args.out, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when ``path`` cannot be written, leaving a
+    file that is there as it was."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from None
+    if not existed:
+        os.remove(path)
 
 
 # --- character command ------------------------------------------------
@@ -417,6 +426,8 @@ def main(argv=None) -> int:
             raise UsageError("--jobs must be at least 1")
         args._config_values = (_read_config(args.config)
                                if args.config else {})
+        if args.out:
+            _check_out(args.out)
         return _DISPATCH[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -151,9 +151,7 @@ def prod(ops: list[DiffOp]) -> DiffOp:
     return out
 
 
-# ---------------------------------------------------------------------
-# The factorized C-series operator and its partial products.
-# ---------------------------------------------------------------------
+# --- The factorized C-series operator and its partial products. -------
 
 L_FORMS = ("zFactored", "zReversed", "xFactored", "xReversed")
 

@@ -17,28 +17,25 @@ weights) that way: one int add per letter, no polynomial per letter.
 Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
-sums, the sum under products, the sum of the per-position maxima under
-``word_sum`` and twice the bound under ``to_q`` and ``q_euler_parts``
+sums, the sum under products, the sum of the per-position exact maxima
+under ``word_sum``, twice the bound under ``to_q`` and ``q_euler_parts``
 (which send at most two Y exponents to each Q variable).  When a bound
 passes EXP_MAX it is first replaced by the exact maxima of the operands;
 only if those still pass does the operation raise OverflowError.
 
 Local packing.  A key carries 16 bits for every slot up to its highest,
 so keys grow with all the variables a process has met.  The zero-test
-``product_sum_vanishes`` repacks: with B the largest product bound of
-its triples (checked as above), every exponent of every operand and
-product fits one balanced w-bit digit, w = bit_length(B) + 1.  Each
-operand is decoded and rewritten at that width over this call's own
-slots, numbered in first use.  That map is injective and additive on
-every monomial that can occur, so the sum vanishes iff it does on
-global keys.  Only zero-tests repack, and nothing repacked outlives the
-call.  The tt-tq convolutions are zero-tests too but keep global keys:
-one operand is a fundamental character of at most 14 terms, so each
-decoded key serves only 6 to 7 term pairs, and repacking doubled their
-time.  At rank 3, to m = 11 they took 1.12-1.33 s through
-``product_sum_vanishes`` against 0.51-0.71 s through ``product_sum``
-(three runs each), and to m = 16, 14.5-15.4 s against 7.1-8.1 s (two
-runs each), on a 2-core Xeon under KVM, Python 3.11.7.
+``product_sum_vanishes`` therefore packs into one frame of its own.  Its
+slots are the *shifted* variables the call meets, numbered in first use,
+and each holds one balanced w-bit digit, w = bit_length(B) + 1, where B
+is the largest product bound, found by the guards above before any key
+is packed.  An operand ``(p, half)`` stands for p.shift(half): the shift
+is folded into the repack, so each key is decoded once.  A ``Words``
+operand repacks its single-term templates at each position's shift, and
+``word_sum``'s loop then builds the shifted row on short keys, so
+nothing large is decoded.  The map is injective and additive on every
+monomial that can occur, so the sum vanishes iff it does on global keys.
+Nothing packed in a frame outlives the call.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -62,7 +59,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 from math import prod
-from typing import Iterable, Iterator
+from operator import lshift
+from typing import Iterable, Iterator, NamedTuple
 
 Y_FAM, Q_FAM = 0, 1
 FAM_NAMES = {Y_FAM: "Y", Q_FAM: "Q"}
@@ -510,58 +508,81 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
     return LaurentPoly._make(out, bound)
 
 
-def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
-    """Whether ``product_sum(triples)`` is zero, decided on keys repacked
-    for this call only (see "Local packing" in the module docstring)."""
-    triples = list(triples)
-    w = max((_product_bound(a, b) for _, a, b in triples),
-            default=0).bit_length() + 1
-    place: dict = {}  # global slot -> w * local slot, in first-use order
+class Words(NamedTuple):
+    """A row operand of ``product_sum_vanishes``: the sum over ``words``
+    of prod_k templates[word[k]].shift(halves[k]), where every template
+    is a single term."""
 
-    def repack(p: LaurentPoly) -> dict:
-        return {sum(e << place.setdefault(s, w * len(place))
-                    for s, e in zip(*_digits(k))): c
-                for k, c in p._t.items()}
+    templates: dict
+    halves: list
+    words: list
+
+
+def _frame_bound(a, b) -> int:
+    """``_product_bound`` of two operands of ``product_sum_vanishes``;
+    a ``Words`` operand is bounded as ``word_sum`` bounds it."""
+    a, b = (x if isinstance(x, (LaurentPoly, Words)) else x[0]
+            for x in (a, b))
+    if isinstance(a, Words) or isinstance(b, Words):
+        return _checked(sum(_letters(x.templates)[2] * len(x.halves)
+                            if isinstance(x, Words) else _exact_bound(x._t)
+                            for x in (a, b)))
+    return _product_bound(a, b)
+
+
+def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
+    """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
+    in one frame of this call (see "Local packing" in the module
+    docstring).  An operand is a LaurentPoly p, a pair (p, half) for
+    p.shift(half), or ``Words``."""
+    triples = list(triples)
+    w = max((_frame_bound(a, b) for _, a, b in triples),
+            default=0).bit_length() + 1
+    place: dict = {}  # shifted VarKey -> w * local slot, in first-use order
+    at: dict = {}     # half -> {global slot: offset of it shifted by half}
+
+    def key(k: int, half: int) -> int:
+        off = at.setdefault(half, {})
+        slots, exps = _digits(k)
+        for s in slots:
+            if s not in off:
+                f, i, h = _VAR[s]
+                off[s] = place.setdefault((f, i, h + half), w * len(place))
+        return sum(map(lshift, exps, map(off.__getitem__, slots)))
+
+    def pack(x) -> dict:
+        if isinstance(x, Words):
+            keys, coeffs, _ = _letters(x.templates)
+            return _words_into([{c: key(k, h) for c, k in keys.items()}
+                                for h in x.halves],
+                               [coeffs] * len(x.halves), x.words)
+        p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+        return {key(k, half): c for k, c in p._t.items()}
 
     acc: dict = {}
     for sign, a, b in triples:
-        _product_into(acc, repack(a), repack(b), sign)
+        _product_into(acc, pack(a), pack(b), sign)
     return not acc
 
 
-def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
-    """Sum over ``words`` of prod_k positions[k][word[k]].
+def _letters(templates: dict) -> tuple[dict, dict, int]:
+    """The packed key and the coefficient of each single-term template,
+    and the largest |exponent| among them."""
+    keys, coeffs = {}, {}
+    for letter, p in templates.items():
+        if len(p._t) != 1:
+            raise ValueError(f"template for letter {letter!r} has "
+                             f"{len(p._t)} terms, not one")
+        (keys[letter], coeffs[letter]), = p._t.items()
+    return keys, coeffs, _exact_bound(keys.values())
 
-    ``positions[k]`` maps each letter that may stand at position k to a
-    single-term template.  A word's product is one int add per letter on
-    the packed keys and its coefficient the product of the templates'
-    coefficients; the sum is accumulated in place in one dict.  Every
-    word must have length ``len(positions)``.
-    """
-    keys, coeffs = [], []
-    unit = True
-    bound = 0
-    for pos in positions:
-        kmap, cmap, b = {}, {}, 0
-        for letter, p in pos.items():
-            if len(p._t) != 1:
-                raise ValueError(f"template for letter {letter!r} has "
-                                 f"{len(p._t)} terms, not one")
-            (kmap[letter], c), = p._t.items()
-            cmap[letter] = c
-            unit = unit and c == 1
-            b = max(b, p._b)
-        keys.append(kmap)
-        coeffs.append(cmap)
-        bound += b
-    if bound > EXP_MAX:
-        bound = sum(max((_exact_bound(p._t) for p in pos.values()), default=0)
-                    for pos in positions)
-        if bound > EXP_MAX:
-            raise OverflowError(
-                f"products of exponents summing to {bound} could overflow "
-                f"packed digits (|e| <= {EXP_MAX})")
-    length = len(positions)
+
+def _words_into(keys: list, coeffs: list, words: Iterable[tuple]) -> dict:
+    """Raw terms of the sum over ``words`` of the products of their
+    letters, the k-th with key keys[k][letter] and coefficient
+    coeffs[k][letter]: one int add per letter, summed in one dict."""
+    length = len(keys)
+    unit = all(c == 1 for cmap in coeffs for c in cmap.values())
     pick = dict.__getitem__
     out: dict = {}
     get = out.get
@@ -574,7 +595,28 @@ def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
             out[k] = s
         else:
             del out[k]
-    return LaurentPoly._make(out, bound)
+    return out
+
+
+def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
+    """Sum over ``words`` of prod_k positions[k][word[k]].
+
+    ``positions[k]`` maps each letter that may stand at position k to a
+    single-term template.  A word's product is one int add per letter on
+    the packed keys and its coefficient the product of the templates'
+    coefficients.  Every word must have length ``len(positions)``.
+    """
+    keys, coeffs, bounds = list(zip(*map(_letters, positions))) or [()] * 3
+    return LaurentPoly._make(_words_into(keys, coeffs, words),
+                             _checked(sum(bounds)))
+
+
+def _checked(bound: int) -> int:
+    """``bound``, or OverflowError when it passes EXP_MAX."""
+    if bound > EXP_MAX:
+        raise OverflowError(f"products of exponents summing to {bound} "
+                            f"could overflow packed digits (|e| <= {EXP_MAX})")
+    return bound
 
 
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:

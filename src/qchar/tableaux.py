@@ -9,16 +9,14 @@ tuples of letter codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
                    letter_text, word_sum)
 
 
-# ---------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------
+# --- admissibility ----------------------------------------------------
 
 def _breaking_pairs(t: tuple, n: int):
     """(c, gap) for every pair t_k = c, t_l = cbar (k < l) that breaks
@@ -43,9 +41,7 @@ def strictly_increasing(t: tuple) -> bool:
     return all(t[i] < t[i + 1] for i in range(len(t) - 1))
 
 
-# ---------------------------------------------------------------------
-# enumeration
-# ---------------------------------------------------------------------
+# --- enumeration ------------------------------------------------------
 
 def gen_column_tableaux(n: int, a: int) -> list[tuple]:
     """Strictly increasing admissible columns of length a; their count
@@ -74,39 +70,15 @@ def gen_row_tableaux(n: int, m: int) -> list[tuple]:
         raise ValueError("row length must be >= 0")
     nb = bar(n, n)
     out: list[tuple] = []
-
-    def plains(r: int):
-        if r == 0:
-            yield ()
-            return
-        for t in _weak(n, r, 1, n):
-            yield t
-
-    def bars(s: int):
-        if s == 0:
-            yield ()
-            return
-        for t in _weak(n, s, nb, 2 * n):
-            yield t
-
     for k in range(0, m // 2 + 1):
         mid = (nb, n) * k
         for r in range(0, m - 2 * k + 1):
-            s = m - 2 * k - r
-            for left in plains(r):
-                for right in bars(s):
-                    out.append(left + mid + right)
+            rights = list(combinations_with_replacement(
+                range(nb, 2 * n + 1), m - 2 * k - r))
+            out.extend(left + mid + right for left in
+                       combinations_with_replacement(range(1, n + 1), r)
+                       for right in rights)
     return out
-
-
-def _weak(n: int, length: int, lo: int, hi: int):
-    """Weakly increasing words of a given length over [lo, hi]."""
-    if length == 0:
-        yield ()
-        return
-    for c in range(lo, hi + 1):
-        for rest in _weak(n, length - 1, c, hi):
-            yield (c,) + rest
 
 
 def gen_x_tableaux(n: int, a: int) -> list[tuple]:
@@ -117,9 +89,7 @@ def gen_x_tableaux(n: int, a: int) -> list[tuple]:
     return list(combinations(range(1, N + 1), a))
 
 
-# ---------------------------------------------------------------------
-# weights
-# ---------------------------------------------------------------------
+# --- weights ----------------------------------------------------------
 
 def weight_sum(words, table: VariableTable, halves: list,
                convention: str = "Z") -> LaurentPoly:
@@ -129,16 +99,12 @@ def weight_sum(words, table: VariableTable, halves: list,
     Convention 'Z' reads letters from the barred alphabet (Y-variables),
     'X' from the x-alphabet (Q-variables, middle letters signed).
     """
-    n = table.n
-    if convention == "Z":
-        positions = [{c: table.z(c, h) for c in range(1, 2 * n + 1)}
-                     for h in halves]
-    elif convention == "X":
-        positions = [{c: table.x(c, h) for c in range(1, 2 * n + 3)}
-                     for h in halves]
-    else:
+    if convention not in ("Z", "X"):
         raise ValueError(f"unknown convention {convention!r}")
-    return word_sum(positions, words)
+    template, top = ((table.z, 2 * table.n) if convention == "Z"
+                     else (table.x, 2 * table.n + 2))
+    return word_sum([{c: template(c, h) for c in range(1, top + 1)}
+                     for h in halves], words)
 
 
 def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
@@ -149,9 +115,7 @@ def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
                       convention)
 
 
-# ---------------------------------------------------------------------
-# the pair-lowering maps tau_b / sigma_b
-# ---------------------------------------------------------------------
+# --- the pair-lowering maps tau_b / sigma_b ---------------------------
 
 def _move_pairs(t: tuple, n: int, c: int, to: int, gap: int) -> tuple:
     """Replace every (c, cbar) pair separated by exactly gap letters
@@ -181,9 +145,7 @@ def sigma_b(t: tuple, n: int, b: int) -> tuple:
     return _move_pairs(t, n, b - 1, b, n - b + 1)
 
 
-# ---------------------------------------------------------------------
-# the sets V and W
-# ---------------------------------------------------------------------
+# --- the sets V and W -------------------------------------------------
 
 def gen_V(n: int, a: int) -> list[tuple]:
     """Arrays (i_1 < ... < i_k <= n, n, nbar, j_1 < ... < j_{a-2-k})
@@ -204,25 +166,18 @@ def gen_W(n: int, a: int) -> list[tuple]:
 
 
 def in_V(t: tuple, n: int) -> bool:
-    plains = [c for c in t if not is_barred(c, n)]
-    bars = [c for c in t if is_barred(c, n)]
-    if tuple(t) != tuple(plains + bars):
-        return False
-    if not plains or plains[-1] != n:
-        return False
-    if not bars or bars[0] != bar(n, n):
-        return False
-    return strictly_increasing(tuple(plains[:-1])) and \
-        strictly_increasing(tuple(bars[1:]))
+    t = tuple(t)
+    k = sum(not is_barred(c, n) for c in t)  # t[:k] plain, t[k:] barred
+    return (all(is_barred(c, n) for c in t[k:]) and t[k - 1:k] == (n,)
+            and t[k:k + 1] == (bar(n, n),) and strictly_increasing(t[:k - 1])
+            and strictly_increasing(t[k + 1:]))
 
 
 def in_W(t: tuple, n: int) -> bool:
     return strictly_increasing(t) and not pair_ok(t, n)
 
 
-# ---------------------------------------------------------------------
-# the full descent map and its inverse
-# ---------------------------------------------------------------------
+# --- the full descent map and its inverse -----------------------------
 
 def tau_full(t: tuple, n: int) -> tuple[tuple, int]:
     """Apply tau_n, tau_{n-1}, ... until a step acts trivially; returns
@@ -265,9 +220,7 @@ def sigma_full(s: tuple, n: int) -> tuple:
     return cur
 
 
-# ---------------------------------------------------------------------
-# cancellation verification
-# ---------------------------------------------------------------------
+# --- cancellation verification ----------------------------------------
 
 @dataclass
 class CancellationReport:

@@ -1,13 +1,19 @@
 """Character families: fundamentals, rows, rectangles, hook series."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import characters
+from qchar import characters, ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
-                        Y, vk, Y_FAM, ONE, ZERO, poly_sum, product_sum,
-                        product_sum_vanishes)
-from qchar.characters import (_row_sum, fundamental_poly, row_poly, h_poly,
+                        Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
+                        product_sum, product_sum_vanishes)
+from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
                               hook_jacobi_trudi, det, pfaffian,
                               tam_jacobi_trudi, tnm_pfaffian, rect_poly,
                               verify_tsystem, verify_tt_tq,
@@ -164,6 +170,12 @@ def _drop_first_term(p):
     return p - LaurentPoly.monomial(c, dict(mono))
 
 
+def _poly(operand):
+    """The polynomial a zero-test operand (p or (p, half)) stands for."""
+    return operand.shift(0) if isinstance(operand, LaurentPoly) else (
+        operand[0].shift(operand[1]))
+
+
 @pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
 def test_tsystem_mutants_fail(n, m_max, monkeypatch):
     # record every relation's (sign, A, B) triples instead of testing them
@@ -173,17 +185,49 @@ def test_tsystem_mutants_fail(n, m_max, monkeypatch):
     checks = verify_tsystem(n, m_max).checks
     assert len(relations) == len(checks) > 0
     for name, triples in zip((c["identity"] for c in checks), relations):
-        (s0, a0, b0), (s1, a1, b1) = triples[:2]
+        (s0, (a0, h0), b0), (s1, a1, b1) = triples[:2]
         mutants = {
-            "half-unit shift": [(s0, a0.shift(1), b0)] + triples[1:],
-            "dropped term": [(s0, a0, _drop_first_term(b0))] + triples[1:],
+            "half-unit shift": [(s0, (a0, h0 + 1), b0)] + triples[1:],
+            "dropped term": [(s0, (a0, h0), (_drop_first_term(_poly(b0)),
+                                             0))] + triples[1:],
             "flipped sign": [triples[0], (-s1, a1, b1)] + triples[2:],
         }
         assert product_sum_vanishes(triples), name
-        assert product_sum(triples).is_zero, name
+        assert product_sum((s, _poly(a), _poly(b))
+                           for s, a, b in triples).is_zero, name
         for kind, bad in mutants.items():
             assert not product_sum_vanishes(bad), (name, kind)
-            assert not product_sum(bad).is_zero, (name, kind)
+            assert not product_sum((s, _poly(a), _poly(b))
+                                   for s, a, b in bad).is_zero, (name, kind)
+
+
+def _dropped_word(rows, length):
+    def gen(n, m):
+        words = rows(n, m)
+        return words[1:] if m == length else words
+    return gen
+
+
+@pytest.mark.parametrize("n, m_max", [(2, 4), (3, 3)])
+def test_tt_tq_mutants_fail(n, m_max, monkeypatch):
+    rep = verify_tt_tq(n, m_max)
+    assert rep.ok and len(rep.checks) == 2 * m_max + 3
+    funds, rows = characters.fundamental_poly, characters.gen_row_tableaux
+    mutants = {
+        "dropped term of T^(2)": ("fundamental_poly", lambda k, a: (
+            _drop_first_term(funds(k, a)) if a == 2 else funds(k, a))),
+        "flipped sign of T^(1)": ("fundamental_poly", lambda k, a: (
+            -funds(k, a) if a == 1 else funds(k, a))),
+        "half-unit shift of T^(1)": ("fundamental_poly", lambda k, a: (
+            funds(k, a).shift(1) if a == 1 else funds(k, a))),
+        "dropped row word": ("gen_row_tableaux", _dropped_word(rows, 2)),
+    }
+    for kind, (attr, patched) in mutants.items():
+        with monkeypatch.context() as mp:
+            mp.setattr(characters, attr, patched)
+            checks = verify_tt_tq(n, m_max).checks
+        assert not all(c["ok"] for c in checks
+                       if "convolution" in c["identity"]), kind
 
 
 def test_tt_tq_rank2():
@@ -235,8 +279,65 @@ def test_builders_match_per_letter_products(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_shifted_rows_built_directly(n):
-    for m in range(0, 7):
-        words = gen_row_tableaux(n, m)
-        for d in range(-3, 6):
-            assert _row_sum(n, m, words, d) == row_poly(n, m).shift(d)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 6), st.integers(-6, 8))
+def test_shifted_rows_built_directly(n, m, h):
+    # a row built in a frame from templates at u, repacked at each
+    # position's shift, equals row_poly(n, m).shift(h) repacked there
+    z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
+    row = Words(z, _row_halves(m, h), gen_row_tableaux(n, m))
+    packed = []
+    kernel = ring._product_into
+
+    def record(acc, ta, tb, sign):
+        packed.append(ta)
+        kernel(acc, ta, tb, sign)
+
+    with mock.patch.object(ring, "_product_into", record):
+        assert product_sum_vanishes([(1, row, ONE),
+                                     (-1, (row_poly(n, m), h), ONE)])
+    assert packed[0] == packed[1] and len(packed[0]) == row_poly(n, m).n_terms
+    assert product_sum_vanishes([(1, row, ONE),
+                                 (-1, row_poly(n, m).shift(h), ONE)])
+    if m:
+        assert not product_sum_vanishes([(1, row, ONE),
+                                         (-1, (row_poly(n, m), h + 1), ONE)])
+
+
+_KEY_BITS = """
+import sys
+from qchar import characters, ring
+if sys.argv[1] == "busy":
+    for i in range(300):
+        ring.Y(1, 1000 + i)
+# the Baxter relation keeps global keys, so only the zero-tests count
+inside, top = [False], [0]
+kernel, zero_test = ring._product_into, characters.product_sum_vanishes
+
+def record(acc, ta, tb, sign):
+    if inside[0]:
+        top[0] = max([top[0]] + [k.bit_length() for k in (*ta, *tb)])
+    kernel(acc, ta, tb, sign)
+
+def tested(triples):
+    inside[0] = True
+    try:
+        return zero_test(triples)
+    finally:
+        inside[0] = False
+
+ring._product_into, characters.product_sum_vanishes = record, tested
+assert characters.verify_tt_tq(3, 4).ok
+print(top[0])
+"""
+
+
+def test_tt_tq_keys_independent_of_process_history():
+    # a fresh process, and one that met 300 unrelated variables first:
+    # on global keys the second would carry 16 bits for each of them
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    bits = [int(subprocess.run([sys.executable, "-c", _KEY_BITS, state],
+                               env=env, capture_output=True, text=True,
+                               check=True).stdout)
+            for state in ("fresh", "busy")]
+    assert bits[0] == bits[1] and 0 < bits[0] < 16 * 300

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qchar import casorati
+from qchar import casorati, tableaux
 from qchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +135,32 @@ def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "missing" / "x.txt"
     code, _, err = run_cli(argv + ["--out", str(out)], capsys)
     assert code == 2 and err.startswith(f"error: cannot write {out}")
+
+
+def test_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(tableaux, "verify_cancellation",
+                        lambda n, a: calls.append((n, a)))
+    out = tmp_path / "missing" / "x.txt"
+    code, _, err = run_cli(["verify", "cancellation", "--rank", "2",
+                            "--out", str(out)], capsys)
+    assert code == 2 and err.startswith(f"error: cannot write {out}")
+    assert calls == []
+
+
+def test_out_survives_an_internal_error(tmp_path, monkeypatch):
+    def broken(n, a):
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setattr(tableaux, "verify_cancellation", broken)
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_bytes(b"an earlier report\n")
+    for out in (kept, new):
+        with pytest.raises(RuntimeError):
+            main(["verify", "cancellation", "--rank", "2", "--out", str(out)])
+    # the existing file keeps its bytes; the check leaves no new file
+    assert kept.read_bytes() == b"an earlier report\n"
+    assert not new.exists()
 
 
 def test_operator_command(capsys):

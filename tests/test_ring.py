@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
-from qchar.ring import (EXP_MAX, Q_FAM, _format_shift, poly_sum,
+from qchar.ring import (EXP_MAX, Q_FAM, Words, _format_shift, poly_sum,
                         product_sum, product_sum_vanishes, word_sum)
 
 
@@ -466,3 +466,42 @@ def test_product_sum_vanishes_edge_cases():
     assert product_sum_vanishes([(2, Y(1, 0), ONE), (-2, ONE, Y(1, 0))])
     assert not product_sum_vanishes([(2, Y(1, 0), ONE), (-1, ONE, Y(1, 0))])
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_templates(), st.lists(st.integers(-3, 3), max_size=4),
+       small_polys(), st.integers(-3, 3), st.data())
+def test_words_operands_match_shifted_word_sums(templates, halves, b, d,
+                                                data):
+    word = st.tuples(*(st.sampled_from(sorted(templates)) for _ in halves))
+    words = data.draw(st.lists(word, max_size=10))
+    built = word_sum([{c: t.shift(h) for c, t in templates.items()}
+                      for h in halves], words)
+    row = Words(templates, halves, words)
+    assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
+    assert product_sum_vanishes([(2, row, (b, d)), (-2, b.shift(d), built)])
+    # one operand the other way round decides like product_sum
+    other = product_sum([(1, built, b.shift(d)), (-1, built, b)])
+    assert product_sum_vanishes([(1, row, (b, d)), (-1, built, b)]) == (
+        other.is_zero)
+
+
+def test_words_operand_edges():
+    assert product_sum_vanishes([(1, Words({}, [], [()]), ONE),
+                                 (-1, ONE, ONE)])  # the empty word is 1
+    assert not product_sum_vanishes([(1, Words({1: Y(1)}, [0], [(1,)]),
+                                      ONE)])
+    with pytest.raises(ValueError, match="not one"):
+        product_sum_vanishes([(1, Words({1: Y(1) + Y(2)}, [0], [(1,)]),
+                               ONE)])
+    with pytest.raises(ValueError, match="length 2"):
+        product_sum_vanishes([(1, Words({1: Y(1)}, [0, 1], [(1,)]), ONE)])
+    # the bound is the row's, from its templates, plus the partner's
+    row = Words({1: Y(1, 0, 16384)}, [0, 2], [(1, 1)])
+    with pytest.raises(OverflowError):
+        product_sum_vanishes([(1, row, ONE)])
+    edge = Words({1: Y(1, 0, 16383)}, [0], [(1,)])
+    assert product_sum_vanishes([(1, edge, Y(1, 0, 16384)),
+                                 (-1, Y(1, 0, EXP_MAX), ONE)])
+    with pytest.raises(OverflowError):
+        product_sum_vanishes([(1, edge, (Y(2, 0, 16385), 3))])

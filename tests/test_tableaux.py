@@ -56,6 +56,35 @@ def test_row_count_matches_operator_inverse():
     assert len(gen_row_tableaux(2, 3)) == 24
 
 
+def _weak(length, lo, hi):
+    """The recursion gen_row_tableaux used before
+    combinations_with_replacement: weakly increasing words over
+    [lo, hi]."""
+    if length == 0:
+        yield ()
+        return
+    for c in range(lo, hi + 1):
+        for rest in _weak(length - 1, c, hi):
+            yield (c,) + rest
+
+
+def _recursive_rows(n, m):
+    nb = bar(n, n)
+    return [left + (nb, n) * k + right
+            for k in range(0, m // 2 + 1)
+            for r in range(0, m - 2 * k + 1)
+            for left in _weak(r, 1, n)
+            for right in _weak(m - 2 * k - r, nb, 2 * n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rows_match_recursive_enumeration(n):
+    # same words in the same order, which fixes the term order of every
+    # row character built from them
+    for m in range(0, 10):
+        assert gen_row_tableaux(n, m) == _recursive_rows(n, m), (n, m)
+
+
 def test_x_tableaux_are_strict_words():
     xs = gen_x_tableaux(2, 2)
     assert all(len(t) == 2 for t in xs)
