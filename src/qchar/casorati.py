@@ -469,19 +469,20 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
         rep.add(f"basis skew identity {list(indices)}", ok)
 
 
-def run_suite(n: int, seed: int, grid_points: int = 3, m_max: int = 2,
-              skew_only: bool = False) -> GridReport:
-    """Full exact-rational verification sweep for one rank; with
-    ``skew_only``, the ninth-variation skew identities alone, on a basis
-    solved just far enough for them."""
+def run_suite(n: int, seed: int, skew_only: bool = False) -> GridReport:
+    """Full exact-rational verification sweep for one rank, at the grid
+    points u = 0, 1, 2 and relation indices m <= 2; with ``skew_only``,
+    the ninth-variation skew identities alone, on a basis solved just far
+    enough for them."""
     N = 2 * n + 2
     k_max = N + 3
+    m_max = 2
+    grid = range(0, 3)
     sets = default_index_sets(n)
     imax = (max(i[-1] for i in sets) + 2 * N + 8 if skew_only
-            else 2 * N + 2 * m_max + grid_points + 4)
+            else 2 * N + 2 * m_max + len(grid) + 4)
     rep = GridReport()
     basis = build_grid(n, seed, imax)
-    grid = range(0, grid_points)
     if not skew_only:
         verify_shift_identity(basis, grid, rep)
         verify_weyl_type(n, basis, grid, rep)

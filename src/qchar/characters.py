@@ -78,24 +78,6 @@ def h_poly(n: int, i: int, k: int) -> LaurentPoly:
     return -(t * prev_top) - prev_left
 
 
-def hook_jacobi_trudi(n: int, i: int, k: int) -> LaurentPoly:
-    """H^(i)_k(u) for k >= N via the hook-shaped determinant of
-    fundamentals, base-point normalized."""
-    N = 2 * n + 2
-    size = k - N + 1
-    if size < 1:
-        raise ValueError("determinant form needs k >= N")
-
-    def entry(j: int, l: int) -> LaurentPoly:
-        lam = 1 + (N - i - 1) * (1 if j == 1 else 0)
-        aa = lam - j + l
-        # argument u + (N-2-lam+j+l)/2 relative to the u+i/2 base point;
-        # normalize: stored value is H at base u, entries at base-u too
-        return fundamental_poly(n, aa).shift(N - 2 - lam + j + l - i)
-    return -det([[entry(j, l) for l in range(1, size + 1)]
-                 for j in range(1, size + 1)])
-
-
 # --- determinants and Pfaffians over the ring -------------------------
 
 def det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -140,16 +122,16 @@ def pfaffian(mat: list[list[LaurentPoly]]) -> LaurentPoly:
     return rec(tuple(range(size)))
 
 
-def tam_jacobi_trudi(n: int, a: int, m: int) -> LaurentPoly:
-    """Rectangle character T^(a)_m(u) as the m x m determinant of
-    shifted extended fundamentals, 1 <= a <= n-1."""
-    if not (1 <= a <= n - 1):
-        raise ValueError(f"a out of range for the determinant form: {a}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    mat = [[fundamental_poly(n, a - j + l).shift(j + l - m - 1)
-            for l in range(1, m + 1)] for j in range(1, m + 1)]
-    return det(mat)
+def jacobi_trudi(n: int, cols: list, half: int) -> LaurentPoly:
+    """The dual Jacobi-Trudi determinant
+    det[T^(c_j - j + l)(u + (half + j + l - c_j)/2)]_{j,l} of shifted
+    extended fundamentals, for column lengths c_1, c_2, ... = ``cols``:
+    the rectangle T^(a)_m(u) is ``jacobi_trudi(n, [a] * m, a - m - 1)``
+    and the hook H^(i)_k(u), k >= N, is
+    ``-jacobi_trudi(n, [N - i] + [1] * (k - N), N - 2 - i)``."""
+    size = range(1, len(cols) + 1)
+    return det([[fundamental_poly(n, c - j + l).shift(half + j + l - c)
+                 for l in size] for j, c in zip(size, cols)])
 
 
 def tnm_pfaffian(n: int, m: int) -> LaurentPoly:
@@ -177,7 +159,7 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
         return tnm_pfaffian(n, m)
     if a == 1:
         return row_poly(n, m)
-    return tam_jacobi_trudi(n, a, m)
+    return jacobi_trudi(n, [a] * m, a - m - 1)
 
 
 # --- functional-relation verification ---------------------------------
@@ -268,9 +250,9 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
         second = [(sign, row(m - a, m + a), (f, a))
                   for sign, a, f in funds if a <= m]
         rep.add(f"second convolution m={m}", _bilinear_zero(second + target))
-    tq = product_sum((sign, Qv(1, 2 * a), f.to_q(cartan).shift(a))  # Q_1(u+a)
-                     for sign, a, f in funds)
-    rep.add("Baxter-function relation", tq.is_zero)
+    rep.add("Baxter-function relation", _bilinear_zero(
+        (sign, Qv(1, 2 * a), (f.to_q(cartan), a))  # Q_1(u+a)
+        for sign, a, f in funds))
     return rep
 
 
@@ -356,8 +338,8 @@ def verify_hseries(n: int, k_extra: int = 3, prod_k_max: int | None = None) -> R
     rep = RelationReport()
     for k in range(N, N + k_extra + 1):
         for i in range(0, N):
-            rep.add(f"hook determinant for H^({i})_{k}",
-                    h_poly(n, i, k) == hook_jacobi_trudi(n, i, k))
+            rep.add(f"hook determinant for H^({i})_{k}", h_poly(n, i, k)
+                    == -jacobi_trudi(n, [N - i] + [1] * (k - N), N - 2 - i))
     if prod_k_max is None:
         prod_k_max = N + 2
     for k in range(1, prod_k_max + 1):

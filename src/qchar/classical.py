@@ -19,6 +19,7 @@ from math import lcm, prod
 from .ring import Y_FAM
 
 _POOL_NUM = list(range(2, 40))
+_N_POINTS = 5  # random torus points at which each identity is checked
 
 
 @dataclass(frozen=True)
@@ -152,12 +153,12 @@ class PointReport:
         return all(c["ok"] for c in self.checks)
 
 
-def verify_pieri(n: int, p_max: int, seed: int, n_points: int = 5) -> PointReport:
+def verify_pieri(n: int, p_max: int, seed: int) -> PointReport:
     """Tensor-by-row rule: chi_{(p-1|0)} chi_{(0|a-1)} equals the sum of
     the four neighbouring hooks, for p >= 1, 1 <= a <= n."""
     rng = random.Random(seed)
     rep = PointReport()
-    pts = [ClassicalPoint.random(n, rng) for _ in range(n_points)]
+    pts = [ClassicalPoint.random(n, rng) for _ in range(_N_POINTS)]
     for p in range(1, p_max + 1):
         for a in range(1, n + 1):
             ok = True
@@ -215,15 +216,15 @@ def hook_decomposition(n: int, i: int, k: int) -> list:
     return out
 
 
-def verify_hook_decomposition(n: int, k_min: int, k_max: int, seed: int,
-                              n_points: int = 5) -> PointReport:
+def verify_hook_decomposition(n: int, k_min: int, k_max: int,
+                              seed: int) -> PointReport:
     """Classical image of every H^(i)_k equals its signed hook-character
     sum at exact random torus points."""
     from .characters import h_poly
     N = 2 * n + 2
     rng = random.Random(seed)
     rep = PointReport()
-    pts = [ClassicalPoint.random(n, rng) for _ in range(n_points)]
+    pts = [ClassicalPoint.random(n, rng) for _ in range(_N_POINTS)]
     for k in range(k_min, k_max + 1):
         for i in range(0, N):
             terms = hook_decomposition(n, i, k)
@@ -233,15 +234,14 @@ def verify_hook_decomposition(n: int, k_min: int, k_max: int, seed: int,
     return rep
 
 
-def verify_fundamental_images(n: int, seed: int,
-                              n_points: int = 5) -> PointReport:
+def verify_fundamental_images(n: int, seed: int) -> PointReport:
     """sigma_i beta(T^(i)_1) = chi_{(0|min(i,N-i)-1)}, vanishing at
     i = n+1."""
     from .characters import fundamental_poly
     N = 2 * n + 2
     rng = random.Random(seed)
     rep = PointReport()
-    pts = [ClassicalPoint.random(n, rng) for _ in range(n_points)]
+    pts = [ClassicalPoint.random(n, rng) for _ in range(_N_POINTS)]
     for i in range(1, N):
         sigma = 1 if i <= n else -1
         ok = all(sigma * f == (0 if i == n + 1 else

@@ -101,6 +101,14 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_unread(args, command: str, reads: tuple) -> None:
+    """Refuse a bound given on the command line to a command that does
+    not read it; one from a config file may serve other commands."""
+    for key, flag in (("max_m", "--max-m"), ("order", "--order")):
+        if getattr(args, key) is not None and key not in reads:
+            raise UsageError(f"{command} does not read {flag}")
+
+
 def _check_out(path: str) -> None:
     """Fail before any work when ``path`` cannot be written, leaving a
     file that is there as it was."""
@@ -123,6 +131,7 @@ def cmd_character(args) -> int:
     if algebra != "C":
         raise UsageError("character supports the C series only")
     _spec("C", n)
+    _refuse_unread(args, "character", ())
     picks = [p for p in ("fundamental", "row", "rect", "hseries")
              if getattr(args, p) is not None]
     if len(picks) != 1:
@@ -174,6 +183,8 @@ def cmd_operator(args) -> int:
         raise UsageError("operator requires --rank")
     algebra = _resolve(args, "algebra", str, "C")
     spec = _spec(algebra, n)
+    _refuse_unread(args, f"{algebra} operator",
+                   () if algebra == "C" else ("order",))
     if algebra == "C":
         if args.form not in L_FORMS:
             raise UsageError(f"--form must be one of {L_FORMS}")
@@ -334,11 +345,7 @@ def cmd_verify(args) -> int:
     if r.rank is None:
         raise UsageError(f"suite {suite} requires --rank")
     _spec(r.algebra, r.rank)
-    # a bound from a config file may serve other suites; one given on
-    # the command line to a suite that ignores it is refused
-    for key, flag in (("max_m", "--max-m"), ("order", "--order")):
-        if getattr(args, key) is not None and key not in bounds:
-            raise UsageError(f"{suite} suite does not read {flag}")
+    _refuse_unread(args, f"{suite} suite", bounds)
     checks, params = runner(r)
     return _emit_checks({"params": {"suite": suite, "rank": r.rank,
                                     **params}}, checks, args, verdict=True)
@@ -354,6 +361,7 @@ def cmd_bd(args) -> int:
     if n is None:
         raise UsageError("bd requires --rank")
     spec = _spec(algebra, n)
+    _refuse_unread(args, "bd", ("order",))
     order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
     if args.emit == "report":
         return _emit_checks({"algebra": algebra, "rank": n, "order": order},

@@ -19,23 +19,34 @@ and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
 sums, the sum under products, the sum of the per-position exact maxima
 under ``word_sum``, twice the bound under ``to_q`` and ``q_euler_parts``
-(which send at most two Y exponents to each Q variable).  When a bound
-passes EXP_MAX it is first replaced by the exact maxima of the operands;
-only if those still pass does the operation raise OverflowError.
+(which send at most two Y exponents to each Q variable).  A product or
+a Q image whose carried bounds pass EXP_MAX first replaces them by the
+exact maxima of its operands.  Every bound then passes one guard,
+``_checked``, which raises OverflowError past EXP_MAX.
+
+Substitution.  ``shift`` (u -> u + h/2), ``to_q`` (Y_a(v) ->
+Q_a(v - t_a)/Q_a(v + t_a)), ``q_euler_parts`` and the repack of
+``product_sum_vanishes`` rewrite monomials one way: ``_substitute``
+takes a decoded key and returns sum e * image(var), computing each
+slot's image once per call.  Each of these maps is injective on
+monomials (a shift permutes the variables, and e(w + t) - e(w - t) = 0
+forces a finitely supported e to vanish), so no two terms meet and no
+coefficient is merged.
 
 Local packing.  A key carries 16 bits for every slot up to its highest,
 so keys grow with all the variables a process has met.  The zero-test
 ``product_sum_vanishes`` therefore packs into one frame of its own.  Its
 slots are the *shifted* variables the call meets, numbered in first use,
 and each holds one balanced w-bit digit, w = bit_length(B) + 1, where B
-is the largest product bound, found by the guards above before any key
-is packed.  An operand ``(p, half)`` stands for p.shift(half): the shift
-is folded into the repack, so each key is decoded once.  A ``Words``
-operand repacks its single-term templates at each position's shift, and
-``word_sum``'s loop then builds the shifted row on short keys, so
-nothing large is decoded.  The map is injective and additive on every
-monomial that can occur, so the sum vanishes iff it does on global keys.
-Nothing packed in a frame outlives the call.
+is the largest product bound, found by the guard above before any key
+is packed.  An operand ``(p, half)`` stands for p.shift(half): the
+repack is the substitution that sends each variable, shifted by half,
+to the unit of its frame slot, so each key is decoded once.  A
+``Words`` operand repacks its single-term templates at each position's
+shift, and ``word_sum``'s loop then builds the shifted row on short
+keys, so nothing large is decoded.  The map is injective and additive
+on every monomial that can occur, so the sum vanishes iff it does on
+global keys.  Nothing packed in a frame outlives the call.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -45,9 +56,9 @@ makes their output the same in every process.  A decode is a bias add,
 an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
 zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
 top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
-counted: ``q_euler_parts``, which feeds the screening of every node,
-decodes each key once, not once per node and again per Y variable, and
-``eval_points`` decodes each key once for all the points it is given.
+counted: every substitution decodes each key once, ``q_euler_parts``,
+which feeds the screening of every node, once for all the Y variables
+of the key, and ``eval_points`` once for all the points it is given.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import compress
 from math import prod
-from operator import lshift
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
 Y_FAM, Q_FAM = 0, 1
@@ -114,6 +125,17 @@ def _digits(key: int) -> tuple[list, list]:
 def _mono(key: int) -> MonoKey:
     slots, exps = _digits(key)
     return tuple(sorted(zip(map(_VAR.__getitem__, slots), exps)))
+
+
+def _substitute(slots: list, exps: list, images: dict, image) -> int:
+    """sum e * image(var) over a decoded key's slots and exponents: the
+    packed image of the monomial under a substitution of its variables.
+    ``images`` holds each slot's image, computed on first use, for one
+    call."""
+    for s in slots:
+        if s not in images:
+            images[s] = image(_VAR[s])
+    return sum(map(mul, exps, map(images.__getitem__, slots)))
 
 
 def _exact_bound(t: dict) -> int:
@@ -291,48 +313,27 @@ class LaurentPoly:
 
     # -- structural operations ---------------------------------------
 
-    def _remapped(self, image, bound: int) -> "LaurentPoly":
-        """Apply the substitution ``image`` (VarKey -> packed image of the
-        variable) to every term; it is linear in the exponent vector."""
-        images: dict = {}  # slot -> image, computed on first use
-        out: dict = {}
-        for key, c in self._t.items():
-            k = 0
-            for slot, e in zip(*_digits(key)):
-                x = images.get(slot)
-                if x is None:
-                    x = images[slot] = image(_VAR[slot])
-                k += e * x
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return LaurentPoly._make(out, bound)
-
     def shift(self, half_delta: int) -> "LaurentPoly":
         """Substitute u -> u + half_delta/2 in every variable."""
         if half_delta == 0 or not self._t:
             return self
-        return self._remapped(
-            lambda v: _unit((v[0], v[1], v[2] + half_delta)), self._b)
+        images, image = {}, lambda v: _unit((v[0], v[1], v[2] + half_delta))
+        return LaurentPoly._make({_substitute(*_digits(k), images, image): c
+                                  for k, c in self._t.items()}, self._b)
 
     def _q_bound(self) -> int:
         """Bound of the Q image's exponents; OverflowError past EXP_MAX."""
         if 2 * self._b > EXP_MAX:
             self._b = _exact_bound(self._t)
-            if 2 * self._b > EXP_MAX:
-                raise OverflowError(
-                    f"Q images of exponents up to {self._b} could overflow "
-                    f"packed digits (|e| <= {EXP_MAX})")
-        return 2 * self._b
+        return _checked(2 * self._b)
 
     def to_q(self, cartan: "CartanData") -> "LaurentPoly":
-        """Replace every Y_a(u+s)^e by its Baxter-Q ratio image.
-
-        Rejects input that already contains non-Y variables.
-        """
-        return self._remapped(partial(_q_image, cartan), self._q_bound())
+        """Replace every Y_a(u+s)^e by its Baxter-Q ratio image; rejects
+        input that already contains non-Y variables."""
+        bound = self._q_bound()
+        images, image = {}, partial(_q_image, cartan)
+        return LaurentPoly._make({_substitute(*_digits(k), images, image): c
+                                  for k, c in self._t.items()}, bound)
 
     def q_euler_parts(self, cartan: "CartanData") -> dict:
         """{(idx, half): (x * d/dx of self).to_q(cartan)} for every
@@ -340,30 +341,22 @@ class LaurentPoly:
         x, each term multiplied by its exponent of x, in Q-variables.
 
         Each key is decoded once and its Q image computed once, then
-        stored in the part of every Y variable of the term.  The Q image
-        is injective on monomials, so no two terms meet in one part.
-        Rejects input that contains non-Y variables.
+        stored in the part of every Y variable of the term.  Rejects
+        input that contains non-Y variables.
         """
         bound = self._q_bound()
-        images: dict = {}  # slot -> (Q image, (idx, half)), on first use
-        out: dict = {}
+        images, image = {}, partial(_q_image, cartan)
+        out: dict = {}  # slot of x -> terms of its part
         for key, c in self._t.items():
             slots, exps = _digits(key)
-            k = 0
-            where = []
+            k = _substitute(slots, exps, images, image)
             for s, e in zip(slots, exps):
-                x = images.get(s)
-                if x is None:
-                    var = _VAR[s]
-                    x = images[s] = (_q_image(cartan, var), var[1:])
-                k += e * x[0]
-                where.append(x[1])
-            for v, e in zip(where, exps):
-                part = out.get(v)
+                part = out.get(s)
                 if part is None:
-                    part = out[v] = {}
+                    part = out[s] = {}
                 part[k] = e * c
-        return {v: LaurentPoly._make(t, bound) for v, t in out.items()}
+        return {_VAR[s][1:]: LaurentPoly._make(t, bound)
+                for s, t in out.items()}
 
     def eval_rational(self, assign: dict) -> Fraction:
         """Exact rational evaluation; every variable must be assigned."""
@@ -460,15 +453,9 @@ class LaurentPoly:
 def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
     """Exponent bound of a * b; raises OverflowError rather than let a
     digit carry into its neighbour."""
-    bound = a._b + b._b
-    if bound > EXP_MAX:
+    if a._b + b._b > EXP_MAX:
         a._b, b._b = _exact_bound(a._t), _exact_bound(b._t)
-        bound = a._b + b._b
-        if bound > EXP_MAX:
-            raise OverflowError(
-                f"product of exponents up to {a._b} and {b._b} could "
-                f"overflow packed digits (|e| <= {EXP_MAX})")
-    return bound
+    return _checked(a._b + b._b)
 
 
 def _product_into(acc: dict, ta: dict, tb: dict, sign: int) -> None:
@@ -538,17 +525,12 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     triples = list(triples)
     w = max((_frame_bound(a, b) for _, a, b in triples),
             default=0).bit_length() + 1
-    place: dict = {}  # shifted VarKey -> w * local slot, in first-use order
-    at: dict = {}     # half -> {global slot: offset of it shifted by half}
+    place: dict = {}  # shifted VarKey -> its local unit, in first-use order
+    at: dict = {}     # half -> {global slot: local unit of it shifted by half}
 
     def key(k: int, half: int) -> int:
-        off = at.setdefault(half, {})
-        slots, exps = _digits(k)
-        for s in slots:
-            if s not in off:
-                f, i, h = _VAR[s]
-                off[s] = place.setdefault((f, i, h + half), w * len(place))
-        return sum(map(lshift, exps, map(off.__getitem__, slots)))
+        return _substitute(*_digits(k), at.setdefault(half, {}), lambda v: (
+            place.setdefault((v[0], v[1], v[2] + half), 1 << w * len(place))))
 
     def pack(x) -> dict:
         if isinstance(x, Words):
@@ -612,10 +594,11 @@ def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
 
 
 def _checked(bound: int) -> int:
-    """``bound``, or OverflowError when it passes EXP_MAX."""
+    """``bound``, or OverflowError when it passes EXP_MAX: the one guard
+    against a digit carrying into its neighbour."""
     if bound > EXP_MAX:
-        raise OverflowError(f"products of exponents summing to {bound} "
-                            f"could overflow packed digits (|e| <= {EXP_MAX})")
+        raise OverflowError(f"exponents up to {bound} could overflow "
+                            f"packed digits (|e| <= {EXP_MAX})")
     return bound
 
 

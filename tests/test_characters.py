@@ -14,8 +14,8 @@ from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
                         product_sum, product_sum_vanishes)
 from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
-                              hook_jacobi_trudi, det, pfaffian,
-                              tam_jacobi_trudi, tnm_pfaffian, rect_poly,
+                              jacobi_trudi, det, pfaffian,
+                              tnm_pfaffian, rect_poly,
                               verify_tsystem, verify_tt_tq,
                               verify_hseries, verify_highest_weight,
                               verify_product_formula, highest_weight_key)
@@ -132,11 +132,11 @@ def test_det_and_pfaffian_match_expansion_oracle(mat):
 def test_rectangles_match_rows_at_width_one():
     # the a=1 rectangle determinant reproduces the tableau row sum
     for m in range(1, 4):
-        assert tam_jacobi_trudi(2, 1, m) == row_poly(2, m)
+        assert jacobi_trudi(2, [1] * m, -m) == row_poly(2, m)
 
 
 def test_rect_poly_dispatch():
-    assert rect_poly(2, 1, 2) == tam_jacobi_trudi(2, 1, 2)
+    assert rect_poly(2, 1, 2) == jacobi_trudi(2, [1, 1], -2)
     assert rect_poly(2, 2, 2) == tnm_pfaffian(2, 2)
     assert rect_poly(3, 2, 1) == fundamental_poly(3, 2)
 
@@ -157,7 +157,8 @@ def test_hook_determinant_matches_recursion():
     N = 6
     for k in (N, N + 1):
         for i in range(0, N):
-            assert h_poly(n, i, k) == hook_jacobi_trudi(n, i, k)
+            assert h_poly(n, i, k) == -jacobi_trudi(
+                n, [N - i] + [1] * (k - N), N - 2 - i)
 
 
 def test_tsystem_rank2():
@@ -310,7 +311,7 @@ from qchar import characters, ring
 if sys.argv[1] == "busy":
     for i in range(300):
         ring.Y(1, 1000 + i)
-# the Baxter relation keeps global keys, so only the zero-tests count
+# only the products inside the zero-tests count
 inside, top = [False], [0]
 kernel, zero_test = ring._product_into, characters.product_sum_vanishes
 

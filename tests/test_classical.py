@@ -166,7 +166,7 @@ def test_pieri(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_hook_decomposition(n):
     N = 2 * n + 2
-    rep = verify_hook_decomposition(n, N + 1, N + 2, seed=11, n_points=3)
+    rep = verify_hook_decomposition(n, N + 1, N + 2, seed=11)
     assert rep.ok, [c for c in rep.checks if not c["ok"]]
 
 

@@ -261,6 +261,19 @@ def test_unused_bound_flags_are_refused(tmp_path, capsys):
     assert run_cli(["verify", "bd", "--algebra", "B", "--rank", "2",
                     "--max-m", "3"], capsys) == (
         2, "", "error: bd suite does not read --max-m\n")
+    # every command refuses the bounds it does not read
+    for argv, err in (
+            (["character", "--rank", "2", "--fundamental", "1", "--order",
+              "5"], "character does not read --order"),
+            (["character", "--rank", "2", "--row", "1", "--max-m", "2"],
+             "character does not read --max-m"),
+            (["operator", "--rank", "2", "--order", "3"],
+             "C operator does not read --order"),
+            (["operator", "--rank", "3", "--algebra", "D", "--max-m", "2"],
+             "D operator does not read --max-m"),
+            (["bd", "--algebra", "B", "--rank", "2", "--max-m", "2"],
+             "bd does not read --max-m")):
+        assert run_cli(argv, capsys) == (2, "", f"error: {err}\n"), argv
     # the earlier checks keep their messages
     code, _, err = run_cli(["verify", "cancellation", "--rank", "2",
                             "--max-m", "-1"], capsys)
@@ -271,6 +284,9 @@ def test_unused_bound_flags_are_refused(tmp_path, capsys):
     code, out, _ = run_cli(["verify", "cancellation", "--config", str(cfg)],
                            capsys)
     assert code == 0 and out.endswith("suite ok\n")
+    for argv in (["character", "--fundamental", "1"], ["operator"],
+                 ["bd", "--algebra", "B"]):
+        assert run_cli(argv + ["--config", str(cfg)], capsys)[0] == 0, argv
 
 
 def test_suite_without_checks_fails(capsys):

@@ -1,0 +1,120 @@
+"""Every verification suite can fail: a small mutant of what it checks
+turns its exit code from 0 to 1.
+
+``MUTANTS`` maps each suite of ``cli.SUITES`` to the arguments it runs
+with and to its mutants, each a (module, name, mutate) patch that
+replaces ``module.name`` by ``mutate(module.name)``.  The characters are
+``lru_cache``d, so the caches are cleared before a mutant runs and again
+after it is undone.
+"""
+
+import time
+from functools import lru_cache
+
+from qchar import bd, characters, cli, tableaux
+from qchar.ring import ONE, ZERO, LaurentPoly
+
+
+def _drop_first_term(p):
+    mono, c = next(p.terms())
+    return p - LaurentPoly.monomial(c, dict(mono))
+
+
+def _dropped_term(a):
+    """fundamental_poly with one term of T^(a)_1 dropped."""
+    return lambda f: lambda n, b: (_drop_first_term(f(n, b)) if b == a
+                                   else f(n, b))
+
+
+def _flipped_left(_):
+    """h_poly with the sign of its H^(i-1)_k(u+1/2) term flipped."""
+    @lru_cache(maxsize=None)
+    def h(n, i, k):
+        N = 2 * n + 2
+        if i < 0:
+            return ZERO
+        if k == 0:
+            return ONE if i == 0 else ZERO
+        top = characters.h_poly(n, N - 1, k - 1).shift(N + 1 - i)
+        left = characters.h_poly(n, i - 1, k - 1).shift(1)
+        return -(characters.fundamental_poly(n, i) * top) + left
+    return h
+
+
+def _negated_entry(f):
+    """companion_matrix with its subdiagonal entry [1][0] negated."""
+    def companion(n, half):
+        mat = f(n, half)
+        mat[1][0] = -mat[1][0]
+        return mat
+    return companion
+
+
+MUTANTS = {
+    "screening": (["--rank", "2", "--max-m", "1"], {
+        "dropped term of row 1": (characters, "row_poly", lambda f: (
+            lambda n, m: _drop_first_term(f(n, m)) if m == 1 else f(n, m)))}),
+    "cancellation": (["--rank", "2"], {
+        "dropped x-tableau": (tableaux, "gen_x_tableaux",
+                              lambda f: lambda n, a: f(n, a)[1:])}),
+    "bijection": (["--rank", "3"], {
+        "breaking-pair gap off by one": (
+            tableaux, "maximal_breaking_pair",
+            lambda f: lambda t, n: (f(t, n)[0], f(t, n)[1] + 1))}),
+    "tsystem": (["--rank", "2"], {
+        "dropped term of row 2": (characters, "row_poly", lambda f: (
+            lambda n, m: _drop_first_term(f(n, m)) if m == 2 else f(n, m)))}),
+    "tt-tq": (["--rank", "2", "--max-m", "3"], {
+        "dropped term of T^(2)": (characters, "fundamental_poly",
+                                  _dropped_term(2))}),
+    "hseries": (["--rank", "2"], {
+        "dropped term of H^(1)_6": (characters, "h_poly", lambda f: (
+            lambda n, i, k: (_drop_first_term(f(n, i, k)) if (i, k) == (1, 6)
+                             else f(n, i, k))))}),
+    "hookchi": (["--rank", "2"], {
+        "dropped term of T^(1)": (characters, "fundamental_poly",
+                                  _dropped_term(1))}),
+    "casorati": (["--rank", "2", "--seed", "11"], {
+        "dropped term of T^(1)": (characters, "fundamental_poly",
+                                  _dropped_term(1))}),
+    "nnsy": (["--rank", "2", "--seed", "11"], {
+        "dropped term of T^(1)": (characters, "fundamental_poly",
+                                  _dropped_term(1))}),
+    "bd": (["--algebra", "B", "--rank", "2", "--order", "4"], {
+        "dropped term of k": (bd, "b_k", lambda f: (
+            lambda n, half=0: _drop_first_term(f(n, half))))}),
+    "lemma-exp": (["--algebra", "B", "--rank", "2", "--order", "4"], {
+        "f shifted by a half unit": (bd, "b_f", lambda f: (
+            lambda n, half=0: f(n, half + 1)))}),
+    "product-formula": (["--rank", "2", "--max-m", "3"], {
+        "h_poly recursion sign": (characters, "h_poly", _flipped_left),
+        "companion entry [1][0] negated": (characters, "companion_matrix",
+                                           _negated_entry)}),
+}
+
+
+def _clear_caches():
+    for obj in vars(characters).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def test_every_suite_has_a_mutant():
+    assert set(MUTANTS) == set(cli.SUITES)
+    assert all(mutants for _, mutants in MUTANTS.values())
+
+
+def test_mutants_turn_every_suite_from_pass_to_fail(monkeypatch, capsys):
+    start = time.perf_counter()
+    for suite, (argv, mutants) in MUTANTS.items():
+        _clear_caches()
+        assert cli.main(["verify", suite, *argv]) == 0, suite
+        for name, (module, attr, mutate) in mutants.items():
+            with monkeypatch.context() as mp:
+                _clear_caches()
+                mp.setattr(module, attr, mutate(getattr(module, attr)))
+                code = cli.main(["verify", suite, *argv])
+            _clear_caches()
+            assert code == 1, (suite, name)
+    capsys.readouterr()
+    assert time.perf_counter() - start < 10
