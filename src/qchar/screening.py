@@ -48,21 +48,21 @@ def _node(parts: dict, a: int) -> dict:
 
 def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
     """Rewrite every S_a(v) to the smallest argument in its residue
-    class modulo the period t_a, multiplying by the telescoping product
-    of A_a factors, then recombine."""
+    class modulo the period t_a, times a chain of A_a factors built once
+    per class, chain(v + t) = chain(v) A_a(v + t/2); then recombine."""
     t = cartan.pair2(a, a)
     classes: dict = {}
-    for half in sym:
+    for half in sorted(sym):
         classes.setdefault(half % t, []).append(half)
     out: dict = {}
-    for r, halves in classes.items():
-        v0 = min(halves)
+    for halves in classes.values():
+        v0 = w = halves[0]
+        chain = LaurentPoly.one()
         terms = []
         for v in halves:
-            chain = LaurentPoly.one()
-            steps = (v - v0) // t
-            for s in range(steps):
-                chain = chain * a_factor(cartan, a, v0 + s * t + t // 2)
+            while w < v:
+                chain = chain * a_factor(cartan, a, w + t // 2)
+                w += t
             terms.append((1, sym[v], chain))
         acc = product_sum(terms)
         if not acc.is_zero:
@@ -99,10 +99,9 @@ class KernelReport:
 def screen_operator(a: int, op: DiffOp, cartan: CartanData) -> KernelReport:
     """Apply S_a coefficientwise to a difference operator with
     Y-variable coefficients and report residuals per D-degree."""
-    reps = screen_operator_all(op, cartan)
-    if not 1 <= a <= len(reps):
+    if not 1 <= a <= cartan.algebra.n:
         raise ValueError(f"node out of range: {a}")
-    return reps[a - 1]
+    return screen_operator_all(op, cartan)[a - 1]
 
 
 def screen_operator_all(op: DiffOp, cartan: CartanData) -> list:

@@ -92,3 +92,18 @@ def test_screening_per_node():
 def test_suite(series, n):
     rep = run_suite(series, n, order=8)
     assert rep.ok, [c for c in rep.checks if not c["ok"]]
+
+
+@pytest.mark.parametrize("series,n", [("D", 3), ("B", 2)])
+def test_suite_inverts_the_operator_once(monkeypatch, series, n):
+    # the middle factors (two coefficients each) are inverted too; the
+    # truncated operator itself is inverted once, for L^{-1} and the T_m
+    calls = []
+    real = DiffOp.inverse_series
+
+    def spy(op, order):
+        calls.append((len(op.coeffs), order))
+        return real(op, order)
+    monkeypatch.setattr(DiffOp, "inverse_series", spy)
+    assert run_suite(series, n).ok
+    assert len([c for c in calls if c[0] > 2]) == 1, calls

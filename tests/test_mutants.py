@@ -11,7 +11,7 @@ after it is undone.
 import time
 from functools import lru_cache
 
-from qchar import bd, characters, cli, tableaux
+from qchar import bd, characters, cli, screening, tableaux
 from qchar.ring import ONE, ZERO, LaurentPoly
 
 
@@ -82,7 +82,9 @@ MUTANTS = {
                                   _dropped_term(1))}),
     "bd": (["--algebra", "B", "--rank", "2", "--order", "4"], {
         "dropped term of k": (bd, "b_k", lambda f: (
-            lambda n, half=0: _drop_first_term(f(n, half))))}),
+            lambda n, half=0: _drop_first_term(f(n, half)))),
+        "A_a argument shifted one unit": (screening, "a_factor", lambda f: (
+            lambda c, a, h: f(c, a, h + 2)))}),
     "lemma-exp": (["--algebra", "B", "--rank", "2", "--order", "4"], {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),

@@ -216,7 +216,7 @@ def test_screen_all_matches_per_node_screening(cartan, polys):
 
 @pytest.mark.parametrize("spec", [AlgebraSpec("C", 2), AlgebraSpec("B", 2),
                                   AlgebraSpec("D", 3)])
-def test_screen_operator_all_matches_per_node(spec):
+def test_screen_operator_all_matches_per_node(spec, monkeypatch):
     cartan = CartanData(spec)
     if spec.series == "C":
         L = build_L_C(spec.n, "zFactored")
@@ -229,6 +229,89 @@ def test_screen_operator_all_matches_per_node(spec):
         assert rep.per_degree == screen_operator(rep.node_a, L,
                                                  cartan).per_degree
     assert not reps[0].zero
+    # an out-of-range node is refused before any coefficient is screened
+    calls = []
+    monkeypatch.setattr("qchar.screening.screen_all",
+                        lambda p, c: calls.append(p) or screen_all(p, c))
     for a in (0, spec.n + 1):
         with pytest.raises(ValueError):
             screen_operator(a, L, cartan)
+    assert calls == []
+    assert screen_operator(1, L, cartan).per_degree == reps[0].per_degree
+    assert len(calls) == len(L.coeffs)
+
+
+def _shifted(sym, h):
+    """{v + h: q.shift(h)}: every argument and coefficient moved by h."""
+    return {v + h: q.shift(h) for v, q in sym.items()}
+
+
+def _weighted(sym):
+    """Distinct integer weights per argument, so classes do not cancel."""
+    return {v: (i + 2) * q for i, (v, q) in enumerate(sorted(sym.items()))}
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("B", 3), ("D", 3),
+                                      ("D", 4)])
+def test_screening_commutes_with_shifts(series, n):
+    # the B/D suite screens T^a(u+a) and T_m(u+m) in place of T^a(u) and
+    # T_m(u); that is sound because a shift moves the residuals along
+    cartan = CartanData(AlgebraSpec(series, n))
+    L = build_series_L(cartan.algebra, 6)
+    inv = L.inverse_series(6)
+    polys = [op.coeff(j) for op in (L, inv) for j in sorted(op.coeffs) if j]
+    assert len(polys) == 6
+    key, c = max(polys[-1].terms())
+    broken = polys[-1] - LaurentPoly.monomial(c, dict(key))
+    for p in polys + [broken]:
+        res = screen_all(p, cartan)
+        for h in (-7, -4, -1, 2, 5):
+            assert screen_all(p.shift(h), cartan) == {
+                a: _shifted(r, h) for a, r in res.items()}, (p, h)
+            # before the classes recombine (to zero, for a kernel member)
+            for a in res:
+                sym = apply_screening(a, p, cartan)
+                assert apply_screening(a, p.shift(h), cartan) == \
+                    _shifted(sym, h)
+                assert canonicalize(a, _weighted(_shifted(sym, h)), cartan) \
+                    == _shifted(canonicalize(a, _weighted(sym), cartan), h)
+    assert not any(any(screen_all(p, cartan).values()) for p in polys)
+    assert any(screen_all(broken, cartan).values())
+
+
+# -- the per-argument A_a chain canonicalize replaced, kept as an oracle --
+
+def _o_canonicalize(a, sym, cartan):
+    """``canonicalize`` with the chain of every argument rebuilt from 1."""
+    t = cartan.pair2(a, a)
+    classes = {}
+    for half in sym:
+        classes.setdefault(half % t, []).append(half)
+    out = {}
+    for halves in classes.values():
+        v0 = min(halves)
+        acc = LaurentPoly.zero()
+        for v in halves:
+            chain = LaurentPoly.one()
+            for s in range((v - v0) // t):
+                chain = chain * a_factor(cartan, a, v0 + s * t + t // 2)
+            acc = acc + sym[v] * chain
+        if not acc.is_zero:
+            out[v0] = acc
+    return out
+
+
+@pytest.mark.parametrize("cartan,polys", _kernel_cases(),
+                         ids=("C2", "C3", "B3", "D4"))
+def test_canonicalize_matches_per_argument_chain(cartan, polys):
+    key, c = max(polys[0].terms())
+    broken = polys[0] - LaurentPoly.monomial(c, dict(key))
+    nonzero = 0
+    for p in polys + [broken]:
+        for a in range(1, cartan.algebra.n + 1):
+            sym = apply_screening(a, p, cartan)
+            for s in (sym, _weighted(sym)):
+                got = canonicalize(a, s, cartan)
+                assert got == _o_canonicalize(a, s, cartan), (p, a)
+                nonzero += bool(got)
+    assert nonzero > len(polys)
