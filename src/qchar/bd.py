@@ -13,7 +13,7 @@ from __future__ import annotations
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Y_FAM, vk, ONE)
 from .diffop import DiffOp, prod
-from .screening import in_kernel, screen_all, screen_operator_all
+from .screening import in_kernel, screen_operator_all
 from .characters import RelationReport
 
 
@@ -31,27 +31,33 @@ def _lin(z: LaurentPoly, sign: int, order: int, deg: int = 2) -> DiffOp:
     return DiffOp({0: ONE, deg: sign * z}, order)
 
 
-def build_series_L(algebra: AlgebraSpec, order: int) -> DiffOp:
-    """The factorized series operator, truncated at D^order.
-
-    B: prod_a (1 - z_abar D^2) * (1 + z_0 D^2)^{-1} * prod_a (1 - z_a D^2)
-    with the right product in descending order of a; D replaces the middle
-    factor by (1 - z_n(u) z_nbar(u+2) D^4)^{-1}.
-    """
+def series_factors(algebra: AlgebraSpec, order: int,
+                   half: int = 0) -> list:
+    """The factors of the series operator at u + half/2, in product
+    order: (1 - z_abar D^2) for a = 1..n, the middle factor, then
+    (1 - z_a D^2) for a = n..1.  The middle factor is (1 + z_0 D^2)^{-1}
+    for B and (1 - z_n(u) z_nbar(u+2) D^4)^{-1} for D."""
     if algebra.series not in ("B", "D"):
         raise ValueError("series operator exists for B and D only")
     if order < 2:
         raise ValueError("order must be at least 2")
     n = algebra.n
     table = VariableTable(algebra)
-    left = [_lin(table.z(2 * n + 1 - a), -1, order) for a in range(1, n + 1)]
-    right = [_lin(table.z(a), -1, order) for a in range(n, 0, -1)]
+    left = [_lin(table.z(2 * n + 1 - a, half), -1, order)
+            for a in range(1, n + 1)]
+    right = [_lin(table.z(a, half), -1, order) for a in range(n, 0, -1)]
     if algebra.series == "B":
-        mid = _lin(table.z0(), +1, order).inverse_series(order)
+        mid = _lin(table.z0(half), +1, order)
     else:
-        zz = table.z(n) * table.z(n + 1, 4)
-        mid = _lin(zz, -1, order, deg=4).inverse_series(order)
-    L = prod(left + [mid] + right)
+        zz = table.z(n, half) * table.z(n + 1, half + 4)
+        mid = _lin(zz, -1, order, deg=4)
+    return left + [mid.inverse_series(order)] + right
+
+
+def build_series_L(algebra: AlgebraSpec, order: int) -> DiffOp:
+    """The factorized series operator, the product of
+    ``series_factors``, truncated at D^order."""
+    L = prod(series_factors(algebra, order))
     if any(j % 2 for j in L.coeffs):
         raise ArithmeticError("odd D-degree coefficient in series operator")
     return L
@@ -105,13 +111,8 @@ def b_h(n: int, half: int = 0) -> LaurentPoly:
 def b_middle_factors(n: int, order: int) -> DiffOp:
     """The three factors of the B operator that involve Y_n, rebased so
     that the expansion variable v satisfies u = v - n + 2."""
-    table = VariableTable(AlgebraSpec("B", n))
-    h0 = 4 - 2 * n
-    return prod([
-        _lin(table.z(n + 1, h0), -1, order),
-        _lin(table.z0(h0), +1, order).inverse_series(order),
-        _lin(table.z(n, h0), -1, order),
-    ])
+    factors = series_factors(AlgebraSpec("B", n), order, 4 - 2 * n)
+    return prod(factors[n - 1:n + 2])
 
 
 def b_middle_expansion(n: int, order: int) -> DiffOp:
@@ -144,16 +145,8 @@ def d_k(n: int, a: int, half: int = 0) -> LaurentPoly:
 def d_middle_factors(n: int, order: int) -> DiffOp:
     """The five factors of the D operator that involve Y_n, rebased so
     that the expansion variable v satisfies u = v + n - 4."""
-    table = VariableTable(AlgebraSpec("D", n))
-    h0 = 8 - 2 * n
-    zz = table.z(n, h0) * table.z(n + 1, h0 + 4)
-    return prod([
-        _lin(table.z(n + 2, h0), -1, order),
-        _lin(table.z(n + 1, h0), -1, order),
-        _lin(zz, -1, order, deg=4).inverse_series(order),
-        _lin(table.z(n, h0), -1, order),
-        _lin(table.z(n - 1, h0), -1, order),
-    ])
+    factors = series_factors(AlgebraSpec("D", n), order, 8 - 2 * n)
+    return prod(factors[n - 2:n + 3])
 
 
 def d_middle_expansion(n: int, order: int) -> DiffOp:
@@ -188,11 +181,10 @@ def verify_d_expansion(n: int, order: int = 12) -> bool:
 
 # --- verification suite -----------------------------------------------
 
-def verify_bd_screening(algebra: AlgebraSpec, order: int) -> list:
+def verify_bd_screening(L: DiffOp, cartan: CartanData) -> list:
     """S_a applied coefficientwise to the truncated series operator, one
     kernel report per node."""
-    L = build_series_L(algebra, order)
-    return screen_operator_all(L, CartanData(algebra))
+    return screen_operator_all(L, cartan)
 
 
 def verify_block_lemmas(algebra: AlgebraSpec) -> RelationReport:
@@ -200,23 +192,28 @@ def verify_block_lemmas(algebra: AlgebraSpec) -> RelationReport:
     B: S_n f = S_n k = S_n h = 0; D: S_n h_n = S_n k_n = 0."""
     n = algebra.n
     cartan = CartanData(algebra)
-    rep = RelationReport()
     if algebra.series == "B":
-        for name, p in (("f", b_f(n)), ("k", b_k(n)), ("h", b_h(n))):
-            rep.add(f"long-node kernel of {name}", in_kernel(n, p, cartan))
+        pieces = (("f", b_f(n)), ("k", b_k(n)), ("h", b_h(n)))
     else:
-        for name, p in (("h_n", d_h(n, n)), ("k_n", d_k(n, n))):
-            rep.add(f"long-node kernel of {name}", in_kernel(n, p, cartan))
+        pieces = (("h_n", d_h(n, n)), ("k_n", d_k(n, n)))
+    rep = RelationReport()
+    for name, p in pieces:
+        rep.add(f"long-node kernel of {name}", in_kernel(n, p, cartan))
     return rep
 
 
 def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     """Full series-operator check set for one algebra: factorized build,
     even-degree structure, middle-factor expansion, inverse, screening
-    kernels of the operator and of every extracted coefficient.  L is
-    inverted once, and +-T^a(u+a), T_m(u+m) are screened unshifted: a
-    shift by h maps screen_all(p)[a] to {v + h: q.shift(h)}, so T^a(u+a)
-    is in a kernel exactly when T^a(u) is."""
+    kernels of the operator and of every extracted coefficient.
+
+    L is built once and inverted once, and each coefficient of L and of
+    L^{-1} is screened once.  The T^a checks read the operator's own
+    residuals up to the inverse's truncation, because the truncated Li
+    has exactly L's coefficients there.  +-T^a(u+a) and T_m(u+m) are
+    screened unshifted: a shift by h maps screen_all(p)[a] to
+    {v + h: q.shift(h)}, so T^a(u+a) is in a kernel exactly when T^a(u)
+    is."""
     algebra = AlgebraSpec(series, n)
     if order is None:
         order = 2 * (2 * n + 2)
@@ -238,15 +235,16 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     for sub in verify_block_lemmas(algebra).checks:
         rep.add(sub["identity"], sub["ok"])
     cartan = CartanData(algebra)
-    for krep in verify_bd_screening(algebra, order):
+    l_reps = verify_bd_screening(L, cartan)
+    for krep in l_reps:
         rep.add(f"operator kernel under node {krep.node_a}", krep.zero)
-    ta_res = [screen_all(Li.coeff(j), cartan) for j in sorted(Li.coeffs) if j]
-    tm_res = [screen_all(inv.coeff(j), cartan) for j in sorted(inv.coeffs) if j]
-    for a in range(1, algebra.n + 1):
-        ok = not any(res[a] for res in ta_res)
+    inv_reps = screen_operator_all(inv, cartan)
+    for l_rep, inv_rep in zip(l_reps, inv_reps):
+        a = l_rep.node_a
+        ok = not any(d["residual_term_count"] for d in l_rep.per_degree
+                     if d["deg"] <= inv_order)
         rep.add(f"all T^a coefficients in kernel of node {a}", ok)
-        ok = not any(res[a] for res in tm_res)
-        rep.add(f"all T_m coefficients in kernel of node {a}", ok)
+        rep.add(f"all T_m coefficients in kernel of node {a}", inv_rep.zero)
     # highest-weight normalization of the first coefficient
     rep.add("T^1 contains Y_1(u) with coefficient 1",
             extract_Ta(Li)[1].coeff_of({vk(Y_FAM, 1, 0): 1}) == 1)

@@ -193,6 +193,15 @@ def verify_hook_ratio(n: int, k_max: int, basis: TriangularBasis,
             rep.add(f"hook minor ratio i={i} k={k}", ok)
 
 
+def _x_ratio(cas, m: int, shift: int) -> Fraction:
+    """The Casorati x-ratio [0..m-1][2..m] / ([1..m][1..m-1]) at
+    ``shift``, from a minor function cas(indices, shift); raises
+    ZeroDivisionError when the denominator is 0."""
+    return (cas(tuple(range(m)), shift) * cas(tuple(range(2, m + 1)), shift)
+            / (cas(tuple(range(1, m + 1)), shift)
+               * cas(tuple(range(1, m)), shift)))
+
+
 def verify_x_ratio(n: int, basis: TriangularBasis, grid: range,
                    rep: GridReport) -> None:
     """The Casorati x-alphabet equals the defining x-alphabet on the
@@ -201,16 +210,11 @@ def verify_x_ratio(n: int, basis: TriangularBasis, grid: range,
     N = 2 * n + 2
     for m in range(1, N + 1):
         vals = basis.qa.eval_many(table.x(m), [2 * g for g in grid])
-        ok = True
-        for g, v in zip(grid, vals):
-            num = (basis.casorati(tuple(range(m)), g)
-                   * basis.casorati(tuple(range(2, m + 1)), g))
-            den = (basis.casorati(tuple(range(1, m + 1)), g)
-                   * basis.casorati(tuple(range(1, m)), g))
-            if den == 0:
-                ok = False
-                break
-            ok = ok and v == num / den
+        try:
+            ok = all(v == _x_ratio(basis.casorati, m, g)
+                     for g, v in zip(grid, vals))
+        except ZeroDivisionError:
+            ok = False
         rep.add(f"alphabet ratio m={m}", ok)
 
 
@@ -392,16 +396,9 @@ def _free_skew_holds(N: int, indices: tuple, width: int,
         return det_frac([[table[j][shift + i] for i in idx]
                          for j in range(len(idx))])
 
-    xt_cache: dict = {}
-
+    @cache
     def xt(m, shift):
-        if (m, shift) not in xt_cache:
-            num = cas(tuple(range(m)), shift) * cas(
-                tuple(range(2, m + 1)), shift)
-            den = cas(tuple(range(1, m + 1)), shift) * cas(
-                tuple(range(1, m)), shift)
-            xt_cache[(m, shift)] = num / den
-        return xt_cache[(m, shift)]
+        return _x_ratio(cas, m, shift)
 
     lhs = cas(indices) / cas(tuple(range(width, width + N)))
     ssyt = _ssyt_sum(N, width, mu, xt)

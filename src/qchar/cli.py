@@ -123,6 +123,16 @@ def _check_out(path: str) -> None:
 
 # --- character command ------------------------------------------------
 
+def _rect_leading(n: int, a: int, m: int) -> dict:
+    """Exponents of the leading monomial of T^(a)_m,
+    prod_j Y_a(u + t(m+1-2j)/2) with t = 2 at the long node; the empty
+    monomial outside 1 <= a <= n (T^(0)_m = 1)."""
+    if not 1 <= a <= n:
+        return {}
+    t = 2 if a == n else 1
+    return Counter(vk(Y_FAM, a, t * (m + 1 - 2 * j)) for j in range(1, m + 1))
+
+
 def cmd_character(args) -> int:
     n = _resolve(args, "rank", int)
     if n is None:
@@ -145,21 +155,19 @@ def cmd_character(args) -> int:
     if kind == "fundamental":
         a = args.fundamental
         label, p = (a,), characters.fundamental_poly(n, a)
-        hw = {vk(Y_FAM, a, 0): 1} if 1 <= a <= n else {}
+        hw = _rect_leading(n, a, 1)
     elif kind == "row":
         m = args.row
         if m < 0:
             raise UsageError("--row must be >= 0")
         label, p = (m,), characters.row_poly(n, m)
-        hw = Counter(vk(Y_FAM, 1, m + 1 - 2 * j) for j in range(1, m + 1))
+        hw = _rect_leading(n, 1, m)
     elif kind == "rect":
         a, m = args.rect
         if not (0 <= a <= n and m >= 0):
             raise UsageError(f"--rect needs 0 <= A <= {n} and M >= 0")
         label, p = (a, m), characters.rect_poly(n, a, m)
-        t = 2 if a == n else 1
-        hw = Counter(vk(Y_FAM, a, t * (m + 1 - 2 * j))
-                     for j in range(1, m + 1)) if a else {}  # T^(0)_m = 1
+        hw = _rect_leading(n, a, m)
     else:
         i, k = args.hseries
         if not (0 <= i <= 2 * n + 1 and k >= 0):

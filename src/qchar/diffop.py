@@ -167,7 +167,6 @@ def build_L_C(n: int, form: str = "xFactored",
     """
     table = VariableTable(AlgebraSpec("C", n))
     N = 2 * n + 2
-    D = DiffOp({1: ONE})
 
     def lin0(c: LaurentPoly) -> DiffOp:  # 1 - c*D
         return DiffOp({0: ONE, 1: -c})
@@ -176,9 +175,7 @@ def build_L_C(n: int, form: str = "xFactored",
         return DiffOp({0: c, 1: -ONE})
 
     if form == "xFactored":
-        factors = [lin1(eps.eps(i, n) * table.x(i, 2 * (n + 1 - i)))
-                   for i in range(1, N + 1)]
-        return prod(factors)
+        return prod(_x_factors(n, eps))
     if form == "xReversed":
         factors = [lin0(eps.eps(i, n) * table.x(i, 0))
                    for i in range(N, 0, -1)]
@@ -199,19 +196,22 @@ def build_L_C(n: int, form: str = "xFactored",
     raise ValueError(f"unknown form {form!r}")
 
 
+def _x_factors(n: int, eps: EpsilonChoice) -> list:
+    """The first-order factors (eps_i x_i(u+n+1-i) - D), i = 1..N, of the
+    xFactored operator, in product order."""
+    table = VariableTable(AlgebraSpec("C", n))
+    return [DiffOp({0: eps.eps(i, n) * table.x(i, 2 * (n + 1 - i)),
+                    1: -ONE}) for i in range(1, 2 * n + 3)]
+
+
 def build_Lj_C(n: int, j: int) -> DiffOp:
     """Right-ordered product of the last j first-order factors, with the
-    two middle signs fixed at -1; degree-j operator with L_N = L."""
+    two middle signs fixed at -1 and each factor negated (D - eps_i x_i);
+    degree-j operator with L_N = L."""
     N = 2 * n + 2
     if not (1 <= j <= N):
         raise ValueError(f"j out of range: {j}")
-    table = VariableTable(AlgebraSpec("C", n))
-    eps = EpsilonChoice(-1)
-    factors = []
-    for i in range(N + 1 - j, N + 1):
-        c = eps.eps(i, n) * table.x(i, 2 * (n + 1 - i))
-        factors.append(DiffOp({0: -c, 1: ONE}))  # D - eps_i x_i(...)
-    return prod(factors)
+    return prod([-f for f in _x_factors(n, EpsilonChoice(-1))[N - j:]])
 
 
 def extract_e(L: DiffOp, a: int) -> LaurentPoly:

@@ -729,81 +729,43 @@ class VariableTable:
         self.cartan = CartanData(algebra)
         self.n = algebra.n
 
-    # -- C series -----------------------------------------------------
-
     def z(self, code: int, half: int = 0) -> LaurentPoly:
-        """z_letter(u + half/2) in the Y representation."""
+        """z_letter(u + half/2) in the Y representation.
+
+        Away from node n every series uses one formula, with (r, k) =
+        (1, 2n+4) for C, (2, 2n+1) for B and (2, 2n) for D:
+        z_a = Y_a(u + ra/2) / Y_{a-1}(u + r(a+1)/2) and
+        z_abar = Y_{a-1}(u + r(k-a-1)/2) / Y_a(u + r(k-a)/2), Y_0 = 1.
+        The letters next to n are written out per series: B n and nbar;
+        D n-1, n, nbar and (n-1)bar.
+        """
         n = self.n
         s = self.algebra.series
         if not (1 <= code <= 2 * n):
             raise ValueError(f"letter code out of range: {code}")
-        if s == "C":
+        if s == "B" and code in (n, n + 1):
+            factors = {n: ((n, 2 * n + 1, 1), (n, 2 * n - 1, 1),
+                           (n - 1, 2 * n + 2, -1)),
+                       n + 1: ((n, 2 * n + 3, -1), (n, 2 * n + 1, -1),
+                               (n - 1, 2 * n, 1))}[code]
+        elif s == "D" and n - 1 <= code <= n + 2:
+            factors = {n - 1: ((n, 2 * n - 2, 1), (n - 1, 2 * n - 2, 1),
+                               (n - 2, 2 * n, -1)),
+                       n: ((n, 2 * n - 2, 1), (n - 1, 2 * n + 2, -1)),
+                       n + 1: ((n - 1, 2 * n - 2, 1), (n, 2 * n + 2, -1)),
+                       n + 2: ((n - 2, 2 * n, 1), (n, 2 * n + 2, -1),
+                               (n - 1, 2 * n + 2, -1))}[code]
+        else:
+            r, k = {"C": (1, 2 * n + 4), "B": (2, 2 * n + 1),
+                    "D": (2, 2 * n)}[s]
             if code <= n:
                 a = code
-                e = {vk(Y_FAM, a, half + a): 1}
-                if a > 1:
-                    e[vk(Y_FAM, a - 1, half + a + 1)] = -1
+                factors = ((a, r * a, 1), (a - 1, r * (a + 1), -1))
             else:
                 a = 2 * n + 1 - code
-                e = {vk(Y_FAM, a, half + 2 * n - a + 4): -1}
-                if a > 1:
-                    e[vk(Y_FAM, a - 1, half + 2 * n - a + 3)] = 1
-            return LaurentPoly.monomial(1, e)
-        if s == "B":
-            return self._z_b(code, half)
-        return self._z_d(code, half)
-
-    def _z_b(self, code: int, half: int) -> LaurentPoly:
-        n = self.n
-        if code <= n - 1:
-            a = code
-            e = {vk(Y_FAM, a, half + 2 * a): 1}
-            if a > 1:
-                e[vk(Y_FAM, a - 1, half + 2 * a + 2)] = -1
-        elif code == n:
-            e = {vk(Y_FAM, n, half + 2 * n + 1): 1,
-                 vk(Y_FAM, n, half + 2 * n - 1): 1}
-            if n > 1:
-                e[vk(Y_FAM, n - 1, half + 2 * n + 2)] = -1
-        elif code == n + 1:  # nbar
-            e = {vk(Y_FAM, n, half + 2 * n + 3): -1,
-                 vk(Y_FAM, n, half + 2 * n + 1): -1}
-            if n > 1:
-                e[vk(Y_FAM, n - 1, half + 2 * n)] = 1
-        else:
-            a = 2 * n + 1 - code
-            e = {vk(Y_FAM, a, half + 2 * (2 * n - a + 1)): -1}
-            if a > 1:
-                e[vk(Y_FAM, a - 1, half + 2 * (2 * n - a))] = 1
-        return LaurentPoly.monomial(1, e)
-
-    def _z_d(self, code: int, half: int) -> LaurentPoly:
-        n = self.n
-        if code <= n - 2:
-            a = code
-            e = {vk(Y_FAM, a, half + 2 * a): 1}
-            if a > 1:
-                e[vk(Y_FAM, a - 1, half + 2 * a + 2)] = -1
-        elif code == n - 1:
-            e = {vk(Y_FAM, n, half + 2 * n - 2): 1,
-                 vk(Y_FAM, n - 1, half + 2 * n - 2): 1,
-                 vk(Y_FAM, n - 2, half + 2 * n): -1}
-        elif code == n:
-            e = {vk(Y_FAM, n, half + 2 * n - 2): 1,
-                 vk(Y_FAM, n - 1, half + 2 * n + 2): -1}
-        elif code == n + 1:  # nbar
-            e = {vk(Y_FAM, n - 1, half + 2 * n - 2): 1,
-                 vk(Y_FAM, n, half + 2 * n + 2): -1}
-        elif code == n + 2:  # (n-1)bar
-            e = {vk(Y_FAM, n - 2, half + 2 * n): 1,
-                 vk(Y_FAM, n, half + 2 * n + 2): -1,
-                 vk(Y_FAM, n - 1, half + 2 * n + 2): -1}
-        else:
-            a = 2 * n + 1 - code
-            e = {vk(Y_FAM, a, half + 2 * (2 * n - a)): -1}
-            if a > 1:
-                e[vk(Y_FAM, a - 1, half + 2 * (2 * n - a - 1))] = 1
-        return LaurentPoly.monomial(1, e)
+                factors = ((a - 1, r * (k - a - 1), 1), (a, r * (k - a), -1))
+        return LaurentPoly.monomial(1, {vk(Y_FAM, b, half + h): e
+                                        for b, h, e in factors if b})
 
     def z0(self, half: int = 0) -> LaurentPoly:
         if self.algebra.series != "B":

@@ -8,6 +8,7 @@ from qchar.bd import (build_series_L, extract_Ta, extract_Tm,
                       verify_b_expansion, verify_d_expansion,
                       verify_bd_screening, verify_block_lemmas, run_suite,
                       b_f, b_k, b_h, d_h, d_k)
+from qchar import bd, screening
 from qchar.screening import in_kernel
 
 
@@ -84,7 +85,8 @@ def test_block_pieces_only_kernel_at_long_node():
 
 
 def test_screening_per_node():
-    reps = verify_bd_screening(AlgebraSpec("B", 2), 8)
+    spec = AlgebraSpec("B", 2)
+    reps = verify_bd_screening(build_series_L(spec, 8), CartanData(spec))
     assert len(reps) == 2 and all(r.zero for r in reps)
 
 
@@ -107,3 +109,27 @@ def test_suite_inverts_the_operator_once(monkeypatch, series, n):
     monkeypatch.setattr(DiffOp, "inverse_series", spy)
     assert run_suite(series, n).ok
     assert len([c for c in calls if c[0] > 2]) == 1, calls
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("D", 3)])
+def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
+                                                         n):
+    built, screened = [], []
+    real_build, real_screen = bd.build_series_L, screening.screen_all
+
+    def build_spy(algebra, order):
+        built.append(real_build(algebra, order))
+        return built[-1]
+
+    def screen_spy(p, cartan):
+        screened.append(p)
+        return real_screen(p, cartan)
+    monkeypatch.setattr(bd, "build_series_L", build_spy)
+    monkeypatch.setattr(screening, "screen_all", screen_spy)
+    assert run_suite(series, n).ok
+    assert len(built) == 1
+    L = built[0]
+    inv_order = min(L.order, 12)
+    inv = L.truncated(inv_order).inverse_series(inv_order)
+    assert screened == ([L.coeffs[j] for j in sorted(L.coeffs)]
+                        + [inv.coeffs[j] for j in sorted(inv.coeffs)])

@@ -293,6 +293,19 @@ def test_skew_on_basis_fails_on_mutated_alphabet(basis2, monkeypatch,
     assert checks and not any(c["ok"] for c in checks)
 
 
+def test_x_ratio_fails_on_a_zero_denominator(basis2, monkeypatch):
+    args = (casorati.verify_x_ratio, 2, basis2, range(3))
+    assert [c["ok"] for c in _checks(*args)] == [True] * 6
+    real = basis2.casorati
+
+    def singular(indices, shift=0):
+        return Fraction(0) if indices == (1, 2, 3) else real(indices, shift)
+    # [1, 2, 3] is a denominator minor of m = 3 and of m = 4 only
+    monkeypatch.setattr(basis2, "casorati", singular)
+    assert [c["ok"] for c in _checks(*args)] == [m not in (3, 4)
+                                                 for m in range(1, 7)]
+
+
 def test_default_index_sets_rank2_includes_remark_shape():
     sets = default_index_sets(2)
     assert (0, 1, 3, 4, 6, 7) in sets

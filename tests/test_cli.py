@@ -319,8 +319,9 @@ def test_output_independent_of_hash_seed():
         assert outs[0] == outs[1] == outs[2] and outs[0]
 
 
-# Small runs of every suite and of the bd command, whose stdout in each
-# format is recorded under tests/golden/ as <name>.txt and <name>.json.
+# Small runs of every suite and of the bd and operator commands, whose
+# stdout in each format is recorded under tests/golden/ as <name>.txt
+# and <name>.json.
 REPORT_RUNS = {
     "verify_screening": ["verify", "screening", "--rank", "2",
                          "--max-m", "2"],
@@ -343,6 +344,10 @@ REPORT_RUNS = {
     "bd_report": ["bd", "--algebra", "D", "--rank", "3", "--order", "6"],
     "bd_coeffs": ["bd", "--algebra", "B", "--rank", "2", "--order", "6",
                   "--emit", "coeffs"],
+    "operator_B4": ["operator", "--algebra", "B", "--rank", "4",
+                    "--order", "6"],
+    "operator_D5": ["operator", "--algebra", "D", "--rank", "5",
+                    "--order", "6"],
 }
 
 

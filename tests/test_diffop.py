@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar.ring import AlgebraSpec, CartanData, LaurentPoly, Y, ONE
+from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
+                        Y, ONE)
 from qchar.diffop import (DiffOp, EpsilonChoice, build_L_C, build_Lj_C,
                           extract_e, prod, L_FORMS)
 from qchar.characters import fundamental_poly
@@ -58,6 +59,22 @@ def test_full_partial_product_recovers_operator():
     N = 2 * n + 2
     L = build_L_C(n)
     assert build_Lj_C(n, N) == L
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_partial_products_written_out(n):
+    N = 2 * n + 2
+    # each partial product written out: (D - eps_i x_i(u+n+1-i)) for the
+    # last j indices, with the two middle signs at -1
+    table = VariableTable(AlgebraSpec("C", n))
+    eps = EpsilonChoice(-1)
+    for j in range(1, N + 1):
+        assert build_Lj_C(n, j) == prod([
+            DiffOp({0: -eps.eps(i, n) * table.x(i, 2 * (n + 1 - i)), 1: ONE})
+            for i in range(N + 1 - j, N + 1)])
+    for j in (0, N + 1):
+        with pytest.raises(ValueError):
+            build_Lj_C(n, j)
 
 
 def test_inverse_series_two_sided():

@@ -104,6 +104,89 @@ def test_variable_table_column_letters():
     assert z1b == Y(1, 7, -1)
 
 
+def _o_z(table, code, half):
+    """Oracle: the letters written out per series, one branch per range
+    of codes, as ``VariableTable.z`` stated them before the letters away
+    from node n shared one formula."""
+    n = table.n
+    s = table.algebra.series
+    if s == "C":
+        if code <= n:
+            a = code
+            e = {vk(Y_FAM, a, half + a): 1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + a + 1)] = -1
+        else:
+            a = 2 * n + 1 - code
+            e = {vk(Y_FAM, a, half + 2 * n - a + 4): -1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + 2 * n - a + 3)] = 1
+    elif s == "B":
+        if code <= n - 1:
+            a = code
+            e = {vk(Y_FAM, a, half + 2 * a): 1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + 2 * a + 2)] = -1
+        elif code == n:
+            e = {vk(Y_FAM, n, half + 2 * n + 1): 1,
+                 vk(Y_FAM, n, half + 2 * n - 1): 1,
+                 vk(Y_FAM, n - 1, half + 2 * n + 2): -1}
+        elif code == n + 1:  # nbar
+            e = {vk(Y_FAM, n, half + 2 * n + 3): -1,
+                 vk(Y_FAM, n, half + 2 * n + 1): -1,
+                 vk(Y_FAM, n - 1, half + 2 * n): 1}
+        else:
+            a = 2 * n + 1 - code
+            e = {vk(Y_FAM, a, half + 2 * (2 * n - a + 1)): -1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + 2 * (2 * n - a))] = 1
+    else:
+        if code <= n - 2:
+            a = code
+            e = {vk(Y_FAM, a, half + 2 * a): 1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + 2 * a + 2)] = -1
+        elif code == n - 1:
+            e = {vk(Y_FAM, n, half + 2 * n - 2): 1,
+                 vk(Y_FAM, n - 1, half + 2 * n - 2): 1,
+                 vk(Y_FAM, n - 2, half + 2 * n): -1}
+        elif code == n:
+            e = {vk(Y_FAM, n, half + 2 * n - 2): 1,
+                 vk(Y_FAM, n - 1, half + 2 * n + 2): -1}
+        elif code == n + 1:  # nbar
+            e = {vk(Y_FAM, n - 1, half + 2 * n - 2): 1,
+                 vk(Y_FAM, n, half + 2 * n + 2): -1}
+        elif code == n + 2:  # (n-1)bar
+            e = {vk(Y_FAM, n - 2, half + 2 * n): 1,
+                 vk(Y_FAM, n, half + 2 * n + 2): -1,
+                 vk(Y_FAM, n - 1, half + 2 * n + 2): -1}
+        else:
+            a = 2 * n + 1 - code
+            e = {vk(Y_FAM, a, half + 2 * (2 * n - a)): -1}
+            if a > 1:
+                e[vk(Y_FAM, a - 1, half + 2 * (2 * n - a - 1))] = 1
+    return LaurentPoly.monomial(1, e)
+
+
+@pytest.mark.parametrize("series,ranks", [("C", range(2, 7)),
+                                          ("B", range(2, 7)),
+                                          ("D", range(3, 7))])
+def test_letters_match_per_series_oracle(series, ranks):
+    for n in ranks:
+        table = VariableTable(AlgebraSpec(series, n))
+        for half in range(-3, 4):
+            for code in range(1, 2 * n + 1):
+                assert table.z(code, half) == _o_z(table, code, half), (
+                    n, code, half)
+            if series == "B":
+                assert table.z0(half) == LaurentPoly.monomial(
+                    1, {vk(Y_FAM, n, half + 2 * n - 1): 1,
+                        vk(Y_FAM, n, half + 2 * n + 3): -1})
+        for code in (0, 2 * n + 1):
+            with pytest.raises(ValueError):
+                table.z(code)
+
+
 def test_algebra_spec_validation():
     with pytest.raises(ValueError):
         AlgebraSpec("C", 1)
