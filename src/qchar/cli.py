@@ -295,6 +295,9 @@ def _lemma_exp(r):
 
 def _product_formula(r):
     k_max = 2 * r.rank + 2 + 2 if r.max_m is None else r.max_m
+    if k_max < 1:
+        # k starts at 1, so a smaller bound would run no check at all
+        raise UsageError(f"product-formula needs --max-m >= 1, got {k_max}")
     return [{"identity": f"transfer-matrix product at k={k}",
              "ok": characters.verify_product_formula(r.rank, k)}
             for k in range(1, k_max + 1)], {"k_max": k_max}

@@ -48,6 +48,15 @@ keys, so nothing large is decoded.  The map is injective and additive
 on every monomial that can occur, so the sum vanishes iff it does on
 global keys.  Nothing packed in a frame outlives the call.
 
+``screenings_vanish`` decides in the same way whether every node's
+screening of a polynomial canonicalizes to zero.  Its frame holds the Q
+variables of the terms' images and of the A_a chains, and one slot per
+residue class of screening symbols, which keeps the classes apart.
+Each key is decoded once, each class's chain is built once from the
+factors it is given, and every (term, Y_a(v)) pair costs one int add
+and one dict update.  w is bit_length(B) + 1 again, where B is the Q
+images' bound plus the largest exact chain exponent.
+
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
 and ``to_json()`` decode every key to the sorted tuple of
@@ -56,9 +65,10 @@ makes their output the same in every process.  A decode is a bias add,
 an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
 zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
 top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
-counted: every substitution decodes each key once, ``q_euler_parts``,
-which feeds the screening of every node, once for all the Y variables
-of the key, and ``eval_points`` once for all the points it is given.
+counted: every substitution decodes each key once, ``q_euler_parts``
+and ``screenings_vanish``, which serve the screening of every node,
+once for all the Y variables of the key, and ``eval_points`` once for
+all the points it is given.
 """
 
 from __future__ import annotations
@@ -143,12 +153,20 @@ def _exact_bound(t: dict) -> int:
                default=0)
 
 
-def _q_image(cartan: "CartanData", var: VarKey) -> int:
+def _y_arg(var: VarKey) -> tuple[int, int]:
+    """(index, half) of a Y variable; ValueError for any other family."""
     f, i, h = var
     if f != Y_FAM:
         raise ValueError(f"to_q expects Y-variables only, found {FAM_NAMES[f]}")
+    return i, h
+
+
+def _q_image(cartan: "CartanData", var: VarKey, unit=_unit) -> int:
+    """Key of Q_i(h - t_i/2) / Q_i(h + t_i/2), the image of Y_i(h), on the
+    units ``unit`` gives (global slots by default)."""
+    i, h = _y_arg(var)
     th = cartan.pair2(i, i) // 2
-    return _unit((Q_FAM, i, h - th)) - _unit((Q_FAM, i, h + th))
+    return unit((Q_FAM, i, h - th)) - unit((Q_FAM, i, h + th))
 
 
 def _format_shift(half: int) -> str:
@@ -544,6 +562,72 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     acc: dict = {}
     for sign, a, b in triples:
         _product_into(acc, pack(a), pack(b), sign)
+    return not acc
+
+
+def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> bool:
+    """Whether every node's screening of p canonicalizes to zero, decided
+    in one frame of this call (see "Local packing" in the module
+    docstring).
+
+    ``factor(a, half)`` is the single-term multiplier A_a at ``half``.
+    The arguments v of each node a fall into classes modulo t = pair2(a,
+    a).  A class's chain is 1 at its smallest argument, and each step
+    from w to w + t multiplies it by factor(a, w + t/2), the walk of
+    ``screening.canonicalize``.  Every pair of a term c M of p and a
+    variable Y_a(v) of M with exponent e adds e * c times the chain's
+    coefficient at the monomial (M's Q image) * (the chain at v) * (the
+    variable of v's class).  The frame's digits are as wide as its bound
+    needs, past EXP_MAX too, so only the Q images' bound is guarded, as
+    ``q_euler_parts`` guards it.
+    """
+    q = p._q_bound()
+    decoded = [(c, *_digits(k)) for k, c in p._t.items()]
+    ys: set = set()
+    for _, slots, _ in decoded:
+        ys.update(slots)
+    classes: dict = {}  # (a, v mod t) -> [(v, slot of Y_a(v))]
+    for s in ys:
+        a, v = _y_arg(_VAR[s])
+        classes.setdefault((a, v % cartan.pair2(a, a)), []).append((v, s))
+    chains: dict = {}  # slot of Y_a(v) -> (class, coefficient, exponents)
+    for cls, args in classes.items():
+        a = cls[0]
+        t = cartan.pair2(a, a)
+        args.sort()
+        w = args[0][0]
+        coeff, exps = 1, {}  # the chain: coeff * prod Q^exps[Q]
+        for v, s in args:
+            while w < v:
+                (key, c), = factor(a, w + t // 2)._t.items()
+                coeff *= c
+                for slot, e in zip(*_digits(key)):
+                    exps[_VAR[slot]] = exps.get(_VAR[slot], 0) + e
+                w += t
+            chains[s] = (cls, coeff, dict(exps))
+    bound = q + max((abs(e) for _, _, exps in chains.values()
+                     for e in exps.values()), default=0)
+    width = max(bound, 1).bit_length() + 1
+    place: dict = {}  # Q VarKey or class -> its local unit, in first use
+
+    def unit(x) -> int:
+        return place.setdefault(x, 1 << width * len(place))
+
+    offset = {s: unit(cls) + sum(e * unit(var) for var, e in exps.items())
+              for s, (cls, _, exps) in chains.items()}
+    scale = {s: coeff for s, (_, coeff, _) in chains.items()}
+    images, image = {}, partial(_q_image, cartan, unit=unit)
+    acc: dict = {}
+    get = acc.get
+    for c, slots, exps in decoded:
+        k = _substitute(slots, exps, images, image)
+        for s, e in zip(slots, exps):
+            key = k + offset[s]
+            n = get(key, 0) + e * c * scale[s]
+            if n:
+                acc[key] = n
+            else:
+                del acc[key]
     return not acc
 
 

@@ -12,8 +12,10 @@ residue class and checking that all coefficients cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from .ring import LaurentPoly, CartanData, Q_FAM, product_sum, vk
+from .ring import (LaurentPoly, CartanData, Q_FAM, product_sum,
+                   screenings_vanish, vk)
 from .diffop import DiffOp
 
 
@@ -75,11 +77,16 @@ def screen_poly(a: int, p: LaurentPoly, cartan: CartanData) -> dict:
 
 
 def screen_all(p: LaurentPoly, cartan: CartanData) -> dict:
-    """{a: screen_poly(a, p, cartan)} for every node a, from one
-    ``q_euler_parts`` pass over p."""
+    """{a: screen_poly(a, p, cartan)} for every node a.  Whether all of
+    them vanish is decided first on call-local keys, with the chains
+    built from ``a_factor`` (``ring.screenings_vanish``); only a p that
+    fails is screened again, from one ``q_euler_parts`` pass, to build
+    its residuals."""
+    nodes = range(1, cartan.algebra.n + 1)
+    if screenings_vanish(p, cartan, partial(a_factor, cartan)):
+        return {a: {} for a in nodes}
     parts = p.q_euler_parts(cartan)
-    return {a: canonicalize(a, _node(parts, a), cartan)
-            for a in range(1, cartan.algebra.n + 1)}
+    return {a: canonicalize(a, _node(parts, a), cartan) for a in nodes}
 
 
 def in_kernel(a: int, p: LaurentPoly, cartan: CartanData) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from qchar import casorati, tableaux
+from qchar import casorati, characters, tableaux
 from qchar.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -289,10 +289,23 @@ def test_unused_bound_flags_are_refused(tmp_path, capsys):
         assert run_cli(argv + ["--config", str(cfg)], capsys)[0] == 0, argv
 
 
-def test_suite_without_checks_fails(capsys):
+def test_suite_without_checks_fails(capsys, monkeypatch):
+    # no command line makes a suite run zero checks, so a library call
+    # that returns none stands in for one
+    monkeypatch.setattr(characters, "verify_tsystem",
+                        lambda *args: characters.RelationReport())
+    code, out, _ = run_cli(["verify", "tsystem", "--rank", "2"], capsys)
+    assert (code, out) == (1, "\nsuite FAILED\n")
+
+
+def test_product_formula_needs_a_positive_bound(capsys):
+    # k runs from 1 to --max-m, so --max-m 0 would run no check
+    assert run_cli(["verify", "product-formula", "--rank", "2",
+                    "--max-m", "0"], capsys) == (
+        2, "", "error: product-formula needs --max-m >= 1, got 0\n")
     code, out, _ = run_cli(["verify", "product-formula", "--rank", "2",
-                            "--max-m", "0"], capsys)
-    assert code == 1 and out.endswith("suite FAILED\n")
+                            "--max-m", "1"], capsys)
+    assert code == 0 and out.endswith("suite ok\n")
 
 
 def test_output_independent_of_hash_seed():
@@ -339,8 +352,6 @@ REPORT_RUNS = {
                          "--rank", "3", "--order", "6"],
     "verify_product-formula": ["verify", "product-formula", "--rank", "2",
                                "--max-m", "3"],
-    "verify_product-formula_empty": ["verify", "product-formula", "--rank",
-                                     "2", "--max-m", "0"],
     "bd_report": ["bd", "--algebra", "D", "--rank", "3", "--order", "6"],
     "bd_coeffs": ["bd", "--algebra", "B", "--rank", "2", "--order", "6",
                   "--emit", "coeffs"],
@@ -356,8 +367,7 @@ REPORT_RUNS = {
 def test_report_matches_golden(name, fmt, capsys):
     code, out, err = run_cli(REPORT_RUNS[name] + ["--format", fmt], capsys)
     want = GOLDEN / f"{name}.{'txt' if fmt == 'text' else 'json'}"
-    assert (code, out, err) == (1 if name.endswith("_empty") else 0,
-                                want.read_text(), "")
+    assert (code, out, err) == (0, want.read_text(), "")
 
 
 def test_jobs_is_a_serial_no_op(capsys):

@@ -1,10 +1,12 @@
 """Screening operators: Leibniz action, shift canonicalization, kernels."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Y, Qv, ONE,
-                        EXP_MAX, Y_FAM, poly_sum)
+                        EXP_MAX, Y_FAM, poly_sum, screenings_vanish)
 from qchar.screening import (a_factor, apply_screening, canonicalize,
                              in_kernel, screen_all, screen_operator,
                              screen_operator_all, screen_poly)
@@ -315,3 +317,96 @@ def test_canonicalize_matches_per_argument_chain(cartan, polys):
                 assert got == _o_canonicalize(a, s, cartan), (p, a)
                 nonzero += bool(got)
     assert nonzero > len(polys)
+
+
+# -- screen_all decides on call-local keys; the global route is the oracle --
+
+def _o_screen_all(p, cartan):
+    """Every node's residuals from the per-node Euler parts and the
+    per-argument chains."""
+    parts = _o_q_euler_parts(p, cartan)
+    return {a: _o_canonicalize(
+        a, {h: q for (i, h), q in parts.items() if i == a}, cartan)
+        for a in range(1, cartan.algebra.n + 1)}
+
+
+def _broken_variants(p):
+    """p with each of its first five terms dropped, with one term negated
+    and with one term doubled."""
+    terms = [LaurentPoly.monomial(c, dict(key)) for key, c in p.terms()]
+    return ([p - t for t in terms[:5]]
+            + [p - 2 * terms[-1], p + terms[len(terms) // 2]])
+
+
+@pytest.mark.parametrize("cartan,polys", _kernel_cases(),
+                         ids=("C2", "C3", "B3", "D4"))
+def test_screen_all_matches_oracle_on_broken_variants(cartan, polys):
+    negative = False
+    for p in polys:
+        variants = _broken_variants(p)
+        # moved far down, so that classes start at negative arguments
+        variants += [v.shift(-41) for v in variants[:2]]
+        op = DiffOp({2 * j: v for j, v in enumerate(variants)})
+        counts = {(rep.node_a, d["deg"]): d["residual_term_count"]
+                  for rep in screen_operator_all(op, cartan)
+                  for d in rep.per_degree}
+        assert screenings_vanish(p, cartan, partial(a_factor, cartan))
+        for j, v in enumerate(variants):
+            want = _o_screen_all(v, cartan)
+            assert screen_all(v, cartan) == want, (p, j)
+            assert any(want.values()), (p, j)
+            assert not screenings_vanish(v, cartan, partial(a_factor, cartan))
+            for a, res in want.items():
+                assert counts[(a, 2 * j)] == sum(q.n_terms
+                                                 for q in res.values())
+            negative |= any(v0 < 0 for res in want.values() for v0 in res)
+    assert negative
+
+
+def test_screen_all_independent_of_interning_order():
+    # Every variable of a copy shifted far away is met after 300
+    # unrelated ones, so its global keys carry 16 bits for each of them;
+    # the frame numbers its own slots, and the results do not move.
+    cases = [(cartan, polys + _broken_variants(polys[0])[:1])
+             for cartan, polys in _kernel_cases()]
+    before = [[screen_all(p, cartan) for p in polys]
+              for cartan, polys in cases]
+    for i in range(300):
+        Y(1, 10 ** 6 + i)
+    h = 2 * 10 ** 6
+    for (cartan, polys), want in zip(cases, before):
+        # the kernel members screen to zero, the broken one does not
+        assert [any(res.values()) for res in want] == [False] * (
+            len(polys) - 1) + [True]
+        assert [screen_all(p.shift(h), cartan) for p in polys] == [
+            {a: _shifted(r, h) for a, r in res.items()} for res in want]
+        assert [screenings_vanish(p.shift(h), cartan,
+                                  partial(a_factor, cartan))
+                for p in polys[:-1]] == [True] * (len(polys) - 1)
+
+
+def test_screen_all_keeps_classes_apart(c2):
+    # one term, two screening symbols with opposite multiplicities and
+    # the same Q image and chain: in different classes of node 1, and at
+    # different nodes; neither pair cancels
+    for p in (Y(1, 0) * Y(1, 1, -1), 3 * Y(1, 0) * Y(2, 0, -1)):
+        assert not screenings_vanish(p, c2, partial(a_factor, c2))
+        want = _o_screen_all(p, c2)
+        assert screen_all(p, c2) == want and any(want.values())
+
+
+@pytest.mark.parametrize("cartan,polys", _kernel_cases()[2:],
+                         ids=("B3", "D4"))
+def test_screen_all_carries_the_factor_coefficient(cartan, polys,
+                                                   monkeypatch):
+    # with -A_a in place of A_a a chain of odd length changes sign, so
+    # the kernel members fail where their classes span an odd number of
+    # steps; both routes must see the same factor
+    monkeypatch.setattr("qchar.screening.a_factor",
+                        lambda c, a, half: -a_factor(c, a, half))
+    failed = 0
+    for p in polys:
+        res = screen_all(p, cartan)
+        assert res == {a: screen_poly(a, p, cartan) for a in res}
+        failed += any(res.values())
+    assert failed
