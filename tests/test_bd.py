@@ -4,12 +4,19 @@ import pytest
 
 from qchar.ring import AlgebraSpec, CartanData, VariableTable, vk, Y_FAM, ONE
 from qchar.diffop import DiffOp
-from qchar.bd import (build_series_L, extract_Ta, extract_Tm,
+from qchar.bd import (build_series_L, build_series_inverse, extract_Ta,
                       verify_b_expansion, verify_d_expansion,
                       verify_bd_screening, verify_block_lemmas, run_suite,
                       b_f, b_k, b_h, d_h, d_k)
 from qchar import bd, screening
 from qchar.screening import in_kernel
+
+
+def extract_Tm(L: DiffOp) -> dict:
+    """Coefficients of L^{-1} = 1 + sum_m T_m(u+m) D^{2m}, renormalized
+    to base point u: returns {m: T_m(u)}."""
+    inv = L.inverse_series(L.order)
+    return {j // 2: inv.coeff(j).shift(-j) for j in sorted(inv.coeffs) if j}
 
 
 def test_structure_b():
@@ -52,10 +59,22 @@ def test_extract_roundtrip():
 
 
 def test_inverse_is_two_sided():
-    L = build_series_L(AlgebraSpec("D", 3), 8)
-    inv = L.inverse_series(8)
-    assert L * inv == DiffOp.unit(8)
-    assert inv * L == DiffOp.unit(8)
+    spec = AlgebraSpec("D", 3)
+    L = build_series_L(spec, 8)
+    for inv in (L.inverse_series(8), build_series_inverse(spec, 8)):
+        assert L * inv == DiffOp.unit(8)
+        assert inv * L == DiffOp.unit(8)
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("B", 3), ("B", 4),
+                                      ("D", 3), ("D", 4), ("D", 5)])
+def test_factored_inverse_matches_recursion(series, n):
+    # the degree recursion on the truncated L is the reference
+    spec = AlgebraSpec(series, n)
+    L = build_series_L(spec, 12)
+    for order in (4, 8, 12):
+        inv = build_series_inverse(spec, order)
+        assert inv == L.truncated(order).inverse_series(order), order
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -98,17 +117,18 @@ def test_suite(series, n):
 
 @pytest.mark.parametrize("series,n", [("D", 3), ("B", 2)])
 def test_suite_inverts_the_operator_once(monkeypatch, series, n):
-    # the middle factors (two coefficients each) are inverted too; the
-    # truncated operator itself is inverted once, for L^{-1} and the T_m
-    calls = []
+    # L^{-1} comes from the inverted factors: every operator inverted has
+    # single-term coefficients, so the truncated L is never inverted
+    inverted = []
     real = DiffOp.inverse_series
 
     def spy(op, order):
-        calls.append((len(op.coeffs), order))
+        inverted.append(op)
         return real(op, order)
     monkeypatch.setattr(DiffOp, "inverse_series", spy)
     assert run_suite(series, n).ok
-    assert len([c for c in calls if c[0] > 2]) == 1, calls
+    assert inverted
+    assert all(c.n_terms == 1 for op in inverted for c in op.coeffs.values())
 
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3)])

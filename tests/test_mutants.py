@@ -84,7 +84,11 @@ MUTANTS = {
         "dropped term of k": (bd, "b_k", lambda f: (
             lambda n, half=0: _drop_first_term(f(n, half)))),
         "A_a argument shifted one unit": (screening, "a_factor", lambda f: (
-            lambda c, a, h: f(c, a, h + 2)))}),
+            lambda c, a, h: f(c, a, h + 2))),
+        "inverted factors in product order": (
+            bd, "build_series_inverse", lambda _: lambda algebra, order: (
+                bd.prod([f.inverse_series(order)
+                         for f in bd.series_factors(algebra, order)])))}),
     "lemma-exp": (["--algebra", "B", "--rank", "2", "--order", "4"], {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),

@@ -12,7 +12,7 @@ from qchar.screening import (a_factor, apply_screening, canonicalize,
                              screen_operator_all, screen_poly)
 from qchar.diffop import DiffOp, build_L_C
 from qchar.characters import fundamental_poly, row_poly, h_poly
-from qchar.bd import build_series_L, extract_Ta, extract_Tm
+from qchar.bd import build_series_L, extract_Ta
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +189,9 @@ def _kernel_cases():
     for series, n in (("B", 3), ("D", 4)):
         spec = AlgebraSpec(series, n)
         L = build_series_L(spec, 6)
-        polys = list(extract_Ta(L).values()) + list(extract_Tm(L).values())
+        inv = L.inverse_series(6)
+        polys = (list(extract_Ta(L).values())
+                 + [inv.coeff(j).shift(-j) for j in sorted(inv.coeffs) if j])
         out.append((CartanData(spec), polys))
     return out
 
