@@ -199,7 +199,8 @@ def cmd_operator(args) -> int:
         op = build_L_C(n, args.form, EpsilonChoice(args.eps))
         label = f"C rank {n} {args.form}"
     else:
-        order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
+        order = _series_order(
+            _resolve(args, "order", int, bd.default_order(n)))
         op = bd.build_series_L(spec, order)
         label = f"{algebra} rank {n} series to D^{order}"
     payload = {"label": label, "coefficients": op.to_json(),
@@ -227,9 +228,9 @@ def _screening(r):
              + [(f"row {m}", characters.row_poly, m)
                 for m in range(1, max_m + 1)])
     for name, build, i in polys:
-        for a, res in screen_all(build(r.rank, i), cartan).items():
+        for a, ok in screen_all(build(r.rank, i), cartan).items():
             checks.append({"identity": f"{name} kernel under node {a}",
-                           "ok": not res})
+                           "ok": ok})
     return checks, {"max_m": max_m}
 
 
@@ -373,7 +374,7 @@ def cmd_bd(args) -> int:
         raise UsageError("bd requires --rank")
     spec = _spec(algebra, n)
     _refuse_unread(args, "bd", ("order",))
-    order = _series_order(_resolve(args, "order", int, 2 * (2 * n + 2)))
+    order = _series_order(_resolve(args, "order", int, bd.default_order(n)))
     if args.emit == "report":
         return _emit_checks({"algebra": algebra, "rank": n, "order": order},
                             bd.run_suite(algebra, n, order).checks, args,

@@ -212,15 +212,3 @@ def build_Lj_C(n: int, j: int) -> DiffOp:
     if not (1 <= j <= N):
         raise ValueError(f"j out of range: {j}")
     return prod([-f for f in _x_factors(n, EpsilonChoice(-1))[N - j:]])
-
-
-def extract_e(L: DiffOp, a: int) -> LaurentPoly:
-    """Elementary coefficient e_a(u), base-point normalized, from the
-    degree-N xFactored operator (whose D^a coefficient is -(-1)^a
-    e_a(u + a/2))."""
-    N = L.degree
-    if not (0 <= a <= N):
-        raise ValueError(f"coefficient index out of range: {a}")
-    c = L.coeff(a)
-    sign = 1 if a % 2 == 1 else -1
-    return (sign * c).shift(-a)

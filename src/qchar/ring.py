@@ -18,15 +18,15 @@ Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
 sums, the sum under products, the sum of the per-position exact maxima
-under ``word_sum``, twice the bound under ``to_q`` and ``q_euler_parts``
-(which send at most two Y exponents to each Q variable).  A product or
-a Q image whose carried bounds pass EXP_MAX first replaces them by the
-exact maxima of its operands.  Every bound then passes one guard,
-``_checked``, which raises OverflowError past EXP_MAX.
+under ``word_sum``, twice the bound under ``to_q`` and in
+``screenings_vanish`` (at most two Y exponents meet in a Q variable).
+A product or a Q image whose carried bounds pass EXP_MAX first replaces
+them by the exact maxima of its operands.  Every bound then passes one
+guard, ``_checked``, which raises OverflowError past EXP_MAX.
 
 Substitution.  ``shift`` (u -> u + h/2), ``to_q`` (Y_a(v) ->
-Q_a(v - t_a)/Q_a(v + t_a)), ``q_euler_parts`` and the repack of
-``product_sum_vanishes`` rewrite monomials one way: ``_substitute``
+Q_a(v - t_a)/Q_a(v + t_a)) and the repacks of ``product_sum_vanishes``
+and ``screenings_vanish`` rewrite monomials one way: ``_substitute``
 takes a decoded key and returns sum e * image(var), computing each
 slot's image once per call.  Each of these maps is injective on
 monomials (a shift permutes the variables, and e(w + t) - e(w - t) = 0
@@ -48,14 +48,15 @@ keys, so nothing large is decoded.  The map is injective and additive
 on every monomial that can occur, so the sum vanishes iff it does on
 global keys.  Nothing packed in a frame outlives the call.
 
-``screenings_vanish`` decides in the same way whether every node's
-screening of a polynomial canonicalizes to zero.  Its frame holds the Q
-variables of the terms' images and of the A_a chains, and one slot per
-residue class of screening symbols, which keeps the classes apart.
-Each key is decoded once, each class's chain is built once from the
-factors it is given, and every (term, Y_a(v)) pair costs one int add
-and one dict update.  w is bit_length(B) + 1 again, where B is the Q
-images' bound plus the largest exact chain exponent.
+``screenings_vanish`` decides in the same way, node by node, whether
+the screening of a polynomial canonicalizes to zero.  Its frame holds
+the Q variables of the terms' images and of the A_a chains, and one slot
+per residue class of screening symbols, which keeps the classes apart,
+and each node sums into an accumulator of its own.  Each key is decoded
+once, each class's chain is built once from the factors it is given,
+and every (term, Y_a(v)) pair costs one int add and one dict update.
+w is bit_length(B) + 1 again, where B is the Q images' bound plus the
+largest exact chain exponent.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -65,10 +66,10 @@ makes their output the same in every process.  A decode is a bias add,
 an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
 zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
 top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
-counted: every substitution decodes each key once, ``q_euler_parts``
-and ``screenings_vanish``, which serve the screening of every node,
-once for all the Y variables of the key, and ``eval_points`` once for
-all the points it is given.
+counted: every substitution decodes each key once,
+``screenings_vanish``, which serves the screening of every node, once
+for all the Y variables of the key, and ``eval_points`` once for all
+the points it is given.
 """
 
 from __future__ import annotations
@@ -353,29 +354,6 @@ class LaurentPoly:
         return LaurentPoly._make({_substitute(*_digits(k), images, image): c
                                   for k, c in self._t.items()}, bound)
 
-    def q_euler_parts(self, cartan: "CartanData") -> dict:
-        """{(idx, half): (x * d/dx of self).to_q(cartan)} for every
-        x = Y_idx(half) that occurs: the part of self whose terms contain
-        x, each term multiplied by its exponent of x, in Q-variables.
-
-        Each key is decoded once and its Q image computed once, then
-        stored in the part of every Y variable of the term.  Rejects
-        input that contains non-Y variables.
-        """
-        bound = self._q_bound()
-        images, image = {}, partial(_q_image, cartan)
-        out: dict = {}  # slot of x -> terms of its part
-        for key, c in self._t.items():
-            slots, exps = _digits(key)
-            k = _substitute(slots, exps, images, image)
-            for s, e in zip(slots, exps):
-                part = out.get(s)
-                if part is None:
-                    part = out[s] = {}
-                part[k] = e * c
-        return {_VAR[s][1:]: LaurentPoly._make(t, bound)
-                for s, t in out.items()}
-
     def eval_rational(self, assign: dict) -> Fraction:
         """Exact rational evaluation; every variable must be assigned."""
         return self.eval_points([assign])[0]
@@ -565,10 +543,10 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     return not acc
 
 
-def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> bool:
-    """Whether every node's screening of p canonicalizes to zero, decided
-    in one frame of this call (see "Local packing" in the module
-    docstring).
+def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> dict:
+    """{a: whether node a's screening of p canonicalizes to zero} for
+    every node a in order, decided in one frame of this call (see "Local
+    packing" in the module docstring).
 
     ``factor(a, half)`` is the single-term multiplier A_a at ``half``.
     The arguments v of each node a fall into classes modulo t = pair2(a,
@@ -577,9 +555,10 @@ def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> bool:
     ``screening.canonicalize``.  Every pair of a term c M of p and a
     variable Y_a(v) of M with exponent e adds e * c times the chain's
     coefficient at the monomial (M's Q image) * (the chain at v) * (the
-    variable of v's class).  The frame's digits are as wide as its bound
-    needs, past EXP_MAX too, so only the Q images' bound is guarded, as
-    ``q_euler_parts`` guards it.
+    variable of v's class) in node a's accumulator.  The frame's digits
+    are as wide as its bound needs, past EXP_MAX too, so only the Q
+    images' bound is guarded, as ``to_q`` guards it.  A non-Y variable
+    is refused with ValueError.
     """
     q = p._q_bound()
     decoded = [(c, *_digits(k)) for k, c in p._t.items()]
@@ -613,22 +592,23 @@ def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> bool:
     def unit(x) -> int:
         return place.setdefault(x, 1 << width * len(place))
 
-    offset = {s: unit(cls) + sum(e * unit(var) for var, e in exps.items())
-              for s, (cls, _, exps) in chains.items()}
-    scale = {s: coeff for s, (_, coeff, _) in chains.items()}
+    accs = {a: {} for a in range(1, cartan.algebra.n + 1)}
+    # slot of Y_a(v) -> (its class and chain, packed; coefficient; acc)
+    step = {s: (unit(cls) + sum(e * unit(var) for var, e in exps.items()),
+                coeff, accs[cls[0]])
+            for s, (cls, coeff, exps) in chains.items()}
     images, image = {}, partial(_q_image, cartan, unit=unit)
-    acc: dict = {}
-    get = acc.get
     for c, slots, exps in decoded:
         k = _substitute(slots, exps, images, image)
         for s, e in zip(slots, exps):
-            key = k + offset[s]
-            n = get(key, 0) + e * c * scale[s]
+            offset, scale, acc = step[s]
+            key = k + offset
+            n = acc.get(key, 0) + e * c * scale
             if n:
                 acc[key] = n
             else:
                 del acc[key]
-    return not acc
+    return {a: not acc for a, acc in accs.items()}
 
 
 def _letters(templates: dict) -> tuple[dict, dict, int]:
@@ -788,16 +768,6 @@ def bar(a: int, n: int) -> int:
 
 def is_barred(code: int, n: int) -> bool:
     return code > n
-
-
-def letter_value(code: int, n: int) -> int:
-    """Underlying 1..n value of a letter code."""
-    return code if code <= n else 2 * n + 1 - code
-
-
-def letter_text(code: int, n: int) -> str:
-    v = letter_value(code, n)
-    return f"{v}~" if is_barred(code, n) else str(v)
 
 
 class VariableTable:

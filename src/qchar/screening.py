@@ -4,9 +4,12 @@ S_a sends Y_b(v) to delta_ab Y_b(v) S_b(v) and extends by the Leibniz
 rule, so on a monomial M it yields sum_v e_v M S_a(v), where e_v is the
 exponent of Y_a(v) in M.  The symbols S_a(v) satisfy a shift relation
 with period t_a = (alpha_a|alpha_a): moving the argument by t_a costs a
-factor A_a expressed through Baxter Q ratios.  Kernel membership is
-decided by rewriting every symbol to the minimal representative of its
-residue class and checking that all coefficients cancel.
+factor A_a expressed through Baxter Q ratios.  S_a p vanishes when,
+with every symbol rewritten to the minimal representative of its
+residue class, all coefficients cancel.  ``screen_all`` decides that
+for every node at once (``ring.screenings_vanish``), and every check
+reads its verdicts; ``apply_screening`` and ``canonicalize``, which
+build the coefficients, are the reference route tests compare against.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .ring import (LaurentPoly, CartanData, Q_FAM, product_sum,
-                   screenings_vanish, vk)
+from .ring import (LaurentPoly, CartanData, Q_FAM, Y_FAM, poly_sum,
+                   product_sum, screenings_vanish, vk)
 from .diffop import DiffOp
 
 
@@ -37,15 +40,20 @@ def apply_screening(a: int, p: LaurentPoly,
                     cartan: CartanData) -> dict:
     """S_a applied to a Y-polynomial.
 
-    Returns {half_argument: coefficient} with coefficients already in
-    the Q-representation, one entry per symbol argument encountered.
+    Returns {half: coefficient of S_a(half)} in the Q-representation,
+    one entry per Y_a(half) that occurs: the terms of p that contain
+    Y_a(half), each times its exponent, mapped by ``to_q``.  Rejects
+    input that contains non-Y variables.
     """
-    return _node(p.q_euler_parts(cartan), a)
-
-
-def _node(parts: dict, a: int) -> dict:
-    """Node a's entries of ``LaurentPoly.q_euler_parts``, keyed by half."""
-    return {h: q for (i, h), q in parts.items() if i == a}
+    parts: dict = {}
+    for mono, c in p.terms():
+        for (f, i, h), e in mono:
+            if f != Y_FAM:
+                raise ValueError("screening expects Y-variables only")
+            if i == a:
+                parts.setdefault(h, []).append(
+                    LaurentPoly.monomial(e * c, dict(mono)))
+    return {h: poly_sum(ts).to_q(cartan) for h, ts in parts.items()}
 
 
 def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
@@ -72,40 +80,32 @@ def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
     return out
 
 
-def screen_poly(a: int, p: LaurentPoly, cartan: CartanData) -> dict:
-    return canonicalize(a, apply_screening(a, p, cartan), cartan)
-
-
 def screen_all(p: LaurentPoly, cartan: CartanData) -> dict:
-    """{a: screen_poly(a, p, cartan)} for every node a.  Whether all of
-    them vanish is decided first on call-local keys, with the chains
-    built from ``a_factor`` (``ring.screenings_vanish``); only a p that
-    fails is screened again, from one ``q_euler_parts`` pass, to build
-    its residuals."""
-    nodes = range(1, cartan.algebra.n + 1)
-    if screenings_vanish(p, cartan, partial(a_factor, cartan)):
-        return {a: {} for a in nodes}
-    parts = p.q_euler_parts(cartan)
-    return {a: canonicalize(a, _node(parts, a), cartan) for a in nodes}
+    """{a: whether S_a p vanishes} for every node a in order, decided at
+    once on call-local keys with the chains built from ``a_factor``
+    (``ring.screenings_vanish``)."""
+    return screenings_vanish(p, cartan, partial(a_factor, cartan))
 
 
 def in_kernel(a: int, p: LaurentPoly, cartan: CartanData) -> bool:
-    return not screen_poly(a, p, cartan)
+    if not 1 <= a <= cartan.algebra.n:
+        raise ValueError(f"node out of range: {a}")
+    return screen_all(p, cartan)[a]
 
 
 @dataclass
 class KernelReport:
     node_a: int
-    per_degree: list = field(default_factory=list)
+    failing: list = field(default_factory=list)  # D-degrees S_a fails at
 
     @property
     def zero(self) -> bool:
-        return all(d["residual_term_count"] == 0 for d in self.per_degree)
+        return not self.failing
 
 
 def screen_operator(a: int, op: DiffOp, cartan: CartanData) -> KernelReport:
     """Apply S_a coefficientwise to a difference operator with
-    Y-variable coefficients and report residuals per D-degree."""
+    Y-variable coefficients."""
     if not 1 <= a <= cartan.algebra.n:
         raise ValueError(f"node out of range: {a}")
     return screen_operator_all(op, cartan)[a - 1]
@@ -116,8 +116,8 @@ def screen_operator_all(op: DiffOp, cartan: CartanData) -> list:
     once; one KernelReport per node in node order."""
     reps = [KernelReport(node_a=a) for a in range(1, cartan.algebra.n + 1)]
     for deg in sorted(op.coeffs):
-        res = screen_all(op.coeff(deg), cartan)
+        verdicts = screen_all(op.coeff(deg), cartan)
         for rep in reps:
-            count = sum(v.n_terms for v in res[rep.node_a].values())
-            rep.per_degree.append({"deg": deg, "residual_term_count": count})
+            if not verdicts[rep.node_a]:
+                rep.failing.append(deg)
     return reps

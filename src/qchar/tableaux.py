@@ -13,7 +13,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
-                   letter_text, word_sum)
+                   word_sum)
 
 
 # --- admissibility ----------------------------------------------------
@@ -304,7 +304,3 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
             rep.bijection_ok = False
             rep.failures.append("V-sum != W-sum at small length")
     return rep
-
-
-def tableau_text(t: tuple, n: int) -> str:
-    return " ".join(letter_text(c, n) for c in t)

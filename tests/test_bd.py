@@ -9,7 +9,9 @@ from qchar.bd import (build_series_L, build_series_inverse, extract_Ta,
                       verify_bd_screening, verify_block_lemmas, run_suite,
                       b_f, b_k, b_h, d_h, d_k)
 from qchar import bd, screening
-from qchar.screening import in_kernel
+from qchar.screening import (apply_screening, canonicalize, in_kernel,
+                             screen_all)
+from test_mutants import MUTANTS
 
 
 def extract_Tm(L: DiffOp) -> dict:
@@ -93,7 +95,6 @@ def test_block_lemmas():
 
 
 def test_block_pieces_only_kernel_at_long_node():
-    # f is in the kernel of the long node but not of node 1
     cartan = CartanData(AlgebraSpec("B", 3))
     assert in_kernel(3, b_f(3), cartan)
     assert in_kernel(3, b_k(3), cartan)
@@ -101,6 +102,12 @@ def test_block_pieces_only_kernel_at_long_node():
     cartan_d = CartanData(AlgebraSpec("D", 4))
     assert in_kernel(4, d_h(4, 4), cartan_d)
     assert in_kernel(4, d_k(4, 4), cartan_d)
+    # the verdicts differ from node to node: f has no Y_1, so S_1 kills
+    # it trivially; S_2 does not, and S_3 kills it by the long-node lemma
+    verdicts = screen_all(b_f(3), cartan)
+    assert verdicts == {1: True, 2: False, 3: True}
+    assert verdicts == {a: not canonicalize(
+        a, apply_screening(a, b_f(3), cartan), cartan) for a in verdicts}
 
 
 def test_screening_per_node():
@@ -151,5 +158,26 @@ def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
     L = built[0]
     inv_order = min(L.order, 12)
     inv = L.truncated(inv_order).inverse_series(inv_order)
-    assert screened == ([L.coeffs[j] for j in sorted(L.coeffs)]
+    # the block lemmas screen their pieces through in_kernel first
+    pieces = ([b_f(n), b_k(n), b_h(n)] if series == "B"
+              else [d_h(n, n), d_k(n, n)])
+    assert screened == (pieces
+                        + [L.coeffs[j] for j in sorted(L.coeffs)]
                         + [inv.coeffs[j] for j in sorted(inv.coeffs)])
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("D", 3), ("D", 5)])
+def test_failing_suite_never_takes_the_reference_route(monkeypatch, series,
+                                                       n):
+    # a coefficient that fails is decided on call-local keys like one
+    # that passes: no residual is built on global keys
+    module, attr, mutate = MUTANTS["bd"][1]["A_a argument shifted one unit"]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+
+    def refuse(*args):
+        raise AssertionError("the B/D suite reached the reference route")
+    monkeypatch.setattr(screening, "apply_screening", refuse)
+    monkeypatch.setattr(screening, "canonicalize", refuse)
+    failed = [c["identity"] for c in run_suite(series, n).checks
+              if not c["ok"]]
+    assert failed and all("kernel" in name for name in failed)

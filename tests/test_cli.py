@@ -310,8 +310,9 @@ def test_product_formula_needs_a_positive_bound(capsys):
 
 def test_output_independent_of_hash_seed():
     # Packed monomial slots are interned in the order one process meets
-    # its variables, and the T-system zero-tests number their call-local
-    # slots in dict order; no output may depend on either order or on the
+    # its variables, and the T-system zero-tests and the screening frame,
+    # with its per-node accumulators, number their call-local slots in
+    # first-use order; no output may depend on either order or on the
     # hash seed, which the in-process determinism checks cannot vary.  Nor
     # may it change under -O, which strips assert statements.
     src = str(Path(__file__).parents[1] / "src")
@@ -319,7 +320,8 @@ def test_output_independent_of_hash_seed():
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
                   "--order", "8", "--format", "json"],
                  ["verify", "tsystem", "--rank", "2"],
-                 ["verify", "tsystem", "--rank", "2", "--format", "json"]):
+                 ["verify", "tsystem", "--rank", "2", "--format", "json"],
+                 ["verify", "screening", "--rank", "2", "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):
             proc = subprocess.run(

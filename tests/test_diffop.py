@@ -6,8 +6,20 @@ from hypothesis import given, settings, strategies as st
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Y, ONE)
 from qchar.diffop import (DiffOp, EpsilonChoice, build_L_C, build_Lj_C,
-                          extract_e, prod, L_FORMS)
+                          prod, L_FORMS)
 from qchar.characters import fundamental_poly
+
+
+def extract_e(L: DiffOp, a: int) -> LaurentPoly:
+    """Elementary coefficient e_a(u), base-point normalized, from the
+    degree-N xFactored operator (whose D^a coefficient is -(-1)^a
+    e_a(u + a/2))."""
+    N = L.degree
+    if not (0 <= a <= N):
+        raise ValueError(f"coefficient index out of range: {a}")
+    c = L.coeff(a)
+    sign = 1 if a % 2 == 1 else -1
+    return (sign * c).shift(-a)
 
 
 def test_mul_shifts_right_factor():

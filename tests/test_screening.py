@@ -9,7 +9,7 @@ from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Y, Qv, ONE,
                         EXP_MAX, Y_FAM, poly_sum, screenings_vanish)
 from qchar.screening import (a_factor, apply_screening, canonicalize,
                              in_kernel, screen_all, screen_operator,
-                             screen_operator_all, screen_poly)
+                             screen_operator_all)
 from qchar.diffop import DiffOp, build_L_C
 from qchar.characters import fundamental_poly, row_poly, h_poly
 from qchar.bd import build_series_L, extract_Ta
@@ -45,6 +45,16 @@ def test_single_variable_not_in_kernel(c2):
     assert not in_kernel(2, Y(2, 3), c2)
 
 
+@pytest.mark.parametrize("spec", [AlgebraSpec("C", 2), AlgebraSpec("B", 3),
+                                  AlgebraSpec("D", 4)])
+def test_in_kernel_refuses_nodes_out_of_range(spec):
+    cartan = CartanData(spec)
+    for p in (ONE, Y(1, 0)):
+        for a in (0, spec.n + 1):
+            with pytest.raises(ValueError, match="node out of range"):
+                in_kernel(a, p, cartan)
+
+
 def test_canonicalize_telescopes_across_period(c2):
     # Y_1(v) + A-factor-adjusted partner cancels after canonicalization
     t = c2.pair2(1, 1)
@@ -61,7 +71,7 @@ def test_operator_in_kernel(n):
     for a in range(1, n + 1):
         rep = screen_operator(a, L, cartan)
         assert rep.zero
-        assert all(d["residual_term_count"] == 0 for d in rep.per_degree)
+        assert rep.failing == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -98,7 +108,7 @@ def test_broken_polynomial_detected():
     assert not in_kernel(1, broken, cartan)
 
 
-# -- the per-node screening pass q_euler_parts replaced, kept as an oracle --
+# -- the per-node Euler parts, kept as an oracle --
 
 def _o_euler_parts(p, idx):
     """{half: x * d/dx of p} for every x = Y_idx(half) that occurs: one
@@ -114,17 +124,6 @@ def _o_euler_parts(p, idx):
     return {h: poly_sum(ts) for h, ts in out.items()}
 
 
-def _o_q_euler_parts(p, cartan):
-    """Every node's Euler parts, each mapped by its own ``to_q``."""
-    out = {}
-    for a in range(1, cartan.algebra.n + 1):
-        for h, part in _o_euler_parts(p, a).items():
-            q = part.to_q(cartan)
-            if q:
-                out[(a, h)] = q
-    return out
-
-
 def y_polys():
     var = st.tuples(st.integers(1, 3), st.integers(-6, 6))
     mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
@@ -136,48 +135,48 @@ def y_polys():
 
 @settings(max_examples=150, deadline=None)
 @given(y_polys(), y_polys(), st.sampled_from(("C", "B", "D")))
-def test_q_euler_parts_matches_per_node_oracle(a, b, series):
+def test_screen_all_matches_oracle_on_random_polys(a, b, series):
     cartan = CartanData(AlgebraSpec(series, 3))
     # products and differences make colliding monomials cancel
     for p in (a, a * b, a * b - a, a - a):
-        assert p.q_euler_parts(cartan) == _o_q_euler_parts(p, cartan)
+        assert screen_all(p, cartan) == _o_verdicts(p, cartan)
 
 
-def test_q_euler_parts_within_term_cancellation(c2):
+def test_screening_within_term_cancellation(c2):
     # Y_1(u) Y_1(u+1): the two Q images share Q_1(u+1/2), which cancels
     p = Y(1, 0) * Y(1, 2) - 3 * Y(1, 0, 2) * Y(2, 5, -1)
-    parts = p.q_euler_parts(c2)
-    assert parts == _o_q_euler_parts(p, c2)
-    assert set(parts) == {(1, 0), (1, 2), (2, 5)}
-    assert parts[(1, 0)] == Qv(1, -1) * Qv(1, 3, -1) + (-6) * (
+    sym = apply_screening(1, p, c2)
+    assert set(sym) == {0, 2} and set(apply_screening(2, p, c2)) == {5}
+    assert sym[0] == Qv(1, -1) * Qv(1, 3, -1) + (-6) * (
         Y(1, 0, 2) * Y(2, 5, -1)).to_q(c2)
+    assert screen_all(p, c2) == _o_verdicts(p, c2) == {1: False, 2: False}
 
 
-def test_q_euler_parts_rejects_non_y_variables(c2):
+def test_screening_rejects_non_y_variables(c2):
     for p in (Y(1, 0) * Qv(1, 2), Y(1, 0) + Qv(2, 0), Qv(1, 0)):
         with pytest.raises(ValueError):
-            p.q_euler_parts(c2)
-        with pytest.raises(ValueError):
             screen_all(p, c2)
+        for a in (1, 2):
+            with pytest.raises(ValueError):
+                apply_screening(a, p, c2)
 
 
-def test_q_euler_parts_exponents_past_digit_range_raise_overflow():
+def test_screening_exponents_past_digit_range_raise_overflow():
     cartan = CartanData(AlgebraSpec("C", 3))
-    with pytest.raises(OverflowError):
-        Y(1, 0, 20000).q_euler_parts(cartan)
-    with pytest.raises(OverflowError):
-        screen_all(Y(1, 0, 20000), cartan)
-    with pytest.raises(OverflowError):
-        apply_screening(1, Y(1, 0, 20000), cartan)
-    # at the edge the doubled exponent still fits
+    # at the edge the doubled exponent still fits, one past it does not
     half = EXP_MAX // 2
+    for e in (20000, half + 1):
+        with pytest.raises(OverflowError):
+            screen_all(Y(1, 0, e), cartan)
+        with pytest.raises(OverflowError):
+            apply_screening(1, Y(1, 0, e), cartan)
     edge = Y(1, 0, half)
-    assert edge.q_euler_parts(cartan) == {(1, 0): half * edge.to_q(cartan)}
-    with pytest.raises(OverflowError):
-        Y(1, 0, half + 1).q_euler_parts(cartan)
+    assert apply_screening(1, edge, cartan) == {0: half * edge.to_q(cartan)}
+    assert screen_all(edge, cartan) == {1: False, 2: True, 3: True}
     # a loose bound is replaced by the exact one before any refusal
     loose = (Y(1, 0, 20000) + Y(2, 1)) - Y(1, 0, 20000)
-    assert loose.q_euler_parts(cartan) == _o_q_euler_parts(Y(2, 1), cartan)
+    assert screen_all(loose, cartan) == _o_verdicts(Y(2, 1), cartan) == {
+        1: True, 2: False, 3: True}
 
 
 def _kernel_cases():
@@ -205,17 +204,16 @@ def test_screen_all_matches_per_node_screening(cartan, polys):
     for p in polys + [broken]:
         res = screen_all(p, cartan)
         assert list(res) == list(range(1, n + 1))
-        parts = _o_q_euler_parts(p, cartan)
+        want = _o_screen_all(p, cartan)
         for a in res:
-            assert res[a] == screen_poly(a, p, cartan)
-            want = canonicalize(
-                a, {h: q for (i, h), q in parts.items() if i == a}, cartan)
-            assert res[a] == want
-            assert (not res[a]) == in_kernel(a, p, cartan)
+            assert res[a] == (not want[a])
+            assert res[a] == (not canonicalize(
+                a, apply_screening(a, p, cartan), cartan))
+            assert res[a] == in_kernel(a, p, cartan)
     # the kernel polynomials screen to zero at every node, the broken one
     # does not: the all-node path cannot pass vacuously
-    assert all(not r for p in polys for r in screen_all(p, cartan).values())
-    assert any(screen_all(broken, cartan).values())
+    assert all(all(screen_all(p, cartan).values()) for p in polys)
+    assert not all(screen_all(broken, cartan).values())
 
 
 @pytest.mark.parametrize("spec", [AlgebraSpec("C", 2), AlgebraSpec("B", 2),
@@ -226,12 +224,12 @@ def test_screen_operator_all_matches_per_node(spec, monkeypatch):
         L = build_L_C(spec.n, "zFactored")
     else:
         L = build_series_L(spec, 8)
-    L = L + DiffOp({2: Y(1, 0)}, L.order)  # a nonzero residual at D^2
+    L = L + DiffOp({2: Y(1, 0)}, L.order)  # S_1 fails at D^2 only
     reps = screen_operator_all(L, cartan)
     assert [r.node_a for r in reps] == list(range(1, spec.n + 1))
     for rep in reps:
-        assert rep.per_degree == screen_operator(rep.node_a, L,
-                                                 cartan).per_degree
+        assert rep.failing == screen_operator(rep.node_a, L, cartan).failing
+    assert [r.failing for r in reps] == [[2]] + [[]] * (spec.n - 1)
     assert not reps[0].zero
     # an out-of-range node is refused before any coefficient is screened
     calls = []
@@ -241,7 +239,7 @@ def test_screen_operator_all_matches_per_node(spec, monkeypatch):
         with pytest.raises(ValueError):
             screen_operator(a, L, cartan)
     assert calls == []
-    assert screen_operator(1, L, cartan).per_degree == reps[0].per_degree
+    assert screen_operator(1, L, cartan).failing == reps[0].failing
     assert len(calls) == len(L.coeffs)
 
 
@@ -259,7 +257,8 @@ def _weighted(sym):
                                       ("D", 4)])
 def test_screening_commutes_with_shifts(series, n):
     # the B/D suite screens T^a(u+a) and T_m(u+m) in place of T^a(u) and
-    # T_m(u); that is sound because a shift moves the residuals along
+    # T_m(u); that is sound because a shift moves the screened
+    # coefficients along
     cartan = CartanData(AlgebraSpec(series, n))
     L = build_series_L(cartan.algebra, 6)
     inv = L.inverse_series(6)
@@ -270,17 +269,18 @@ def test_screening_commutes_with_shifts(series, n):
     for p in polys + [broken]:
         res = screen_all(p, cartan)
         for h in (-7, -4, -1, 2, 5):
-            assert screen_all(p.shift(h), cartan) == {
-                a: _shifted(r, h) for a, r in res.items()}, (p, h)
-            # before the classes recombine (to zero, for a kernel member)
+            assert screen_all(p.shift(h), cartan) == res, (p, h)
             for a in res:
                 sym = apply_screening(a, p, cartan)
                 assert apply_screening(a, p.shift(h), cartan) == \
                     _shifted(sym, h)
-                assert canonicalize(a, _weighted(_shifted(sym, h)), cartan) \
-                    == _shifted(canonicalize(a, _weighted(sym), cartan), h)
-    assert not any(any(screen_all(p, cartan).values()) for p in polys)
-    assert any(screen_all(broken, cartan).values())
+                # after the classes recombine, and before (with weights
+                # that keep a kernel member's classes from cancelling)
+                for f in (dict, _weighted):
+                    assert canonicalize(a, f(_shifted(sym, h)), cartan) \
+                        == _shifted(canonicalize(a, f(sym), cartan), h)
+    assert all(all(screen_all(p, cartan).values()) for p in polys)
+    assert not all(screen_all(broken, cartan).values())
 
 
 # -- the per-argument A_a chain canonicalize replaced, kept as an oracle --
@@ -324,12 +324,16 @@ def test_canonicalize_matches_per_argument_chain(cartan, polys):
 # -- screen_all decides on call-local keys; the global route is the oracle --
 
 def _o_screen_all(p, cartan):
-    """Every node's residuals from the per-node Euler parts and the
-    per-argument chains."""
-    parts = _o_q_euler_parts(p, cartan)
-    return {a: _o_canonicalize(
-        a, {h: q for (i, h), q in parts.items() if i == a}, cartan)
-        for a in range(1, cartan.algebra.n + 1)}
+    """Every node's canonicalized screening from the per-node Euler parts
+    and the per-argument chains."""
+    return {a: _o_canonicalize(a, {h: q.to_q(cartan) for h, q in
+                                   _o_euler_parts(p, a).items()}, cartan)
+            for a in range(1, cartan.algebra.n + 1)}
+
+
+def _o_verdicts(p, cartan):
+    """{a: whether S_a p vanishes}, read from ``_o_screen_all``."""
+    return {a: not r for a, r in _o_screen_all(p, cartan).items()}
 
 
 def _broken_variants(p):
@@ -349,18 +353,19 @@ def test_screen_all_matches_oracle_on_broken_variants(cartan, polys):
         # moved far down, so that classes start at negative arguments
         variants += [v.shift(-41) for v in variants[:2]]
         op = DiffOp({2 * j: v for j, v in enumerate(variants)})
-        counts = {(rep.node_a, d["deg"]): d["residual_term_count"]
-                  for rep in screen_operator_all(op, cartan)
-                  for d in rep.per_degree}
-        assert screenings_vanish(p, cartan, partial(a_factor, cartan))
+        failing = {rep.node_a: rep.failing
+                   for rep in screen_operator_all(op, cartan)}
+        assert all(screenings_vanish(p, cartan,
+                                     partial(a_factor, cartan)).values())
         for j, v in enumerate(variants):
             want = _o_screen_all(v, cartan)
-            assert screen_all(v, cartan) == want, (p, j)
-            assert any(want.values()), (p, j)
-            assert not screenings_vanish(v, cartan, partial(a_factor, cartan))
-            for a, res in want.items():
-                assert counts[(a, 2 * j)] == sum(q.n_terms
-                                                 for q in res.values())
+            verdicts = screen_all(v, cartan)
+            assert verdicts == {a: not r for a, r in want.items()}, (p, j)
+            assert not all(verdicts.values()), (p, j)
+            assert screenings_vanish(v, cartan,
+                                     partial(a_factor, cartan)) == verdicts
+            for a, ok in verdicts.items():
+                assert (2 * j in failing[a]) == (not ok)
             negative |= any(v0 < 0 for res in want.values() for v0 in res)
     assert negative
 
@@ -378,23 +383,20 @@ def test_screen_all_independent_of_interning_order():
     h = 2 * 10 ** 6
     for (cartan, polys), want in zip(cases, before):
         # the kernel members screen to zero, the broken one does not
-        assert [any(res.values()) for res in want] == [False] * (
-            len(polys) - 1) + [True]
-        assert [screen_all(p.shift(h), cartan) for p in polys] == [
-            {a: _shifted(r, h) for a, r in res.items()} for res in want]
-        assert [screenings_vanish(p.shift(h), cartan,
-                                  partial(a_factor, cartan))
-                for p in polys[:-1]] == [True] * (len(polys) - 1)
+        assert [all(res.values()) for res in want] == [True] * (
+            len(polys) - 1) + [False]
+        assert [screen_all(p.shift(h), cartan) for p in polys] == want
+        assert want[-1] == _o_verdicts(polys[-1], cartan)
 
 
 def test_screen_all_keeps_classes_apart(c2):
     # one term, two screening symbols with opposite multiplicities and
     # the same Q image and chain: in different classes of node 1, and at
     # different nodes; neither pair cancels
-    for p in (Y(1, 0) * Y(1, 1, -1), 3 * Y(1, 0) * Y(2, 0, -1)):
-        assert not screenings_vanish(p, c2, partial(a_factor, c2))
-        want = _o_screen_all(p, c2)
-        assert screen_all(p, c2) == want and any(want.values())
+    for p, want in ((Y(1, 0) * Y(1, 1, -1), {1: False, 2: True}),
+                    (3 * Y(1, 0) * Y(2, 0, -1), {1: False, 2: False})):
+        assert screenings_vanish(p, c2, partial(a_factor, c2)) == want
+        assert screen_all(p, c2) == _o_verdicts(p, c2) == want
 
 
 @pytest.mark.parametrize("cartan,polys", _kernel_cases()[2:],
@@ -409,6 +411,7 @@ def test_screen_all_carries_the_factor_coefficient(cartan, polys,
     failed = 0
     for p in polys:
         res = screen_all(p, cartan)
-        assert res == {a: screen_poly(a, p, cartan) for a in res}
-        failed += any(res.values())
+        assert res == {a: not canonicalize(a, apply_screening(a, p, cartan),
+                                           cartan) for a in res}
+        failed += not all(res.values())
     assert failed

@@ -12,7 +12,7 @@ from qchar.tableaux import (pair_ok, gen_column_tableaux, gen_row_tableaux,
                             gen_x_tableaux, tableau_weight, gen_V, gen_W,
                             in_V, in_W, tau_full, sigma_full, tau_b, sigma_b,
                             descent_chain, maximal_breaking_pair,
-                            verify_cancellation, tableau_text)
+                            verify_cancellation)
 
 
 @pytest.mark.parametrize("n,a", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
@@ -151,10 +151,6 @@ def test_cancellation_small_ranks(n):
         rep = verify_cancellation(n, a)
         assert rep.ok, rep.failures
         assert rep.x_equals_admissible and rep.mixed_groups_cancel
-
-
-def test_tableau_text_uses_bars():
-    assert tableau_text((1, 2, 3, 4), 2) == "1 2 2~ 1~"
 
 
 # Reference loops: each rule written out with its own scan, independent
