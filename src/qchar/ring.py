@@ -46,7 +46,11 @@ to the unit of its frame slot, so each key is decoded once.  A
 shift, and ``word_sum``'s loop then builds the shifted row on short
 keys, so nothing large is decoded.  The map is injective and additive
 on every monomial that can occur, so the sum vanishes iff it does on
-global keys.  Nothing packed in a frame outlives the call.
+global keys.  Nothing packed in a frame outlives the call.  It sums one
+residue class of keys modulo CLASSES = 31 at a time: k -> k mod 31 is
+additive, so classes alpha and beta multiply into class alpha + beta,
+and keys of different classes never meet.  The sum vanishes iff each
+class's part does, and an accumulator holds ~1/31 of a product.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial canonicalizes to zero.  Its frame holds
@@ -93,6 +97,7 @@ VarKey = tuple
 MonoKey = tuple
 
 EXP_MAX = 2 ** 15 - 1
+CLASSES = 31  # residue classes of frame keys in product_sum_vanishes
 
 _SLOT: dict = {}   # VarKey -> slot, in the order this process met them
 _VAR: list = []    # slot -> VarKey
@@ -517,7 +522,11 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
     in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly p, a pair (p, half) for
-    p.shift(half), or ``Words``."""
+    p.shift(half), or ``Words``.  Frame keys mod CLASSES add under
+    products, so the sum vanishes iff, for each class gamma, the sum over
+    triples and alpha of A's class-alpha part times B's class-(gamma -
+    alpha) part does.  Each class is summed in turn in a fresh
+    accumulator, the operand with fewer terms on the outer loop."""
     triples = list(triples)
     w = max((_frame_bound(a, b) for _, a, b in triples),
             default=0).bit_length() + 1
@@ -528,19 +537,33 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
         return _substitute(*_digits(k), at.setdefault(half, {}), lambda v: (
             place.setdefault((v[0], v[1], v[2] + half), 1 << w * len(place))))
 
-    def pack(x) -> dict:
+    def pack(x) -> list:
+        parts = [{} for _ in range(CLASSES)]
         if isinstance(x, Words):
             keys, coeffs, _ = _letters(x.templates)
             return _words_into([{c: key(k, h) for c, k in keys.items()}
                                 for h in x.halves],
-                               [coeffs] * len(x.halves), x.words)
+                               [coeffs] * len(x.halves), x.words, parts)
         p, half = (x, 0) if isinstance(x, LaurentPoly) else x
-        return {key(k, half): c for k, c in p._t.items()}
+        for k, c in p._t.items():
+            k = key(k, half)
+            parts[k % CLASSES][k] = c
+        return parts
 
-    acc: dict = {}
+    packed = []  # (sign, the smaller operand's nonempty classes, the other)
     for sign, a, b in triples:
-        _product_into(acc, pack(a), pack(b), sign)
-    return not acc
+        a, b = sorted((pack(a), pack(b)), key=lambda x: sum(map(len, x)))
+        packed.append((sign, [(al, x) for al, x in enumerate(a) if x], b))
+    for gamma in range(CLASSES):
+        acc: dict = {}
+        for sign, a, b in packed:
+            for alpha, x in a:
+                y = b[gamma - alpha]  # a negative index wraps modulo CLASSES
+                if y:
+                    _product_into(acc, x, y, sign)
+        if acc:
+            return False
+    return True
 
 
 def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> dict:
@@ -623,24 +646,26 @@ def _letters(templates: dict) -> tuple[dict, dict, int]:
     return keys, coeffs, _exact_bound(keys.values())
 
 
-def _words_into(keys: list, coeffs: list, words: Iterable[tuple]) -> dict:
+def _words_into(keys: list, coeffs: list, words: Iterable[tuple],
+                out: list) -> list:
     """Raw terms of the sum over ``words`` of the products of their
     letters, the k-th with key keys[k][letter] and coefficient
-    coeffs[k][letter]: one int add per letter, summed in one dict."""
+    coeffs[k][letter]: one int add per letter, summed into the dict
+    out[key % len(out)] of the key's residue class."""
     length = len(keys)
     unit = all(c == 1 for cmap in coeffs for c in cmap.values())
     pick = dict.__getitem__
-    out: dict = {}
-    get = out.get
+    mod = len(out)
     for w in words:
         if len(w) != length:
             raise ValueError(f"word {w!r} does not have length {length}")
         k = sum(map(pick, keys, w))
-        s = get(k, 0) + (1 if unit else prod(map(pick, coeffs, w)))
+        part = out[k % mod]
+        s = part.get(k, 0) + (1 if unit else prod(map(pick, coeffs, w)))
         if s:
-            out[k] = s
+            part[k] = s
         else:
-            del out[k]
+            del part[k]
     return out
 
 
@@ -653,7 +678,7 @@ def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
     coefficients.  Every word must have length ``len(positions)``.
     """
     keys, coeffs, bounds = list(zip(*map(_letters, positions))) or [()] * 3
-    return LaurentPoly._make(_words_into(keys, coeffs, words),
+    return LaurentPoly._make(_words_into(keys, coeffs, words, [{}])[0],
                              _checked(sum(bounds)))
 
 

@@ -287,17 +287,22 @@ def test_shifted_rows_built_directly(n, m, h):
     # position's shift, equals row_poly(n, m).shift(h) repacked there
     z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
     row = Words(z, _row_halves(m, h), gen_row_tableaux(n, m))
-    packed = []
+    # the zero-test multiplies one residue class of each row at a time by
+    # ONE, packed as {0: 1}; the union of a row's class slices is the row
+    packed = {1: {}, -1: {}}
     kernel = ring._product_into
 
     def record(acc, ta, tb, sign):
-        packed.append(ta)
+        part = ta if tb == {0: 1} else tb
+        assert packed[sign].keys().isdisjoint(part)
+        packed[sign].update(part)
         kernel(acc, ta, tb, sign)
 
     with mock.patch.object(ring, "_product_into", record):
         assert product_sum_vanishes([(1, row, ONE),
                                      (-1, (row_poly(n, m), h), ONE)])
-    assert packed[0] == packed[1] and len(packed[0]) == row_poly(n, m).n_terms
+    assert packed[1] == packed[-1]
+    assert len(packed[1]) == row_poly(n, m).n_terms
     assert product_sum_vanishes([(1, row, ONE),
                                  (-1, row_poly(n, m).shift(h), ONE)])
     if m:

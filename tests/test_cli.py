@@ -310,7 +310,8 @@ def test_product_formula_needs_a_positive_bound(capsys):
 
 def test_output_independent_of_hash_seed():
     # Packed monomial slots are interned in the order one process meets
-    # its variables, and the T-system zero-tests and the screening frame,
+    # its variables, and the T-system and tt-tq zero-tests, split into
+    # residue classes of their frame keys, and the screening frame,
     # with its per-node accumulators, number their call-local slots in
     # first-use order; no output may depend on either order or on the
     # hash seed, which the in-process determinism checks cannot vary.  Nor
@@ -321,6 +322,7 @@ def test_output_independent_of_hash_seed():
                   "--order", "8", "--format", "json"],
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
+                 ["verify", "tt-tq", "--rank", "2", "--max-m", "4"],
                  ["verify", "screening", "--rank", "2", "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):

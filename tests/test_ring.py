@@ -2,10 +2,12 @@
 
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qchar import characters, ring
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
 from qchar.ring import (EXP_MAX, Q_FAM, Words, _format_shift, poly_sum,
@@ -269,12 +271,13 @@ def _canonical(terms):
     return out
 
 
-def tuple_polys(families=(Y_FAM, Q_FAM)):
+def tuple_polys(families=(Y_FAM, Q_FAM), min_size=0):
     var = st.tuples(st.sampled_from(families), st.integers(1, 3),
                     st.integers(-6, 6))
     mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
     coeff = st.integers(-5, 5).filter(bool)
-    return st.lists(st.tuples(mono, coeff), max_size=6).map(_canonical)
+    return st.lists(st.tuples(mono, coeff), min_size=min_size,
+                    max_size=6).map(_canonical)
 
 
 def packed(t):
@@ -588,3 +591,123 @@ def test_words_operand_edges():
                                  (-1, Y(1, 0, EXP_MAX), ONE)])
     with pytest.raises(OverflowError):
         product_sum_vanishes([(1, edge, (Y(2, 0, 16385), 3))])
+
+
+# -- one residue class of frame keys at a time ----------------------------
+
+def _classes_seen(triples):
+    """product_sum_vanishes(triples), and the residue classes of the frame
+    keys of every operand slice it multiplies."""
+    seen = set()
+    kernel = ring._product_into
+
+    def record(acc, ta, tb, sign):
+        seen.update(k % ring.CLASSES for k in (*ta, *tb))
+        kernel(acc, ta, tb, sign)
+
+    with mock.patch.object(ring, "_product_into", record):
+        return product_sum_vanishes(triples), seen
+
+
+@st.composite
+def operands(draw):
+    """(operand, the LaurentPoly it stands for): a polynomial, a shifted
+    one or a Words row."""
+    kind = draw(st.sampled_from(("poly", "shifted", "words")))
+    if kind == "words":
+        templates = draw(letter_templates())
+        halves = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+        word = st.tuples(*(st.sampled_from(sorted(templates))
+                           for _ in halves))
+        words = draw(st.lists(word, min_size=1, max_size=6))
+        return Words(templates, halves, words), word_sum(
+            [{c: t.shift(h) for c, t in templates.items()} for h in halves],
+            words)
+    p = packed(draw(tuple_polys(min_size=1)))
+    if kind == "poly":
+        return p, p
+    h = draw(st.integers(-4, 4))
+    return (p, h), p.shift(h)
+
+
+def class_candidates():
+    """Blocks of (sign, operand, operand) triples, some built to cancel:
+    A*B - B*A, and a Words row against the polynomial it stands for."""
+    sign = st.sampled_from((1, -1, 2, -3))
+    plain = st.lists(st.tuples(sign, operands(), operands()), min_size=1,
+                     max_size=2)
+    swap = st.builds(lambda s, a, b: [(s, a, b), (-s, b, a)],
+                     sign, operands(), operands())
+    built = st.builds(lambda s, a, b: [(s, a, b), (-s, (a[1], a[1]), b)],
+                      sign, operands(), operands())
+    return st.lists(st.one_of(plain, swap, built), min_size=1,
+                    max_size=3).map(lambda blocks: sum(blocks, []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_candidates())
+def test_product_sum_vanishes_decides_class_by_class(triples):
+    verdict, seen = _classes_seen([(s, a, b) for s, (a, _), (b, _)
+                                   in triples])
+    assume(len(seen) > 1)
+    assert verdict == product_sum([(s, a, b) for s, (_, a), (_, b)
+                                   in triples]).is_zero
+
+
+def test_product_sum_vanishes_finds_a_residue_in_one_class():
+    # a * b spans many classes; taking back a * b less c * M leaves the
+    # residue c * M, which lies in the one class of M's frame key.  As e
+    # runs, M = Y_1(u)^e * Y_2(u+1)^(+-1) meets every class, with frame
+    # keys of either sign.
+    a = 2 * Y(1, 0) - 3 * Y(2, 1, -1) + Y(1, 0, -2) * Y(3, 2)
+    b = (Y(1, 0) + 5 * Y(2, 1) - Y(3, -1, 2) + 1) ** 2
+    found = []  # the frame key of each residue
+    kernel = ring._product_into
+    last = {}
+
+    def record(acc, ta, tb, sign):
+        kernel(acc, ta, tb, sign)
+        last.clear()
+        last.update(acc)
+
+    for e in range(-40, 40):
+        m = Y(1, 0, e) * Y(2, 1, 1 if e % 2 else -1)
+        triples = [(1, a, b), (-1, a * b - 3 * m, ONE)]
+        assert not product_sum(triples).is_zero
+        with mock.patch.object(ring, "_product_into", record):
+            assert not product_sum_vanishes(triples)
+        assert list(last.values()) == [3]
+        (key,) = last
+        found.append(key)
+        assert product_sum_vanishes(triples + [(-3, m, ONE)])
+    assert {k % ring.CLASSES for k in found} == set(range(ring.CLASSES))
+    assert min(found) < 0 < max(found)
+
+
+def test_product_sum_vanishes_holds_one_class_at_a_time():
+    # the largest relation of verify_tsystem(2, 5, 5): no accumulator may
+    # hold more than a quarter of the terms of its first product, as
+    # one dict for every class would
+    relations = []
+    with mock.patch.object(characters, "_bilinear_zero",
+                           lambda t: relations.append(list(t)) or True):
+        characters.verify_tsystem(2, 5, 5)
+
+    def poly(x):
+        return x if isinstance(x, LaurentPoly) else x[0].shift(x[1])
+
+    triples = max(relations, key=lambda t: sum(
+        poly(a).n_terms * poly(b).n_terms for _, a, b in t))
+    _, a, b = triples[0]
+    first = (poly(a) * poly(b)).n_terms
+    top = 0
+    kernel = ring._product_into
+
+    def record(acc, ta, tb, sign):
+        nonlocal top  # each term pair adds at most one key to acc
+        top = max(top, len(acc) + len(ta) * len(tb))
+        kernel(acc, ta, tb, sign)
+
+    with mock.patch.object(ring, "_product_into", record):
+        assert product_sum_vanishes(triples)
+    assert 0 < top <= first // 4
