@@ -46,11 +46,12 @@ to the unit of its frame slot, so each key is decoded once.  A
 shift, and ``word_sum``'s loop then builds the shifted row on short
 keys, so nothing large is decoded.  The map is injective and additive
 on every monomial that can occur, so the sum vanishes iff it does on
-global keys.  Nothing packed in a frame outlives the call.  It sums one
-residue class of keys modulo CLASSES = 31 at a time: k -> k mod 31 is
+global keys.  Nothing packed in a frame outlives the call.  It decides
+one residue class of keys modulo CLASSES = 37 at a time: k -> k mod 37 is
 additive, so classes alpha and beta multiply into class alpha + beta,
 and keys of different classes never meet.  The sum vanishes iff each
-class's part does, and an accumulator holds ~1/31 of a product.
+class's part does.  2 has order 36 mod 37, so no width w <= 16 has
+2^w = 1, which would class keys by total degree (2^5 = 1 mod 31).
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial canonicalizes to zero.  Its frame holds
@@ -80,12 +81,13 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress, product, starmap
 from math import prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple
 
 Y_FAM, Q_FAM = 0, 1
@@ -97,7 +99,7 @@ VarKey = tuple
 MonoKey = tuple
 
 EXP_MAX = 2 ** 15 - 1
-CLASSES = 31  # residue classes of frame keys in product_sum_vanishes
+CLASSES = 37  # residue classes of frame keys in product_sum_vanishes
 
 _SLOT: dict = {}   # VarKey -> slot, in the order this process met them
 _VAR: list = []    # slot -> VarKey
@@ -525,8 +527,8 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     p.shift(half), or ``Words``.  Frame keys mod CLASSES add under
     products, so the sum vanishes iff, for each class gamma, the sum over
     triples and alpha of A's class-alpha part times B's class-(gamma -
-    alpha) part does.  Each class is summed in turn in a fresh
-    accumulator, the operand with fewer terms on the outer loop."""
+    alpha) part does: iff ``_count_blocks`` counts its two sides equal on
+    the parts' keys, grouped by coefficient, the fewer groups as alpha."""
     triples = list(triples)
     w = max((_frame_bound(a, b) for _, a, b in triples),
             default=0).bit_length() + 1
@@ -541,29 +543,47 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
         parts = [{} for _ in range(CLASSES)]
         if isinstance(x, Words):
             keys, coeffs, _ = _letters(x.templates)
-            return _words_into([{c: key(k, h) for c, k in keys.items()}
-                                for h in x.halves],
-                               [coeffs] * len(x.halves), x.words, parts)
-        p, half = (x, 0) if isinstance(x, LaurentPoly) else x
-        for k, c in p._t.items():
-            k = key(k, half)
-            parts[k % CLASSES][k] = c
-        return parts
+            _words_into([{c: key(k, h) for c, k in keys.items()}
+                         for h in x.halves],
+                        [coeffs] * len(x.halves), x.words, parts)
+        else:
+            p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+            for k, c in p._t.items():
+                k = key(k, half)
+                parts[k % CLASSES][k] = c
+        return [{c: list(compress(part, map(c.__eq__, part.values())))
+                 for c in set(part.values())} for part in parts]
 
-    packed = []  # (sign, the smaller operand's nonempty classes, the other)
+    packed = []  # (sign, one operand's nonempty classes, the other's)
     for sign, a, b in triples:
         a, b = sorted((pack(a), pack(b)), key=lambda x: sum(map(len, x)))
         packed.append((sign, [(al, x) for al, x in enumerate(a) if x], b))
     for gamma in range(CLASSES):
-        acc: dict = {}
+        blocks: dict = {}  # m -> [(keys, keys)] whose sums carry m each
         for sign, a, b in packed:
             for alpha, x in a:
                 y = b[gamma - alpha]  # a negative index wraps modulo CLASSES
-                if y:
-                    _product_into(acc, x, y, sign)
-        if acc:
+                for c1, k1 in x.items():
+                    for c2, k2 in y.items():
+                        blocks.setdefault(sign * c1 * c2, []).append((k1, k2))
+        if not dict.__eq__(*_count_blocks(blocks)):
             return False
     return True
+
+
+def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
+    """Positive and negative counts of each key sum k1 + k2 over the blocks
+    {m: [(keys, keys)]}, at C level for m = +-1 and once, times |m|, for
+    any other m; compare them by dict.__eq__, as Counter's is a loop."""
+    sides = Counter(), Counter()
+    for m, bucket in blocks.items():
+        pairs = starmap(add, chain.from_iterable(starmap(product, bucket)))
+        side = sides[m < 0]
+        if abs(m) == 1:
+            side.update(pairs)
+        elif m:
+            side.update({k: abs(m) * n for k, n in Counter(pairs).items()})
+    return sides
 
 
 def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> dict:

@@ -287,22 +287,27 @@ def test_shifted_rows_built_directly(n, m, h):
     # position's shift, equals row_poly(n, m).shift(h) repacked there
     z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
     row = Words(z, _row_halves(m, h), gen_row_tableaux(n, m))
-    # the zero-test multiplies one residue class of each row at a time by
-    # ONE, packed as {0: 1}; the union of a row's class slices is the row
+    # the zero-test pairs one residue class of each row at a time with
+    # ONE, packed as the keys [0]; a row's coefficients are positive, so
+    # the sign of a block's multiplier is the triple's, and the union of
+    # a row's class slices, each key with its |multiplier|, is the row
     packed = {1: {}, -1: {}}
-    kernel = ring._product_into
+    count = ring._count_blocks
 
-    def record(acc, ta, tb, sign):
-        part = ta if tb == {0: 1} else tb
-        assert packed[sign].keys().isdisjoint(part)
-        packed[sign].update(part)
-        kernel(acc, ta, tb, sign)
+    def record(blocks):
+        for mult, bucket in blocks.items():
+            side = packed[1 if mult > 0 else -1]
+            for xs, ys in bucket:
+                part = xs if ys == [0] else ys
+                assert side.keys().isdisjoint(part)
+                side.update(dict.fromkeys(part, abs(mult)))
+        return count(blocks)
 
-    with mock.patch.object(ring, "_product_into", record):
+    with mock.patch.object(ring, "_count_blocks", record):
         assert product_sum_vanishes([(1, row, ONE),
                                      (-1, (row_poly(n, m), h), ONE)])
     assert packed[1] == packed[-1]
-    assert len(packed[1]) == row_poly(n, m).n_terms
+    assert sorted(packed[1].values()) == sorted(row_poly(n, m)._t.values())
     assert product_sum_vanishes([(1, row, ONE),
                                  (-1, row_poly(n, m).shift(h), ONE)])
     if m:
@@ -318,12 +323,13 @@ if sys.argv[1] == "busy":
         ring.Y(1, 1000 + i)
 # only the products inside the zero-tests count
 inside, top = [False], [0]
-kernel, zero_test = ring._product_into, characters.product_sum_vanishes
+count, zero_test = ring._count_blocks, characters.product_sum_vanishes
 
-def record(acc, ta, tb, sign):
+def record(blocks):
     if inside[0]:
-        top[0] = max([top[0]] + [k.bit_length() for k in (*ta, *tb)])
-    kernel(acc, ta, tb, sign)
+        top[0] = max([top[0]] + [k.bit_length() for bucket in blocks.values()
+                                 for xs, ys in bucket for k in (*xs, *ys)])
+    return count(blocks)
 
 def tested(triples):
     inside[0] = True
@@ -332,7 +338,7 @@ def tested(triples):
     finally:
         inside[0] = False
 
-ring._product_into, characters.product_sum_vanishes = record, tested
+ring._count_blocks, characters.product_sum_vanishes = record, tested
 assert characters.verify_tt_tq(3, 4).ok
 print(top[0])
 """

@@ -323,6 +323,8 @@ def test_output_independent_of_hash_seed():
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
                  ["verify", "tt-tq", "--rank", "2", "--max-m", "4"],
+                 # m = 8 packs in frames of width 5
+                 ["verify", "tt-tq", "--rank", "3", "--max-m", "8"],
                  ["verify", "screening", "--rank", "2", "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):

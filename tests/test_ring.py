@@ -1,6 +1,7 @@
 """Ring axioms and representation maps for the sparse Laurent ring."""
 
 import json
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -274,8 +275,9 @@ def _canonical(terms):
 def tuple_polys(families=(Y_FAM, Q_FAM), min_size=0):
     var = st.tuples(st.sampled_from(families), st.integers(1, 3),
                     st.integers(-6, 6))
-    mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
-    coeff = st.integers(-5, 5).filter(bool)
+    mono = st.dictionaries(var, st.sampled_from([e for e in range(-3, 4)
+                                                 if e]), max_size=4)
+    coeff = st.sampled_from([c for c in range(-5, 6) if c])
     return st.lists(st.tuples(mono, coeff), min_size=min_size,
                     max_size=6).map(_canonical)
 
@@ -597,15 +599,16 @@ def test_words_operand_edges():
 
 def _classes_seen(triples):
     """product_sum_vanishes(triples), and the residue classes of the frame
-    keys of every operand slice it multiplies."""
+    keys of every operand slice whose key sums it counts."""
     seen = set()
-    kernel = ring._product_into
+    count = ring._count_blocks
 
-    def record(acc, ta, tb, sign):
-        seen.update(k % ring.CLASSES for k in (*ta, *tb))
-        kernel(acc, ta, tb, sign)
+    def record(blocks):
+        seen.update(k % ring.CLASSES for bucket in blocks.values()
+                    for xs, ys in bucket for k in (*xs, *ys))
+        return count(blocks)
 
-    with mock.patch.object(ring, "_product_into", record):
+    with mock.patch.object(ring, "_count_blocks", record):
         return product_sum_vanishes(triples), seen
 
 
@@ -662,19 +665,21 @@ def test_product_sum_vanishes_finds_a_residue_in_one_class():
     a = 2 * Y(1, 0) - 3 * Y(2, 1, -1) + Y(1, 0, -2) * Y(3, 2)
     b = (Y(1, 0) + 5 * Y(2, 1) - Y(3, -1, 2) + 1) ** 2
     found = []  # the frame key of each residue
-    kernel = ring._product_into
-    last = {}
+    count = ring._count_blocks
+    last = {}  # positive less negative count of the last class decided
 
-    def record(acc, ta, tb, sign):
-        kernel(acc, ta, tb, sign)
+    def record(blocks):
+        plus, minus = sides = count(blocks)
         last.clear()
-        last.update(acc)
+        last.update({k: plus[k] - minus[k] for k in {*plus, *minus}
+                     if plus[k] != minus[k]})
+        return sides
 
-    for e in range(-40, 40):
+    for e in range(-100, 100):
         m = Y(1, 0, e) * Y(2, 1, 1 if e % 2 else -1)
         triples = [(1, a, b), (-1, a * b - 3 * m, ONE)]
         assert not product_sum(triples).is_zero
-        with mock.patch.object(ring, "_product_into", record):
+        with mock.patch.object(ring, "_count_blocks", record):
             assert not product_sum_vanishes(triples)
         assert list(last.values()) == [3]
         (key,) = last
@@ -685,9 +690,9 @@ def test_product_sum_vanishes_finds_a_residue_in_one_class():
 
 
 def test_product_sum_vanishes_holds_one_class_at_a_time():
-    # the largest relation of verify_tsystem(2, 5, 5): no accumulator may
-    # hold more than a quarter of the terms of its first product, as
-    # one dict for every class would
+    # the largest relation of verify_tsystem(2, 5, 5): the two counts of
+    # one class may not hold more than a quarter of the terms of its
+    # first product between them, as counts of every class would
     relations = []
     with mock.patch.object(characters, "_bilinear_zero",
                            lambda t: relations.append(list(t)) or True):
@@ -701,13 +706,68 @@ def test_product_sum_vanishes_holds_one_class_at_a_time():
     _, a, b = triples[0]
     first = (poly(a) * poly(b)).n_terms
     top = 0
-    kernel = ring._product_into
+    count = ring._count_blocks
 
-    def record(acc, ta, tb, sign):
-        nonlocal top  # each term pair adds at most one key to acc
-        top = max(top, len(acc) + len(ta) * len(tb))
-        kernel(acc, ta, tb, sign)
+    def record(blocks):
+        nonlocal top
+        plus, minus = sides = count(blocks)
+        top = max(top, len(plus) + len(minus))
+        return sides
 
-    with mock.patch.object(ring, "_product_into", record):
+    with mock.patch.object(ring, "_count_blocks", record):
         assert product_sum_vanishes(triples)
     assert 0 < top <= first // 4
+
+
+def test_class_modulus_splits_every_frame_width():
+    # with 2^k = 1 for some k < CLASSES - 1, a frame of width k would
+    # class its keys by their total degree alone, and a tt-tq row, a
+    # product of degree-0 letters, would barely split
+    assert all(pow(2, k, ring.CLASSES) != 1
+               for k in range(1, ring.CLASSES - 1))
+    relations = []
+    with mock.patch.object(characters, "_bilinear_zero",
+                           lambda t: relations.append(list(t)) or True):
+        characters.verify_tt_tq(3, 8)
+    wide = [t for t in relations if max(
+        ring._frame_bound(a, b) for _, a, b in t).bit_length() + 1 == 5]
+    assert wide
+    count = ring._count_blocks
+    for triples in wide:
+        pairs = []  # the term pairs of each class
+
+        def record(blocks):
+            pairs.append(sum(len(xs) * len(ys) for bucket in blocks.values()
+                             for xs, ys in bucket))
+            return count(blocks)
+
+        with mock.patch.object(ring, "_count_blocks", record):
+            assert product_sum_vanishes(triples)
+        assert len(pairs) == ring.CLASSES
+        assert max(pairs) <= 2 * sum(pairs) / ring.CLASSES
+
+
+def test_product_sum_vanishes_counts_multiplicities():
+    a, b = Y(1, 0), Y(2, 1)
+    # one key: +2 from one pair, -1 from each of two others
+    assert product_sum_vanishes([(1, 2 * a, b), (-1, a * b, ONE),
+                                 (-1, b, a)])
+    assert product_sum_vanishes([(2, a, b), (-1, a * b, ONE), (-1, b, a)])
+    assert not product_sum_vanishes([(1, 2 * a, b), (-1, b, a)])
+    assert not product_sum_vanishes([(2, a, b), (-1, a * b, ONE)])
+    assert product_sum_vanishes([(0, a, b)])
+    assert product_sum_vanishes([(3, a, b), (0, b, a), (-3, b, a)])
+
+
+def test_product_sum_vanishes_cost_does_not_grow_with_coefficients():
+    a = poly_sum(Y(1, h) * Y(2, -h, e) for h in range(12) for e in (-1, 2))
+    b = poly_sum(Y(3, h, 2) * Y(1, 2 * h) for h in range(-12, 12))
+
+    def seconds(c):
+        t = time.perf_counter()
+        assert product_sum_vanishes([(c, a, b), (-c, b, a)])
+        assert not product_sum_vanishes([(c, a, b), (1 - c, b, a)])
+        return time.perf_counter() - t
+
+    unit = min(seconds(1) for _ in range(3))
+    assert min(seconds(10 ** 12) for _ in range(3)) < 10 * unit + 0.1
