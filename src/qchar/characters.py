@@ -12,7 +12,7 @@ from functools import lru_cache
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Qv, Words, product_sum, product_sum_vanishes, vk, Y_FAM,
                    ONE, ZERO)
-from .tableaux import gen_column_tableaux, gen_row_tableaux, weight_sum
+from .tableaux import gen_column_tableaux, row_blocks, weight_sum
 
 
 @lru_cache(maxsize=None)
@@ -37,7 +37,7 @@ def fundamental_poly(n: int, a: int) -> LaurentPoly:
     if a > n + 1:
         return -fundamental_poly(n, N - a)
     # stagger: k-th letter at u + (a - 2k)/2 relative to base u
-    return weight_sum(gen_column_tableaux(n, a), _table(n),
+    return weight_sum([(gen_column_tableaux(n, a),)], _table(n),
                       [a - 2 * k for k in range(1, a + 1)])
 
 
@@ -49,11 +49,11 @@ def _row_halves(m: int, half: int = 0) -> list:
 
 @lru_cache(maxsize=None)
 def row_poly(n: int, m: int) -> LaurentPoly:
-    """T^(1)_m(u): sum over length-m row tableaux, letters placed by
-    ``_row_halves``."""
+    """T^(1)_m(u): sum over the length-m row tableaux, built from their
+    blocks, letters placed by ``_row_halves``."""
     if m < 0:
         return ZERO
-    return weight_sum(gen_row_tableaux(n, m), _table(n), _row_halves(m))
+    return weight_sum(row_blocks(n, m), _table(n), _row_halves(m))
 
 
 # --- hook family via the first-order recursion ------------------------
@@ -240,7 +240,7 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     # T^(1)_r(u + h/2) is the operand row(r, h): the letter templates at
     # u, repacked at each position's shift in the relation's frame
     z = {c: _table(n).z(c) for c in range(1, 2 * n + 1)}
-    rows = [gen_row_tableaux(n, r) for r in range(m_max + 1)]
+    rows = [row_blocks(n, r) for r in range(m_max + 1)]
     row = lambda r, h: Words(z, _row_halves(r, h), rows[r])
     for m in range(0, m_max + 1):
         target = [(-1, ONE, ONE)] if m == 0 else []

@@ -11,8 +11,9 @@ int, sum_v e_v * 2^(16 * slot(v)), with balanced 16-bit digits: every
 exponent lies in [-EXP_MAX, EXP_MAX], EXP_MAX = 2^15 - 1.  In that range
 each monomial has exactly one such int, so dict lookups compare
 monomials exactly, and the product of two monomials is one int add.
-``word_sum`` builds sums over words of single-term letters (tableau
-weights) that way: one int add per letter, no polynomial per letter.
+``word_sum`` sums words of single-term letters (tableau weights) that
+way, from blocks: one int add per letter of a partial word, and each
+word's key a C-level sum of its partial keys.
 
 Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
@@ -43,8 +44,9 @@ is packed.  An operand ``(p, half)`` stands for p.shift(half): the
 repack is the substitution that sends each variable, shifted by half,
 to the unit of its frame slot, so each key is decoded once.  A
 ``Words`` operand repacks its single-term templates at each position's
-shift, and ``word_sum``'s loop then builds the shifted row on short
-keys, so nothing large is decoded.  The map is injective and additive
+shift and builds the shifted row from its blocks on short keys, as
+``word_sum`` does, so nothing large is decoded; its words are counted
+with multiplicity, not merged.  The map is injective and additive
 on every monomial that can occur, so the sum vanishes iff it does on
 global keys.  Nothing packed in a frame outlives the call.  It decides
 one residue class of keys modulo CLASSES = 37 at a time: k -> k mod 37 is
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -499,13 +501,13 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
 
 
 class Words(NamedTuple):
-    """A row operand of ``product_sum_vanishes``: the sum over ``words``
-    of prod_k templates[word[k]].shift(halves[k]), where every template
-    is a single term."""
+    """A row operand of ``product_sum_vanishes``: the sum over the words
+    of ``blocks``, as ``word_sum`` takes them, of the products prod_k
+    templates[word[k]].shift(halves[k]) of single-term templates."""
 
     templates: dict
     halves: list
-    words: list
+    blocks: list
 
 
 def _frame_bound(a, b) -> int:
@@ -540,19 +542,22 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
             place.setdefault((v[0], v[1], v[2] + half), 1 << w * len(place))))
 
     def pack(x) -> list:
-        parts = [{} for _ in range(CLASSES)]
         if isinstance(x, Words):
             keys, coeffs, _ = _letters(x.templates)
-            _words_into([{c: key(k, h) for c, k in keys.items()}
-                         for h in x.halves],
-                        [coeffs] * len(x.halves), x.words, parts)
+            groups = _words_into([{c: key(k, h) for c, k in keys.items()}
+                                  for h in x.halves],
+                                 [coeffs] * len(x.halves), x.blocks)
         else:
             p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+            groups = {}  # coefficient -> frame keys
             for k, c in p._t.items():
-                k = key(k, half)
-                parts[k % CLASSES][k] = c
-        return [{c: list(compress(part, map(c.__eq__, part.values())))
-                 for c in set(part.values())} for part in parts]
+                groups.setdefault(c, []).append(key(k, half))
+        parts = [{} for _ in range(CLASSES)]
+        for c, ks in groups.items():  # each key to its class, at C level
+            lists = [part.setdefault(c, []) for part in parts]
+            deque(map(list.append, map(lists.__getitem__, map(
+                CLASSES.__rmod__, ks)), ks), maxlen=0)
+        return [{c: ks for c, ks in part.items() if ks} for part in parts]
 
     packed = []  # (sign, one operand's nonempty classes, the other's)
     for sign, a, b in triples:
@@ -666,39 +671,56 @@ def _letters(templates: dict) -> tuple[dict, dict, int]:
     return keys, coeffs, _exact_bound(keys.values())
 
 
-def _words_into(keys: list, coeffs: list, words: Iterable[tuple],
-                out: list) -> list:
-    """Raw terms of the sum over ``words`` of the products of their
-    letters, the k-th with key keys[k][letter] and coefficient
-    coeffs[k][letter]: one int add per letter, summed into the dict
-    out[key % len(out)] of the key's residue class."""
-    length = len(keys)
-    unit = all(c == 1 for cmap in coeffs for c in cmap.values())
+def _words_into(keys: list, coeffs: list, blocks: Iterable[tuple]) -> dict:
+    """{c: the keys of the words of coefficient c, with multiplicity} over
+    the words of ``blocks``, the k-th letter with key keys[k][letter] and
+    coefficient coeffs[k][letter].  A block is a tuple of factors, lists
+    of partial words of one length each, and its words join one partial
+    word of each factor in turn.  A partial word is summed at its
+    factor's positions, one int add per letter, and the block's keys are
+    formed at C level, as sums of one partial key of each factor."""
     pick = dict.__getitem__
-    mod = len(out)
-    for w in words:
-        if len(w) != length:
-            raise ValueError(f"word {w!r} does not have length {length}")
-        k = sum(map(pick, keys, w))
-        part = out[k % mod]
-        s = part.get(k, 0) + (1 if unit else prod(map(pick, coeffs, w)))
-        if s:
-            part[k] = s
-        else:
-            del part[k]
+    out: dict = {}
+    memo: dict = {}  # (factor, offset) -> {coefficient: partial keys}
+    for block in filter(all, blocks):  # an empty factor has no words
+        widths = [len(f[0]) for f in block]
+        if sum(widths) != len(keys) or any(
+                {*map(len, f)} != {w} for f, w in zip(block, widths)):
+            bad = next(w for w in map(tuple, starmap(chain, product(*block)))
+                       if len(w) != len(keys))
+            raise ValueError(f"word {bad!r} does not have length {len(keys)}")
+        at, groups = 0, {1: [0]}
+        for f, w in zip(block, widths):
+            part = memo.setdefault((tuple(f), at), {})
+            if not part:  # each factor's partial keys once per offset
+                ks, cs = keys[at:at + w], coeffs[at:at + w]
+                for p in f:
+                    part.setdefault(prod(map(pick, cs, p)), []).append(
+                        sum(map(pick, ks, p)))
+            at += w
+            groups, joined = {}, groups
+            for (c1, k1), (c2, k2) in product(joined.items(), part.items()):
+                groups.setdefault(c1 * c2, []).extend(
+                    starmap(add, product(k1, k2)))
+        for c, ks in groups.items():
+            out.setdefault(c, []).extend(ks)
     return out
 
 
-def word_sum(positions: list, words: Iterable[tuple]) -> LaurentPoly:
-    """Sum over ``words`` of prod_k positions[k][word[k]].
+def word_sum(positions: list, blocks: Iterable[tuple]) -> LaurentPoly:
+    """Sum over the words of ``blocks`` of prod_k positions[k][word[k]].
 
     ``positions[k]`` maps each letter that may stand at position k to a
-    single-term template.  A word's product is one int add per letter on
-    the packed keys and its coefficient the product of the templates'
-    coefficients.  Every word must have length ``len(positions)``.
+    single-term template.  A block is as ``_words_into`` takes it; a
+    flat word list is the block ``(words,)``.  Every word must have
+    length ``len(positions)``.  ``_count_blocks`` counts the words' keys,
+    each plus the key 0 of the unit.
     """
     keys, coeffs, bounds = list(zip(*map(_letters, positions))) or [()] * 3
-    return LaurentPoly._make(_words_into(keys, coeffs, words, [{}])[0],
+    words = _words_into(keys, coeffs, blocks)
+    plus, minus = _count_blocks({c: [(ks, [0])] for c, ks in words.items()})
+    plus.subtract(minus)
+    return LaurentPoly._make({k: c for k, c in plus.items() if c},
                              _checked(sum(bounds)))
 
 

@@ -9,7 +9,7 @@ tuples of letter codes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
@@ -55,30 +55,27 @@ def gen_column_tableaux(n: int, a: int) -> list[tuple]:
     return out
 
 
-def gen_row_tableaux(n: int, m: int) -> list[tuple]:
-    """Length-m rows of block shape: a weakly increasing run of plain
-    letters, then k adjacent (nbar, n) descent pairs, then a weakly
-    increasing run of barred letters.
-
-    This is the word set produced by expanding the inverse of the
-    factorized operator (geometric series of the plain factors, the
-    degree-2 middle factor, then the barred factors), which is strictly
-    smaller than allowing arbitrary (nbar, n) descents once rows reach
-    length 3.
-    """
+def row_blocks(n: int, m: int) -> list[tuple]:
+    """The length-m rows as blocks (lefts, [(nbar, n)^k], rights), one per
+    k and r: lefts are the weakly increasing runs of r plain letters and
+    rights those of m - 2k - r barred letters.  This is the word set of
+    the inverse of the factorized operator, T^(1)_m = sum_{r+2k+s=m}
+    h_r(plain) (nbar n)^k h_s(barred), which is strictly smaller than
+    allowing arbitrary (nbar, n) descents once rows reach length 3."""
     if m < 0:
         raise ValueError("row length must be >= 0")
     nb = bar(n, n)
-    out: list[tuple] = []
-    for k in range(0, m // 2 + 1):
-        mid = (nb, n) * k
-        for r in range(0, m - 2 * k + 1):
-            rights = list(combinations_with_replacement(
-                range(nb, 2 * n + 1), m - 2 * k - r))
-            out.extend(left + mid + right for left in
-                       combinations_with_replacement(range(1, n + 1), r)
-                       for right in rights)
-    return out
+    plain, barred = ([list(combinations_with_replacement(letters, s))
+                      for s in range(m + 1)]
+                     for letters in (range(1, n + 1), range(nb, 2 * n + 1)))
+    return [(plain[r], [(nb, n) * k], barred[m - 2 * k - r])
+            for k in range(m // 2 + 1) for r in range(m - 2 * k + 1)]
+
+
+def gen_row_tableaux(n: int, m: int) -> list[tuple]:
+    """The length-m rows: the words of ``row_blocks(n, m)``, in order."""
+    return [left + mid + right for block in row_blocks(n, m)
+            for left, mid, right in product(*block)]
 
 
 def gen_x_tableaux(n: int, a: int) -> list[tuple]:
@@ -91,10 +88,11 @@ def gen_x_tableaux(n: int, a: int) -> list[tuple]:
 
 # --- weights ----------------------------------------------------------
 
-def weight_sum(words, table: VariableTable, halves: list,
+def weight_sum(blocks, table: VariableTable, halves: list,
                convention: str = "Z") -> LaurentPoly:
-    """Sum of the product weights of words of length len(halves): the
-    k-th letter (0-based) contributes its template at u + halves[k]/2.
+    """Sum of the product weights of the words of ``blocks``, as
+    ``word_sum`` takes them, each of length len(halves): the k-th letter
+    (0-based) contributes its template at u + halves[k]/2.
 
     Convention 'Z' reads letters from the barred alphabet (Y-variables),
     'X' from the x-alphabet (Q-variables, middle letters signed).
@@ -104,15 +102,15 @@ def weight_sum(words, table: VariableTable, halves: list,
     template, top = ((table.z, 2 * table.n) if convention == "Z"
                      else (table.x, 2 * table.n + 2))
     return word_sum([{c: template(c, h) for c in range(1, top + 1)}
-                     for h in halves], words)
+                     for h in halves], blocks)
 
 
 def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
                    base_half: int = 0) -> LaurentPoly:
     """Staggered product weight: the k-th letter (1-based) contributes
     its template at u + base_half/2 + 1 - k."""
-    return weight_sum((t,), table, [base_half - 2 * k for k in range(len(t))],
-                      convention)
+    return weight_sum([([t],)], table,
+                      [base_half - 2 * k for k in range(len(t))], convention)
 
 
 # --- the pair-lowering maps tau_b / sigma_b ---------------------------
@@ -248,11 +246,11 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
     # (i) signed x-sum equals the admissible z-sum, in Q-representation
     halves = [-2 * k for k in range(a)]
     xs = gen_x_tableaux(n, a)
-    xsum = weight_sum(xs, table, halves, "X")
-    mixed = weight_sum((t for t in xs if ((n + 1) in t) != ((n + 2) in t)),
-                       table, halves, "X")
+    xsum = weight_sum([(xs,)], table, halves, "X")
+    one_middle = [t for t in xs if ((n + 1) in t) != ((n + 2) in t)]
+    mixed = weight_sum([(one_middle,)], table, halves, "X")
     columns = gen_column_tableaux(n, a)
-    zsum_q = weight_sum(columns, table, halves).to_q(cartan)
+    zsum_q = weight_sum([(columns,)], table, halves).to_q(cartan)
     rep.admissible_count = len(columns)
     rep.x_equals_admissible = xsum == zsum_q
     if not rep.x_equals_admissible:
@@ -298,8 +296,8 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
                 rep.failures.append(f"raise map failed at {s}")
     else:
         # length < 3: W is empty and V sums telescope directly
-        vsum = weight_sum(gen_V(n, a), table, halves)
-        wsum = weight_sum(gen_W(n, a), table, halves)
+        vsum = weight_sum([(gen_V(n, a),)], table, halves)
+        wsum = weight_sum([(gen_W(n, a),)], table, halves)
         if vsum != wsum:
             rep.bijection_ok = False
             rep.failures.append("V-sum != W-sum at small length")

@@ -108,15 +108,17 @@ def _beta_oracle(p, pt):
     return total
 
 
-_coords = st.builds(Fraction, st.integers(-9, 9).filter(bool),
+_coords = st.builds(Fraction,
+                    st.sampled_from([p for p in range(-9, 10) if p]),
                     st.integers(1, 9))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(
-           st.integers(-5, 5).filter(bool),
+           st.sampled_from([c for c in range(-5, 6) if c]),
            st.dictionaries(st.tuples(st.integers(1, 3), st.integers(-6, 6)),
-                           st.integers(-3, 3).filter(bool), max_size=4)),
+                           st.sampled_from([e for e in range(-3, 4) if e]),
+                           max_size=4)),
            max_size=6),
        st.lists(st.tuples(_coords, _coords, _coords).map(ClassicalPoint),
                 min_size=1, max_size=3))

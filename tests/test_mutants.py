@@ -41,6 +41,18 @@ def _flipped_left(_):
     return h
 
 
+def _dropped_row_word(f):
+    """row_blocks with the first barred run of the first block of the
+    length-2 rows dropped."""
+    def blocks(n, m):
+        out = f(n, m)
+        if m == 2:
+            lefts, mid, rights = out[0]
+            out[0] = (lefts, mid, rights[1:])
+        return out
+    return blocks
+
+
 def _negated_entry(f):
     """companion_matrix with its subdiagonal entry [1][0] negated."""
     def companion(n, half):
@@ -66,7 +78,8 @@ MUTANTS = {
             lambda n, m: _drop_first_term(f(n, m)) if m == 2 else f(n, m)))}),
     "tt-tq": (["--rank", "2", "--max-m", "3"], {
         "dropped term of T^(2)": (characters, "fundamental_poly",
-                                  _dropped_term(2))}),
+                                  _dropped_term(2)),
+        "dropped row word": (characters, "row_blocks", _dropped_row_word)}),
     "hseries": (["--rank", "2"], {
         "dropped term of H^(1)_6": (characters, "h_poly", lambda f: (
             lambda n, i, k: (_drop_first_term(f(n, i, k)) if (i, k) == (1, 6)

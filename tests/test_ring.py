@@ -3,10 +3,11 @@
 import json
 import time
 from fractions import Fraction
+from itertools import chain, product
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qchar import characters, ring
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
@@ -275,8 +276,10 @@ def _canonical(terms):
 def tuple_polys(families=(Y_FAM, Q_FAM), min_size=0):
     var = st.tuples(st.sampled_from(families), st.integers(1, 3),
                     st.integers(-6, 6))
-    mono = st.dictionaries(var, st.sampled_from([e for e in range(-3, 4)
-                                                 if e]), max_size=4)
+    # a later draw of a variable replaces an earlier one, so no draw is
+    # retried for a duplicate key, as the unique keys of st.dictionaries are
+    exp = st.sampled_from([e for e in range(-3, 4) if e])
+    mono = st.lists(st.tuples(var, exp), max_size=4).map(dict)
     coeff = st.sampled_from([c for c in range(-5, 6) if c])
     return st.lists(st.tuples(mono, coeff), min_size=min_size,
                     max_size=6).map(_canonical)
@@ -443,11 +446,11 @@ def _o_word_sum(positions, words):
     return total
 
 
-def letter_templates():
+def letter_templates(coeffs=(1, -1)):
     # few variables and small exponents, so that words often collide
     # and, with signs, cancel
     mono = st.builds(lambda c, i, h, e, f: c * Y(i, h, e) * Y(1, 0, f),
-                     st.sampled_from((1, -1)), st.integers(1, 2),
+                     st.sampled_from(coeffs), st.integers(1, 2),
                      st.integers(-2, 2), st.integers(-2, 2),
                      st.integers(-1, 1))
     return st.dictionaries(st.integers(0, 2), mono, min_size=1, max_size=3)
@@ -458,39 +461,92 @@ def letter_templates():
 def test_word_sum_matches_per_letter_products(positions, data):
     word = st.tuples(*(st.sampled_from(sorted(p)) for p in positions))
     words = data.draw(st.lists(word, max_size=10))
-    assert word_sum(positions, words) == _o_word_sum(positions, words)
+    assert word_sum(positions, [(words,)]) == _o_word_sum(positions, words)
+
+
+def word_blocks(letters, length):
+    """Lists of blocks of words of ``length`` over ``letters``: cuts split
+    the positions into factors, each a list of partial words that may
+    repeat a word or be empty."""
+    def block(cuts):
+        ends = [0, *sorted(cuts), length]
+        return st.tuples(*(st.lists(st.tuples(*[st.sampled_from(letters)]
+                                              * (end - start)), max_size=3)
+                           for start, end in zip(ends, ends[1:])))
+    return st.lists(st.lists(st.integers(0, length), max_size=2).flatmap(
+        block), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(letter_templates((1, -1, 2, -3)),
+       st.lists(st.integers(-3, 3), max_size=4), st.data())
+def test_blocks_match_their_flattening(templates, halves, data):
+    blocks = data.draw(word_blocks(sorted(templates), len(halves)))
+    words = [tuple(chain.from_iterable(x)) for block in blocks
+             for x in product(*block)]
+    positions = [{c: t.shift(h) for c, t in templates.items()}
+                 for h in halves]
+    built = word_sum(positions, blocks)
+    assert built == word_sum(positions, [(words,)]) == _o_word_sum(
+        positions, words)
+    row = Words(templates, halves, blocks)
+    assert product_sum_vanishes([(1, row, ONE),
+                                 (-1, Words(templates, halves, [(words,)]),
+                                  ONE)])
+    assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
+    assert product_sum_vanishes([(1, row, ONE)]) == built.is_zero
+    # one letter more in one partial word of a block that has words
+    full = [i for i, block in enumerate(blocks) if block and all(block)]
+    if full:
+        i = data.draw(st.sampled_from(full))
+        j = data.draw(st.integers(0, len(blocks[i]) - 1))
+        factor = blocks[i][j]
+        bad = list(blocks)
+        bad[i] = (*blocks[i][:j], [factor[0] + (min(templates),),
+                                   *factor[1:]], *blocks[i][j + 1:])
+        with pytest.raises(ValueError, match=f"length {len(halves)}"):
+            word_sum(positions, bad)
+        with pytest.raises(ValueError, match=f"length {len(halves)}"):
+            product_sum_vanishes([(1, Words(templates, halves, bad), ONE)])
 
 
 def test_word_sum_edge_cases():
     assert word_sum([], []) == ZERO
-    assert word_sum([], [()]) == ONE  # the empty word
-    assert word_sum([], [(), ()]) == LaurentPoly.const(2)
+    assert word_sum([], [([],)]) == ZERO
+    assert word_sum([], [([()],)]) == ONE  # the empty word
+    assert word_sum([], [()]) == ONE  # a block of no factors joins it once
+    assert word_sum([], [([(), ()],)]) == LaurentPoly.const(2)
     pos = [{1: Y(1, 0), 2: -Y(1, 0), 3: Y(1, 0, -1)}, {1: Y(2, 1)}]
-    assert word_sum(pos, [(1, 1), (2, 1)]) == ZERO  # cancelling words
-    assert word_sum(pos, [(1, 1), (3, 1), (1, 1)]) == (
+    assert word_sum(pos, [([(1, 1), (2, 1)],)]) == ZERO  # cancelling words
+    assert word_sum(pos, [([(1,), (2,)], [(1,)])]) == ZERO
+    assert word_sum(pos, [([(1, 1), (3, 1), (1, 1)],)]) == (
         2 * Y(1, 0) * Y(2, 1) + Y(2, 1) * Y(1, 0, -1))
-    with pytest.raises(ValueError, match="length 2"):
-        word_sum(pos, [(1,)])
+    assert word_sum(pos, [([(1,), (3,), (1,)], [], [(1,)])]) == ZERO
+    for bad in ([([(1,)],)], [([(1,)], [(1, 1)])],
+                [([(1,), (1, 1)], [(1,)])]):  # wrong total, mixed widths
+        with pytest.raises(ValueError, match="length 2"):
+            word_sum(pos, bad)
     with pytest.raises(KeyError):
-        word_sum(pos, [(4, 1)])
+        word_sum(pos, [([(4, 1)],)])
     for bad in (Y(1) + Y(2), ZERO):
         with pytest.raises(ValueError, match="not one"):
-            word_sum([{1: bad}], [(1,)])
+            word_sum([{1: bad}], [([(1,)],)])
 
 
 def test_word_sum_exponents_past_digit_range_raise_overflow():
     edge = [{1: Y(1, 0, 16383)}, {1: Y(1, 0, 16384)}]
-    assert word_sum(edge, [(1, 1)]) == Y(1, 0, EXP_MAX)
-    with pytest.raises(OverflowError):
-        word_sum([{1: Y(1, 0, 16384)}, {1: Y(1, 0, 16384)}], [(1, 1)])
+    assert word_sum(edge, [([(1, 1)],)]) == Y(1, 0, EXP_MAX)
+    for blocks in ([([(1, 1)],)], [([(1,)], [(1,)])], [([(1,)], [])]):
+        with pytest.raises(OverflowError):
+            word_sum([{1: Y(1, 0, 16384)}, {1: Y(1, 0, 16384)}], blocks)
     # the bound sums the largest template of every position, used or not
     with pytest.raises(OverflowError):
         word_sum([{1: Y(1, 0), 2: Y(2, 0, 20000)}, {1: Y(1, 0, 20000)}],
-                 [(1, 1)])
+                 [([(1, 1)],)])
     # a loose bound is replaced by the exact one before any refusal
     loose = (Y(1, 0, 20000) + ONE) - Y(1, 0, 20000)
     assert word_sum([{1: loose}, {1: Y(1, 0, 20000)}],
-                    [(1, 1)]) == Y(1, 0, 20000)
+                    [([(1, 1)],)]) == Y(1, 0, 20000)
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,8 +620,8 @@ def test_words_operands_match_shifted_word_sums(templates, halves, b, d,
     word = st.tuples(*(st.sampled_from(sorted(templates)) for _ in halves))
     words = data.draw(st.lists(word, max_size=10))
     built = word_sum([{c: t.shift(h) for c, t in templates.items()}
-                      for h in halves], words)
-    row = Words(templates, halves, words)
+                      for h in halves], [(words,)])
+    row = Words(templates, halves, [(words,)])
     assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
     assert product_sum_vanishes([(2, row, (b, d)), (-2, b.shift(d), built)])
     # one operand the other way round decides like product_sum
@@ -575,20 +631,22 @@ def test_words_operands_match_shifted_word_sums(templates, halves, b, d,
 
 
 def test_words_operand_edges():
-    assert product_sum_vanishes([(1, Words({}, [], [()]), ONE),
+    assert product_sum_vanishes([(1, Words({}, [], [([()],)]), ONE),
                                  (-1, ONE, ONE)])  # the empty word is 1
-    assert not product_sum_vanishes([(1, Words({1: Y(1)}, [0], [(1,)]),
+    assert not product_sum_vanishes([(1, Words({1: Y(1)}, [0], [([(1,)],)]),
                                       ONE)])
     with pytest.raises(ValueError, match="not one"):
-        product_sum_vanishes([(1, Words({1: Y(1) + Y(2)}, [0], [(1,)]),
+        product_sum_vanishes([(1, Words({1: Y(1) + Y(2)}, [0], [([(1,)],)]),
                                ONE)])
     with pytest.raises(ValueError, match="length 2"):
-        product_sum_vanishes([(1, Words({1: Y(1)}, [0, 1], [(1,)]), ONE)])
+        product_sum_vanishes([(1, Words({1: Y(1)}, [0, 1], [([(1,)],)]),
+                               ONE)])
     # the bound is the row's, from its templates, plus the partner's
-    row = Words({1: Y(1, 0, 16384)}, [0, 2], [(1, 1)])
-    with pytest.raises(OverflowError):
-        product_sum_vanishes([(1, row, ONE)])
-    edge = Words({1: Y(1, 0, 16383)}, [0], [(1,)])
+    for blocks in ([([(1, 1)],)], [([(1,)], [(1,)])], [([(1,)], [])]):
+        row = Words({1: Y(1, 0, 16384)}, [0, 2], blocks)
+        with pytest.raises(OverflowError):
+            product_sum_vanishes([(1, row, ONE)])
+    edge = Words({1: Y(1, 0, 16383)}, [0], [([(1,)],)])
     assert product_sum_vanishes([(1, edge, Y(1, 0, 16384)),
                                  (-1, Y(1, 0, EXP_MAX), ONE)])
     with pytest.raises(OverflowError):
@@ -597,19 +655,25 @@ def test_words_operand_edges():
 
 # -- one residue class of frame keys at a time ----------------------------
 
-def _classes_seen(triples):
-    """product_sum_vanishes(triples), and the residue classes of the frame
-    keys of every operand slice whose key sums it counts."""
-    seen = set()
+def _classes_counted(triples):
+    """product_sum_vanishes(triples), and for each call of _count_blocks
+    the classes alpha + beta of the operand slices it pairs, where every
+    slice must hold keys of one class alpha (or beta) only."""
+    calls = []
     count = ring._count_blocks
 
     def record(blocks):
-        seen.update(k % ring.CLASSES for bucket in blocks.values()
-                    for xs, ys in bucket for k in (*xs, *ys))
+        gammas = set()
+        for bucket in blocks.values():
+            for xs, ys in bucket:
+                (alpha,), (beta,) = ({k % ring.CLASSES for k in keys}
+                                     for keys in (xs, ys))
+                gammas.add((alpha + beta) % ring.CLASSES)
+        calls.append(gammas)
         return count(blocks)
 
     with mock.patch.object(ring, "_count_blocks", record):
-        return product_sum_vanishes(triples), seen
+        return product_sum_vanishes(triples), calls
 
 
 @st.composite
@@ -623,9 +687,9 @@ def operands(draw):
         word = st.tuples(*(st.sampled_from(sorted(templates))
                            for _ in halves))
         words = draw(st.lists(word, min_size=1, max_size=6))
-        return Words(templates, halves, words), word_sum(
+        return Words(templates, halves, [(words,)]), word_sum(
             [{c: t.shift(h) for c, t in templates.items()} for h in halves],
-            words)
+            [(words,)])
     p = packed(draw(tuple_polys(min_size=1)))
     if kind == "poly":
         return p, p
@@ -650,11 +714,16 @@ def class_candidates():
 @settings(max_examples=100, deadline=None)
 @given(class_candidates())
 def test_product_sum_vanishes_decides_class_by_class(triples):
-    verdict, seen = _classes_seen([(s, a, b) for s, (a, _), (b, _)
-                                   in triples])
-    assume(len(seen) > 1)
+    verdict, calls = _classes_counted([(s, a, b) for s, (a, _), (b, _)
+                                       in triples])
     assert verdict == product_sum([(s, a, b) for s, (_, a), (_, b)
                                    in triples]).is_zero
+    # each count pairs the slices of one class gamma, each gamma once,
+    # and a sum vanishes only once every class has been counted
+    assert all(len(gammas) <= 1 for gammas in calls)
+    gammas = [g for gammas in calls for g in gammas]
+    assert len(gammas) == len(set(gammas))
+    assert len(calls) == ring.CLASSES or not verdict
 
 
 def test_product_sum_vanishes_finds_a_residue_in_one_class():

@@ -126,8 +126,10 @@ def _o_euler_parts(p, idx):
 
 def y_polys():
     var = st.tuples(st.integers(1, 3), st.integers(-6, 6))
-    mono = st.dictionaries(var, st.integers(-3, 3).filter(bool), max_size=4)
-    term = st.tuples(st.integers(-5, 5).filter(bool), mono).map(
+    exp = st.sampled_from([e for e in range(-3, 4) if e])
+    mono = st.dictionaries(var, exp, max_size=4)
+    coeff = st.sampled_from([c for c in range(-5, 6) if c])
+    term = st.tuples(coeff, mono).map(
         lambda t: LaurentPoly.monomial(
             t[0], {(Y_FAM, i, h): e for (i, h), e in t[1].items()}))
     return st.lists(term, max_size=6).map(poly_sum)
