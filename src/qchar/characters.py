@@ -47,6 +47,15 @@ def _row_halves(m: int, half: int = 0) -> list:
     return [2 * k - m - 2 + half for k in range(1, m + 1)]
 
 
+def _row_operands(n: int):
+    """row(m, half): T^(1)_m(u + half/2) as a zero-test operand, the
+    ``Words`` of ``row_blocks(n, m)`` over the letter templates at u,
+    placed by ``_row_halves``, so that no row is built or decoded."""
+    z = {c: _table(n).z(c) for c in range(1, 2 * n + 1)}
+    blocks = lru_cache(maxsize=None)(lambda m: row_blocks(n, m))
+    return lambda m, half: Words(z, _row_halves(m, half), blocks(m))
+
+
 @lru_cache(maxsize=None)
 def row_poly(n: int, m: int) -> LaurentPoly:
     """T^(1)_m(u): sum over the length-m row tableaux, built from their
@@ -188,14 +197,22 @@ def verify_tsystem(n: int, m_max: int, pf_max: int | None = None) -> RelationRep
 
     ``m_max`` bounds the relation index at the bulk nodes; ``pf_max``
     bounds the largest long-node index T^(n)_m entering a relation
-    (defaults to m_max).  Each T^(a)_m(u + h/2) enters as the operand
-    (T^(a)_m(u), h), shifted while it is repacked.
+    (defaults to m_max).  A row T^(1)_m(u + h/2) enters as its words
+    (``_row_operands``), any other T^(a)_m(u + h/2) as (T^(a)_m(u), h).
     """
     if pf_max is None:
         pf_max = m_max
     rep = RelationReport()
-    R = lambda a, m: rect_poly(n, a, m)
-    T = lambda a, m, h: (R(a, m), h)
+    row, R = _row_operands(n), lambda a, m: rect_poly(n, a, m)
+    T = lambda a, m, h: row(m, h) if a == 1 else (R(a, m), h)
+
+    def long_term(k, j, p, i, q):
+        # -T^(n-2)_k(u) T^(n)_j(u + p/2) T^(n)_i(u + q/2): T^(n-2) times
+        # a Pfaffian or, where T^(n-2) is a row, the Pfaffians multiplied
+        if n == 3:
+            return (-1, row(k, 0), (R(n, j) * R(n, i).shift(q - p), p))
+        return (-1, (R(n - 2, k).shift(-p) * R(n, j), p), T(n, i, q))
+
     for a in range(1, n - 1):
         for m in range(1, m_max + 1):
             ok = _bilinear_zero([
@@ -208,14 +225,14 @@ def verify_tsystem(n: int, m_max: int, pf_max: int | None = None) -> RelationRep
         ok = _bilinear_zero([
             (1, T(n - 1, 2 * m, -1), T(n - 1, 2 * m, 1)),
             (-1, T(n - 1, 2 * m + 1, 0), T(n - 1, 2 * m - 1, 0)),
-            (-1, (R(n - 2, 2 * m).shift(1) * R(n, m), -1), T(n, m, 1)),
+            long_term(2 * m, m, -1, m, 1),
         ])
         rep.add(f"even row relation at a=n-1, m={m}", ok)
     for m in range(0, pf_max):
         ok = _bilinear_zero([
             (1, T(n - 1, 2 * m + 1, -1), T(n - 1, 2 * m + 1, 1)),
             (-1, T(n - 1, 2 * m + 2, 0), T(n - 1, 2 * m, 0)),
-            (-1, R(n - 2, 2 * m + 1) * R(n, m), T(n, m + 1, 0)),
+            long_term(2 * m + 1, m, 0, m + 1, 0),
         ])
         rep.add(f"odd row relation at a=n-1, m={m}", ok)
     for m in range(1, pf_max):
@@ -237,11 +254,7 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     # (sign, a, T^(a)_1(u)) for the nonzero extended fundamentals
     funds = [(-1 if a % 2 else 1, a, fundamental_poly(n, a))
              for a in range(0, N + 1) if not fundamental_poly(n, a).is_zero]
-    # T^(1)_r(u + h/2) is the operand row(r, h): the letter templates at
-    # u, repacked at each position's shift in the relation's frame
-    z = {c: _table(n).z(c) for c in range(1, 2 * n + 1)}
-    rows = [row_blocks(n, r) for r in range(m_max + 1)]
-    row = lambda r, h: Words(z, _row_halves(r, h), rows[r])
+    row = _row_operands(n)
     for m in range(0, m_max + 1):
         target = [(-1, ONE, ONE)] if m == 0 else []
         first = [(sign, row(m - a, -a), (f, m - a))

@@ -42,18 +42,18 @@ and each holds one balanced w-bit digit, w = bit_length(B) + 1, where B
 is the largest product bound, found by the guard above before any key
 is packed.  An operand ``(p, half)`` stands for p.shift(half): the
 repack is the substitution that sends each variable, shifted by half,
-to the unit of its frame slot, so each key is decoded once.  A
-``Words`` operand repacks its single-term templates at each position's
-shift and builds the shifted row from its blocks on short keys, as
-``word_sum`` does, so nothing large is decoded; its words are counted
-with multiplicity, not merged.  The map is injective and additive
-on every monomial that can occur, so the sum vanishes iff it does on
-global keys.  Nothing packed in a frame outlives the call.  It decides
-one residue class of keys modulo CLASSES = 37 at a time: k -> k mod 37 is
-additive, so classes alpha and beta multiply into class alpha + beta,
-and keys of different classes never meet.  The sum vanishes iff each
-class's part does.  2 has order 36 mod 37, so no width w <= 16 has
-2^w = 1, which would class keys by total degree (2^5 = 1 mod 31).
+to the unit of its frame slot, so each key is decoded once.  The C rows
+of the T-system and tt-tq enter as ``Words``, whose templates alone are
+repacked, at each position's shift, and whose word keys are C-level sums
+of partial keys, as in ``word_sum``: no row is built or decoded, and
+words are counted with multiplicity, not merged.  The map is injective
+and additive on every monomial that can occur, so the sum vanishes iff
+it does on global keys.  Nothing packed in a frame outlives the call.
+It decides one residue class of keys modulo CLASSES = 37 at a time:
+k -> k mod 37 is additive, so classes alpha and beta multiply into class
+alpha + beta, and keys of different classes never meet.  The sum
+vanishes iff each class's part does.  2 has order 36 mod 37, so no
+width w <= 16 has 2^w = 1, which would class keys by total degree.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial canonicalizes to zero.  Its frame holds
@@ -87,7 +87,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, product, starmap
+from itertools import chain, compress, product, repeat, starmap
 from math import prod
 from operator import add, mul
 from typing import Iterable, Iterator, NamedTuple
@@ -321,23 +321,6 @@ class LaurentPoly:
         return LaurentPoly._make(out, bound)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "LaurentPoly":
-        if e < 0:
-            if len(self._t) != 1:
-                raise ValueError("negative power only defined for monomials")
-            (key, c), = self._t.items()
-            if c not in (1, -1):
-                raise ValueError("negative power needs unit coefficient")
-            return LaurentPoly._make({-key: c}, self._b) ** (-e)
-        out = LaurentPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
 
     # -- structural operations ---------------------------------------
 
@@ -578,8 +561,9 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
 
 def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
     """Positive and negative counts of each key sum k1 + k2 over the blocks
-    {m: [(keys, keys)]}, at C level for m = +-1 and once, times |m|, for
-    any other m; compare them by dict.__eq__, as Counter's is a loop."""
+    {m: [(keys, keys)]}, at C level: for m = +-1 directly, for any other m
+    once, then folded in times |m| by ``dict.update``, so the cost does
+    not grow with |m|.  Compare them by dict.__eq__; Counter's is a loop."""
     sides = Counter(), Counter()
     for m, bucket in blocks.items():
         pairs = starmap(add, chain.from_iterable(starmap(product, bucket)))
@@ -587,7 +571,10 @@ def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
         if abs(m) == 1:
             side.update(pairs)
         elif m:
-            side.update({k: abs(m) * n for k, n in Counter(pairs).items()})
+            counts = Counter(pairs)
+            dict.update(side, zip(counts, map(add, map(
+                side.get, counts, repeat(0)), map(
+                    mul, counts.values(), repeat(abs(m))))))
     return sides
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qchar import characters, ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
-                        product_sum, product_sum_vanishes)
+                        product_sum, product_sum_vanishes, word_sum)
 from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
                               jacobi_trudi, det, pfaffian,
                               tnm_pfaffian, rect_poly,
@@ -103,11 +103,13 @@ def _pfaffian_oracle(mat, idx):
     return poly_sum(terms)
 
 
+# a later draw of a variable replaces an earlier one, so no draw is
+# retried for a duplicate key, as the unique keys of st.dictionaries are
 _entries = st.lists(st.tuples(
     st.sampled_from([c for c in range(-3, 4) if c]),
-    st.dictionaries(st.tuples(st.integers(1, 2), st.integers(-3, 3)),
-                    st.sampled_from([e for e in range(-2, 3) if e]),
-                    max_size=2)),
+    st.lists(st.tuples(st.tuples(st.integers(1, 2), st.integers(-3, 3)),
+                       st.sampled_from([e for e in range(-2, 3) if e])),
+             max_size=2).map(dict)),
     max_size=3).map(lambda terms: poly_sum(LaurentPoly.monomial(
         c, {vk(Y_FAM, a, h): e for (a, h), e in exps.items()})
         for c, exps in terms))
@@ -173,25 +175,42 @@ def _drop_first_term(p):
 
 
 def _poly(operand):
-    """The polynomial a zero-test operand (p or (p, half)) stands for."""
+    """The polynomial a zero-test operand stands for: p, (p, half) for
+    p.shift(half), or Words, expanded by word_sum at its halves."""
+    if isinstance(operand, Words):
+        return word_sum([{c: t.shift(h) for c, t in operand.templates.items()}
+                         for h in operand.halves], operand.blocks)
     return operand.shift(0) if isinstance(operand, LaurentPoly) else (
         operand[0].shift(operand[1]))
 
 
-@pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
-def test_tsystem_mutants_fail(n, m_max, monkeypatch):
-    # record every relation's (sign, A, B) triples instead of testing them
+def _shifted(operand, d):
+    """The operand shifted by d half-units more."""
+    if isinstance(operand, Words):
+        return operand._replace(halves=[h + d for h in operand.halves])
+    return (operand, d) if isinstance(operand, LaurentPoly) else (
+        operand[0], operand[1] + d)
+
+
+def _relations(n, *args):
+    """Every relation's (sign, A, B) triples of verify_tsystem(n, *args),
+    recorded instead of tested, with the names of its checks."""
     relations = []
-    monkeypatch.setattr(characters, "_bilinear_zero",
-                        lambda triples: relations.append(list(triples)))
-    checks = verify_tsystem(n, m_max).checks
+    with mock.patch.object(characters, "_bilinear_zero",
+                           lambda triples: relations.append(list(triples))):
+        checks = verify_tsystem(n, *args).checks
     assert len(relations) == len(checks) > 0
-    for name, triples in zip((c["identity"] for c in checks), relations):
-        (s0, (a0, h0), b0), (s1, a1, b1) = triples[:2]
+    return [c["identity"] for c in checks], relations
+
+
+@pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
+def test_tsystem_mutants_fail(n, m_max):
+    for name, triples in zip(*_relations(n, m_max)):
+        (s0, a0, b0), (s1, a1, b1) = triples[:2]
         mutants = {
-            "half-unit shift": [(s0, (a0, h0 + 1), b0)] + triples[1:],
-            "dropped term": [(s0, (a0, h0), (_drop_first_term(_poly(b0)),
-                                             0))] + triples[1:],
+            "half-unit shift": [(s0, _shifted(a0, 1), b0)] + triples[1:],
+            "dropped term": [(s0, a0, (_drop_first_term(_poly(b0)), 0))]
+                            + triples[1:],
             "flipped sign": [triples[0], (-s1, a1, b1)] + triples[2:],
         }
         assert product_sum_vanishes(triples), name
@@ -201,6 +220,51 @@ def test_tsystem_mutants_fail(n, m_max, monkeypatch):
             assert not product_sum_vanishes(bad), (name, kind)
             assert not product_sum((s, _poly(a), _poly(b))
                                    for s, a, b in bad).is_zero, (name, kind)
+
+
+@pytest.mark.parametrize("n, args", [(2, (5, 5)), (3, (3, 1))])
+def test_tsystem_rows_as_words_match_built_rows(n, args):
+    # each row operand, T^(1)_m(u + h/2) as words, against the operand
+    # (row_poly(n, m), h) that it replaces: the same verdict on every
+    # relation, and on the relation with its first sign flipped
+    z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
+    rows = 0
+
+    def built(x):
+        nonlocal rows
+        if not isinstance(x, Words):
+            return x
+        m = len(x.halves)
+        h = x.halves[0] + m if m else 0
+        assert x == Words(z, _row_halves(m, h), row_blocks(n, m))
+        rows += 1
+        return (row_poly(n, m), h)
+
+    for name, triples in zip(*_relations(n, *args)):
+        other = [(s, built(a), built(b)) for s, a, b in triples]
+        assert product_sum_vanishes(triples), name
+        assert product_sum_vanishes(other), name
+        (s0, a0, b0), *rest = triples
+        assert not product_sum_vanishes([(-s0, a0, b0)] + rest), name
+        assert not product_sum_vanishes([(-s0, *other[0][1:])] + other[1:]), (
+            name)
+    assert rows
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tsystem_builds_no_row(n):
+    # rows enter verify_tsystem as words only: neither row_poly nor the
+    # a = 1 rectangle is called on its path
+    def rect(k, a, m):
+        assert a != 1, (a, m)
+        return rect_poly(k, a, m)
+
+    def row(*args):
+        raise AssertionError(f"row_poly{args} called")
+
+    with mock.patch.object(characters, "rect_poly", rect), \
+            mock.patch.object(characters, "row_poly", row):
+        assert verify_tsystem(n, 3, 1).ok
 
 
 def _dropped_word(blocks, length):

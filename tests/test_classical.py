@@ -116,9 +116,10 @@ _coords = st.builds(Fraction,
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(
            st.sampled_from([c for c in range(-5, 6) if c]),
-           st.dictionaries(st.tuples(st.integers(1, 3), st.integers(-6, 6)),
-                           st.sampled_from([e for e in range(-3, 4) if e]),
-                           max_size=4)),
+           st.lists(st.tuples(  # no retries for duplicate keys
+               st.tuples(st.integers(1, 3), st.integers(-6, 6)),
+               st.sampled_from([e for e in range(-3, 4) if e])),
+               max_size=4).map(dict)),
            max_size=6),
        st.lists(st.tuples(_coords, _coords, _coords).map(ClassicalPoint),
                 min_size=1, max_size=3))

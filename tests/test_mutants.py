@@ -74,8 +74,10 @@ MUTANTS = {
             tableaux, "maximal_breaking_pair",
             lambda f: lambda t, n: (f(t, n)[0], f(t, n)[1] + 1))}),
     "tsystem": (["--rank", "2"], {
-        "dropped term of row 2": (characters, "row_poly", lambda f: (
-            lambda n, m: _drop_first_term(f(n, m)) if m == 2 else f(n, m)))}),
+        "dropped row word": (characters, "row_blocks", _dropped_row_word),
+        "dropped term of the Pfaffian T^(n)_2": (
+            characters, "tnm_pfaffian", lambda f: lambda n, m: (
+                _drop_first_term(f(n, m)) if m == 2 else f(n, m)))}),
     "tt-tq": (["--rank", "2", "--max-m", "3"], {
         "dropped term of T^(2)": (characters, "fundamental_poly",
                                   _dropped_term(2)),
