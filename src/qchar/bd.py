@@ -3,18 +3,21 @@
 Unlike the C-series operator, these are not polynomials in D: the middle
 factor is a genuine geometric series, so everything is handled as a
 truncated series operator.  The module builds the factorized product
-L and its inverse, the inverted factors multiplied in reverse order,
-and checks the screening-kernel property of their coefficients degree
-by degree together with the two closed-form expansions of the middle
-factors that drive the proofs.
+L, states the coefficients T_m of its inverse as words in blocks
+(``tm_blocks``), and checks "L times inverse is 1" by zero-tests, the
+screening-kernel property of both sides' coefficients degree by degree,
+and the two closed-form expansions of the middle factors that drive the
+proofs.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Y_FAM, vk, ONE)
+                   Words, Y_FAM, product_sum_vanishes, vk, ONE)
 from .diffop import DiffOp, prod
-from .screening import in_kernel, screen_operator_all
+from .screening import in_kernel, screen_all, screen_operator_all
 from .characters import RelationReport
 
 
@@ -64,13 +67,26 @@ def build_series_L(algebra: AlgebraSpec, order: int) -> DiffOp:
     return L
 
 
-def build_series_inverse(algebra: AlgebraSpec, order: int) -> DiffOp:
-    """L^{-1} truncated at D^order: the inverses of ``series_factors``,
-    multiplied in reverse order.  Every factor and every inverted factor
-    has single-term coefficients, so the truncated L itself is never
-    inverted."""
-    return prod([f.inverse_series(order)
-                 for f in reversed(series_factors(algebra, order))])
+def tm_blocks(algebra: AlgebraSpec, m: int) -> list:
+    """T_m, the D^{2m} coefficient of L^{-1} (the inverted factors in
+    reverse order), as blocks (lefts, [middle], rights) of weak runs, in
+    the shape of ``tableaux.row_blocks``; letter j of a word stands at
+    u + 2j, letter 0 for z_0.  B: plain letters, at most one 0, barred
+    letters.  D: 1 - z_n z_nbar(u+2) D^4, the inverted middle factor,
+    cancels every word with both n and nbar; the words without nbar,
+    then those whose middle is their first nbar and that have no n."""
+    n = algebra.n
+    plain, barred = range(1, n + 1), range(n + 1, 2 * n + 1)
+    kinds = ([(plain, (), barred), (plain, (0,), barred)]
+             if algebra.series == "B" else
+             [(plain, (), barred[1:]), (plain[:-1], (n + 1,), barred)])
+    out = []
+    for low, mid, high in kinds:
+        lefts, rights = ([list(combinations_with_replacement(letters, s))
+                          for s in range(m + 1)] for letters in (low, high))
+        out += [(lefts[r], [mid], rights[m - len(mid) - r])
+                for r in range(m - len(mid) + 1)]
+    return out
 
 
 def extract_Ta(L: DiffOp) -> dict:
@@ -209,15 +225,14 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     even-degree structure, middle-factor expansion, inverse, screening
     kernels of the operator and of every extracted coefficient.
 
-    L is built once, L^{-1} is built once from the inverted factors, and
-    each coefficient of L and of L^{-1} is screened once.  So "L times
-    inverse is 1" compares two independent factor products.  The T^a
-    checks read the operator's own per-node verdicts up to the inverse's
-    truncation, because the truncated Li has exactly L's coefficients
-    there.  +-T^a(u+a) and T_m(u+m) are screened unshifted: a shift by
-    h moves every screening symbol and its coefficient by h, so T^a(u+a)
-    is in a kernel exactly when T^a(u) is.  ``order`` defaults to
-    ``default_order(n)``."""
+    L is the product of ``series_factors``, built and screened once.
+    L^{-1} is never built: its T_m are ``tm_blocks``, so "L times inverse
+    is 1" compares two independent statements, one zero-test of sum_i
+    L_i T_{(k-i)/2}(u + i) = [k = 0] per D-degree k, and each T_m is
+    screened from its blocks.  The T^a checks read L's own per-node
+    verdicts up to the inverse's truncation.  +-T^a(u+a) and T_m(u+m) are
+    screened unshifted: a shift by h moves every screening symbol and its
+    coefficient by h.  ``order`` defaults to ``default_order(n)``."""
     algebra = AlgebraSpec(series, n)
     if order is None:
         order = default_order(n)
@@ -228,10 +243,19 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     # inverse coefficients are row-type characters and grow quickly, so
     # the inverse-side checks run at a capped truncation
     inv_order = min(order, 12)
-    Li = L.truncated(inv_order)
-    inv = build_series_inverse(algebra, inv_order)
-    rep.add("L times inverse is 1 to truncation",
-            Li * inv == DiffOp.unit(inv_order))
+    table = VariableTable(algebra)
+    z = {c: table.z(c) for c in range(1, 2 * n + 1)} | (
+        {0: table.z0()} if series == "B" else {})
+    blocks = [tm_blocks(algebra, m) for m in range(inv_order // 2 + 1)]
+
+    def tm(m: int, half: int) -> Words:  # T_m(u + half/2)
+        return Words(z, [half + 4 * j for j in range(m)], blocks[m])
+    rep.add("L times inverse is 1 to truncation", all(
+        product_sum_vanishes([(1, c, tm((k - i) // 2, 2 * i))
+                              for i, c in L.coeffs.items()
+                              if i <= k and (k - i) % 2 == 0]
+                             + [(-1, ONE, ONE)] * (k == 0))
+        for k in range(inv_order + 1)))
     if series == "B":
         rep.add("middle-factor expansion", verify_b_expansion(n, min(order, 10)))
     else:
@@ -242,14 +266,16 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     l_reps = verify_bd_screening(L, cartan)
     for krep in l_reps:
         rep.add(f"operator kernel under node {krep.node_a}", krep.zero)
-    inv_reps = screen_operator_all(inv, cartan)
-    for l_rep, inv_rep in zip(l_reps, inv_reps):
+    tm_verdicts = [screen_all(tm(m, 0), cartan)
+                   for m in range(1, inv_order // 2 + 1)]
+    for l_rep in l_reps:
         a = l_rep.node_a
         rep.add(f"all T^a coefficients in kernel of node {a}",
                 all(deg > inv_order for deg in l_rep.failing))
-        rep.add(f"all T_m coefficients in kernel of node {a}", inv_rep.zero)
+        rep.add(f"all T_m coefficients in kernel of node {a}",
+                all(v[a] for v in tm_verdicts))
     # highest-weight normalization of the first coefficient, read from
     # the D^2 coefficient -T^1(u+1) as it stands
     rep.add("T^1 contains Y_1(u) with coefficient 1",
-            Li.coeff(2).coeff_of({vk(Y_FAM, 1, 2): 1}) == -1)
+            L.coeff(2).coeff_of({vk(Y_FAM, 1, 2): 1}) == -1)
     return rep

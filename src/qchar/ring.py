@@ -56,27 +56,28 @@ vanishes iff each class's part does.  2 has order 36 mod 37, so no
 width w <= 16 has 2^w = 1, which would class keys by total degree.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
-the screening of a polynomial canonicalizes to zero.  Its frame holds
-the Q variables of the terms' images and of the A_a chains, and one slot
-per residue class of screening symbols, which keeps the classes apart,
-and each node sums into an accumulator of its own.  Each key is decoded
-once, each class's chain is built once from the factors it is given,
-and every (term, Y_a(v)) pair costs one int add and one dict update.
-w is bit_length(B) + 1 again, where B is the Q images' bound plus the
-largest exact chain exponent.
+the screening of a polynomial or of ``Words`` canonicalizes to zero.
+Its frame holds the Q variables of the images and of the A_a chains,
+and one slot per residue class of screening symbols, which keeps the
+classes apart.  Each class's chain is built once from the factors it is
+given.  A polynomial's (term, Y_a(v)) pairs cost one int add and one
+dict update each, in its node's accumulator.  ``Words`` are screened by
+the Leibniz rule from their blocks: each factor's partial keys, marked
+at each Y_a(v) of their letters, are summed with the other factors'
+keys and counted at C level, as in the zero-test.  w is bit_length(B)
++ 1 again, where B is the Q images' bound plus the largest chain
+exponent.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
 and ``to_json()`` decode every key to the sorted tuple of
 ((family, index, half), exponent) pairs and sort the terms by it, which
 makes their output the same in every process.  A decode is a bias add,
-an xor and one ``int.to_bytes`` read as signed 16-bit digits, whose
-zeros ``itertools.compress`` skips at C speed: 6 to 8 us for a key whose
-top slot is 246, on a 2-core Xeon under KVM.  Decodes are therefore
-counted: every substitution decodes each key once,
-``screenings_vanish``, which serves the screening of every node, once
-for all the Y variables of the key, and ``eval_points`` once for all
-the points it is given.
+an xor and one ``int.to_bytes`` read as signed 16-bit digits: 6 to 8 us
+for a key whose top slot is 246, on a 2-core Xeon under KVM.  So every
+substitution decodes each key once, ``screenings_vanish`` once for all
+nodes (for ``Words``, only the templates), and ``eval_points`` once for
+all the points it is given.
 """
 
 from __future__ import annotations
@@ -578,63 +579,34 @@ def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
     return sides
 
 
-def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> dict:
-    """{a: whether node a's screening of p canonicalizes to zero} for
-    every node a in order, decided in one frame of this call (see "Local
-    packing" in the module docstring).
+def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
+                      factor) -> dict:
+    """{a: whether node a's screening of p (LaurentPoly or ``Words``)
+    canonicalizes to zero} for every node a in order, decided in one
+    frame of this call (see "Local packing" in the module docstring).
 
     ``factor(a, half)`` is the single-term multiplier A_a at ``half``.
-    The arguments v of each node a fall into classes modulo t = pair2(a,
-    a).  A class's chain is 1 at its smallest argument, and each step
-    from w to w + t multiplies it by factor(a, w + t/2), the walk of
-    ``screening.canonicalize``.  Every pair of a term c M of p and a
-    variable Y_a(v) of M with exponent e adds e * c times the chain's
-    coefficient at the monomial (M's Q image) * (the chain at v) * (the
-    variable of v's class) in node a's accumulator.  The frame's digits
-    are as wide as its bound needs, past EXP_MAX too, so only the Q
-    images' bound is guarded, as ``to_q`` guards it.  A non-Y variable
-    is refused with ValueError.
+    The arguments v of node a fall into classes modulo t = pair2(a, a).
+    A class's chain is 1 at its smallest argument, and each step from w
+    to w + t multiplies it by factor(a, w + t/2), the walk of
+    ``screening.canonicalize``.  A term c M and a variable Y_a(v) of M
+    with exponent e add e * c * (the chain's coefficient) at (M's Q
+    image) * (the chain at v) * (v's class) in node a's sum.  Only the Q
+    images' bound is guarded, as ``to_q`` guards it (for ``Words``, twice
+    ``word_sum``'s bound).  A non-Y variable is refused with ValueError.
     """
-    q = p._q_bound()
+    if isinstance(p, Words):
+        return _words_screened(p, cartan, factor)
     decoded = [(c, *_digits(k)) for k, c in p._t.items()]
-    ys: set = set()
-    for _, slots, _ in decoded:
-        ys.update(slots)
-    classes: dict = {}  # (a, v mod t) -> [(v, slot of Y_a(v))]
-    for s in ys:
-        a, v = _y_arg(_VAR[s])
-        classes.setdefault((a, v % cartan.pair2(a, a)), []).append((v, s))
-    chains: dict = {}  # slot of Y_a(v) -> (class, coefficient, exponents)
-    for cls, args in classes.items():
-        a = cls[0]
-        t = cartan.pair2(a, a)
-        args.sort()
-        w = args[0][0]
-        coeff, exps = 1, {}  # the chain: coeff * prod Q^exps[Q]
-        for v, s in args:
-            while w < v:
-                (key, c), = factor(a, w + t // 2)._t.items()
-                coeff *= c
-                for slot, e in zip(*_digits(key)):
-                    exps[_VAR[slot]] = exps.get(_VAR[slot], 0) + e
-                w += t
-            chains[s] = (cls, coeff, dict(exps))
-    bound = q + max((abs(e) for _, _, exps in chains.values()
-                     for e in exps.values()), default=0)
-    width = max(bound, 1).bit_length() + 1
-    place: dict = {}  # Q VarKey or class -> its local unit, in first use
-
-    def unit(x) -> int:
-        return place.setdefault(x, 1 << width * len(place))
-
+    frame = _screening_frame({_VAR[s] for _, slots, _ in decoded
+                              for s in slots}, p._q_bound(), cartan, factor)
     accs = {a: {} for a in range(1, cartan.algebra.n + 1)}
     # slot of Y_a(v) -> (its class and chain, packed; coefficient; acc)
-    step = {s: (unit(cls) + sum(e * unit(var) for var, e in exps.items()),
-                coeff, accs[cls[0]])
-            for s, (cls, coeff, exps) in chains.items()}
-    images, image = {}, partial(_q_image, cartan, unit=unit)
+    step = {_SLOT[v]: (offset, scale, accs[a])
+            for v, (_, a, offset, scale) in frame.items()}
+    images = {_SLOT[v]: f[0] for v, f in frame.items()}
     for c, slots, exps in decoded:
-        k = _substitute(slots, exps, images, image)
+        k = _substitute(slots, exps, images, None)
         for s, e in zip(slots, exps):
             offset, scale, acc = step[s]
             key = k + offset
@@ -644,6 +616,68 @@ def screenings_vanish(p: LaurentPoly, cartan: "CartanData", factor) -> dict:
             else:
                 del acc[key]
     return {a: not acc for a, acc in accs.items()}
+
+
+def _screening_frame(ys: set, q: int, cartan: "CartanData", factor) -> dict:
+    """{Y_a(v): (its Q image, a, the chain at v plus v's class, the
+    chain's coefficient)} over ys in a frame for Q images bounded by q."""
+    classes: dict = {}  # (a, v mod t) -> [(v, Y_a(v))]
+    for var in ys:
+        a, v = _y_arg(var)
+        classes.setdefault((a, v % cartan.pair2(a, a)), []).append((v, var))
+    chains: dict = {}  # Y_a(v) -> (class, coefficient, exponents)
+    for cls, args in classes.items():
+        a = cls[0]
+        t = cartan.pair2(a, a)
+        args.sort()
+        w = args[0][0]
+        coeff, exps = 1, {}  # the chain: coeff * prod Q^exps[Q]
+        for v, var in args:
+            while w < v:
+                (key, c), = factor(a, w + t // 2)._t.items()
+                coeff *= c
+                for slot, e in zip(*_digits(key)):
+                    exps[_VAR[slot]] = exps.get(_VAR[slot], 0) + e
+                w += t
+            chains[var] = (cls, coeff, dict(exps))
+    bound = q + max((abs(e) for _, _, exps in chains.values()
+                     for e in exps.values()), default=0)
+    width = max(bound, 1).bit_length() + 1
+    place: dict = {}  # Q VarKey or class -> its local unit, in first use
+
+    def unit(x) -> int:
+        return place.setdefault(x, 1 << width * len(place))
+
+    return {var: (_q_image(cartan, var, unit), cls[0], unit(cls) + sum(
+        e * unit(x) for x, e in exps.items()), coeff)
+        for var, (cls, coeff, exps) in chains.items()}
+
+
+def _words_screened(p: Words, cartan: "CartanData", factor) -> dict:
+    """``screenings_vanish`` of ``Words``, by the Leibniz rule: for each
+    block and factor, node a pairs the other factors' joined partial keys
+    with the factor's partial keys marked at each Y_a(v) of their
+    letters, and ``_count_blocks`` counts the pairs' sums."""
+    keys, coeffs, b = _letters(p.templates)
+    at = [{c: [((f, i, v + h), e) for s, e in zip(*_digits(k))
+               for f, i, v in [_VAR[s]]] for c, k in keys.items()}
+          for h in p.halves]
+    frame = _screening_frame({v for pos in at for vs in pos.values()
+                              for v, _ in vs}, _checked(2 * b * len(at)),
+                             cartan, factor)
+    ks = [{c: sum(e * frame[v][0] for v, e in vs) for c, vs in pos.items()}
+          for pos in at]
+    marks = [{c: [(frame[v][1], frame[v][2], e * frame[v][3]) for v, e in vs]
+              for c, vs in pos.items()} for pos in at]
+    counted = {a: {} for a in range(1, cartan.algebra.n + 1)}
+    for parts in _block_parts(ks, [coeffs] * len(at), p.blocks, marks):
+        for g, (_, marked) in enumerate(parts):
+            others = _join(x for i, (x, _) in enumerate(parts) if i != g)
+            for a, groups in marked.items():
+                for (c1, k1), (c2, k2) in product(others.items(),
+                                                  groups.items()):
+                    counted[a].setdefault(c1 * c2, []).append((k1, k2))
+    return {a: dict.__eq__(*_count_blocks(x)) for a, x in counted.items()}
 
 
 def _letters(templates: dict) -> tuple[dict, dict, int]:
@@ -663,12 +697,23 @@ def _words_into(keys: list, coeffs: list, blocks: Iterable[tuple]) -> dict:
     the words of ``blocks``, the k-th letter with key keys[k][letter] and
     coefficient coeffs[k][letter].  A block is a tuple of factors, lists
     of partial words of one length each, and its words join one partial
-    word of each factor in turn.  A partial word is summed at its
-    factor's positions, one int add per letter, and the block's keys are
-    formed at C level, as sums of one partial key of each factor."""
-    pick = dict.__getitem__
+    word of each factor in turn, each key a C-level sum of partial keys,
+    each partial key summed once, one int add per letter."""
     out: dict = {}
-    memo: dict = {}  # (factor, offset) -> {coefficient: partial keys}
+    for parts in _block_parts(keys, coeffs, blocks):
+        for c, ks in _join(plain for plain, _ in parts).items():
+            out.setdefault(c, []).extend(ks)
+    return out
+
+
+def _block_parts(keys: list, coeffs: list, blocks: Iterable[tuple],
+                 marks: list | None = None) -> Iterator[list]:
+    """For each block of ``_words_into`` with words, each factor's partial
+    keys {c: keys} and, marked by each (a, offset, x) in marks[k][letter]
+    of their letters, {a: {c * x: keys + offset}}, formed once per factor
+    and offset."""
+    pick = dict.__getitem__
+    memo: dict = {}  # (factor, offset) -> its partial keys
     for block in filter(all, blocks):  # an empty factor has no words
         widths = [len(f[0]) for f in block]
         if sum(widths) != len(keys) or any(
@@ -676,22 +721,37 @@ def _words_into(keys: list, coeffs: list, blocks: Iterable[tuple]) -> dict:
             bad = next(w for w in map(tuple, starmap(chain, product(*block)))
                        if len(w) != len(keys))
             raise ValueError(f"word {bad!r} does not have length {len(keys)}")
-        at, groups = 0, {1: [0]}
+        parts, at = [], 0
         for f, w in zip(block, widths):
-            part = memo.setdefault((tuple(f), at), {})
-            if not part:  # each factor's partial keys once per offset
+            part = memo.get((tuple(f), at))
+            if part is None:
                 ks, cs = keys[at:at + w], coeffs[at:at + w]
+                plain, marked = {}, {}
                 for p in f:
-                    part.setdefault(prod(map(pick, cs, p)), []).append(
+                    plain.setdefault(prod(map(pick, cs, p)), []).append(
                         sum(map(pick, ks, p)))
+                for p in f if marks else ():
+                    k, c = sum(map(pick, ks, p)), prod(map(pick, cs, p))
+                    for ms in map(pick, marks[at:at + w], p):
+                        for a, offset, x in ms:
+                            marked.setdefault(a, {}).setdefault(
+                                c * x, []).append(k + offset)
+                part = memo[tuple(f), at] = plain, marked
+            parts.append(part)
             at += w
-            groups, joined = {}, groups
-            for (c1, k1), (c2, k2) in product(joined.items(), part.items()):
-                groups.setdefault(c1 * c2, []).extend(
-                    starmap(add, product(k1, k2)))
-        for c, ks in groups.items():
-            out.setdefault(c, []).extend(ks)
-    return out
+        yield parts
+
+
+def _join(parts: Iterable[dict]) -> dict:
+    """{c: keys} of the words joining a partial word of each part {c:
+    partial keys} in turn, each key summed at C level."""
+    groups = {1: [0]}
+    for part in parts:
+        groups, joined = {}, groups
+        for (c1, k1), (c2, k2) in product(joined.items(), part.items()):
+            groups.setdefault(c1 * c2, []).extend(
+                starmap(add, product(k1, k2)))
+    return groups
 
 
 def word_sum(positions: list, blocks: Iterable[tuple]) -> LaurentPoly:

@@ -1,17 +1,52 @@
 """Series operators for the B and D algebras."""
 
+from itertools import product
+
 import pytest
 
-from qchar.ring import AlgebraSpec, CartanData, VariableTable, vk, Y_FAM, ONE
-from qchar.diffop import DiffOp
-from qchar.bd import (build_series_L, build_series_inverse, extract_Ta,
+from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Words, vk,
+                        word_sum, Y_FAM, ONE)
+from qchar.diffop import DiffOp, prod
+from qchar.bd import (build_series_L, extract_Ta, series_factors, tm_blocks,
                       verify_b_expansion, verify_d_expansion,
                       verify_bd_screening, verify_block_lemmas, run_suite,
                       b_f, b_k, b_h, d_h, d_k)
-from qchar import bd, screening
+from qchar import bd, ring, screening, tableaux
 from qchar.screening import (apply_screening, canonicalize, in_kernel,
                              screen_all)
 from test_mutants import MUTANTS
+
+
+def build_series_inverse(algebra, order):
+    """The oracle of the word statement ``tm_blocks``: L^{-1} truncated at
+    D^order, the inverses of ``series_factors`` multiplied in reverse
+    order.  Every factor and every inverted factor has single-term
+    coefficients, so the truncated L itself is never inverted."""
+    return prod([f.inverse_series(order)
+                 for f in reversed(series_factors(algebra, order))])
+
+
+def tm_templates(algebra):
+    """The letter templates of ``tm_blocks``: z_1..z_2n, and z_0 under
+    letter 0 for B."""
+    table = VariableTable(algebra)
+    z = {c: table.z(c) for c in range(1, 2 * algebra.n + 1)}
+    if algebra.series == "B":
+        z[0] = table.z0()
+    return z
+
+
+def tm_words(algebra, m, half=0):
+    """T_m(u + half/2) as the ``Words`` of ``tm_blocks``."""
+    return Words(tm_templates(algebra), [half + 4 * j for j in range(m)],
+                 tm_blocks(algebra, m))
+
+
+def tm_poly(algebra, m):
+    """T_m(u), the word statement built by ``word_sum``."""
+    z = tm_templates(algebra)
+    return word_sum([{c: t.shift(4 * j) for c, t in z.items()}
+                     for j in range(m)], tm_blocks(algebra, m))
 
 
 def extract_Tm(L: DiffOp) -> dict:
@@ -70,6 +105,27 @@ def test_inverse_is_two_sided():
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("B", 3), ("B", 4),
                                       ("D", 3), ("D", 4), ("D", 5)])
+def test_tm_blocks_match_the_inverted_factors(series, n):
+    # the word statement of T_m against the product of the inverted
+    # factors, to m = 8; L^{-1} has no odd D-degree
+    spec = AlgebraSpec(series, n)
+    inv = build_series_inverse(spec, 16)
+    assert all(j % 2 == 0 for j in inv.coeffs)
+    for m in range(9):
+        assert tm_poly(spec, m) == inv.coeff(2 * m), m
+    # D: no word holds both n and nbar; B: none holds 0 twice
+    words = [w for block in tm_blocks(spec, 6)
+             for w in product(*block)]
+    flat = [sum(w, ()) for w in words]
+    assert len(set(flat)) == len(flat)
+    if series == "D":
+        assert not any(n in w and n + 1 in w for w in flat)
+    else:
+        assert all(w.count(0) <= 1 for w in flat)
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("B", 3), ("B", 4),
+                                      ("D", 3), ("D", 4), ("D", 5)])
 def test_factored_inverse_matches_recursion(series, n):
     # the degree recursion on the truncated L is the reference
     spec = AlgebraSpec(series, n)
@@ -124,7 +180,7 @@ def test_suite(series, n):
 
 @pytest.mark.parametrize("series,n", [("D", 3), ("B", 2)])
 def test_suite_inverts_the_operator_once(monkeypatch, series, n):
-    # L^{-1} comes from the inverted factors: every operator inverted has
+    # only the middle factor of L is inverted: every operator inverted has
     # single-term coefficients, so the truncated L is never inverted
     inverted = []
     real = DiffOp.inverse_series
@@ -153,17 +209,51 @@ def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
         return real_screen(p, cartan)
     monkeypatch.setattr(bd, "build_series_L", build_spy)
     monkeypatch.setattr(screening, "screen_all", screen_spy)
+    monkeypatch.setattr(bd, "screen_all", screen_spy)
     assert run_suite(series, n).ok
     assert len(built) == 1
     L = built[0]
-    inv_order = min(L.order, 12)
-    inv = L.truncated(inv_order).inverse_series(inv_order)
-    # the block lemmas screen their pieces through in_kernel first
+    spec = AlgebraSpec(series, n)
+    # the block lemmas screen their pieces through in_kernel first; each
+    # T_m, m >= 1, is screened as Words, at u, up to the capped truncation
     pieces = ([b_f(n), b_k(n), b_h(n)] if series == "B"
               else [d_h(n, n), d_k(n, n)])
     assert screened == (pieces
                         + [L.coeffs[j] for j in sorted(L.coeffs)]
-                        + [inv.coeffs[j] for j in sorted(inv.coeffs)])
+                        + [tm_words(spec, m)
+                           for m in range(1, min(L.order, 12) // 2 + 1)])
+
+
+@pytest.mark.parametrize("series,n", [("B", 2), ("D", 3), ("D", 5)])
+def test_suite_never_multiplies_by_an_inverse(monkeypatch, series, n):
+    # L is multiplied out only by build_series_L and the two expansion
+    # checks; L^{-1} and its coefficients T_m are never built
+    depth, products = [0], []
+    real_mul = DiffOp.__mul__
+
+    def mul_spy(a, b):
+        products.append(depth[0])
+        return real_mul(a, b)
+
+    def allowed(f):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return f(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def refuse(*args):
+        raise AssertionError("the B/D suite built a word sum")
+    monkeypatch.setattr(DiffOp, "__mul__", mul_spy)
+    for name in ("build_series_L", "verify_b_expansion",
+                 "verify_d_expansion"):
+        monkeypatch.setattr(bd, name, allowed(getattr(bd, name)))
+    for module in (ring, tableaux):
+        monkeypatch.setattr(module, "word_sum", refuse)
+    assert run_suite(series, n).ok
+    assert products and all(products)
 
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3), ("D", 5)])

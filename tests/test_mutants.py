@@ -53,6 +53,18 @@ def _dropped_row_word(f):
     return blocks
 
 
+def _dropped_tm_word(f):
+    """tm_blocks with the first barred run of the first block of T_1
+    dropped: one word of T_1."""
+    def blocks(algebra, m):
+        out = f(algebra, m)
+        if m == 1:
+            lefts, mid, rights = out[0]
+            out[0] = (lefts, mid, rights[1:])
+        return out
+    return blocks
+
+
 def _negated_entry(f):
     """companion_matrix with its subdiagonal entry [1][0] negated."""
     def companion(n, half):
@@ -100,10 +112,9 @@ MUTANTS = {
             lambda n, half=0: _drop_first_term(f(n, half)))),
         "A_a argument shifted one unit": (screening, "a_factor", lambda f: (
             lambda c, a, h: f(c, a, h + 2))),
-        "inverted factors in product order": (
-            bd, "build_series_inverse", lambda _: lambda algebra, order: (
-                bd.prod([f.inverse_series(order)
-                         for f in bd.series_factors(algebra, order)])))}),
+        "one dropped word of T_1": (bd, "tm_blocks", _dropped_tm_word),
+        "z0 admitted twice": (bd, "tm_blocks", lambda f: lambda algebra, m: (
+            f(algebra, m) + [([()], [(0, 0)], [()])] * (m == 2)))}),
     "lemma-exp": (["--algebra", "B", "--rank", "2", "--order", "4"], {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),
