@@ -7,7 +7,9 @@ killed by the degree-m right partial product of the factorized
 operator, with delta initial data) makes the Casorati minors reproduce
 the x-alphabet, the fundamental and hook characters, and the
 discrete-Toda solution, all checked at several grid points with zero
-tolerance.
+tolerance, on ints in the inner loops: each table row is cleared to
+integers once, a minor is one ``det_int``, and the tableau sums add
+integer products per denominator.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ import itertools
 import logging
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from math import prod
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Q_FAM)
 from .diffop import build_Lj_C
-from .classical import det_frac, PointReport as GridReport
+from .classical import (clear_row, det_frac, det_int,
+                        PointReport as GridReport)
 
 log = logging.getLogger(__name__)
 
@@ -37,6 +41,7 @@ class QAssignment:
         self.seed = seed
         self.cartan = CartanData(AlgebraSpec("C", n))
         self._cache: dict = {}
+        self._y: dict = {}  # (a, h) -> Y_a(u0 + h/2)
 
     def value(self, a: int, half: int) -> Fraction:
         key = (a, half)
@@ -47,6 +52,14 @@ class QAssignment:
             self._cache[key] = Fraction(rng.randint(1, 19),
                                         rng.randint(1, 19))
         return self._cache[key]
+
+    def y_value(self, a: int, h: int) -> Fraction:
+        """Y_a(v) = Q_a(v - t)/Q_a(v + t) at v = u0 + h/2, t = pair2(a, a)/2,
+        divided once per (a, h); ValueError for a node above the rank."""
+        if (a, h) not in self._y:
+            t = self.cartan.pair2(a, a) // 2
+            self._y[a, h] = self.value(a, h - t) / self.value(a, h + t)
+        return self._y[a, h]
 
     def eval(self, p: LaurentPoly, half: int = 0) -> Fraction:
         """p(u + half/2) at this assignment, with no shifted copy of p."""
@@ -60,10 +73,10 @@ class QAssignment:
 
 class _ShiftedValues:
     """The values of a QAssignment read at u + half/2, looked up lazily
-    by ``LaurentPoly.eval_points``.  Y_a(v) reads as Q_a(v - t)/Q_a(v + t)
-    with t = pair2(a, a)/2, Baxter's substitution as ``to_q`` makes it;
-    that substitution is a ring map, so a Y-character evaluates to the
-    value of its Q image without building the image."""
+    by ``LaurentPoly.eval_points``.  Y_a(v) reads as ``y_value``, the
+    value of its image under ``to_q``; that substitution is a ring map,
+    so a Y-character evaluates to the value of its Q image without
+    building the image."""
 
     __slots__ = ("qa", "half")
 
@@ -76,40 +89,44 @@ class _ShiftedValues:
 
     def __getitem__(self, var) -> Fraction:
         fam, a, half = var
-        half += self.half
-        if fam == Q_FAM:
-            return self.qa.value(a, half)
-        t = self.qa.cartan.pair2(a, a) // 2
-        return self.qa.value(a, half - t) / self.qa.value(a, half + t)
+        read = self.qa.value if fam == Q_FAM else self.qa.y_value
+        return read(a, half + self.half)
+
+
+def _minor(rows: list, dens: list, indices, shift: int) -> Fraction:
+    """Minor [i_1, ..., i_m] at ``shift`` of a table kept as rows cleared
+    by ``clear_row``: det_int of its first m rows' window over their dens."""
+    m = len(indices)
+    return Fraction(det_int([[r[shift + i] for i in indices]
+                             for r in rows[:m]]), prod(dens[:m]))
 
 
 class TriangularBasis:
     """Values w_m(u0 + i), 1 <= m <= N, 0 <= i <= imax, where w_m is
     the forward solution of the order-m partial-product recursion with
-    w_m(u0 + i) = delta_{i, m-1} on the initial window."""
+    w_m(u0 + i) = delta_{i, m-1} on the initial window.  Each w_m is
+    kept once, cleared to integers: w_m(u0 + i) = w[m - 1][i] / den[m - 1]."""
 
     def __init__(self, n: int, qa: QAssignment, imax: int):
         self.n = n
         self.N = 2 * n + 2
         self.qa = qa
         self.imax = imax
-        self.w = [None]
+        self.w, self.den = [], []
         self._minors: dict = {}  # (indices, shift) -> Casorati minor
         for m in range(1, self.N + 1):
             op = build_Lj_C(n, m)
             steps = range(0, imax - m + 1)
             coeffs = [(j, qa.eval_many(op.coeff(j), [2 * t for t in steps]))
                       for j in range(m) if not op.coeff(j).is_zero]
-            vals = [Fraction(1) if i == m - 1 else Fraction(0)
-                    for i in range(m)]
+            vals = [int(i == m - 1) for i in range(m)]
             for t in steps:
-                s = Fraction(0)
-                for j, cv in coeffs:
-                    s -= cv[t] * vals[t + j]
-                vals.append(s)
-            self.w.append(vals)
-        top = max(abs(v.numerator).bit_length() + v.denominator.bit_length()
-                  for vals in self.w[1:] for v in vals)
+                vals.append(-sum(cv[t] * vals[t + j] for j, cv in coeffs))
+            row, l = clear_row(vals)
+            self.w.append(row)
+            self.den.append(l)
+        top = max(abs(v).bit_length() + l.bit_length()
+                  for row, l in zip(self.w, self.den) for v in row)
         if top > BIT_GUARD:
             log.warning("basis entries reached %d bits", top)
 
@@ -121,9 +138,7 @@ class TriangularBasis:
             raise IndexError("window extends below the solved range")
         key = (tuple(indices), shift)
         if key not in self._minors:
-            self._minors[key] = det_frac(
-                [[self.w[j + 1][shift + i] for i in indices]
-                 for j in range(len(indices))])
+            self._minors[key] = _minor(self.w, self.den, indices, shift)
         return self._minors[key]
 
     def xi(self, a: int, m: int, shift: int = 0) -> Fraction:
@@ -358,32 +373,42 @@ def skew_ssyt(N: int, width: int, mu: list):
     yield from fill(0)
 
 
+def _word_sum(words, letter_value) -> Fraction:
+    """Sum over ``words`` of prod letter_value(letter, shift) over each
+    word's (letter, shift) reads, each value read once, at its first use
+    in word order; integer numerators are summed per product denominator
+    and one Fraction is built per distinct denominator."""
+    nums: dict = {}  # (letter, shift) -> numerator of its value
+    dens: dict = {}
+    sums: dict = {}  # denominator -> sum of numerators over it
+    for word in map(tuple, words):
+        for read in itertools.filterfalse(nums.__contains__, word):
+            x = letter_value(*read)
+            nums[read], dens[read] = x.numerator, x.denominator
+        d = prod(map(dens.__getitem__, word))
+        sums[d] = sums.get(d, 0) + prod(map(nums.__getitem__, word))
+    return sum((Fraction(n, d) for d, n in sums.items()), Fraction(0))
+
+
 def _ssyt_sum(N: int, width: int, mu: list, letter_value) -> Fraction:
     """Sum over skew fillings of products letter_value(entry, shift)
-    with shift = alpha + beta - 2, alpha counted from the bottom row."""
-    total = Fraction(0)
-    for t in skew_ssyt(N, width, mu):
-        prod = Fraction(1)
-        for (r, c), v in t.items():
-            alpha = N - r
-            beta = c + 1
-            prod *= letter_value(v, alpha + beta - 2)
-        total += prod
-    return total
+    with shift = alpha + beta - 2, alpha counted from the bottom row,
+    as one ``_word_sum``."""
+    mu = list(mu) + [0] * (N - len(mu))
+    shifts = [N - r + c - 1 for r in range(N) for c in range(mu[r], width)]
+    return _word_sum((zip(t.values(), shifts)
+                      for t in skew_ssyt(N, width, mu)), letter_value)
 
 
 def _e_sum(N: int, a: int, base: int, letter_value) -> Fraction:
     """Elementary sum over strict index choices: the a-column weight
-    with k-th letter at integer shift base + 1 - k."""
+    with k-th letter at integer shift base + 1 - k, as one
+    ``_word_sum``."""
     if a < 0 or a > N:
         return Fraction(0)
-    total = Fraction(0)
-    for combo in itertools.combinations(range(1, N + 1), a):
-        prod = Fraction(1)
-        for k, i in enumerate(combo, start=1):
-            prod *= letter_value(i, base + 1 - k)
-        total += prod
-    return total
+    return _word_sum((zip(combo, range(base, base - a, -1))
+                      for combo in itertools.combinations(range(1, N + 1), a)),
+                     letter_value)
 
 
 def _free_skew_holds(N: int, indices: tuple, width: int,
@@ -391,16 +416,13 @@ def _free_skew_holds(N: int, indices: tuple, width: int,
     """minor ratio = skew tableau sum = elementary determinant on one
     table; raises ZeroDivisionError when a minor it divides by is 0."""
     mu = mu_from_indices(indices)
-
-    def cas(idx, shift=0):
-        return det_frac([[table[j][shift + i] for i in idx]
-                         for j in range(len(idx))])
+    cas = partial(_minor, *zip(*map(clear_row, table)))  # (idx, shift)
 
     @cache
     def xt(m, shift):
         return _x_ratio(cas, m, shift)
 
-    lhs = cas(indices) / cas(tuple(range(width, width + N)))
+    lhs = cas(indices, 0) / cas(tuple(range(width, width + N)), 0)
     ssyt = _ssyt_sum(N, width, mu, xt)
     mup = transpose(mu) + [0] * width
     mat = [[_e_sum(N, N - mup[j - 1] - l + j, N - 2 + j - mup[j - 1], xt)

@@ -53,24 +53,34 @@ class ClassicalPoint:
         return prod(self.values[:var[1]], start=Fraction(1))
 
 
+def clear_row(row: list[Fraction]) -> tuple[list[int], int]:
+    """(ints, l) with l the lcm of the row's denominators and
+    ints[j] = row[j] * l: the row as integers over one denominator."""
+    l = lcm(*(x.denominator for x in row))
+    return [x.numerator * (l // x.denominator) for x in row], l
+
+
 def det_frac(mat: list[list[Fraction]]) -> Fraction:
-    """Exact determinant: clear denominators row by row, then run
-    Bareiss's fraction-free elimination on the integer matrix, swapping
-    rows past zero pivots."""
-    size = len(mat)
-    m = []
-    den = 1
-    for row in mat:
-        l = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (l // x.denominator) for x in row])
-        den *= l
+    """Exact determinant: clear denominators row by row, then take
+    ``det_int`` of the integer matrix."""
+    cleared = [clear_row(row) for row in mat]
+    return Fraction(det_int([r for r, _ in cleared]),
+                    prod(l for _, l in cleared))
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968), on a copy of the rows, swapping
+    rows past zero pivots; every division is exact."""
+    m = [list(r) for r in rows]
+    size = len(m)
     sign = 1
     prev = 1
     for k in range(size - 1):
         if not m[k][k]:
             piv = next((r for r in range(k + 1, size) if m[r][k]), None)
             if piv is None:
-                return Fraction(0)
+                return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
         rk = m[k]
@@ -81,7 +91,7 @@ def det_frac(mat: list[list[Fraction]]) -> Fraction:
                 # exact by Sylvester's identity
                 ri[j] = (p * ri[j] - f * rk[j]) // prev
         prev = p
-    return Fraction(sign * m[-1][-1] if size else 1, den)
+    return sign * m[-1][-1] if size else 1
 
 
 def sp_character(lam: list[int], point: ClassicalPoint) -> Fraction:

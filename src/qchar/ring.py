@@ -87,10 +87,10 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, product, repeat, starmap
 from math import prod
-from operator import add, mul
+from operator import add, floordiv, mul
 from typing import Iterable, Iterator, NamedTuple
 
 Y_FAM, Q_FAM = 0, 1
@@ -159,8 +159,8 @@ def _substitute(slots: list, exps: list, images: dict, image) -> int:
     return sum(map(mul, exps, map(images.__getitem__, slots)))
 
 
-def _exact_bound(t: dict) -> int:
-    return max((max(map(abs, _digits(k)[1]), default=0) for k in t),
+def _exact_bound(t: dict, digits=_digits) -> int:
+    return max((max(map(abs, digits(k)[1]), default=0) for k in t),
                default=0)
 
 
@@ -360,24 +360,26 @@ class LaurentPoly:
         D = prod_s p_s^(-lo_s) q_s^(hi_s) is an integer, so each sum runs
         over ints and one Fraction is built per point.  Keys are decoded
         and ranges found once for all points; at each point the guards
-        run in the order a term-by-term pass meets them."""
+        run in the order a term-by-term pass meets them, and each
+        p_s^(e - lo_s) q_s^(hi_s - e) is built once per (s, e); a term is
+        c * prod(its powers) * (D // prod(its slots' factors of D))."""
+        decoded = list(map(_digits, self._t))  # (slots, exps) per term
+        slots = [d[0] for d in decoded]
+        pairs = [list(zip(*d)) for d in decoded]  # [(slot, e)] per term
+        first = dict.fromkeys(chain.from_iterable(pairs))  # in first-use order
         lo: dict = {}  # slot -> lowest exponent, with 0
         hi: dict = {}
         guards = []    # (slot, negative?) at its first and first negative use
-        decoded = []
-        for key, c in self._t.items():
-            slots, exps = _digits(key)
-            for s, e in zip(slots, exps):
-                if s not in lo:
-                    lo[s] = hi[s] = 0
-                    guards.append((s, False))
-                if e < lo[s]:
-                    if not lo[s]:
-                        guards.append((s, True))
-                    lo[s] = e
-                elif e > hi[s]:
-                    hi[s] = e
-            decoded.append((c, slots, exps))
+        for s, e in first:
+            if s not in lo:
+                lo[s] = hi[s] = 0
+                guards.append((s, False))
+            if e < lo[s]:
+                if not lo[s]:
+                    guards.append((s, True))
+                lo[s] = e
+            elif e > hi[s]:
+                hi[s] = e
         out = []
         for assign in assigns:
             values: dict = {}  # slot -> Fraction
@@ -392,26 +394,21 @@ class LaurentPoly:
                     raise KeyError(f"no assignment for {FAM_NAMES[f]}"
                                    f"[{i}]({_format_shift(h)})")
                 else:
-                    values[s] = Fraction(assign[var])
-            full = {}  # slot -> its factor of D
-            den = 1
-            for s, x in values.items():
-                full[s] = f = x.numerator ** -lo[s] * x.denominator ** hi[s]
-                den *= f
-            powers: dict = {}  # (slot, e) -> p^(e - lo) q^(hi - e)
-            total = 0
-            for c, slots, exps in decoded:
-                num = c
-                part = 1
-                for s, e in zip(slots, exps):
-                    g = powers.get((s, e))
-                    if g is None:
-                        x = values[s]
-                        g = powers[(s, e)] = (x.numerator ** (e - lo[s])
-                                              * x.denominator ** (hi[s] - e))
-                    num *= g
-                    part *= full[s]
-                total += num * (den // part)
+                    x = assign[var]
+                    values[s] = x if isinstance(x, Fraction) else Fraction(x)
+            full = {s: x.numerator ** -lo[s] * x.denominator ** hi[s]
+                    for s, x in values.items()}  # slot -> its factor of D
+            den = prod(full.values())
+            powers = {}  # (slot, e) -> p^(e - lo) q^(hi - e)
+            for s, e in first:
+                x = values[s]
+                powers[s, e] = (x.numerator ** (e - lo[s])
+                                * x.denominator ** (hi[s] - e))
+            terms = map(mul, self._t.values(), map(prod, map(
+                map, repeat(powers.__getitem__), pairs)))
+            cofactors = map(floordiv, repeat(den), map(prod, map(
+                map, repeat(full.__getitem__), slots)))
+            total = sum(map(mul, terms, cofactors))
             out.append(Fraction(total, den))
         return out
 
@@ -494,15 +491,15 @@ class Words(NamedTuple):
     blocks: list
 
 
-def _frame_bound(a, b) -> int:
+def _frame_bound(a, b, digits=_digits) -> int:
     """``_product_bound`` of two operands of ``product_sum_vanishes``;
     a ``Words`` operand is bounded as ``word_sum`` bounds it."""
     a, b = (x if isinstance(x, (LaurentPoly, Words)) else x[0]
             for x in (a, b))
     if isinstance(a, Words) or isinstance(b, Words):
         return _checked(sum(_letters(x.templates)[2] * len(x.halves)
-                            if isinstance(x, Words) else _exact_bound(x._t)
-                            for x in (a, b)))
+                            if isinstance(x, Words)
+                            else _exact_bound(x._t, digits) for x in (a, b)))
     return _product_bound(a, b)
 
 
@@ -516,13 +513,14 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     alpha) part does: iff ``_count_blocks`` counts its two sides equal on
     the parts' keys, grouped by coefficient, the fewer groups as alpha."""
     triples = list(triples)
-    w = max((_frame_bound(a, b) for _, a, b in triples),
+    digits = cache(_digits)  # one decode per key for the bound and repack
+    w = max((_frame_bound(a, b, digits) for _, a, b in triples),
             default=0).bit_length() + 1
     place: dict = {}  # shifted VarKey -> its local unit, in first-use order
     at: dict = {}     # half -> {global slot: local unit of it shifted by half}
 
     def key(k: int, half: int) -> int:
-        return _substitute(*_digits(k), at.setdefault(half, {}), lambda v: (
+        return _substitute(*digits(k), at.setdefault(half, {}), lambda v: (
             place.setdefault((v[0], v[1], v[2] + half), 1 << w * len(place))))
 
     def pack(x) -> list:

@@ -1,12 +1,13 @@
 """Exact-rational minor identities on the triangular solution basis."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import casorati, characters
-from qchar.classical import det_frac
+from qchar.classical import clear_row, det_frac
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Qv,
                         VariableTable, Y, Y_FAM, poly_sum, vk)
 from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
@@ -96,8 +97,8 @@ def test_memoized_minors_match_raw_windows(basis2):
             *default_index_sets(2)]
     for idx in sets:
         for g in (0, 1, 3):
-            raw = det_frac([[basis2.w[j + 1][g + i] for i in idx]
-                            for j in range(len(idx))])
+            raw = det_frac([[Fraction(basis2.w[j][g + i], basis2.den[j])
+                             for i in idx] for j in range(len(idx))])
             assert basis2.casorati(idx, g) == raw
             assert basis2.casorati(list(idx), g) == raw
 
@@ -106,6 +107,130 @@ def test_skew_suite_is_the_skew_part_of_the_full_suite():
     full = run_suite(2, seed=11).checks
     assert run_suite(2, seed=11, skew_only=True).checks == [
         c for c in full if "skew" in c["identity"]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 99), st.data())
+def test_y_values_are_q_ratios_once_per_argument(n, seed, data):
+    qa = QAssignment(n, seed)
+    cartan = CartanData(AlgebraSpec("C", n))
+    reads = data.draw(st.lists(st.tuples(st.integers(1, n),
+                                         st.integers(-6, 6)), min_size=1))
+    for a, half in reads + reads:  # the second pass reads the cache
+        t = cartan.pair2(a, a) // 2
+        y = qa.y_value(a, half)
+        assert y == qa.value(a, half - t) / qa.value(a, half + t)
+        assert y is qa.y_value(a, half)
+    # a warm cache still refuses a node above the rank, every time
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            qa.y_value(n + 1, reads[0][1])
+        with pytest.raises(ValueError):
+            qa.eval_many(Y(n + 1, reads[0][1]), [0])
+
+
+def _o_ssyt_sum(N, width, mu, letter_value):
+    """The skew tableau sum filling by filling in Fraction arithmetic,
+    every cell read."""
+    total = Fraction(0)
+    for t in skew_ssyt(N, width, mu):
+        prod = Fraction(1)
+        for (r, c), v in t.items():
+            prod *= letter_value(v, N - r + c - 1)
+        total += prod
+    return total
+
+
+def _o_e_sum(N, a, base, letter_value):
+    if a < 0 or a > N:
+        return Fraction(0)
+    total = Fraction(0)
+    for combo in itertools.combinations(range(1, N + 1), a):
+        prod = Fraction(1)
+        for k, i in enumerate(combo, start=1):
+            prod *= letter_value(i, base + 1 - k)
+        total += prod
+    return total
+
+
+def _recorded_letters(data, N, shifts):
+    """(letter_value, reads): values drawn once per (letter, shift), as
+    ints or Fractions, zeros and negatives included, and a few reads
+    that raise ZeroDivisionError as a singular x-ratio does."""
+    pairs = st.tuples(st.integers(1, N), st.sampled_from(shifts))
+    bad = data.draw(st.sets(pairs, max_size=2))
+    values = st.one_of(st.integers(-3, 3), st.builds(
+        Fraction, st.integers(-5, 5), st.integers(1, 5)))
+    table: dict = {}
+    reads = []
+
+    def letter_value(v, shift):
+        reads.append((v, shift))
+        if (v, shift) in bad:
+            raise ZeroDivisionError("singular minor")
+        if (v, shift) not in table:
+            table[v, shift] = data.draw(values)
+        return table[v, shift]
+    return letter_value, reads
+
+
+def _same_sum_and_first_reads(fast, oracle, reads):
+    """fast() equals oracle(), or both raise ZeroDivisionError, and fast
+    reads each value once, in the order of the oracle's first reads."""
+    try:
+        want = oracle()
+    except ZeroDivisionError:
+        want = ZeroDivisionError
+    oracle_reads = list(dict.fromkeys(reads))
+    reads.clear()
+    if want is ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            fast()
+    else:
+        got = fast()
+        assert isinstance(got, Fraction) and got == want
+    assert reads == oracle_reads
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_ssyt_sum_matches_filling_oracle(N, width, data):
+    mu = data.draw(st.sampled_from(list(_box_partitions(N, width))))
+    letter_value, reads = _recorded_letters(data, N, range(N + width))
+    _same_sum_and_first_reads(
+        lambda: casorati._ssyt_sum(N, width, mu, letter_value),
+        lambda: _o_ssyt_sum(N, width, mu, letter_value),
+        reads)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(-1, 6), st.integers(-2, 4),
+       st.data())
+def test_e_sum_matches_combination_oracle(N, a, base, data):
+    letter_value, reads = _recorded_letters(
+        data, N, range(base - N, base + 1))
+    _same_sum_and_first_reads(
+        lambda: casorati._e_sum(N, a, base, letter_value),
+        lambda: _o_e_sum(N, a, base, letter_value),
+        reads)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_cleared_table_minors_match_det_frac(N, data):
+    # the integer minors of _free_skew_holds and TriangularBasis against
+    # det_frac of the Fraction window, zero and negative entries included
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    width = N + 3
+    table = [data.draw(st.lists(entry, min_size=width, max_size=width))
+             for _ in range(N)]
+    rows, dens = zip(*map(clear_row, table))
+    for _ in range(3):
+        idx = tuple(sorted(data.draw(st.sets(
+            st.integers(0, N + 1), min_size=1, max_size=N))))
+        shift = data.draw(st.integers(0, width - 1 - idx[-1]))
+        assert casorati._minor(rows, dens, idx, shift) == det_frac(
+            [[table[j][shift + i] for i in idx] for j in range(len(idx))])
 
 
 def test_mu_and_transpose():

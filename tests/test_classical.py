@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qchar.ring import LaurentPoly, Y, Y_FAM, poly_sum, vk
-from qchar.classical import (ClassicalPoint, det_frac,
+from qchar.classical import (ClassicalPoint, clear_row, det_frac, det_int,
                              sp_character, hook_char_value, hook_dimension,
                              verify_pieri, verify_hook_decomposition,
                              verify_fundamental_images, hook_decomposition)
@@ -82,6 +82,27 @@ def test_det_frac_matches_fraction_elimination(mat):
     copy = [row[:] for row in mat]
     assert det_frac(mat) == _det_oracle(mat)
     assert mat == copy  # the input is left as it was
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_det_int_matches_det_frac(mat):
+    # on integer rows directly, and on every rational matrix through its
+    # cleared rows over the product of their denominators; det_frac is
+    # built on det_int, so both also meet the Fraction elimination
+    ints = [[x.numerator for x in row] for row in mat]
+    copy = [row[:] for row in ints]
+    assert det_int(ints) == _det_oracle([list(map(Fraction, row))
+                                         for row in ints])
+    assert ints == copy  # the input is left as it was
+    cleared = [clear_row(row) for row in mat]
+    assert all(Fraction(x, l) == y for (row, l), orig in zip(cleared, mat)
+               for x, y in zip(row, orig))
+    dens = 1
+    for _, l in cleared:
+        dens *= l
+    assert (Fraction(det_int([r for r, _ in cleared]), dens) == det_frac(mat)
+            == _det_oracle(mat))
 
 
 def test_beta_forgets_spectral_parameter():

@@ -315,7 +315,9 @@ def test_output_independent_of_hash_seed():
     # with its per-node accumulators, number their call-local slots in
     # first-use order; no output may depend on either order or on the
     # hash seed, which the in-process determinism checks cannot vary.  Nor
-    # may it change under -O, which strips assert statements.
+    # may it change under -O, which strips assert statements.  The
+    # Casorati suite's integer kernels iterate dicts and sets keyed by
+    # denominators and by (slot, exponent) pairs.
     src = str(Path(__file__).parents[1] / "src")
     for args in (["character", "--rank", "2", "--rect", "2", "2"],
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
@@ -325,7 +327,9 @@ def test_output_independent_of_hash_seed():
                  ["verify", "tt-tq", "--rank", "2", "--max-m", "4"],
                  # m = 8 packs in frames of width 5
                  ["verify", "tt-tq", "--rank", "3", "--max-m", "8"],
-                 ["verify", "screening", "--rank", "2", "--format", "json"]):
+                 ["verify", "screening", "--rank", "2", "--format", "json"],
+                 ["verify", "casorati", "--rank", "2", "--seed", "11",
+                  "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):
             proc = subprocess.run(

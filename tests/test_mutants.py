@@ -11,7 +11,7 @@ after it is undone.
 import time
 from functools import lru_cache
 
-from qchar import bd, characters, cli, screening, tableaux
+from qchar import bd, casorati, characters, cli, screening, tableaux
 from qchar.ring import ONE, ZERO, LaurentPoly
 
 
@@ -74,6 +74,30 @@ def _negated_entry(f):
     return companion
 
 
+def _flipped_bareiss(_):
+    """det_int with the sign of the eliminated term flipped in Bareiss's
+    update: (p * a + f * b) // prev for (p * a - f * b) // prev."""
+    def det(rows):
+        m = [list(r) for r in rows]
+        sign, prev = 1, 1
+        for k in range(len(m) - 1):
+            if not m[k][k]:
+                piv = next((r for r in range(k + 1, len(m)) if m[r][k]),
+                           None)
+                if piv is None:
+                    return 0
+                m[k], m[piv] = m[piv], m[k]
+                sign = -sign
+            p = m[k][k]
+            for ri in m[k + 1:]:
+                f = ri[k]
+                for j in range(k + 1, len(m)):
+                    ri[j] = (p * ri[j] + f * m[k][j]) // prev
+            prev = p
+        return sign * m[-1][-1] if m else 1
+    return det
+
+
 MUTANTS = {
     "screening": (["--rank", "2", "--max-m", "1"], {
         "dropped term of row 1": (characters, "row_poly", lambda f: (
@@ -103,7 +127,10 @@ MUTANTS = {
                                   _dropped_term(1))}),
     "casorati": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
-                                  _dropped_term(1))}),
+                                  _dropped_term(1)),
+        "dropped skew filling": (casorati, "skew_ssyt", lambda f: (
+            lambda N, width, mu: list(f(N, width, mu))[:-1])),
+        "Bareiss sign flipped": (casorati, "det_int", _flipped_bareiss)}),
     "nnsy": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1))}),

@@ -400,6 +400,59 @@ def test_eval_points_matches_per_term_oracle(a, data):
         assert err.value.args == first_error.args
 
 
+def _o_first_use(p, assign):
+    """p at ``assign`` term by term in Fraction arithmetic, each term's
+    variables read in slot order: the value, or (error kind, variable)
+    of the first read that fails."""
+    total = Fraction(0)
+    for key, c in p._t.items():
+        val = Fraction(c)
+        for s, e in zip(*ring._digits(key)):
+            var = ring._VAR[s]
+            if var not in assign:
+                return KeyError, var
+            x = Fraction(assign[var])
+            if e < 0 and not x:
+                return ZeroDivisionError, var
+            val *= x ** e
+        total += val
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(tuple_polys(), st.data())
+def test_eval_points_matches_first_use_oracle(a, data):
+    # ints, Fractions, negative values and zeros at several points; the
+    # first point that fails raises at the read a term-by-term pass
+    # fails at first
+    values = st.one_of(st.integers(-4, 4), st.builds(
+        Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    variables = sorted({var for key in a for var, _ in key})
+
+    def point():
+        assign = {var: data.draw(values) for var in variables}
+        for var in data.draw(st.lists(st.sampled_from(variables), max_size=2)
+                             if variables else st.just([])):
+            assign.pop(var, None)
+        return assign
+
+    assigns = [point() for _ in range(data.draw(st.integers(1, 4)))]
+    p = packed(a)
+    want = [_o_first_use(p, assign) for assign in assigns]
+    bad = next((w for w in want if isinstance(w, tuple)), None)
+    if bad is None:
+        got = p.eval_points(assigns)
+        assert got == want and all(isinstance(v, Fraction) for v in got)
+        return
+    kind, (f, i, h) = bad
+    name = f"{ring.FAM_NAMES[f]}[{i}]({_format_shift(h)})"
+    with pytest.raises(kind) as err:
+        p.eval_points(assigns)
+    assert err.value.args == ((f"no assignment for {name}",)
+                              if kind is KeyError else
+                              (f"{name} = 0 under a negative exponent",))
+
+
 def test_eval_points_guards_every_point():
     p = Y(1, 0) * 2 + Y(2, 1, -1)
     good = {vk(Y_FAM, 1, 0): Fraction(3, 2), vk(Y_FAM, 2, 1): Fraction(4)}
