@@ -9,7 +9,8 @@ the x-alphabet, the fundamental and hook characters, and the
 discrete-Toda solution, all checked at several grid points with zero
 tolerance, on ints in the inner loops: each table row is cleared to
 integers once, a minor is one ``det_int``, and the tableau sums add
-integer products per denominator.
+integer products per denominator.  No hook or rectangle character is
+built: ``CharacterValues`` derives their values from fundamental values.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import prod
 
+from . import characters
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Q_FAM)
 from .diffop import build_Lj_C
@@ -93,6 +95,30 @@ class _ShiftedValues:
         return read(a, half + self.half)
 
 
+class CharacterValues:
+    """Memoized exact values of T^(a)_1, H^(i)_k and T^(a)_m (a <= n) at
+    u0 + half/2: fund(a, half), hook(i, k, half) and rect(a, m, half).  As
+    evaluation is a ring map commuting with shifts, hooks and rectangles
+    follow from ``fund`` by ``characters.hook_step`` and ``rectangle``."""
+
+    def __init__(self, n: int, qa: QAssignment):
+        self.n = n
+        self.fund = cache(lambda a, half: qa.eval(
+            characters.fundamental_poly(n, a), half))
+        self.hook, self.rect = cache(self._hook), cache(self._rect)
+
+    def _hook(self, i: int, k: int, half: int) -> Fraction:
+        if k == 0:
+            return Fraction(i == 0)
+        return characters.hook_step(self.n, i, self.fund(i, half),
+                                    lambda j, h: self.hook(j, k - 1, half + h))
+
+    def _rect(self, a: int, m: int, half: int) -> Fraction:
+        return characters.rectangle(
+            self.n, a, m, lambda b, h: self.fund(b, half + h), det_frac,
+            lambda triples: sum(s * x * y for s, x, y in triples), 1)
+
+
 def _minor(rows: list, dens: list, indices, shift: int) -> Fraction:
     """Minor [i_1, ..., i_m] at ``shift`` of a table kept as rows cleared
     by ``clear_row``: det_int of its first m rows' window over their dens."""
@@ -105,12 +131,14 @@ class TriangularBasis:
     """Values w_m(u0 + i), 1 <= m <= N, 0 <= i <= imax, where w_m is
     the forward solution of the order-m partial-product recursion with
     w_m(u0 + i) = delta_{i, m-1} on the initial window.  Each w_m is
-    kept once, cleared to integers: w_m(u0 + i) = w[m - 1][i] / den[m - 1]."""
+    kept once, cleared to integers: w_m(u0 + i) = w[m - 1][i] / den[m - 1];
+    ``chars`` holds the character values at the assignment."""
 
     def __init__(self, n: int, qa: QAssignment, imax: int):
         self.n = n
         self.N = 2 * n + 2
         self.qa = qa
+        self.chars = CharacterValues(n, qa)
         self.imax = imax
         self.w, self.den = [], []
         self._minors: dict = {}  # (indices, shift) -> Casorati minor
@@ -176,35 +204,25 @@ def verify_shift_identity(basis: TriangularBasis, grid: range,
 def verify_weyl_type(n: int, basis: TriangularBasis, grid: range,
                      rep: GridReport) -> None:
     """Fundamental characters as ratios of one-gap Casorati minors."""
-    from .characters import fundamental_poly
     N = 2 * n + 2
     for a in range(0, N + 1):
-        vals = basis.qa.eval_many(fundamental_poly(n, a),
-                                  [a + 2 * g for g in grid])
-        ok = True
-        for g, v in zip(grid, vals):
-            num = basis.casorati(
-                tuple(range(a)) + tuple(range(a + 1, N + 1)), g)
-            den = basis.casorati(tuple(range(1, N + 1)), g)
-            ok = ok and v == num / den
+        ok = all(basis.chars.fund(a, a + 2 * g)
+                 == basis.casorati(tuple(range(a))
+                                   + tuple(range(a + 1, N + 1)), g)
+                 / basis.casorati(tuple(range(1, N + 1)), g) for g in grid)
         rep.add(f"one-gap minor ratio a={a}", ok)
 
 
 def verify_hook_ratio(n: int, k_max: int, basis: TriangularBasis,
                       grid: range, rep: GridReport) -> None:
     """Hook family H^(i)_k as ratios of a jumped-index minor."""
-    from .characters import h_poly
     N = 2 * n + 2
     for k in range(N, k_max + 1):
         for i in range(0, N):
-            vals = basis.qa.eval_many(h_poly(n, i, k),
-                                      [i + 2 * g for g in grid])
-            ok = True
-            for g, v in zip(grid, vals):
-                num = basis.casorati(
-                    tuple(range(i)) + tuple(range(i + 1, N)) + (k,), g)
-                den = basis.casorati(tuple(range(N)), g)
-                ok = ok and v == -num / den
+            ok = all(basis.chars.hook(i, k, i + 2 * g)
+                     == -basis.casorati(tuple(range(i))
+                                        + tuple(range(i + 1, N)) + (k,), g)
+                     / basis.casorati(tuple(range(N)), g) for g in grid)
             rep.add(f"hook minor ratio i={i} k={k}", ok)
 
 
@@ -273,17 +291,10 @@ def verify_toda_solution(n: int, m_max: int, basis: TriangularBasis,
                          grid: range, rep: GridReport) -> None:
     """Rectangle characters against gapped-minor ratios, both the direct
     and the dual-gap forms."""
-    from .characters import rect_poly
     N = 2 * n + 2
     xi = basis.xi
     go = N // 2
-    rect_vals: dict = {}  # (a, m, half) -> {g: T at half + 2g}
-
-    def T(a, m, half, g):
-        if (a, m, half) not in rect_vals:
-            rect_vals[(a, m, half)] = dict(zip(grid, basis.qa.eval_many(
-                rect_poly(n, a, m), [half + 2 * g for g in grid])))
-        return rect_vals[(a, m, half)][g]
+    T = lambda a, m, half, g: basis.chars.rect(a, m, half + 2 * g)
     for a in range(1, n):
         for m in range(1, m_max + 1):
             ok = all(
@@ -462,28 +473,21 @@ def verify_skew_on_basis(n: int, index_sets: list, basis: TriangularBasis,
                          grid: range, rep: GridReport) -> None:
     """On the triangular basis the same ratio carries the sign
     (-1)^{mu_1} and its determinant form uses fundamentals."""
-    from .characters import fundamental_poly
     N = 2 * n + 2
     table = VariableTable(AlgebraSpec("C", n))
     xs = {m: table.x(m) for m in range(1, N + 1)}
-
-    @cache
-    def x(m, half):
-        return basis.qa.eval(xs[m], half)
+    x = cache(lambda m, half: basis.qa.eval(xs[m], half))
     for indices in index_sets:
         mu = mu_from_indices(indices)
         mu1 = mu[0]
-        mup = transpose(mu) + [0] * max(0, mu1 - len(transpose(mu)))
         ok = True
         for g in grid:
             lhs = (basis.casorati(indices, g)
                    / basis.casorati(tuple(range(N)), g))
             ssyt = ((-1) ** mu1) * _ssyt_sum(
                 N, mu1, mu, lambda m, shift: x(m, 2 * (shift + g)))
-            mat = [[basis.qa.eval(fundamental_poly(n, mup[j - 1] - j + l),
-                                  N - 2 + j + l - mup[j - 1] + 2 * g)
-                    for l in range(1, mu1 + 1)] for j in range(1, mu1 + 1)]
-            dt = det_frac(mat)
+            dt = det_frac(characters.jt_array(transpose(mu), N - 2 + 2 * g,
+                                              basis.chars.fund))
             ok = ok and lhs == ssyt == dt
         rep.add(f"basis skew identity {list(indices)}", ok)
 

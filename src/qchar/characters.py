@@ -67,24 +67,28 @@ def row_poly(n: int, m: int) -> LaurentPoly:
 
 # --- hook family via the first-order recursion ------------------------
 
+def hook_step(n: int, i: int, fund, prev):
+    """H^(i)_{k+1}(u) = -T^(i)_1(u) H^(N-1)_k(u+(N+1-i)/2) - H^(i-1)_k(u+1/2)
+    in any ring, from fund = T^(i)_1(u) and prev(j, h) = H^(j)_k(u+h/2);
+    the H^(-1) term is zero."""
+    N = 2 * n + 2
+    out = -(fund * prev(N - 1, N + 1 - i))
+    return out - prev(i - 1, 1) if i else out
+
+
 @lru_cache(maxsize=None)
 def h_poly(n: int, i: int, k: int) -> LaurentPoly:
-    """H^(i)_k(u), base-point normalized, from the recursion
-    H^(i)_{k+1}(u) = -T^(i)_1(u) H^(N-1)_k(u+(N+1-i)/2)
-                     - H^(i-1)_k(u+1/2)."""
-    N = 2 * n + 2
+    """H^(i)_k(u), base-point normalized, by ``hook_step``."""
     if i < 0:
         return ZERO
-    if not (0 <= i <= N - 1):
+    if i > 2 * n + 1:
         raise ValueError(f"i out of range: {i}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return ONE if i == 0 else ZERO
-    t = fundamental_poly(n, i)
-    prev_top = h_poly(n, N - 1, k - 1).shift(N + 1 - i)
-    prev_left = h_poly(n, i - 1, k - 1).shift(1) if i >= 1 else ZERO
-    return -(t * prev_top) - prev_left
+    return hook_step(n, i, fundamental_poly(n, i),
+                     lambda j, half: h_poly(n, j, k - 1).shift(half))
 
 
 # --- determinants and Pfaffians over the ring -------------------------
@@ -108,21 +112,21 @@ def det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
     return val
 
 
-def pfaffian(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Pfaffian of an antisymmetric even-size matrix by first-row
-    expansion with memoization on index subsets."""
+def pfaffian(mat: list, total=product_sum, one=ONE):
+    """Pfaffian of an antisymmetric even-size matrix by memoized first-row
+    expansion; ``total`` sums (sign, a, b) as sign * a * b, ``one`` is 1."""
     size = len(mat)
     if size % 2 != 0:
         raise ValueError("pfaffian needs even size")
     memo: dict = {}
 
-    def rec(idx: tuple) -> LaurentPoly:
+    def rec(idx: tuple):
         if not idx:
-            return ONE
+            return one
         if idx in memo:
             return memo[idx]
         i0, rest = idx[0], idx[1:]
-        acc = memo[idx] = product_sum(
+        acc = memo[idx] = total(
             (-1 if pos % 2 else 1, mat[i0][j],
              rec(tuple(x for x in rest if x != j)))
             for pos, j in enumerate(rest))
@@ -131,31 +135,45 @@ def pfaffian(mat: list[list[LaurentPoly]]) -> LaurentPoly:
     return rec(tuple(range(size)))
 
 
-def jacobi_trudi(n: int, cols: list, half: int) -> LaurentPoly:
-    """The dual Jacobi-Trudi determinant
-    det[T^(c_j - j + l)(u + (half + j + l - c_j)/2)]_{j,l} of shifted
-    extended fundamentals, for column lengths c_1, c_2, ... = ``cols``:
-    the rectangle T^(a)_m(u) is ``jacobi_trudi(n, [a] * m, a - m - 1)``
-    and the hook H^(i)_k(u), k >= N, is
-    ``-jacobi_trudi(n, [N - i] + [1] * (k - N), N - 2 - i)``."""
+def jt_array(cols: list, half: int, entry) -> list:
+    """The dual Jacobi-Trudi array [T^(c_j-j+l)(u + (half+j+l-c_j)/2)]_{j,l}
+    of entry(a, h) = T^(a)_1(u + h/2), for column lengths ``cols``."""
     size = range(1, len(cols) + 1)
-    return det([[fundamental_poly(n, c - j + l).shift(half + j + l - c)
-                 for l in size] for j, c in zip(size, cols)])
+    return [[entry(c - j + l, half + j + l - c) for l in size]
+            for j, c in zip(size, cols)]
+
+
+def _shifted(n: int):
+    """entry(a, half) = T^(a)_1(u + half/2), the polynomial."""
+    return lambda a, half: fundamental_poly(n, a).shift(half)
+
+
+def jacobi_trudi(n: int, cols: list, half: int) -> LaurentPoly:
+    """``det`` of ``jt_array(cols, half)`` of shifted fundamentals; the hook
+    H^(i)_k, k >= N, is ``-jacobi_trudi(n, [N-i] + [1] * (k-N), N-2-i)``."""
+    return det(jt_array(cols, half, _shifted(n)))
+
+
+def rectangle(n: int, a: int, m: int, entry, det, total, one):
+    """T^(a)_m(u), 1 <= a <= n, from entry(b, h) = T^(b)_1(u + h/2): ``det``
+    of the dual Jacobi-Trudi array (a < n), or (-1)^m ``pfaffian(mat, total,
+    one)`` of mat = [T^(n+1-j+l)(u + (j+l+1-2m)/2)]_{j,l<2m} (a = n)."""
+    if a < n:
+        return det(jt_array([a] * m, a - m - 1, entry))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    size = range(2 * m)
+    mat = [[entry(n + 1 - j + l, j + l + 1 - 2 * m) for l in size]
+           for j in size]
+    if any(mat[j][l] != -mat[l][j] for j in size for l in size):
+        raise ValueError("fundamental array is not antisymmetric")
+    pf = pfaffian(mat, total, one)
+    return pf if m % 2 == 0 else -pf
 
 
 def tnm_pfaffian(n: int, m: int) -> LaurentPoly:
-    """Rectangle character T^(n)_m(u) as (-1)^m times the Pfaffian of
-    the antisymmetrized 2m x 2m fundamental array."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    mat = [[fundamental_poly(n, n + 1 - j + l).shift(j + l - 2 * m - 1)
-            for l in range(1, 2 * m + 1)] for j in range(1, 2 * m + 1)]
-    for j in range(2 * m):
-        for l in range(2 * m):
-            if mat[j][l] != -mat[l][j]:
-                raise ValueError("fundamental array is not antisymmetric")
-    pf = pfaffian(mat)
-    return pf if m % 2 == 0 else -pf
+    """Rectangle character T^(n)_m(u) by ``rectangle``'s Pfaffian."""
+    return rectangle(n, n, m, _shifted(n), det, product_sum, ONE)
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +186,7 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
         return tnm_pfaffian(n, m)
     if a == 1:
         return row_poly(n, m)
-    return jacobi_trudi(n, [a] * m, a - m - 1)
+    return rectangle(n, a, m, _shifted(n), det, product_sum, ONE)
 
 
 # --- functional-relation verification ---------------------------------

@@ -194,11 +194,11 @@ class LaurentPoly:
     """Canonical sparse Laurent polynomial with integer coefficients.
 
     Immutable; all operations return fresh objects.  The zero polynomial
-    has no terms.  ``_t`` maps packed keys to nonzero coefficients and
-    ``_b`` bounds |exponent| over all terms (see the module docstring).
+    has no terms.  ``_t`` maps packed keys to nonzero coefficients, ``_b``
+    bounds |exponent| over them (exactly once ``_tight`` sets ``_exact``).
     """
 
-    __slots__ = ("_t", "_b")
+    __slots__ = ("_t", "_b", "_exact")
 
     def __init__(self, terms: dict | None = None):
         """From a raw {packed key: coefficient} dict, such as the one
@@ -336,7 +336,7 @@ class LaurentPoly:
     def _q_bound(self) -> int:
         """Bound of the Q image's exponents; OverflowError past EXP_MAX."""
         if 2 * self._b > EXP_MAX:
-            self._b = _exact_bound(self._t)
+            _tight(self)
         return _checked(2 * self._b)
 
     def to_q(self, cartan: "CartanData") -> "LaurentPoly":
@@ -436,11 +436,19 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
+def _tight(p: LaurentPoly, digits=_digits) -> int:
+    """p's exponent bound made exact by a scan of its keys, once."""
+    if not getattr(p, "_exact", False):
+        p._b, p._exact = _exact_bound(p._t, digits), True
+    return p._b
+
+
 def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
     """Exponent bound of a * b; raises OverflowError rather than let a
     digit carry into its neighbour."""
     if a._b + b._b > EXP_MAX:
-        a._b, b._b = _exact_bound(a._t), _exact_bound(b._t)
+        _tight(a)
+        _tight(b)
     return _checked(a._b + b._b)
 
 
@@ -493,13 +501,13 @@ class Words(NamedTuple):
 
 def _frame_bound(a, b, digits=_digits) -> int:
     """``_product_bound`` of two operands of ``product_sum_vanishes``;
-    a ``Words`` operand is bounded as ``word_sum`` bounds it."""
+    ``Words`` are bounded as ``word_sum`` bounds them, a poly by ``_tight``."""
     a, b = (x if isinstance(x, (LaurentPoly, Words)) else x[0]
             for x in (a, b))
     if isinstance(a, Words) or isinstance(b, Words):
         return _checked(sum(_letters(x.templates)[2] * len(x.halves)
                             if isinstance(x, Words)
-                            else _exact_bound(x._t, digits) for x in (a, b)))
+                            else _tight(x, digits) for x in (a, b)))
     return _product_bound(a, b)
 
 

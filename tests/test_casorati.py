@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,45 @@ def test_memoized_minors_match_raw_windows(basis2):
                              for i in idx] for j in range(len(idx))])
             assert basis2.casorati(idx, g) == raw
             assert basis2.casorati(list(idx), g) == raw
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_character_values_match_built_characters(n):
+    # each hook and rectangle value from the fundamental values against
+    # the built character evaluated at the same points: the halves that
+    # the suite reads, and -1 besides
+    N = 2 * n + 2
+    qa = QAssignment(n, seed=11)
+    chars = casorati.CharacterValues(n, qa)
+    for i in range(N):
+        halves = [i - 1] + [i + 2 * g for g in range(3)]
+        for k in range(N, N + 4):
+            assert [chars.hook(i, k, h) for h in halves] == qa.eval_many(
+                characters.h_poly(n, i, k), halves), (i, k)
+    halves = range(-1, 2 * N + 1)
+    for a in range(1, n + 1):
+        for m in range(1, 4):
+            assert [chars.rect(a, m, h) for h in halves] == qa.eval_many(
+                characters.rect_poly(n, a, m), halves), (a, m)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_suite_builds_no_hook_or_rectangle(n):
+    # hooks and rectangles enter the suite as values only
+    calls = []
+
+    def spy(name):
+        real = getattr(characters, name)
+
+        def record(*args):
+            calls.append((name, args))
+            return real(*args)
+        return record
+    names = ("h_poly", "rect_poly", "row_poly", "jacobi_trudi",
+             "tnm_pfaffian")
+    with mock.patch.multiple(characters, **{a: spy(a) for a in names}):
+        assert run_suite(n, seed=11).ok
+    assert calls == []
 
 
 def test_skew_suite_is_the_skew_part_of_the_full_suite():
@@ -376,18 +416,32 @@ def _checks(verify, *args):
     return rep.checks
 
 
+def _mutate_fundamentals(monkeypatch, basis, mutate):
+    """Patch fundamental_poly to its mutant and give ``basis`` a fresh
+    memo of character values, which reads the mutant."""
+    monkeypatch.setattr(characters, "fundamental_poly",
+                        _outer_only(characters.fundamental_poly, mutate))
+    monkeypatch.setattr(basis, "chars",
+                        casorati.CharacterValues(basis.n, basis.qa))
+
+
 @pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)
 def test_hook_ratio_fails_on_mutated_hooks(basis2, monkeypatch, mutate):
     args = (casorati.verify_hook_ratio, 2, 9, basis2, range(3))
     assert all(c["ok"] for c in _checks(*args))
     h = characters.h_poly
+    hooks = {(i, k): h(2, i, k) for k in range(6, 10) for i in range(6)}
+    _mutate_fundamentals(monkeypatch, basis2, mutate)
     # a mutant that leaves a hook unchanged (zero, or constant under a
-    # shift) cannot fail its check
-    unchanged = {f"hook minor ratio i={i} k={k}"
-                 for k in range(6, 10) for i in range(6)
-                 if mutate(h(2, i, k)) == h(2, i, k)}
+    # shift) cannot fail its check; the hooks built from the mutated
+    # fundamentals are dropped from the cache again
+    h.cache_clear()
+    try:
+        unchanged = {f"hook minor ratio i={i} k={k}"
+                     for (i, k), p in hooks.items() if h(2, i, k) == p}
+    finally:
+        h.cache_clear()
     assert len(unchanged) <= 2
-    monkeypatch.setattr(characters, "h_poly", _outer_only(h, mutate))
     assert {c["identity"] for c in _checks(*args) if c["ok"]} == unchanged
 
 
@@ -395,8 +449,7 @@ def test_hook_ratio_fails_on_mutated_hooks(basis2, monkeypatch, mutate):
 def test_toda_fails_on_mutated_rectangles(basis2, monkeypatch, mutate):
     args = (casorati.verify_toda_solution, 2, 2, basis2, range(3))
     assert all(c["ok"] for c in _checks(*args))
-    monkeypatch.setattr(characters, "rect_poly",
-                        _outer_only(characters.rect_poly, mutate))
+    _mutate_fundamentals(monkeypatch, basis2, mutate)
     checks = _checks(*args)
     assert any(c["identity"].startswith("bulk minor ratio") for c in checks)
     assert not any(c["ok"] for c in checks)

@@ -9,10 +9,9 @@ after it is undone.
 """
 
 import time
-from functools import lru_cache
 
 from qchar import bd, casorati, characters, cli, screening, tableaux
-from qchar.ring import ONE, ZERO, LaurentPoly
+from qchar.ring import LaurentPoly
 
 
 def _drop_first_term(p):
@@ -26,19 +25,11 @@ def _dropped_term(a):
                                    else f(n, b))
 
 
-def _flipped_left(_):
-    """h_poly with the sign of its H^(i-1)_k(u+1/2) term flipped."""
-    @lru_cache(maxsize=None)
-    def h(n, i, k):
-        N = 2 * n + 2
-        if i < 0:
-            return ZERO
-        if k == 0:
-            return ONE if i == 0 else ZERO
-        top = characters.h_poly(n, N - 1, k - 1).shift(N + 1 - i)
-        left = characters.h_poly(n, i - 1, k - 1).shift(1)
-        return -(characters.fundamental_poly(n, i) * top) + left
-    return h
+def _flipped_left(f):
+    """hook_step with the sign of its H^(i-1)_k(u+1/2) term flipped."""
+    return lambda n, i, fund, prev: (
+        f(n, i, fund, prev) + 2 * prev(i - 1, 1) if i
+        else f(n, i, fund, prev))
 
 
 def _dropped_row_word(f):
@@ -130,7 +121,9 @@ MUTANTS = {
                                   _dropped_term(1)),
         "dropped skew filling": (casorati, "skew_ssyt", lambda f: (
             lambda N, width, mu: list(f(N, width, mu))[:-1])),
-        "Bareiss sign flipped": (casorati, "det_int", _flipped_bareiss)}),
+        "Bareiss sign flipped": (casorati, "det_int", _flipped_bareiss),
+        "hook recursion sign of the H^(i-1) term flipped": (
+            characters, "hook_step", _flipped_left)}),
     "nnsy": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1))}),
@@ -146,7 +139,7 @@ MUTANTS = {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),
     "product-formula": (["--rank", "2", "--max-m", "3"], {
-        "h_poly recursion sign": (characters, "h_poly", _flipped_left),
+        "h_poly recursion sign": (characters, "hook_step", _flipped_left),
         "companion entry [1][0] negated": (characters, "companion_matrix",
                                            _negated_entry)}),
 }

@@ -877,6 +877,22 @@ def test_class_modulus_splits_every_frame_width():
         assert max(pairs) <= 2 * sum(pairs) / ring.CLASSES
 
 
+def test_frame_bound_scans_a_polynomial_once():
+    # a polynomial paired with Words is bounded exactly; its keys are
+    # scanned on the first call only, and later calls read the bound
+    words = characters._row_operands(2)(2, 0)
+    p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
+    assert p._b == 5  # the carried bound of the product
+    first = ring._frame_bound(words, p)
+    assert p._b == 1
+    with mock.patch.object(ring, "_exact_bound",
+                           wraps=ring._exact_bound) as scan:
+        assert ring._frame_bound(words, (p, 3)) == first
+        assert ring._frame_bound(p, words) == first
+    assert scan.call_count and all(
+        call.args[0] is not p._t for call in scan.call_args_list)
+
+
 def test_product_sum_vanishes_counts_multiplicities():
     a, b = Y(1, 0), Y(2, 1)
     # one key: +2 from one pair, -1 from each of two others
