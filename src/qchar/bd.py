@@ -61,10 +61,7 @@ def series_factors(algebra: AlgebraSpec, order: int,
 def build_series_L(algebra: AlgebraSpec, order: int) -> DiffOp:
     """The factorized series operator, the product of
     ``series_factors``, truncated at D^order."""
-    L = prod(series_factors(algebra, order))
-    if any(j % 2 for j in L.coeffs):
-        raise ArithmeticError("odd D-degree coefficient in series operator")
-    return L
+    return prod(series_factors(algebra, order))
 
 
 def tm_blocks(algebra: AlgebraSpec, m: int) -> list:
@@ -91,11 +88,14 @@ def tm_blocks(algebra: AlgebraSpec, m: int) -> list:
 
 def extract_Ta(L: DiffOp) -> dict:
     """Coefficients of L = 1 + sum_a (-1)^a T^a(u+a) D^{2a}, renormalized
-    to base point u: returns {a: T^a(u)}."""
+    to base point u: returns {a: T^a(u)}.  An odd D-degree, which has no
+    T^a, is refused with ArithmeticError."""
     out = {}
     for j in sorted(L.coeffs):
         if j == 0:
             continue
+        if j % 2:
+            raise ArithmeticError(f"odd D-degree {j} in series operator")
         a = j // 2
         out[a] = ((-1) ** a) * L.coeff(j).shift(-2 * a)
     return out
@@ -139,7 +139,7 @@ def b_middle_expansion(n: int, order: int) -> DiffOp:
     return DiffOp(coeffs, order)
 
 
-def verify_b_expansion(n: int, order: int = 10) -> bool:
+def verify_b_expansion(n: int, order: int) -> bool:
     return b_middle_factors(n, order) == b_middle_expansion(n, order)
 
 
@@ -188,11 +188,16 @@ def d_middle_expansion(n: int, order: int) -> DiffOp:
     return DiffOp(coeffs, order)
 
 
-def verify_d_expansion(n: int, order: int = 12) -> bool:
+def verify_d_expansion(n: int, order: int) -> bool:
     return d_middle_factors(n, order) == d_middle_expansion(n, order)
 
 
 # --- verification suite -----------------------------------------------
+
+# The truncation of each series' middle-factor expansion check, the
+# largest one the suite and ``verify lemma-exp`` run by default.
+EXPANSION_ORDER = {"B": 10, "D": 12}
+
 
 def verify_bd_screening(L: DiffOp, cartan: CartanData) -> list:
     """S_a applied coefficientwise to the truncated series operator, one
@@ -256,10 +261,9 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
                               if i <= k and (k - i) % 2 == 0]
                              + [(-1, ONE, ONE)] * (k == 0))
         for k in range(inv_order + 1)))
-    if series == "B":
-        rep.add("middle-factor expansion", verify_b_expansion(n, min(order, 10)))
-    else:
-        rep.add("middle-factor expansion", verify_d_expansion(n, min(order, 12)))
+    expand = verify_b_expansion if series == "B" else verify_d_expansion
+    rep.add("middle-factor expansion",
+            expand(n, min(order, EXPANSION_ORDER[series])))
     for sub in verify_block_lemmas(algebra).checks:
         rep.add(sub["identity"], sub["ok"])
     cartan = CartanData(algebra)

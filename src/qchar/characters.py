@@ -209,17 +209,15 @@ def _bilinear_zero(triples) -> bool:
     return product_sum_vanishes(triples)
 
 
-def verify_tsystem(n: int, m_max: int, pf_max: int | None = None) -> RelationReport:
+def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     """Exact symbolic check of the four discrete-Toda relation families
     with determinant/Pfaffian values.
 
     ``m_max`` bounds the relation index at the bulk nodes; ``pf_max``
-    bounds the largest long-node index T^(n)_m entering a relation
-    (defaults to m_max).  A row T^(1)_m(u + h/2) enters as its words
-    (``_row_operands``), any other T^(a)_m(u + h/2) as (T^(a)_m(u), h).
+    bounds the largest long-node index T^(n)_m entering a relation.  A
+    row T^(1)_m(u + h/2) enters as its words (``_row_operands``), any
+    other T^(a)_m(u + h/2) as (T^(a)_m(u), h).
     """
-    if pf_max is None:
-        pf_max = m_max
     rep = RelationReport()
     row, R = _row_operands(n), lambda a, m: rect_poly(n, a, m)
     T = lambda a, m, h: row(m, h) if a == 1 else (R(a, m), h)
@@ -300,12 +298,6 @@ def companion_matrix(n: int, half: int) -> list[list[LaurentPoly]]:
     return mat
 
 
-def h_matrix(n: int, k: int, half: int) -> list[list[LaurentPoly]]:
-    N = 2 * n + 2
-    return [[(1 if i % 2 == 0 else -1) * h_poly(n, i, k + j).shift(half + i)
-             for j in range(N)] for i in range(N)]
-
-
 def _mat_mul(A, B):
     size = range(len(A))
     return [[product_sum((1, A[i][k], B[k][j]) for k in size
@@ -313,13 +305,21 @@ def _mat_mul(A, B):
              for j in size] for i in size]
 
 
-def verify_product_formula(n: int, k: int) -> bool:
-    """Ordered product of k one-step transfer matrices equals the
-    k-step matrix assembled from the hook family."""
-    prod = companion_matrix(n, 0)
-    for s in range(1, k):
-        prod = _mat_mul(prod, companion_matrix(n, 2 * s))
-    return prod == h_matrix(n, k, 0)
+def verify_product_formula(n: int, k_max: int) -> list[bool]:
+    """For k = 1..k_max, whether the ordered product of k one-step
+    transfer matrices equals the k-step hook matrix [(-1)^i H^(i)_{k+j}(u
+    + i/2)]_{i,j<N}.  One running product; the hook matrix for k + 1 is
+    the one for k moved one column left, so each k adds one column."""
+    N = 2 * n + 2
+    column = lambda c: [(-1) ** i * h_poly(n, i, c).shift(i) for i in range(N)]
+    hooks = list(map(column, range(N)))  # the columns k - 1 + j
+    prod, out = companion_matrix(n, 0), []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            prod = _mat_mul(prod, companion_matrix(n, 2 * k - 2))
+        hooks = hooks[1:] + [column(k + N - 1)]
+        out.append(prod == [list(row) for row in zip(*hooks)])
+    return out
 
 
 def highest_weight_key(n: int, i: int, k: int) -> dict:
@@ -373,7 +373,6 @@ def verify_hseries(n: int, k_extra: int = 3, prod_k_max: int | None = None) -> R
                     == -jacobi_trudi(n, [N - i] + [1] * (k - N), N - 2 - i))
     if prod_k_max is None:
         prod_k_max = N + 2
-    for k in range(1, prod_k_max + 1):
-        rep.add(f"transfer-matrix product at k={k}",
-                verify_product_formula(n, k))
+    for k, ok in enumerate(verify_product_formula(n, prod_k_max), 1):
+        rep.add(f"transfer-matrix product at k={k}", ok)
     return rep

@@ -284,7 +284,7 @@ def _bd_suite(r):
 
 
 def _lemma_exp(r):
-    order = (10 if r.algebra == "B" else 12) if r.order is None else r.order
+    order = bd.EXPANSION_ORDER[r.algebra] if r.order is None else r.order
     if order < 2:
         # below order 2 both sides are the unit operator
         raise UsageError(f"lemma-exp needs --order >= 2, got {order}")
@@ -299,9 +299,9 @@ def _product_formula(r):
     if k_max < 1:
         # k starts at 1, so a smaller bound would run no check at all
         raise UsageError(f"product-formula needs --max-m >= 1, got {k_max}")
-    return [{"identity": f"transfer-matrix product at k={k}",
-             "ok": characters.verify_product_formula(r.rank, k)}
-            for k in range(1, k_max + 1)], {"k_max": k_max}
+    oks = characters.verify_product_formula(r.rank, k_max)
+    return [{"identity": f"transfer-matrix product at k={k}", "ok": ok}
+            for k, ok in enumerate(oks, 1)], {"k_max": k_max}
 
 
 # suite -> (the algebras it runs on, the bounds it reads, its runner)

@@ -56,28 +56,13 @@ class DiffOp:
     def coeff(self, j: int) -> LaurentPoly:
         return self.coeffs.get(j, LaurentPoly.zero())
 
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            return -1
-        return max(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):
             return NotImplemented
         return self.coeffs == other.coeffs and self.order == other.order
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, LaurentPoly.zero()) + c
-        return DiffOp(out, _merge_order(self.order, other.order))
-
     def __neg__(self) -> "DiffOp":
         return DiffOp({j: -c for j, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         order = _merge_order(self.order, other.order)
@@ -90,10 +75,6 @@ class DiffOp:
                                        other.coeffs[j].shift(2 * i))
                                       for i, j in ij)
                        for k, ij in pairs.items()}, order)
-
-    def truncated(self, order: int) -> "DiffOp":
-        return DiffOp({j: c for j, c in self.coeffs.items() if j <= order},
-                      order)
 
     def inverse_series(self, order: int) -> "DiffOp":
         """Series inverse, truncated at D^order.

@@ -18,9 +18,10 @@ word's key a C-level sum of its partial keys.
 Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
 bound on |e| over its terms: exact for a monomial, the maximum under
-sums, the sum under products, the sum of the per-position exact maxima
-under ``word_sum``, twice the bound under ``to_q`` and in
-``screenings_vanish`` (at most two Y exponents meet in a Q variable).
+sums, the sum under products, the largest template exponent times the
+word length for ``Words`` (``Words.bound``), twice the bound under
+``to_q`` and in ``screenings_vanish`` (at most two Y exponents meet in a
+Q variable).
 A product or a Q image whose carried bounds pass EXP_MAX first replaces
 them by the exact maxima of its operands.  Every bound then passes one
 guard, ``_checked``, which raises OverflowError past EXP_MAX.
@@ -307,9 +308,6 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
@@ -490,23 +488,29 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
 
 
 class Words(NamedTuple):
-    """A row operand of ``product_sum_vanishes``: the sum over the words
-    of ``blocks``, as ``word_sum`` takes them, of the products prod_k
-    templates[word[k]].shift(halves[k]) of single-term templates."""
+    """A word sum: over the words of ``blocks`` (see ``_words_into``), the
+    products prod_k templates[word[k]].shift(halves[k]) of single-term
+    templates.  ``word_sum`` builds it, ``product_sum_vanishes`` and
+    ``screenings_vanish`` take it as it is."""
 
     templates: dict
     halves: list
     blocks: list
 
+    def bound(self) -> int:
+        """The unchecked exponent bound of every word's product: the
+        largest template exponent once per position."""
+        return (_exact_bound(_letters(self.templates)[0].values())
+                * len(self.halves))
+
 
 def _frame_bound(a, b, digits=_digits) -> int:
     """``_product_bound`` of two operands of ``product_sum_vanishes``;
-    ``Words`` are bounded as ``word_sum`` bounds them, a poly by ``_tight``."""
+    a poly paired with ``Words`` is bounded by ``_tight``."""
     a, b = (x if isinstance(x, (LaurentPoly, Words)) else x[0]
             for x in (a, b))
     if isinstance(a, Words) or isinstance(b, Words):
-        return _checked(sum(_letters(x.templates)[2] * len(x.halves)
-                            if isinstance(x, Words)
+        return _checked(sum(x.bound() if isinstance(x, Words)
                             else _tight(x, digits) for x in (a, b)))
     return _product_bound(a, b)
 
@@ -533,10 +537,9 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
 
     def pack(x) -> list:
         if isinstance(x, Words):
-            keys, coeffs, _ = _letters(x.templates)
+            keys, coeffs = _letters(x.templates)
             groups = _words_into([{c: key(k, h) for c, k in keys.items()}
-                                  for h in x.halves],
-                                 [coeffs] * len(x.halves), x.blocks)
+                                  for h in x.halves], coeffs, x.blocks)
         else:
             p, half = (x, 0) if isinstance(x, LaurentPoly) else x
             groups = {}  # coefficient -> frame keys
@@ -599,7 +602,7 @@ def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
     with exponent e add e * c * (the chain's coefficient) at (M's Q
     image) * (the chain at v) * (v's class) in node a's sum.  Only the Q
     images' bound is guarded, as ``to_q`` guards it (for ``Words``, twice
-    ``word_sum``'s bound).  A non-Y variable is refused with ValueError.
+    ``Words.bound``).  A non-Y variable is refused with ValueError.
     """
     if isinstance(p, Words):
         return _words_screened(p, cartan, factor)
@@ -664,19 +667,19 @@ def _words_screened(p: Words, cartan: "CartanData", factor) -> dict:
     block and factor, node a pairs the other factors' joined partial keys
     with the factor's partial keys marked at each Y_a(v) of their
     letters, and ``_count_blocks`` counts the pairs' sums."""
-    keys, coeffs, b = _letters(p.templates)
+    keys, coeffs = _letters(p.templates)
     at = [{c: [((f, i, v + h), e) for s, e in zip(*_digits(k))
                for f, i, v in [_VAR[s]]] for c, k in keys.items()}
           for h in p.halves]
     frame = _screening_frame({v for pos in at for vs in pos.values()
-                              for v, _ in vs}, _checked(2 * b * len(at)),
+                              for v, _ in vs}, _checked(2 * p.bound()),
                              cartan, factor)
     ks = [{c: sum(e * frame[v][0] for v, e in vs) for c, vs in pos.items()}
           for pos in at]
     marks = [{c: [(frame[v][1], frame[v][2], e * frame[v][3]) for v, e in vs]
               for c, vs in pos.items()} for pos in at]
     counted = {a: {} for a in range(1, cartan.algebra.n + 1)}
-    for parts in _block_parts(ks, [coeffs] * len(at), p.blocks, marks):
+    for parts in _block_parts(ks, coeffs, p.blocks, marks):
         for g, (_, marked) in enumerate(parts):
             others = _join(x for i, (x, _) in enumerate(parts) if i != g)
             for a, groups in marked.items():
@@ -686,22 +689,21 @@ def _words_screened(p: Words, cartan: "CartanData", factor) -> dict:
     return {a: dict.__eq__(*_count_blocks(x)) for a, x in counted.items()}
 
 
-def _letters(templates: dict) -> tuple[dict, dict, int]:
-    """The packed key and the coefficient of each single-term template,
-    and the largest |exponent| among them."""
+def _letters(templates: dict) -> tuple[dict, dict]:
+    """The packed key and the coefficient of each single-term template."""
     keys, coeffs = {}, {}
     for letter, p in templates.items():
         if len(p._t) != 1:
             raise ValueError(f"template for letter {letter!r} has "
                              f"{len(p._t)} terms, not one")
         (keys[letter], coeffs[letter]), = p._t.items()
-    return keys, coeffs, _exact_bound(keys.values())
+    return keys, coeffs
 
 
-def _words_into(keys: list, coeffs: list, blocks: Iterable[tuple]) -> dict:
+def _words_into(keys: list, coeffs: dict, blocks: Iterable[tuple]) -> dict:
     """{c: the keys of the words of coefficient c, with multiplicity} over
     the words of ``blocks``, the k-th letter with key keys[k][letter] and
-    coefficient coeffs[k][letter].  A block is a tuple of factors, lists
+    coefficient coeffs[letter].  A block is a tuple of factors, lists
     of partial words of one length each, and its words join one partial
     word of each factor in turn, each key a C-level sum of partial keys,
     each partial key summed once, one int add per letter."""
@@ -712,13 +714,13 @@ def _words_into(keys: list, coeffs: list, blocks: Iterable[tuple]) -> dict:
     return out
 
 
-def _block_parts(keys: list, coeffs: list, blocks: Iterable[tuple],
+def _block_parts(keys: list, coeffs: dict, blocks: Iterable[tuple],
                  marks: list | None = None) -> Iterator[list]:
     """For each block of ``_words_into`` with words, each factor's partial
     keys {c: keys} and, marked by each (a, offset, x) in marks[k][letter]
     of their letters, {a: {c * x: keys + offset}}, formed once per factor
     and offset."""
-    pick = dict.__getitem__
+    pick, coeff = dict.__getitem__, coeffs.__getitem__
     memo: dict = {}  # (factor, offset) -> its partial keys
     for block in filter(all, blocks):  # an empty factor has no words
         widths = [len(f[0]) for f in block]
@@ -731,13 +733,13 @@ def _block_parts(keys: list, coeffs: list, blocks: Iterable[tuple],
         for f, w in zip(block, widths):
             part = memo.get((tuple(f), at))
             if part is None:
-                ks, cs = keys[at:at + w], coeffs[at:at + w]
+                ks = keys[at:at + w]
                 plain, marked = {}, {}
                 for p in f:
-                    plain.setdefault(prod(map(pick, cs, p)), []).append(
+                    plain.setdefault(prod(map(coeff, p)), []).append(
                         sum(map(pick, ks, p)))
                 for p in f if marks else ():
-                    k, c = sum(map(pick, ks, p)), prod(map(pick, cs, p))
+                    k, c = sum(map(pick, ks, p)), prod(map(coeff, p))
                     for ms in map(pick, marks[at:at + w], p):
                         for a, offset, x in ms:
                             marked.setdefault(a, {}).setdefault(
@@ -760,21 +762,20 @@ def _join(parts: Iterable[dict]) -> dict:
     return groups
 
 
-def word_sum(positions: list, blocks: Iterable[tuple]) -> LaurentPoly:
-    """Sum over the words of ``blocks`` of prod_k positions[k][word[k]].
-
-    ``positions[k]`` maps each letter that may stand at position k to a
-    single-term template.  A block is as ``_words_into`` takes it; a
-    flat word list is the block ``(words,)``.  Every word must have
-    length ``len(positions)``.  ``_count_blocks`` counts the words' keys,
-    each plus the key 0 of the unit.
-    """
-    keys, coeffs, bounds = list(zip(*map(_letters, positions))) or [()] * 3
-    words = _words_into(keys, coeffs, blocks)
-    plus, minus = _count_blocks({c: [(ks, [0])] for c, ks in words.items()})
+def word_sum(words: Words) -> LaurentPoly:
+    """The polynomial ``words`` stands for, on global keys, with each
+    template shifted once per half.  A flat word list ws is the block
+    ``(ws,)``; every word must have length ``len(halves)``.
+    ``_count_blocks`` counts the words' keys, each plus the key 0 of the
+    unit."""
+    bound = _checked(words.bound())
+    templates, halves, blocks = words
+    keys = [_letters({c: t.shift(h) for c, t in templates.items()})[0]
+            for h in halves]
+    groups = _words_into(keys, _letters(templates)[1], blocks)
+    plus, minus = _count_blocks({c: [(ks, [0])] for c, ks in groups.items()})
     plus.subtract(minus)
-    return LaurentPoly._make({k: c for k, c in plus.items() if c},
-                             _checked(sum(bounds)))
+    return LaurentPoly._make({k: c for k, c in plus.items() if c}, bound)
 
 
 def _checked(bound: int) -> int:
@@ -806,7 +807,7 @@ def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly._make(out, bound)
 
 
-# convenience shorthands used throughout the package and its tests
+# shorthands: ``Qv`` for the package, ``Y`` for its tests
 
 def Y(idx: int, half: int = 0, exp: int = 1) -> LaurentPoly:
     return LaurentPoly.var(Y_FAM, idx, half, exp)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
-from .ring import (LaurentPoly, VariableTable, AlgebraSpec, bar, is_barred,
-                   word_sum)
+from .ring import (LaurentPoly, VariableTable, AlgebraSpec, Words, bar,
+                   is_barred, word_sum)
 
 
 # --- admissibility ----------------------------------------------------
@@ -90,9 +90,9 @@ def gen_x_tableaux(n: int, a: int) -> list[tuple]:
 
 def weight_sum(blocks, table: VariableTable, halves: list,
                convention: str = "Z") -> LaurentPoly:
-    """Sum of the product weights of the words of ``blocks``, as
-    ``word_sum`` takes them, each of length len(halves): the k-th letter
-    (0-based) contributes its template at u + halves[k]/2.
+    """Sum of the product weights of the words of ``blocks``, each of
+    length len(halves): the k-th letter (0-based) contributes its template
+    at u + halves[k]/2, the ``word_sum`` of their ``Words``.
 
     Convention 'Z' reads letters from the barred alphabet (Y-variables),
     'X' from the x-alphabet (Q-variables, middle letters signed).
@@ -101,16 +101,14 @@ def weight_sum(blocks, table: VariableTable, halves: list,
         raise ValueError(f"unknown convention {convention!r}")
     template, top = ((table.z, 2 * table.n) if convention == "Z"
                      else (table.x, 2 * table.n + 2))
-    return word_sum([{c: template(c, h) for c in range(1, top + 1)}
-                     for h in halves], blocks)
+    return word_sum(Words({c: template(c) for c in range(1, top + 1)},
+                          halves, blocks))
 
 
-def tableau_weight(t: tuple, table: VariableTable, convention: str = "Z",
-                   base_half: int = 0) -> LaurentPoly:
-    """Staggered product weight: the k-th letter (1-based) contributes
-    its template at u + base_half/2 + 1 - k."""
-    return weight_sum([([t],)], table,
-                      [base_half - 2 * k for k in range(len(t))], convention)
+def tableau_weight(t: tuple, table: VariableTable) -> LaurentPoly:
+    """Staggered product weight in the 'Z' convention: the k-th letter
+    (1-based) contributes its template at u + 1 - k."""
+    return weight_sum([([t],)], table, [-2 * k for k in range(len(t))])
 
 
 # --- the pair-lowering maps tau_b / sigma_b ---------------------------
@@ -268,8 +266,8 @@ def verify_cancellation(n: int, a: int) -> CancellationReport:
         images = {}
         for t in V:
             img, p = tau_full(t, n)
-            wt_t = tableau_weight(t, table, "Z")
-            wt_i = tableau_weight(img, table, "Z")
+            wt_t = tableau_weight(t, table)
+            wt_i = tableau_weight(img, table)
             if wt_t != wt_i:
                 rep.bijection_ok = False
                 rep.failures.append(f"weight changed: {t} -> {img}")

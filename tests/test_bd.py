@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from qchar.ring import (AlgebraSpec, CartanData, VariableTable, Words, vk,
-                        word_sum, Y_FAM, ONE)
+                        word_sum, Y, Y_FAM, ONE)
 from qchar.diffop import DiffOp, prod
 from qchar.bd import (build_series_L, extract_Ta, series_factors, tm_blocks,
                       verify_b_expansion, verify_d_expansion,
@@ -44,9 +44,7 @@ def tm_words(algebra, m, half=0):
 
 def tm_poly(algebra, m):
     """T_m(u), the word statement built by ``word_sum``."""
-    z = tm_templates(algebra)
-    return word_sum([{c: t.shift(4 * j) for c, t in z.items()}
-                     for j in range(m)], tm_blocks(algebra, m))
+    return word_sum(tm_words(algebra, m))
 
 
 def extract_Tm(L: DiffOp) -> dict:
@@ -60,13 +58,27 @@ def test_structure_b():
     L = build_series_L(AlgebraSpec("B", 2), 8)
     assert L.coeff(0) == ONE
     assert all(j % 2 == 0 for j in L.coeffs)
-    assert L.order == 8 and L.degree == 8
+    assert L.order == 8 and max(L.coeffs) == 8
 
 
 def test_structure_d():
     L = build_series_L(AlgebraSpec("D", 3), 8)
     assert L.coeff(0) == ONE
     assert all(j % 2 == 0 for j in L.coeffs)
+
+
+def test_odd_degree_fails_its_check(monkeypatch):
+    # an odd D-degree is reported by the suite's check, not refused by
+    # build_series_L; extract_Ta, which would read D^j as T^(j // 2),
+    # refuses it
+    factors = bd.series_factors
+    monkeypatch.setattr(bd, "series_factors", lambda algebra, order, half=0: [
+        *factors(algebra, order, half), DiffOp({0: ONE, 1: Y(1, 0)}, order)])
+    rep = run_suite("B", 2, 6)
+    assert "only even D-degrees" in [c["identity"] for c in rep.checks
+                                     if not c["ok"]]
+    with pytest.raises(ArithmeticError, match="odd D-degree 1"):
+        extract_Ta(build_series_L(AlgebraSpec("B", 2), 6))
 
 
 def test_rejects_bad_input():
@@ -132,7 +144,8 @@ def test_factored_inverse_matches_recursion(series, n):
     L = build_series_L(spec, 12)
     for order in (4, 8, 12):
         inv = build_series_inverse(spec, order)
-        assert inv == L.truncated(order).inverse_series(order), order
+        truncated = DiffOp(L.coeffs, order)  # drops every D^j, j > order
+        assert inv == truncated.inverse_series(order), order
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -21,7 +21,8 @@ from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
                               verify_product_formula, highest_weight_key)
 from qchar.diffop import build_L_C
 from qchar.tableaux import (gen_column_tableaux, gen_row_tableaux, gen_W,
-                            gen_x_tableaux, row_blocks, tableau_weight)
+                            gen_x_tableaux, row_blocks, tableau_weight,
+                            weight_sum)
 
 
 def per_letter_weight(t, template, halves):
@@ -176,10 +177,9 @@ def _drop_first_term(p):
 
 def _poly(operand):
     """The polynomial a zero-test operand stands for: p, (p, half) for
-    p.shift(half), or Words, expanded by word_sum at its halves."""
+    p.shift(half), or Words, built by word_sum."""
     if isinstance(operand, Words):
-        return word_sum([{c: t.shift(h) for c, t in operand.templates.items()}
-                         for h in operand.halves], operand.blocks)
+        return word_sum(operand)
     return operand.shift(0) if isinstance(operand, LaurentPoly) else (
         operand[0].shift(operand[1]))
 
@@ -205,7 +205,7 @@ def _relations(n, *args):
 
 @pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
 def test_tsystem_mutants_fail(n, m_max):
-    for name, triples in zip(*_relations(n, m_max)):
+    for name, triples in zip(*_relations(n, m_max, m_max)):
         (s0, a0, b0), (s1, a1, b1) = triples[:2]
         mutants = {
             "half-unit shift": [(s0, _shifted(a0, 1), b0)] + triples[1:],
@@ -307,8 +307,19 @@ def test_tt_tq_rank2():
 
 
 def test_product_formula_small():
-    assert verify_product_formula(2, 1)
-    assert verify_product_formula(2, 3)
+    # the running product and hook window against each k from scratch:
+    # k companion matrices multiplied out, the k-step hook matrix built
+    n, N = 2, 6
+    scratch = []
+    for k in range(1, 7):
+        prod = characters.companion_matrix(n, 0)
+        for s in range(1, k):
+            prod = characters._mat_mul(prod,
+                                       characters.companion_matrix(n, 2 * s))
+        scratch.append(prod == [[(-1) ** i * h_poly(n, i, k + j).shift(i)
+                                 for j in range(N)] for i in range(N)])
+    assert verify_product_formula(n, 6) == scratch == [True] * 6
+    assert verify_product_formula(n, 0) == []
 
 
 def test_hseries_wrapper_counts():
@@ -340,13 +351,16 @@ def test_builders_match_per_letter_products(n):
         for base in (-1, 0, 3):
             halves = [base + 2 * (1 - k) for k in range(1, a + 1)]
             for t in cols + gen_W(n, a):
-                assert (tableau_weight(t, table, "Z", base)
+                assert (weight_sum([([t],)], table, halves)
                         == per_letter_weight(t, table.z, halves))
+                if base == 0:
+                    assert (tableau_weight(t, table)
+                            == per_letter_weight(t, table.z, halves))
             for t in gen_x_tableaux(n, a):
-                assert (tableau_weight(t, table, "X", base)
+                assert (weight_sum([([t],)], table, halves, "X")
                         == per_letter_weight(t, table.x, halves))
     with pytest.raises(ValueError, match="convention"):
-        tableau_weight((1,), table, "W")
+        weight_sum([([(1,)],)], table, [0], "W")
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,4 +1,5 @@
-"""Every definition in the library is used somewhere."""
+"""Every definition in the library is used somewhere, and not by tests
+alone."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,24 @@ def test_every_library_definition_is_referenced():
               for name, line in _definitions(ast.parse(path.read_text()))
               if name.split(".")[-1] not in refs]
     assert unused == []
+
+
+# Test-only definitions allowed, with the reason: ``ring.Y`` is the
+# tests' shorthand for a Y variable; the library spells it out.
+TEST_SHORTHANDS = {"Y"}
+
+
+def test_no_library_definition_serves_tests_only():
+    # the acceptance gate counts as a caller: it exercises the paper's
+    # claims through the library, as the CLI does
+    library, tests = set(), set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            caller = top != "tests" or path.name == "test_acceptance.py"
+            (library if caller else tests).update(
+                _references(ast.parse(path.read_text())))
+    test_only = [f"{path.stem}.{name} (line {line})"
+                 for path in LIBRARY
+                 for name, line in _definitions(ast.parse(path.read_text()))
+                 if name.split(".")[-1] in tests - library - TEST_SHORTHANDS]
+    assert test_only == []

@@ -14,7 +14,7 @@ def extract_e(L: DiffOp, a: int) -> LaurentPoly:
     """Elementary coefficient e_a(u), base-point normalized, from the
     degree-N xFactored operator (whose D^a coefficient is -(-1)^a
     e_a(u + a/2))."""
-    N = L.degree
+    N = max(L.coeffs)
     if not (0 <= a <= N):
         raise ValueError(f"coefficient index out of range: {a}")
     c = L.coeff(a)
@@ -50,7 +50,7 @@ def test_four_forms_agree_up_to_sign(n, sign):
 def test_operator_degree_and_constant_term():
     L = build_L_C(2)
     N = 6
-    assert L.degree == N
+    assert max(L.coeffs) == N
     assert L.coeff(0) == -ONE
 
 
@@ -104,7 +104,7 @@ def test_inverse_requires_unit_constant():
 def test_truncation_is_enforced():
     t = DiffOp({0: ONE, 1: Y(1, 0)}, order=3)
     sq = t * t * t * t * t
-    assert sq.degree <= 3
+    assert max(sq.coeffs) <= 3
 
 
 def test_epsilon_choice_validation():

@@ -489,14 +489,15 @@ def test_exponent_past_digit_range_raises_overflow():
     assert loose * Y(1, 0, 20000) == Y(1, 0, 20000)
 
 
-def _o_word_sum(positions, words):
+def _o_word_sum(templates, halves, words):
     """The per-letter products word_sum replaced: one polynomial product
-    per letter, one polynomial sum per word."""
+    per letter, the template shifted to its position, and one polynomial
+    sum per word."""
     total = ZERO
     for w in words:
         p = ONE
-        for pos, letter in zip(positions, w):
-            p = p * pos[letter]
+        for h, letter in zip(halves, w):
+            p = p * templates[letter].shift(h)
         total = total + p
     return total
 
@@ -514,11 +515,13 @@ def letter_templates(coeffs=(1, -1)):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(letter_templates(), max_size=4), st.data())
-def test_word_sum_matches_per_letter_products(positions, data):
-    word = st.tuples(*(st.sampled_from(sorted(p)) for p in positions))
+@given(letter_templates(), st.lists(st.integers(-3, 3), max_size=4),
+       st.data())
+def test_word_sum_matches_per_letter_products(templates, halves, data):
+    word = st.tuples(*[st.sampled_from(sorted(templates))] * len(halves))
     words = data.draw(st.lists(word, max_size=10))
-    assert word_sum(positions, [(words,)]) == _o_word_sum(positions, words)
+    assert word_sum(Words(templates, halves, [(words,)])) == _o_word_sum(
+        templates, halves, words)
 
 
 def word_blocks(letters, length):
@@ -541,15 +544,10 @@ def test_blocks_match_their_flattening(templates, halves, data):
     blocks = data.draw(word_blocks(sorted(templates), len(halves)))
     words = [tuple(chain.from_iterable(x)) for block in blocks
              for x in product(*block)]
-    positions = [{c: t.shift(h) for c, t in templates.items()}
-                 for h in halves]
-    built = word_sum(positions, blocks)
-    assert built == word_sum(positions, [(words,)]) == _o_word_sum(
-        positions, words)
-    row = Words(templates, halves, blocks)
-    assert product_sum_vanishes([(1, row, ONE),
-                                 (-1, Words(templates, halves, [(words,)]),
-                                  ONE)])
+    row, flat = (Words(templates, halves, b) for b in (blocks, [(words,)]))
+    built = word_sum(row)
+    assert built == word_sum(flat) == _o_word_sum(templates, halves, words)
+    assert product_sum_vanishes([(1, row, ONE), (-1, flat, ONE)])
     assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
     assert product_sum_vanishes([(1, row, ONE)]) == built.is_zero
     # one letter more in one partial word of a block that has words
@@ -561,49 +559,56 @@ def test_blocks_match_their_flattening(templates, halves, data):
         bad = list(blocks)
         bad[i] = (*blocks[i][:j], [factor[0] + (min(templates),),
                                    *factor[1:]], *blocks[i][j + 1:])
+        bad = Words(templates, halves, bad)
         with pytest.raises(ValueError, match=f"length {len(halves)}"):
-            word_sum(positions, bad)
+            word_sum(bad)
         with pytest.raises(ValueError, match=f"length {len(halves)}"):
-            product_sum_vanishes([(1, Words(templates, halves, bad), ONE)])
+            product_sum_vanishes([(1, bad, ONE)])
 
 
 def test_word_sum_edge_cases():
-    assert word_sum([], []) == ZERO
-    assert word_sum([], [([],)]) == ZERO
-    assert word_sum([], [([()],)]) == ONE  # the empty word
-    assert word_sum([], [()]) == ONE  # a block of no factors joins it once
-    assert word_sum([], [([(), ()],)]) == LaurentPoly.const(2)
-    pos = [{1: Y(1, 0), 2: -Y(1, 0), 3: Y(1, 0, -1)}, {1: Y(2, 1)}]
-    assert word_sum(pos, [([(1, 1), (2, 1)],)]) == ZERO  # cancelling words
-    assert word_sum(pos, [([(1,), (2,)], [(1,)])]) == ZERO
-    assert word_sum(pos, [([(1, 1), (3, 1), (1, 1)],)]) == (
+    def words(blocks, templates={}, halves=()):
+        return word_sum(Words(templates, list(halves), blocks))
+
+    assert words([]) == ZERO
+    assert words([([],)]) == ZERO
+    assert words([([()],)]) == ONE  # the empty word
+    assert words([()]) == ONE  # a block of no factors joins it once
+    assert words([([(), ()],)]) == LaurentPoly.const(2)
+    # letter 4 stands for Y_2(u+1) at the second position
+    z = {1: Y(1, 0), 2: -Y(1, 0), 3: Y(1, 0, -1), 4: Y(2, -1)}
+    assert words([([(1, 4), (2, 4)],)], z, [0, 2]) == ZERO  # cancelling
+    assert words([([(1,), (2,)], [(4,)])], z, [0, 2]) == ZERO
+    assert words([([(1, 4), (3, 4), (1, 4)],)], z, [0, 2]) == (
         2 * Y(1, 0) * Y(2, 1) + Y(2, 1) * Y(1, 0, -1))
-    assert word_sum(pos, [([(1,), (3,), (1,)], [], [(1,)])]) == ZERO
+    assert words([([(1,), (3,), (1,)], [], [(4,)])], z, [0, 2]) == ZERO
     for bad in ([([(1,)],)], [([(1,)], [(1, 1)])],
                 [([(1,), (1, 1)], [(1,)])]):  # wrong total, mixed widths
         with pytest.raises(ValueError, match="length 2"):
-            word_sum(pos, bad)
+            words(bad, z, [0, 2])
     with pytest.raises(KeyError):
-        word_sum(pos, [([(4, 1)],)])
+        words([([(5, 4)],)], z, [0, 2])
     for bad in (Y(1) + Y(2), ZERO):
         with pytest.raises(ValueError, match="not one"):
-            word_sum([{1: bad}], [([(1,)],)])
+            words([([(1,)],)], {1: bad}, [0])
 
 
 def test_word_sum_exponents_past_digit_range_raise_overflow():
-    edge = [{1: Y(1, 0, 16383)}, {1: Y(1, 0, 16384)}]
-    assert word_sum(edge, [([(1, 1)],)]) == Y(1, 0, EXP_MAX)
+    edge = Words({1: Y(1, 0, EXP_MAX)}, [0], [([(1,)],)])
+    assert word_sum(edge) == Y(1, 0, EXP_MAX)
+    assert word_sum(Words({1: Y(1, 0, 16383)}, [0, 0],
+                          [([(1, 1)],)])) == Y(1, 0, 2 * 16383)
     for blocks in ([([(1, 1)],)], [([(1,)], [(1,)])], [([(1,)], [])]):
         with pytest.raises(OverflowError):
-            word_sum([{1: Y(1, 0, 16384)}, {1: Y(1, 0, 16384)}], blocks)
-    # the bound sums the largest template of every position, used or not
+            word_sum(Words({1: Y(1, 0, 16384)}, [0, 0], blocks))
+    # the bound takes the largest template once per position, used or not
     with pytest.raises(OverflowError):
-        word_sum([{1: Y(1, 0), 2: Y(2, 0, 20000)}, {1: Y(1, 0, 20000)}],
-                 [([(1, 1)],)])
+        word_sum(Words({1: Y(1, 0), 2: Y(2, 0, 20000)}, [0, 2],
+                       [([(1, 1)],)]))
     # a loose bound is replaced by the exact one before any refusal
     loose = (Y(1, 0, 20000) + ONE) - Y(1, 0, 20000)
-    assert word_sum([{1: loose}, {1: Y(1, 0, 20000)}],
-                    [([(1, 1)],)]) == Y(1, 0, 20000)
+    assert word_sum(Words({1: loose, 2: Y(1, 0, 16383)}, [0, 0],
+                          [([(1, 2)],)])) == Y(1, 0, 16383)
 
 
 @settings(max_examples=100, deadline=None)
@@ -676,9 +681,9 @@ def test_words_operands_match_shifted_word_sums(templates, halves, b, d,
                                                 data):
     word = st.tuples(*(st.sampled_from(sorted(templates)) for _ in halves))
     words = data.draw(st.lists(word, max_size=10))
-    built = word_sum([{c: t.shift(h) for c, t in templates.items()}
-                      for h in halves], [(words,)])
     row = Words(templates, halves, [(words,)])
+    built = word_sum(row)
+    assert built == _o_word_sum(templates, halves, words)
     assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
     assert product_sum_vanishes([(2, row, (b, d)), (-2, b.shift(d), built)])
     # one operand the other way round decides like product_sum
@@ -744,9 +749,8 @@ def operands(draw):
         word = st.tuples(*(st.sampled_from(sorted(templates))
                            for _ in halves))
         words = draw(st.lists(word, min_size=1, max_size=6))
-        return Words(templates, halves, [(words,)]), word_sum(
-            [{c: t.shift(h) for c, t in templates.items()} for h in halves],
-            [(words,)])
+        row = Words(templates, halves, [(words,)])
+        return row, word_sum(row)
     p = packed(draw(tuple_polys(min_size=1)))
     if kind == "poly":
         return p, p
@@ -825,10 +829,9 @@ def test_product_sum_vanishes_holds_one_class_at_a_time():
                            lambda t: relations.append(list(t)) or True):
         characters.verify_tsystem(2, 5, 5)
 
-    def poly(x):  # a Words row expanded at its halves
+    def poly(x):  # a Words row built by word_sum
         if isinstance(x, Words):
-            return word_sum([{c: t.shift(h) for c, t in x.templates.items()}
-                             for h in x.halves], x.blocks)
+            return word_sum(x)
         return x if isinstance(x, LaurentPoly) else x[0].shift(x[1])
 
     triples = max(relations, key=lambda t: sum(

@@ -232,7 +232,8 @@ def test_screen_operator_all_matches_per_node(spec, monkeypatch):
         L = build_L_C(spec.n, "zFactored")
     else:
         L = build_series_L(spec, 8)
-    L = L + DiffOp({2: Y(1, 0)}, L.order)  # S_1 fails at D^2 only
+    # S_1 fails at D^2 only
+    L = DiffOp({**L.coeffs, 2: L.coeff(2) + Y(1, 0)}, L.order)
     reps = screen_operator_all(L, cartan)
     assert [r.node_a for r in reps] == list(range(1, spec.n + 1))
     for rep in reps:
@@ -428,7 +429,7 @@ def test_screen_all_carries_the_factor_coefficient(cartan, polys,
     for m in (2, 3):
         row = tm_words(cartan.algebra, m)
         res = screen_all(row, cartan)
-        assert res == _reference(_built(row), cartan)
+        assert res == _reference(word_sum(row), cartan)
         failed += not all(res.values())
     assert failed
 
@@ -439,12 +440,6 @@ def _reference(p, cartan):
     """Per-node verdicts of the reference route on a built polynomial."""
     return {a: not canonicalize(a, apply_screening(a, p, cartan), cartan)
             for a in range(1, cartan.algebra.n + 1)}
-
-
-def _built(row):
-    """The polynomial a ``Words`` operand stands for, built by word_sum."""
-    return word_sum([{c: t.shift(h) for c, t in row.templates.items()}
-                     for h in row.halves], row.blocks)
 
 
 def _cancelled(row):
@@ -472,14 +467,14 @@ def test_words_screening_matches_the_built_row(templates, halves, series,
     cartan = CartanData(AlgebraSpec(series, 3))
     row = Words(templates, halves,
                 data.draw(word_blocks(sorted(templates), len(halves))))
-    built = _built(row)
+    built = word_sum(row)
     verdicts = screen_all(row, cartan)
     assert list(verdicts) == [1, 2, 3]
     assert verdicts == screen_all(built, cartan) == _reference(built, cartan)
     assert screenings_vanish(row, cartan,
                              partial(a_factor, cartan)) == verdicts
     zero = _cancelled(row)
-    assert _built(zero).is_zero
+    assert word_sum(zero).is_zero
     assert screen_all(zero, cartan) == {1: True, 2: True, 3: True}
 
 
@@ -497,7 +492,7 @@ def test_words_screening_of_tm_sees_a_dropped_word_and_a_moved_factor(
                                        *row.blocks[1:]])
         verdicts = screen_all(dropped, cartan)
         assert not all(verdicts.values())
-        assert verdicts == _reference(_built(dropped), cartan)
+        assert verdicts == _reference(word_sum(dropped), cartan)
     monkeypatch.setattr("qchar.screening.a_factor",
                         lambda c, a, half: a_factor(c, a, half + 2))
     failed = 0
@@ -515,19 +510,19 @@ def test_words_screening_guards_like_the_built_row():
     # one position at the edge fits; the bound is the templates' maximum
     # times the positions, doubled for the Q images
     edge = Words({1: Y(1, 0, half), 2: Y(2, 3)}, [0], [([(1,), (2,)],)])
-    assert screen_all(edge, cartan) == screen_all(_built(edge), cartan)
+    assert screen_all(edge, cartan) == screen_all(word_sum(edge), cartan)
     for row in (Words({1: Y(1, 0, half + 1)}, [0], [([(1,)],)]),
                 Words({1: Y(1, 0, 8192)}, [0, 0], [([(1,)], [(1,)])])):
         with pytest.raises(OverflowError):
             screen_all(row, cartan)
         with pytest.raises(OverflowError):
-            screen_all(_built(row), cartan)
-    # word_sum's bound is not replaced by the exact one, which would need
+            screen_all(word_sum(row), cartan)
+    # Words.bound is not replaced by the exact one, which would need
     # the words: apart, the two letters' exponents never meet
     apart = Words({1: Y(1, 0, 8192)}, [0, 5], [([(1,)], [(1,)])])
     with pytest.raises(OverflowError):
         screen_all(apart, cartan)
-    assert screen_all(_built(apart), cartan) == {1: False, 2: True, 3: True}
+    assert screen_all(word_sum(apart), cartan) == {1: False, 2: True, 3: True}
     for bad in (Qv(1, 0), Y(1, 0) * Qv(2, 1)):
         with pytest.raises(ValueError):
             screen_all(Words({1: Y(1, 0), 2: bad}, [0], [([(2,)],)]), cartan)

@@ -97,7 +97,7 @@ def test_weight_is_monomial(n, a):
     a = min(a, n)
     table = VariableTable(AlgebraSpec("C", n))
     for t in gen_column_tableaux(n, a)[:10]:
-        w = tableau_weight(t, table, "Z")
+        w = tableau_weight(t, table)
         assert w.n_terms == 1
 
 
