@@ -9,8 +9,10 @@ the x-alphabet, the fundamental and hook characters, and the
 discrete-Toda solution, all checked at several grid points with zero
 tolerance, on ints in the inner loops: each table row is cleared to
 integers once, a minor is one ``det_int``, and the tableau sums add
-integer products per denominator.  No hook or rectangle character is
-built: ``CharacterValues`` derives their values from fundamental values.
+integer products per denominator.  No operator product, hook or
+rectangle character is built: w_m is solved one first-order factor at
+a time, and ``CharacterValues`` derives hook and rectangle values from
+fundamental values.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from fractions import Fraction
 from functools import cache, partial
 from math import prod
 
-from . import characters
+from . import characters, diffop
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Q_FAM)
-from .diffop import build_Lj_C
 from .classical import (clear_row, det_frac, det_int,
                         PointReport as GridReport)
 
@@ -129,10 +130,14 @@ def _minor(rows: list, dens: list, indices, shift: int) -> Fraction:
 
 class TriangularBasis:
     """Values w_m(u0 + i), 1 <= m <= N, 0 <= i <= imax, where w_m is
-    the forward solution of the order-m partial-product recursion with
-    w_m(u0 + i) = delta_{i, m-1} on the initial window.  Each w_m is
-    kept once, cleared to integers: w_m(u0 + i) = w[m - 1][i] / den[m - 1];
-    ``chars`` holds the character values at the assignment."""
+    killed by L_m = g_{N-m+1} ... g_N, the last m of the factors
+    g_i = D - c_i of ``diffop.build_Lj_C``, with w_m(u0 + i) =
+    delta_{i, m-1} on the initial window.  L_m is never expanded: with
+    v_k = g_{N-k+1} ... g_N w_m, v_0 = w_m and v_m = 0, each v_k marches
+    by v_k(t + 1) = v_{k+1}(t) + c_{N-k}(t) v_k(t) from v_k(0) =
+    [k = m - 1], which holds as each L_k is monic of degree k.  Each w_m
+    is kept once, cleared to integers: w_m(u0 + i) = w[m - 1][i] /
+    den[m - 1]; ``chars`` holds the character values at the assignment."""
 
     def __init__(self, n: int, qa: QAssignment, imax: int):
         self.n = n
@@ -142,14 +147,15 @@ class TriangularBasis:
         self.imax = imax
         self.w, self.den = [], []
         self._minors: dict = {}  # (indices, shift) -> Casorati minor
+        c = [qa.eval_many(f.coeff(0), range(0, 2 * imax, 2))  # c_i(u0 + t)
+             for f in diffop._x_factors(n, diffop.EpsilonChoice(-1))]
         for m in range(1, self.N + 1):
-            op = build_Lj_C(n, m)
-            steps = range(0, imax - m + 1)
-            coeffs = [(j, qa.eval_many(op.coeff(j), [2 * t for t in steps]))
-                      for j in range(m) if not op.coeff(j).is_zero]
-            vals = [int(i == m - 1) for i in range(m)]
-            for t in steps:
-                vals.append(-sum(cv[t] * vals[t + j] for j, cv in coeffs))
+            v = [int(k == m - 1) for k in range(m)] + [0]  # v_k(0), v_m
+            vals = v[:1]
+            for t in range(imax):
+                for k in range(min(m, imax - t)):
+                    v[k] = v[k + 1] + c[self.N - 1 - k][t] * v[k]
+                vals.append(v[0])
             row, l = clear_row(vals)
             self.w.append(row)
             self.den.append(l)

@@ -199,7 +199,7 @@ class LaurentPoly:
     bounds |exponent| over them (exactly once ``_tight`` sets ``_exact``).
     """
 
-    __slots__ = ("_t", "_b", "_exact")
+    __slots__ = ("_t", "_b", "_exact", "_plan")
 
     def __init__(self, terms: dict | None = None):
         """From a raw {packed key: coefficient} dict, such as the one
@@ -357,27 +357,30 @@ class LaurentPoly:
         bounds taken with 0), every term times the common denominator
         D = prod_s p_s^(-lo_s) q_s^(hi_s) is an integer, so each sum runs
         over ints and one Fraction is built per point.  Keys are decoded
-        and ranges found once for all points; at each point the guards
-        run in the order a term-by-term pass meets them, and each
-        p_s^(e - lo_s) q_s^(hi_s - e) is built once per (s, e); a term is
-        c * prod(its powers) * (D // prod(its slots' factors of D))."""
-        decoded = list(map(_digits, self._t))  # (slots, exps) per term
-        slots = [d[0] for d in decoded]
-        pairs = [list(zip(*d)) for d in decoded]  # [(slot, e)] per term
-        first = dict.fromkeys(chain.from_iterable(pairs))  # in first-use order
-        lo: dict = {}  # slot -> lowest exponent, with 0
-        hi: dict = {}
-        guards = []    # (slot, negative?) at its first and first negative use
-        for s, e in first:
-            if s not in lo:
-                lo[s] = hi[s] = 0
-                guards.append((s, False))
-            if e < lo[s]:
-                if not lo[s]:
-                    guards.append((s, True))
-                lo[s] = e
-            elif e > hi[s]:
-                hi[s] = e
+        and ranges found once per polynomial (``_plan``); at each point
+        the guards run in the order a term-by-term pass meets them, and
+        each p_s^(e - lo_s) q_s^(hi_s - e) is built once per (s, e); a term
+        is c * prod(its powers) * (D // prod(its slots' factors of D))."""
+        if getattr(self, "_plan", None) is None:
+            decoded = list(map(_digits, self._t))  # (slots, exps) per term
+            slots = [d[0] for d in decoded]
+            pairs = [list(zip(*d)) for d in decoded]  # [(slot, e)] per term
+            first = dict.fromkeys(chain.from_iterable(pairs))  # first use
+            lo: dict = {}  # slot -> lowest exponent, with 0
+            hi: dict = {}
+            guards = []  # (slot, negative?): its first, first negative use
+            for s, e in first:
+                if s not in lo:
+                    lo[s] = hi[s] = 0
+                    guards.append((s, False))
+                if e < lo[s]:
+                    if not lo[s]:
+                        guards.append((s, True))
+                    lo[s] = e
+                elif e > hi[s]:
+                    hi[s] = e
+            self._plan = slots, pairs, first, lo, hi, guards
+        slots, pairs, first, lo, hi, guards = self._plan
         out = []
         for assign in assigns:
             values: dict = {}  # slot -> Fraction

@@ -7,10 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import casorati, characters
+from qchar import casorati, characters, diffop, ring
 from qchar.classical import clear_row, det_frac
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Qv,
                         VariableTable, Y, Y_FAM, poly_sum, vk)
+from qchar.diffop import build_Lj_C
 from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
                             transpose, skew_ssyt, run_suite,
                             default_index_sets, verify_free_skew_lemma,
@@ -48,6 +49,64 @@ def test_basis_solves_recurrence(basis2):
     # full-window casoratian is nonzero by construction
     assert basis2.casorati(tuple(range(6)), 0) != 0
     assert basis2.casorati((), 0) == 1
+
+
+@pytest.mark.parametrize("n, seed, imax", [(2, 7, 24), (3, 11, 27),
+                                            (4, 5, 14)])
+def test_basis_rows_are_killed_by_their_expanded_partial_products(n, seed,
+                                                                  imax):
+    # the oracle expands L_m = build_Lj_C(n, m), which the basis never
+    # does: sum_j L_m[j](u0 + t) w_m(u0 + t + j) = 0 over the solved range,
+    # and w_m(u0 + i) = delta_{i, m-1} on the initial window
+    qa = QAssignment(n, seed)
+    basis = casorati.TriangularBasis(n, qa, imax)
+    assert len(basis.w) == basis.N
+    for m, (row, den) in enumerate(zip(basis.w, basis.den), start=1):
+        w = [Fraction(v, den) for v in row]
+        assert len(w) == imax + 1
+        assert w[:m] == [int(i == m - 1) for i in range(m)], m
+        op = build_Lj_C(n, m)
+        steps = range(imax - m + 1)
+        coeffs = [qa.eval_many(op.coeff(j), [2 * t for t in steps])
+                  for j in range(m + 1)]
+        assert coeffs[m] == [1] * len(steps)  # L_m is monic
+        assert all(sum(cv[t] * w[t + j] for j, cv in enumerate(coeffs)) == 0
+                   for t in steps), m
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_suite_builds_no_operator_product(n, monkeypatch):
+    # the basis is solved through the first-order factors alone
+    calls = []
+    for owner, name in ((diffop, "build_Lj_C"), (diffop, "build_L_C"),
+                        (diffop, "prod"), (diffop.DiffOp, "__mul__")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, name=name, real=real: (
+            calls.append(name) or real(*a)))
+    assert run_suite(n, seed=11).ok
+    assert calls == []
+
+
+def test_eval_decodes_each_key_once_per_polynomial(monkeypatch):
+    # repeated evaluations of one polynomial reuse its decoded keys
+    calls = []
+    real = ring._digits
+    monkeypatch.setattr(ring, "_digits", lambda k: calls.append(k) or real(k))
+    qa = QAssignment(3, seed=11)
+    p = 1 * characters.fundamental_poly(3, 2)  # a copy with no plan yet
+    vals = [qa.eval(p, h) for h in range(-3, 4)]
+    assert vals == qa.eval_many(p, range(-3, 4))
+    assert sorted(calls) == sorted(p._t)
+    # the guards still run at every point of every later call
+    q = 1 * (Y(1, 0) * 2 + Y(2, 1, -1))
+    good = {vk(Y_FAM, 1, 0): Fraction(3, 2), vk(Y_FAM, 2, 1): Fraction(4)}
+    assert q.eval_points([good]) == [Fraction(13, 4)]
+    with pytest.raises(KeyError):
+        q.eval_points([good, {vk(Y_FAM, 1, 0): 1}])
+    with pytest.raises(ZeroDivisionError):
+        q.eval_points([good, {**good, vk(Y_FAM, 2, 1): 0}])
+    assert q.eval_points([good]) == [Fraction(13, 4)]
+    assert len(calls) == p.n_terms + q.n_terms
 
 
 def test_casorati_negative_shift_guarded(basis2):

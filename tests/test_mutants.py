@@ -10,7 +10,7 @@ after it is undone.
 
 import time
 
-from qchar import bd, casorati, characters, cli, screening, tableaux
+from qchar import bd, casorati, characters, cli, diffop, screening, tableaux
 from qchar.ring import LaurentPoly
 
 
@@ -54,6 +54,15 @@ def _dropped_tm_word(f):
             out[0] = (lefts, mid, rights[1:])
         return out
     return blocks
+
+
+def _shifted_first_factor(f):
+    """_x_factors with the first factor's coefficients shifted by a half
+    unit: x_1(u + n + 1/2) for x_1(u + n)."""
+    def factors(n, eps):
+        first, *rest = f(n, eps)
+        return [first.map_coeffs(lambda c: c.shift(1))] + rest
+    return factors
 
 
 def _negated_entry(f):
@@ -123,7 +132,11 @@ MUTANTS = {
             lambda N, width, mu: list(f(N, width, mu))[:-1])),
         "Bareiss sign flipped": (casorati, "det_int", _flipped_bareiss),
         "hook recursion sign of the H^(i-1) term flipped": (
-            characters, "hook_step", _flipped_left)}),
+            characters, "hook_step", _flipped_left),
+        "first x-factor shifted by a half unit": (
+            diffop, "_x_factors", _shifted_first_factor),
+        "middle factor signs flipped": (diffop, "_x_factors", lambda f: (
+            lambda n, eps: f(n, diffop.EpsilonChoice(-eps.sign))))}),
     "nnsy": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1))}),

@@ -664,6 +664,26 @@ def test_product_sum_vanishes_at_width_edges(bound):
         assert not product_sum(top + [(-1, alias, ONE)]).is_zero
 
 
+def _families_swapped(p):
+    """p with Y_i(h) and Q_i(h) exchanged in every term."""
+    return poly_sum(LaurentPoly.monomial(c, {(1 - f, i, h): e
+                                             for (f, i, h), e in key})
+                    for key, c in p.terms())
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuple_polys(), tuple_polys())
+def test_product_sum_vanishes_keeps_y_and_q_apart(a, b):
+    # Y_i(h) and Q_i(h) share index and argument, so a frame keyed
+    # without the family would make a*b - a'*b vanish for every a
+    a, b = packed(a), packed(b)
+    swapped = _families_swapped(a)
+    for triples in ([(1, a, b), (-1, swapped, b)],
+                    [(1, a + swapped, b), (-1, swapped, b), (-1, b, a)]):
+        assert product_sum_vanishes(triples) == (
+            product_sum(triples).is_zero)
+
+
 def test_product_sum_vanishes_edge_cases():
     assert product_sum_vanishes([])
     assert product_sum_vanishes(iter([(1, ONE, ONE), (-1, ONE, ONE)]))
@@ -671,6 +691,11 @@ def test_product_sum_vanishes_edge_cases():
     assert product_sum_vanishes([(1, ZERO, Y(1, 0)), (5, Y(2, 1), ZERO)])
     assert product_sum_vanishes([(2, Y(1, 0), ONE), (-2, ONE, Y(1, 0))])
     assert not product_sum_vanishes([(2, Y(1, 0), ONE), (-1, ONE, Y(1, 0))])
+    y, q = Y(1, 0), Qv(1, 0)  # one index and argument, two families
+    assert not product_sum_vanishes([(1, y, ONE), (-1, q, ONE)])
+    assert product_sum_vanishes([(1, y + q, y - q), (-1, y, y), (1, q, q)])
+    assert not product_sum_vanishes([(1, y * Qv(2, 1, -1), q),
+                                     (-1, q * Y(2, 1, -1), y)])
 
 
 

@@ -1,10 +1,12 @@
 """Screening operators: Leibniz action, shift canonicalization, kernels."""
 
+import random
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qchar import ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Words, Y, Qv,
                         ONE, word_sum,
                         EXP_MAX, Y_FAM, poly_sum, screenings_vanish)
@@ -396,6 +398,39 @@ def test_screen_all_independent_of_interning_order():
             len(polys) - 1) + [False]
         assert [screen_all(p.shift(h), cartan) for p in polys] == want
         assert want[-1] == _o_verdicts(polys[-1], cartan)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_screening_frame_is_injective(rank):
+    # a screening sums a term's Q image and a symbol's class and chain in
+    # the frame; two (monomial, Y_a(v)) pairs get the same frame key only
+    # if their class and Q image times chain agree as global monomials
+    cartan = CartanData(AlgebraSpec("C", rank))
+    factor = partial(a_factor, cartan)
+    ys = [(Y_FAM, a, v) for a in range(1, rank + 1) for v in range(-4, 5)]
+    b = 2
+    frame = ring._screening_frame(set(ys), 2 * b, cartan, factor)
+    assert set(frame) == set(ys)
+
+    chains = {}  # Y_a(v) -> the factors from its class's lowest argument
+    for y in sorted(ys):
+        _, a, v = y
+        t = cartan.pair2(a, a)
+        below = (Y_FAM, a, v - t)
+        chains[y] = (chains[below] * factor(a, v - t // 2) if below in chains
+                     else ONE)
+    rng = random.Random(rank)
+    seen: dict = {}  # frame key -> (class, global monomial)
+    for _ in range(300):
+        exps = {y: rng.choice((-b, -1, 1, b)) for y in rng.sample(ys, 3)}
+        image = LaurentPoly.monomial(1, exps).to_q(cartan)
+        key = sum(e * frame[y][0] for y, e in exps.items())
+        for y in ys:
+            _, a, v = y
+            glob = ((a, v % cartan.pair2(a, a)),
+                    next((image * chains[y]).terms())[0])
+            assert seen.setdefault(key + frame[y][2], glob) == glob
+    assert len(set(seen.values())) == len(seen)
 
 
 def test_screen_all_keeps_classes_apart(c2):
