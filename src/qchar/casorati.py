@@ -8,8 +8,9 @@ operator, with delta initial data) makes the Casorati minors reproduce
 the x-alphabet, the fundamental and hook characters, and the
 discrete-Toda solution, all checked at several grid points with zero
 tolerance, on ints in the inner loops: each table row is cleared to
-integers once, a minor is one ``det_int``, and the tableau sums add
-integer products per denominator.  No operator product, hook or
+integers once, the basis and every free table read their minors from a
+``MinorTable`` that runs one ``det_int`` per column set, and the tableau
+sums add integer products per denominator.  No operator product, hook or
 rectangle character is built: w_m is solved one first-order factor at
 a time, and ``CharacterValues`` derives hook and rectangle values from
 fundamental values.
@@ -21,7 +22,7 @@ import itertools
 import logging
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import prod
 
 from . import characters, diffop
@@ -120,12 +121,28 @@ class CharacterValues:
             lambda triples: sum(s * x * y for s, x, y in triples), 1)
 
 
-def _minor(rows: list, dens: list, indices, shift: int) -> Fraction:
-    """Minor [i_1, ..., i_m] at ``shift`` of a table kept as rows cleared
-    by ``clear_row``: det_int of its first m rows' window over their dens."""
-    m = len(indices)
-    return Fraction(det_int([[r[shift + i] for i in indices]
-                             for r in rows[:m]]), prod(dens[:m]))
+class MinorTable:
+    """The Casorati minors of one table kept as rows cleared by
+    ``clear_row``, memoized by absolute column tuple: [i_1, ..., i_m] at
+    ``shift`` is det_int of the first m rows' window over the columns
+    shift + i_1, ..., shift + i_m, over their dens.  Windows that name
+    the same columns, such as [1..N] at g and [0..N-1] at g + 1, share
+    one ``det_int``; a window below column 0 raises IndexError."""
+
+    def __init__(self, rows, dens):
+        self.rows, self.dens = rows, dens
+        self._minors: dict = {}  # column tuple -> minor
+
+    def __call__(self, indices, shift: int) -> Fraction:
+        cols = tuple(map(shift.__add__, indices))
+        if cols not in self._minors:
+            if min(cols, default=0) < 0:
+                raise IndexError("window extends below the table")
+            m = len(cols)
+            self._minors[cols] = Fraction(
+                det_int([[r[c] for c in cols] for r in self.rows[:m]]),
+                prod(self.dens[:m]))
+        return self._minors[cols]
 
 
 class TriangularBasis:
@@ -146,7 +163,7 @@ class TriangularBasis:
         self.chars = CharacterValues(n, qa)
         self.imax = imax
         self.w, self.den = [], []
-        self._minors: dict = {}  # (indices, shift) -> Casorati minor
+        self.minors = MinorTable(self.w, self.den)
         c = [qa.eval_many(f.coeff(0), range(0, 2 * imax, 2))  # c_i(u0 + t)
              for f in diffop._x_factors(n, diffop.EpsilonChoice(-1))]
         for m in range(1, self.N + 1):
@@ -165,15 +182,10 @@ class TriangularBasis:
             log.warning("basis entries reached %d bits", top)
 
     def casorati(self, indices: tuple, shift: int = 0) -> Fraction:
-        """[i_1, ..., i_m] evaluated at u0 + shift, once per basis."""
-        if not indices:
-            return Fraction(1)
-        if shift + min(indices) < 0:
-            raise IndexError("window extends below the solved range")
-        key = (tuple(indices), shift)
-        if key not in self._minors:
-            self._minors[key] = _minor(self.w, self.den, indices, shift)
-        return self._minors[key]
+        """[i_1, ..., i_m] evaluated at u0 + shift, from the basis's
+        ``MinorTable``, which, as on the free tables, computes each column
+        set's minor once."""
+        return self.minors(indices, shift) if indices else Fraction(1)
 
     def xi(self, a: int, m: int, shift: int = 0) -> Fraction:
         idx = tuple(range(a)) + tuple(range(a + m, self.N + m))
@@ -433,7 +445,7 @@ def _free_skew_holds(N: int, indices: tuple, width: int,
     """minor ratio = skew tableau sum = elementary determinant on one
     table; raises ZeroDivisionError when a minor it divides by is 0."""
     mu = mu_from_indices(indices)
-    cas = partial(_minor, *zip(*map(clear_row, table)))  # (idx, shift)
+    cas = MinorTable(*zip(*map(clear_row, table)))
 
     @cache
     def xt(m, shift):

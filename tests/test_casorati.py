@@ -113,10 +113,15 @@ def test_casorati_negative_shift_guarded(basis2):
     with pytest.raises(IndexError):
         basis2.casorati((0, 1), -50)
     # a refused window is never remembered as a minor, and a window just
-    # below the range is refused rather than wrapped to the far end
-    for shift in (-50, -1, -50, -1):
-        with pytest.raises(IndexError):
-            basis2.casorati((0, 1), shift)
+    # below the range is refused rather than wrapped to the far end, on
+    # the basis and on a free table alike
+    table = [[Fraction(j + 1, i + 2) for j in range(5)] for i in range(2)]
+    free = casorati.MinorTable(*zip(*map(clear_row, table)))
+    for cas in (basis2.casorati, free):
+        for shift in (-50, -1, -50, -1):
+            with pytest.raises(IndexError):
+                cas((0, 1), shift)
+    assert free((0, 1), 0) == det_frac([row[:2] for row in table])
 
 
 def test_eval_many_matches_one_point_calls():
@@ -152,7 +157,7 @@ def test_y_polynomial_evaluates_as_its_q_image(n, data):
         qa.eval_many(Y(n + 1, 3), [0])
 
 
-def test_memoized_minors_match_raw_windows(basis2):
+def test_memoized_minors_match_raw_windows(basis2, monkeypatch):
     sets = [(0,), (0, 2), (1, 3, 4), tuple(range(6)), tuple(range(1, 7)),
             *default_index_sets(2)]
     for idx in sets:
@@ -161,6 +166,41 @@ def test_memoized_minors_match_raw_windows(basis2):
                              for i in idx] for j in range(len(idx))])
             assert basis2.casorati(idx, g) == raw
             assert basis2.casorati(list(idx), g) == raw
+    # [1..N] at g and [0..N-1] at g + 1 name the same columns: one
+    # determinant serves both, on a basis whose table starts empty
+    calls = []
+    real = casorati.det_int
+    monkeypatch.setattr(casorati, "det_int",
+                        lambda rows: calls.append(rows) or real(rows))
+    basis = casorati.TriangularBasis(2, basis2.qa, basis2.imax)
+    N = basis.N
+    for g in (0, 1, 3):
+        raw = det_frac([[Fraction(basis.w[j][g + i], basis.den[j])
+                         for i in range(1, N + 1)] for j in range(N)])
+        calls.clear()
+        assert basis.casorati(tuple(range(1, N + 1)), g) == raw
+        assert basis.casorati(tuple(range(N)), g + 1) == raw
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,determinants", [(2, 360), (3, 444)])
+def test_suite_takes_one_determinant_per_column_set(n, determinants,
+                                                    monkeypatch):
+    # every table of the suite, basis and free alike, runs det_int once
+    # per distinct column tuple it is asked for
+    tables, calls = [], []
+    real = casorati.det_int
+    monkeypatch.setattr(casorati, "det_int",
+                        lambda rows: calls.append(rows) or real(rows))
+
+    class Recorded(casorati.MinorTable):
+        def __init__(self, rows, dens):
+            super().__init__(rows, dens)
+            tables.append(self)
+
+    monkeypatch.setattr(casorati, "MinorTable", Recorded)
+    assert run_suite(n, seed=11).ok
+    assert len(calls) == sum(len(t._minors) for t in tables) == determinants
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -317,19 +357,24 @@ def test_e_sum_matches_combination_oracle(N, a, base, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_cleared_table_minors_match_det_frac(N, data):
-    # the integer minors of _free_skew_holds and TriangularBasis against
-    # det_frac of the Fraction window, zero and negative entries included
+    # the integer minors of a MinorTable, as _free_skew_holds and
+    # TriangularBasis read them, against det_frac of the Fraction window,
+    # zero and negative entries included; a window read again at one
+    # shift less with every index one more names the same columns
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     width = N + 3
     table = [data.draw(st.lists(entry, min_size=width, max_size=width))
              for _ in range(N)]
-    rows, dens = zip(*map(clear_row, table))
+    cas = casorati.MinorTable(*zip(*map(clear_row, table)))
     for _ in range(3):
         idx = tuple(sorted(data.draw(st.sets(
             st.integers(0, N + 1), min_size=1, max_size=N))))
         shift = data.draw(st.integers(0, width - 1 - idx[-1]))
-        assert casorati._minor(rows, dens, idx, shift) == det_frac(
+        want = det_frac(
             [[table[j][shift + i] for i in idx] for j in range(len(idx))])
+        assert cas(idx, shift) == want
+        if shift:
+            assert cas(tuple(i + 1 for i in idx), shift - 1) == want
 
 
 def test_mu_and_transpose():

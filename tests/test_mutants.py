@@ -65,6 +65,18 @@ def _shifted_first_factor(f):
     return factors
 
 
+def _keyed_by_indices(table):
+    """MinorTable keyed by the indices without the shift: the minor first
+    read at one shift answers for that index tuple at every shift."""
+    class Unshifted(table):
+        def __call__(self, indices, shift):
+            seen = self.__dict__.setdefault("by_indices", {})
+            if tuple(indices) not in seen:
+                seen[tuple(indices)] = super().__call__(indices, shift)
+            return seen[tuple(indices)]
+    return Unshifted
+
+
 def _negated_entry(f):
     """companion_matrix with its subdiagonal entry [1][0] negated."""
     def companion(n, half):
@@ -136,7 +148,9 @@ MUTANTS = {
         "first x-factor shifted by a half unit": (
             diffop, "_x_factors", _shifted_first_factor),
         "middle factor signs flipped": (diffop, "_x_factors", lambda f: (
-            lambda n, eps: f(n, diffop.EpsilonChoice(-eps.sign))))}),
+            lambda n, eps: f(n, diffop.EpsilonChoice(-eps.sign)))),
+        "minor table keyed by indices without the shift": (
+            casorati, "MinorTable", _keyed_by_indices)}),
     "nnsy": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1))}),

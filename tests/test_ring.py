@@ -684,6 +684,40 @@ def test_product_sum_vanishes_keeps_y_and_q_apart(a, b):
             product_sum(triples).is_zero)
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_product_sum_vanishes_frame_is_injective(rank, monkeypatch):
+    # every pair of single-variable operands v^e * w^f.shift(h) at C2 and
+    # C3: each triple is one pair of frame keys, and triple i carries the
+    # multiplicity i + 1, so its key sum is the one block _count_blocks
+    # sees under m = i + 1; two sums are equal only if the products are
+    # the same global monomial
+    xs = [LaurentPoly.monomial(1, {vk(fam, a, h): e})
+          for fam in (Y_FAM, Q_FAM) for a in range(1, rank + 1)
+          for h in (0, 1) for e in (-1, 2)]
+    pairs = list(product(xs, xs, (0, 2)))
+    triples = [(1, (i + 1) * x, (y, h)) for i, (x, y, h) in enumerate(pairs)]
+    sums = {}  # m -> the key sum of its block
+    real = ring._count_blocks
+
+    def spy(blocks):
+        for m, bucket in blocks.items():
+            if m > 0:
+                ([k1], [k2]), = bucket  # one key on each side
+                sums[m] = k1 + k2
+        return real(blocks)
+
+    monkeypatch.setattr(ring, "_count_blocks", spy)
+    # each product once more with the opposite sign and the operands
+    # swapped, so the sum vanishes and every class is counted
+    assert product_sum_vanishes(triples + [(-1, b, a) for _, a, b in triples])
+    assert sorted(sums) == list(range(1, len(pairs) + 1))
+    seen: dict = {}  # frame key sum -> global monomial
+    for i, (x, y, h) in enumerate(pairs):
+        glob = next((x * y.shift(h)).terms())[0]
+        assert seen.setdefault(sums[i + 1], glob) == glob
+    assert len(set(seen.values())) == len(seen)
+
+
 def test_product_sum_vanishes_edge_cases():
     assert product_sum_vanishes([])
     assert product_sum_vanishes(iter([(1, ONE, ONE), (-1, ONE, ONE)]))
