@@ -37,24 +37,33 @@ coefficient is merged.
 
 Local packing.  A key carries 16 bits for every slot up to its highest,
 so keys grow with all the variables a process has met.  The zero-test
-``product_sum_vanishes`` therefore packs into one frame of its own.  Its
-slots are the *shifted* variables the call meets, numbered in first use,
-and each holds one balanced w-bit digit, w = bit_length(B) + 1, where B
-is the largest product bound, found by the guard above before any key
-is packed.  An operand ``(p, half)`` stands for p.shift(half): the
-repack is the substitution that sends each variable, shifted by half,
-to the unit of its frame slot, so each key is decoded once.  The C rows
-of the T-system and tt-tq enter as ``Words``, whose templates alone are
-repacked, at each position's shift, and whose word keys are C-level sums
-of partial keys, as in ``word_sum``: no row is built or decoded, and
-words are counted with multiplicity, not merged.  The map is injective
-and additive on every monomial that can occur, so the sum vanishes iff
-it does on global keys.  Nothing packed in a frame outlives the call.
+``product_sum_vanishes`` therefore packs into one frame of its own: a
+mixed-radix number over the *shifted* variables the call meets, each
+digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
+4.1).  A first pass bounds them.  ``_span`` gives each operand a range
+[lo, hi] per variable: [-b, b] from a polynomial's exponent bound b, and
+from the templates alone for ``Words``.  The two ranges of a product add,
+and the frame's box is their union over the products, with 0.  Slot i,
+in sorted order of the variables, has the unit prod_{j<i} (hi_j - lo_j +
+1), so every monomial in the box has exactly one key, and keys add under
+products.  The guard above still runs on every product, so a sum that
+``product_sum`` would refuse raises OverflowError here too.  An operand
+``(p, half)`` stands for p.shift(half): the repack is the substitution
+that sends each variable, shifted by half, to the unit of its frame
+slot, so each key is decoded once.  The C rows of the T-system and tt-tq
+enter as ``Words``, whose templates alone are repacked, at each
+position's shift, and whose word keys are C-level sums of partial keys,
+as in ``word_sum``: no row is built or decoded, and words are counted
+with multiplicity, not merged.  The map is injective and additive on the
+box, which holds every product monomial, so the sum vanishes iff it does
+on global keys.  Nothing packed in a frame outlives the call.
 It decides one residue class of keys modulo CLASSES = 37 at a time:
 k -> k mod 37 is additive, so classes alpha and beta multiply into class
 alpha + beta, and keys of different classes never meet.  The sum
-vanishes iff each class's part does.  2 has order 36 mod 37, so no
-width w <= 16 has 2^w = 1, which would class keys by total degree.
+vanishes iff each class's part does.  2 has order 36 mod 37, so it
+generates the units mod 37, and no radix from 2 to 36 is 1 mod 37: a
+slot's unit never shares the class of the unit below it, as it would if
+keys were classed by total degree.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial or of ``Words`` canonicalizes to zero.
@@ -65,9 +74,9 @@ given.  A polynomial's (term, Y_a(v)) pairs cost one int add and one
 dict update each, in its node's accumulator.  ``Words`` are screened by
 the Leibniz rule from their blocks: each factor's partial keys, marked
 at each Y_a(v) of their letters, are summed with the other factors'
-keys and counted at C level, as in the zero-test.  w is bit_length(B)
-+ 1 again, where B is the Q images' bound plus the largest chain
-exponent.
+keys and counted at C level, as in the zero-test.  Every slot of its
+frame holds one balanced w-bit digit, w = bit_length(B) + 1, where B is
+the Q images' bound plus the largest chain exponent.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -518,25 +527,66 @@ def _frame_bound(a, b, digits=_digits) -> int:
     return _product_bound(a, b)
 
 
+def _span(x, digits=_digits) -> dict:
+    """{shifted VarKey: (lo, hi)}: the exponent of each variable of the
+    operand x of ``product_sum_vanishes`` lies in [lo, hi] in every
+    monomial of x.  A polynomial p has [-b, b], b = ``_tight(p)``, at each
+    variable of its keys.  ``Words`` add, over their positions, the least
+    and the largest exponent over the templates, with 0 where a template
+    lacks the variable; no word is formed."""
+    if isinstance(x, Words):
+        exps = [dict(zip(*digits(k)))
+                for k in _letters(x.templates)[0].values()]
+        ranges = {s: (min(es), max(es)) for s in set().union(*exps)
+                  for es in [[e.get(s, 0) for e in exps]]}
+        halves = x.halves
+    else:
+        p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+        b = _tight(p, digits)
+        ranges = dict.fromkeys(chain.from_iterable(
+            digits(k)[0] for k in p._t), (-b, b))
+        halves = [half]
+    span: dict = {}
+    for h in halves:
+        for s, (lo, hi) in ranges.items():
+            f, i, v = _VAR[s]
+            before = span.get((f, i, v + h), (0, 0))
+            span[f, i, v + h] = before[0] + lo, before[1] + hi
+    return span
+
+
 def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
     in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly p, a pair (p, half) for
-    p.shift(half), or ``Words``.  Frame keys mod CLASSES add under
-    products, so the sum vanishes iff, for each class gamma, the sum over
-    triples and alpha of A's class-alpha part times B's class-(gamma -
-    alpha) part does: iff ``_count_blocks`` counts its two sides equal on
-    the parts' keys, grouped by coefficient, the fewer groups as alpha."""
+    p.shift(half), or ``Words``.  The frame's box is, per shifted
+    variable, the union over triples of A's ``_span`` plus B's, with 0;
+    each slot, in sorted order, is one mixed-radix digit as wide as its
+    range.  Frame keys mod CLASSES add under products, so the sum
+    vanishes iff, for each class gamma, the sum over triples and alpha of
+    A's class-alpha part times B's class-(gamma - alpha) part does: iff
+    ``_count_blocks`` counts its two sides equal on the parts' keys,
+    grouped by coefficient, the fewer groups as alpha."""
     triples = list(triples)
-    digits = cache(_digits)  # one decode per key for the bound and repack
-    w = max((_frame_bound(a, b, digits) for _, a, b in triples),
-            default=0).bit_length() + 1
-    place: dict = {}  # shifted VarKey -> its local unit, in first-use order
-    at: dict = {}     # half -> {global slot: local unit of it shifted by half}
+    digits = cache(_digits)  # one decode per key for the box and repack
+    box: dict = {}  # shifted VarKey -> [lo, hi] over every product, with 0
+    for _, a, b in triples:
+        _frame_bound(a, b, digits)  # OverflowError past EXP_MAX
+        sa, sb = _span(a, digits), _span(b, digits)
+        for v in sa.keys() | sb.keys():
+            (lo_a, hi_a), (lo_b, hi_b) = sa.get(v, (0, 0)), sb.get(v, (0, 0))
+            r = box.setdefault(v, [0, 0])
+            r[0], r[1] = min(r[0], lo_a + lo_b), max(r[1], hi_a + hi_b)
+    place: dict = {}  # shifted VarKey -> its local unit
+    unit = 1
+    for v in sorted(box):
+        lo, hi = box[v]
+        place[v], unit = unit, unit * (hi - lo + 1)
+    at: dict = {}  # half -> {global slot: local unit of it shifted by half}
 
     def key(k: int, half: int) -> int:
         return _substitute(*digits(k), at.setdefault(half, {}), lambda v: (
-            place.setdefault((v[0], v[1], v[2] + half), 1 << w * len(place))))
+            place[v[0], v[1], v[2] + half]))
 
     def pack(x) -> list:
         if isinstance(x, Words):

@@ -310,11 +310,12 @@ def test_product_formula_needs_a_positive_bound(capsys):
 
 def test_output_independent_of_hash_seed():
     # Packed monomial slots are interned in the order one process meets
-    # its variables, and the T-system and tt-tq zero-tests, split into
-    # residue classes of their frame keys, and the screening frame,
-    # with its per-node accumulators, number their call-local slots in
-    # first-use order; no output may depend on either order or on the
-    # hash seed, which the in-process determinism checks cannot vary.  Nor
+    # its variables; the T-system and tt-tq zero-tests, split into
+    # residue classes of their frame keys, order their call-local slots
+    # by variable, and the screening frame, with its per-node
+    # accumulators, numbers them in first-use order; no output may
+    # depend on any of these orders or on the hash seed, which the
+    # in-process determinism checks cannot vary.  Nor
     # may it change under -O, which strips assert statements.  The
     # Casorati suite's integer kernels iterate dicts and sets keyed by
     # denominators and by (slot, exponent) pairs.
@@ -325,7 +326,7 @@ def test_output_independent_of_hash_seed():
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
                  ["verify", "tt-tq", "--rank", "2", "--max-m", "4"],
-                 # m = 8 packs in frames of width 5
+                 # m = 8 reaches relations with exponent bounds 8 to 15
                  ["verify", "tt-tq", "--rank", "3", "--max-m", "8"],
                  ["verify", "screening", "--rank", "2", "--format", "json"],
                  ["verify", "casorati", "--rank", "2", "--seed", "11",

@@ -537,6 +537,20 @@ def word_blocks(letters, length):
         block), max_size=3)
 
 
+def split_words(words, length):
+    """Blocks whose words are ``words``: the one block ``(words,)``, or
+    each word a block of one-word factors, cut at up to two drawn points,
+    so that later factors sit at an offset."""
+    def block(w, cuts):
+        ends = [0, *sorted(cuts), length]
+        return tuple([w[start:end]] for start, end in zip(ends, ends[1:]))
+
+    cuts = st.lists(st.lists(st.integers(0, length), max_size=2),
+                    min_size=len(words), max_size=len(words))
+    return st.one_of(st.just([(words,)]), cuts.map(
+        lambda cs: [block(w, c) for w, c in zip(words, cs)]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(letter_templates((1, -1, 2, -3)),
        st.lists(st.integers(-3, 3), max_size=4), st.data())
@@ -740,7 +754,7 @@ def test_words_operands_match_shifted_word_sums(templates, halves, b, d,
                                                 data):
     word = st.tuples(*(st.sampled_from(sorted(templates)) for _ in halves))
     words = data.draw(st.lists(word, max_size=10))
-    row = Words(templates, halves, [(words,)])
+    row = Words(templates, halves, data.draw(split_words(words, len(halves))))
     built = word_sum(row)
     assert built == _o_word_sum(templates, halves, words)
     assert product_sum_vanishes([(1, row, ONE), (-1, built, ONE)])
@@ -800,7 +814,7 @@ def _classes_counted(triples):
 @st.composite
 def operands(draw):
     """(operand, the LaurentPoly it stands for): a polynomial, a shifted
-    one or a Words row."""
+    one or a Words row, whose blocks may split its words."""
     kind = draw(st.sampled_from(("poly", "shifted", "words")))
     if kind == "words":
         templates = draw(letter_templates())
@@ -808,8 +822,8 @@ def operands(draw):
         word = st.tuples(*(st.sampled_from(sorted(templates))
                            for _ in halves))
         words = draw(st.lists(word, min_size=1, max_size=6))
-        row = Words(templates, halves, [(words,)])
-        return row, word_sum(row)
+        row = Words(templates, halves, draw(split_words(words, len(halves))))
+        return row, _o_word_sum(templates, halves, words)
     p = packed(draw(tuple_polys(min_size=1)))
     if kind == "poly":
         return p, p
@@ -879,24 +893,32 @@ def test_product_sum_vanishes_finds_a_residue_in_one_class():
     assert min(found) < 0 < max(found)
 
 
-def test_product_sum_vanishes_holds_one_class_at_a_time():
-    # the largest relation of verify_tsystem(2, 5, 5): the two counts of
-    # one class may not hold more than a quarter of the terms of its
-    # first product between them, as counts of every class would
+def _built(x):
+    """The LaurentPoly an operand of product_sum_vanishes stands for; a
+    Words row built by word_sum."""
+    if isinstance(x, Words):
+        return word_sum(x)
+    return x if isinstance(x, LaurentPoly) else x[0].shift(x[1])
+
+
+def _largest_tsystem_relation():
+    """The relation of verify_tsystem(2, 5, 5) with the most term pairs:
+    the even row relation at m = 5."""
     relations = []
     with mock.patch.object(characters, "_bilinear_zero",
                            lambda t: relations.append(list(t)) or True):
         characters.verify_tsystem(2, 5, 5)
+    return max(relations, key=lambda t: sum(
+        _built(a).n_terms * _built(b).n_terms for _, a, b in t))
 
-    def poly(x):  # a Words row built by word_sum
-        if isinstance(x, Words):
-            return word_sum(x)
-        return x if isinstance(x, LaurentPoly) else x[0].shift(x[1])
 
-    triples = max(relations, key=lambda t: sum(
-        poly(a).n_terms * poly(b).n_terms for _, a, b in t))
+def test_product_sum_vanishes_holds_one_class_at_a_time():
+    # the largest relation of verify_tsystem(2, 5, 5): the two counts of
+    # one class may not hold more than a quarter of the terms of its
+    # first product between them, as counts of every class would
+    triples = _largest_tsystem_relation()
     _, a, b = triples[0]
-    first = (poly(a) * poly(b)).n_terms
+    first = (_built(a) * _built(b)).n_terms
     top = 0
     count = ring._count_blocks
 
@@ -911,10 +933,64 @@ def test_product_sum_vanishes_holds_one_class_at_a_time():
     assert 0 < top <= first // 4
 
 
+def test_product_sum_vanishes_keys_fit_in_64_bits():
+    # the largest relation of verify_tsystem(2, 5, 5) packs 27 slots, and
+    # no product exponent in it passes |2|; each slot's digit spans only
+    # its own range, so every key and key sum that _count_blocks receives
+    # stays below 2^64 (one width for every slot took them to 2^156)
+    triples = _largest_tsystem_relation()
+    top = []  # the largest |key| and |key sum| of each block
+    count = ring._count_blocks
+
+    def record(blocks):
+        for xs, ys in chain.from_iterable(blocks.values()):
+            top.append(max(map(abs, xs + ys)))
+            top.append(max(max(xs) + max(ys), -min(xs) - min(ys)))
+        return count(blocks)
+
+    with mock.patch.object(ring, "_count_blocks", record):
+        assert product_sum_vanishes(triples)
+    assert top and max(top) < 2 ** 64
+
+
+def test_product_sum_vanishes_words_ranges_keep_both_sides():
+    # a Words slot's range is summed over positions from each position's
+    # least and largest template exponent, 0 included where a template
+    # lacks the slot, and the box takes 0 as well; a range without its
+    # negative side or without either 0 leaves a monomial outside the
+    # box, where it shares a key with another and the difference seems
+    # to vanish
+    cases = [
+        # Y_1(u)^-1 only, and Y_2(u)^-1 beside it
+        (Words({1: Y(1, 0, -1), 2: Y(2, 0)}, [0], [([(1,)],)]),
+         Y(2, 0, -1)),
+        # Y_1(u) takes +1 at the first position and -1 at the second,
+        # each from a template that the others lack
+        (Words({1: Y(1, 0), 2: Y(2, 0), 3: Y(1, -2, -1)}, [0, 2],
+               [([(1, 1)],)]), Y(1, 2, 2)),
+        # every template holds Y_1(u), so the row's range there is [1, 1],
+        # and the partner's product has exponent 0 there
+        (Words({1: Y(1, 0), 2: Y(1, 0) * Y(2, 0)}, [0], [([(1,)],)]),
+         Y(2, 0)),
+    ]
+    for row, other in cases:
+        built = word_sum(row)
+        assert built != other
+        for triples in ([(1, row, ONE), (-1, other, ONE)],
+                        [(1, ONE, row), (-1, ONE, other)]):
+            assert not product_sum_vanishes(triples)
+            assert product_sum_vanishes(triples + [(1, other - built, ONE)])
+
+
 def test_class_modulus_splits_every_frame_width():
-    # with 2^k = 1 for some k < CLASSES - 1, a frame of width k would
-    # class its keys by their total degree alone, and a tt-tq row, a
-    # product of degree-0 letters, would barely split
+    # 2 has order CLASSES - 1, so it generates the units mod CLASSES and
+    # every radix from 2 to CLASSES - 1 is a power 2^k with 0 < k <
+    # CLASSES - 1: no such radix is 1 mod CLASSES.  A frame slot's unit
+    # is its radix times the unit before it, so neighbouring units never
+    # share a class; with radix 1 mod CLASSES throughout, keys would be
+    # classed by their total degree alone, and a tt-tq row, a product of
+    # degree-0 letters, would barely split.  The tt-tq relations whose
+    # bound B has 2^3 <= B < 2^4 are checked to split evenly.
     assert all(pow(2, k, ring.CLASSES) != 1
                for k in range(1, ring.CLASSES - 1))
     relations = []
