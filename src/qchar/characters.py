@@ -6,12 +6,12 @@ are applied at use sites in half-units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Qv, Words, product_sum, product_sum_vanishes, vk, Y_FAM,
                    ONE, ZERO)
+from .classical import PointReport
 from .tableaux import gen_column_tableaux, row_blocks, weight_sum
 
 
@@ -191,16 +191,11 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
 
 # --- functional-relation verification ---------------------------------
 
-@dataclass
-class RelationReport:
-    checks: list = field(default_factory=list)
+class RelationReport(PointReport):
+    """A ``PointReport`` whose checks carry an empty ``"detail"``."""
 
     def add(self, name: str, ok: bool):
         self.checks.append({"identity": name, "ok": bool(ok), "detail": ""})
-
-    @property
-    def ok(self) -> bool:
-        return all(c["ok"] for c in self.checks)
 
 
 def _bilinear_zero(triples) -> bool:

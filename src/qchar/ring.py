@@ -23,8 +23,9 @@ word length for ``Words`` (``Words.bound``), twice the bound under
 ``to_q`` and in ``screenings_vanish`` (at most two Y exponents meet in a
 Q variable).
 A product or a Q image whose carried bounds pass EXP_MAX first replaces
-them by the exact maxima of its operands.  Every bound then passes one
-guard, ``_checked``, which raises OverflowError past EXP_MAX.
+them by the exact maxima of its operands; ``product_sum_vanishes``
+bounds every polynomial operand exactly (``_span``).  Every bound then
+passes one guard, ``_checked``, which raises OverflowError past EXP_MAX.
 
 Substitution.  ``shift`` (u -> u + h/2), ``to_q`` (Y_a(v) ->
 Q_a(v - t_a)/Q_a(v + t_a)) and the repacks of ``product_sum_vanishes``
@@ -40,14 +41,15 @@ so keys grow with all the variables a process has met.  The zero-test
 ``product_sum_vanishes`` therefore packs into one frame of its own: a
 mixed-radix number over the *shifted* variables the call meets, each
 digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
-4.1).  A first pass bounds them.  ``_span`` gives each operand a range
-[lo, hi] per variable: [-b, b] from a polynomial's exponent bound b, and
-from the templates alone for ``Words``.  The two ranges of a product add,
-and the frame's box is their union over the products, with 0.  Slot i,
-in sorted order of the variables, has the unit prod_{j<i} (hi_j - lo_j +
-1), so every monomial in the box has exactly one key, and keys add under
-products.  The guard above still runs on every product, so a sum that
-``product_sum`` would refuse raises OverflowError here too.  An operand
+4.1).  One pass bounds them.  ``_span`` gives each operand its exponent
+bound b and a range [lo, hi] per variable: b exact and [-b, b] for a
+polynomial, and b = ``Words.bound`` and ranges from the templates alone
+for ``Words``.  The two ranges of a product add, and the frame's box is
+their union over the products, with 0.  Slot i, in sorted order of the
+variables, has the unit prod_{j<i} (hi_j - lo_j + 1), so every monomial
+in the box has exactly one key, and keys add under products.  The two
+bounds of every product pass ``_checked``, so a sum that ``product_sum``
+would refuse raises OverflowError here too.  An operand
 ``(p, half)`` stands for p.shift(half): the repack is the substitution
 that sends each variable, shifted by half, to the unit of its frame
 slot, so each key is decoded once.  The C rows of the T-system and tt-tq
@@ -74,9 +76,10 @@ given.  A polynomial's (term, Y_a(v)) pairs cost one int add and one
 dict update each, in its node's accumulator.  ``Words`` are screened by
 the Leibniz rule from their blocks: each factor's partial keys, marked
 at each Y_a(v) of their letters, are summed with the other factors'
-keys and counted at C level, as in the zero-test.  Every slot of its
-frame holds one balanced w-bit digit, w = bit_length(B) + 1, where B is
-the Q images' bound plus the largest chain exponent.
+keys and counted at C level, as in the zero-test.  Its frame keeps the
+zero-test's rule with one range, [-B, B], for every slot, where B is the
+Q images' bound plus the largest chain exponent: slot i, in order of
+first use, has the unit (2B + 1)^i.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -209,18 +212,6 @@ class LaurentPoly:
     """
 
     __slots__ = ("_t", "_b", "_exact", "_plan")
-
-    def __init__(self, terms: dict | None = None):
-        """From a raw {packed key: coefficient} dict, such as the one
-        ``acc_product`` fills; zero coefficients are dropped."""
-        t = {}
-        for key, c in (terms or {}).items():
-            if not isinstance(key, int):
-                raise TypeError(f"monomial keys are packed ints, got {key!r}")
-            if c:
-                t[key] = c
-        self._t = t
-        self._b = _exact_bound(t)
 
     @classmethod
     def _make(cls, t: dict, bound: int) -> "LaurentPoly":
@@ -516,32 +507,22 @@ class Words(NamedTuple):
                 * len(self.halves))
 
 
-def _frame_bound(a, b, digits=_digits) -> int:
-    """``_product_bound`` of two operands of ``product_sum_vanishes``;
-    a poly paired with ``Words`` is bounded by ``_tight``."""
-    a, b = (x if isinstance(x, (LaurentPoly, Words)) else x[0]
-            for x in (a, b))
-    if isinstance(a, Words) or isinstance(b, Words):
-        return _checked(sum(x.bound() if isinstance(x, Words)
-                            else _tight(x, digits) for x in (a, b)))
-    return _product_bound(a, b)
-
-
-def _span(x, digits=_digits) -> dict:
-    """{shifted VarKey: (lo, hi)}: the exponent of each variable of the
-    operand x of ``product_sum_vanishes`` lies in [lo, hi] in every
-    monomial of x.  A polynomial p has [-b, b], b = ``_tight(p)``, at each
-    variable of its keys.  ``Words`` add, over their positions, the least
-    and the largest exponent over the templates, with 0 where a template
-    lacks the variable; no word is formed."""
+def _span(x, digits=_digits) -> tuple[int, dict]:
+    """(b, {shifted VarKey: (lo, hi)}) of an operand x of
+    ``product_sum_vanishes``, (p, half) or ``Words``: every monomial of x
+    has |e| <= b, and the exponent of each variable in [lo, hi].  A
+    polynomial p has b = ``_tight(p)`` and [-b, b] at each variable of
+    its keys.  ``Words`` have b = ``Words.bound()`` and add, over their
+    positions, the least and the largest exponent over the templates,
+    with 0 where a template lacks the variable; no word is formed."""
     if isinstance(x, Words):
         exps = [dict(zip(*digits(k)))
                 for k in _letters(x.templates)[0].values()]
         ranges = {s: (min(es), max(es)) for s in set().union(*exps)
                   for es in [[e.get(s, 0) for e in exps]]}
-        halves = x.halves
+        b, halves = x.bound(), x.halves
     else:
-        p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+        p, half = x
         b = _tight(p, digits)
         ranges = dict.fromkeys(chain.from_iterable(
             digits(k)[0] for k in p._t), (-b, b))
@@ -552,27 +533,32 @@ def _span(x, digits=_digits) -> dict:
             f, i, v = _VAR[s]
             before = span.get((f, i, v + h), (0, 0))
             span[f, i, v + h] = before[0] + lo, before[1] + hi
-    return span
+    return b, span
 
 
 def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
     in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly p, a pair (p, half) for
-    p.shift(half), or ``Words``.  The frame's box is, per shifted
-    variable, the union over triples of A's ``_span`` plus B's, with 0;
-    each slot, in sorted order, is one mixed-radix digit as wide as its
-    range.  Frame keys mod CLASSES add under products, so the sum
-    vanishes iff, for each class gamma, the sum over triples and alpha of
-    A's class-alpha part times B's class-(gamma - alpha) part does: iff
-    ``_count_blocks`` counts its two sides equal on the parts' keys,
-    grouped by coefficient, the fewer groups as alpha."""
-    triples = list(triples)
+    p.shift(half), or ``Words``; p is taken as (p, 0) on entry.  Each
+    product's bound, A's ``_span`` bound plus B's, passes ``_checked``.
+    The frame's box is, per shifted variable, the union over triples of
+    A's ``_span`` range plus B's, with 0; each slot, in sorted order, is
+    one mixed-radix digit as wide as its range.  Frame keys mod CLASSES
+    add under products, so the sum vanishes iff, for each class gamma,
+    the sum over triples and alpha of A's class-alpha part times B's
+    class-(gamma - alpha) part does: iff ``_count_blocks`` counts its two
+    sides equal on the parts' keys, grouped by coefficient, the fewer
+    groups as alpha."""
+    def operand(x):  # p as (p, 0); (p, half) and Words as they are
+        return (x, 0) if isinstance(x, LaurentPoly) else x
+
+    triples = [(sign, operand(a), operand(b)) for sign, a, b in triples]
     digits = cache(_digits)  # one decode per key for the box and repack
     box: dict = {}  # shifted VarKey -> [lo, hi] over every product, with 0
     for _, a, b in triples:
-        _frame_bound(a, b, digits)  # OverflowError past EXP_MAX
-        sa, sb = _span(a, digits), _span(b, digits)
+        (b_a, sa), (b_b, sb) = _span(a, digits), _span(b, digits)
+        _checked(b_a + b_b)  # OverflowError past EXP_MAX
         for v in sa.keys() | sb.keys():
             (lo_a, hi_a), (lo_b, hi_b) = sa.get(v, (0, 0)), sb.get(v, (0, 0))
             r = box.setdefault(v, [0, 0])
@@ -594,7 +580,7 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
             groups = _words_into([{c: key(k, h) for c, k in keys.items()}
                                   for h in x.halves], coeffs, x.blocks)
         else:
-            p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+            p, half = x
             groups = {}  # coefficient -> frame keys
             for k, c in p._t.items():
                 groups.setdefault(c, []).append(key(k, half))
@@ -682,7 +668,10 @@ def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
 
 def _screening_frame(ys: set, q: int, cartan: "CartanData", factor) -> dict:
     """{Y_a(v): (its Q image, a, the chain at v plus v's class, the
-    chain's coefficient)} over ys in a frame for Q images bounded by q."""
+    chain's coefficient)} over ys in a frame for Q images bounded by q.
+    Each slot is one balanced digit of radix 2B + 1, B = q plus the
+    largest chain exponent: a Q image plus a chain has every digit in
+    [-B, B], and a class digit is 1 <= B."""
     classes: dict = {}  # (a, v mod t) -> [(v, Y_a(v))]
     for var in ys:
         a, v = _y_arg(var)
@@ -702,13 +691,12 @@ def _screening_frame(ys: set, q: int, cartan: "CartanData", factor) -> dict:
                     exps[_VAR[slot]] = exps.get(_VAR[slot], 0) + e
                 w += t
             chains[var] = (cls, coeff, dict(exps))
-    bound = q + max((abs(e) for _, _, exps in chains.values()
-                     for e in exps.values()), default=0)
-    width = max(bound, 1).bit_length() + 1
+    radix = 2 * (q + max((abs(e) for _, _, exps in chains.values()
+                          for e in exps.values()), default=0)) + 1
     place: dict = {}  # Q VarKey or class -> its local unit, in first use
 
     def unit(x) -> int:
-        return place.setdefault(x, 1 << width * len(place))
+        return place.setdefault(x, radix ** len(place))
 
     return {var: (_q_image(cartan, var, unit), cls[0], unit(cls) + sum(
         e * unit(x) for x, e in exps.items()), coeff)

@@ -69,3 +69,37 @@ def test_no_library_definition_serves_tests_only():
                  for name, line in _definitions(ast.parse(path.read_text()))
                  if name.split(".")[-1] in tests - library - TEST_SHORTHANDS]
     assert test_only == []
+
+
+def _constructed(tree):
+    """Names of the classes a module calls, by name or as an attribute
+    (``ring.VariableTable(...)``), and of each class whose own methods
+    call ``cls(...)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "cls" for n in ast.walk(node)):
+            yield node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_every_library_init_runs_outside_tests():
+    # _definitions skips dunder methods, so an __init__ that only tests
+    # call passes the checks above; a class that defines one must be
+    # constructed somewhere in src or bench
+    built = set()
+    for top in ("src", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            built.update(_constructed(ast.parse(path.read_text())))
+    unbuilt = [f"{path.stem}.{node.name} (line {node.lineno})"
+               for path in LIBRARY
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name not in built
+               and any(isinstance(item, ast.FunctionDef)
+                       and item.name == "__init__" for item in node.body)]
+    assert unbuilt == []

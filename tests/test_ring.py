@@ -87,7 +87,7 @@ def test_acc_product_matches_mul():
     acc_product(acc, a, b, 1)
     acc_product(acc, a, a, -1)
     want = a * b - a * a
-    assert LaurentPoly(acc) == want
+    assert acc == want._t
 
 
 def test_text_rendering_uses_half_units():
@@ -309,7 +309,7 @@ def test_packed_accumulation_matches_oracle(triples):
     for sign, a, b in triples:
         acc_product(acc, packed(a), packed(b), sign)
         _o_mul(a, b, acc=want, sign=sign)
-    assert unpacked(LaurentPoly(acc)) == want
+    assert unpacked(LaurentPoly._make(acc, ring._exact_bound(acc))) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -997,8 +997,12 @@ def test_class_modulus_splits_every_frame_width():
     with mock.patch.object(characters, "_bilinear_zero",
                            lambda t: relations.append(list(t)) or True):
         characters.verify_tt_tq(3, 8)
+
+    def bound(x):  # _span's bound of an operand, a bare p taken as (p, 0)
+        return ring._span((x, 0) if isinstance(x, LaurentPoly) else x)[0]
+
     wide = [t for t in relations if max(
-        ring._frame_bound(a, b) for _, a, b in t).bit_length() + 1 == 5]
+        bound(a) + bound(b) for _, a, b in t).bit_length() + 1 == 5]
     assert wide
     count = ring._count_blocks
     for triples in wide:
@@ -1015,18 +1019,18 @@ def test_class_modulus_splits_every_frame_width():
         assert max(pairs) <= 2 * sum(pairs) / ring.CLASSES
 
 
-def test_frame_bound_scans_a_polynomial_once():
+def test_span_scans_a_polynomial_once():
     # a polynomial paired with Words is bounded exactly; its keys are
     # scanned on the first call only, and later calls read the bound
     words = characters._row_operands(2)(2, 0)
     p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
     assert p._b == 5  # the carried bound of the product
-    first = ring._frame_bound(words, p)
+    assert product_sum_vanishes([(1, words, p), (-1, p, words)])
     assert p._b == 1
     with mock.patch.object(ring, "_exact_bound",
                            wraps=ring._exact_bound) as scan:
-        assert ring._frame_bound(words, (p, 3)) == first
-        assert ring._frame_bound(p, words) == first
+        assert ring._span((p, 3))[0] == 1
+        assert product_sum_vanishes([(1, words, (p, 3)), (-1, (p, 3), words)])
     assert scan.call_count and all(
         call.args[0] is not p._t for call in scan.call_args_list)
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from qchar import ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Words, Y, Qv,
                         ONE, word_sum,
-                        EXP_MAX, Y_FAM, poly_sum, screenings_vanish)
+                        EXP_MAX, Q_FAM, Y_FAM, poly_sum, screenings_vanish,
+                        vk)
 from qchar.screening import (a_factor, apply_screening, canonicalize,
                              in_kernel, screen_all, screen_operator,
                              screen_operator_all)
@@ -400,15 +401,18 @@ def test_screen_all_independent_of_interning_order():
         assert want[-1] == _o_verdicts(polys[-1], cartan)
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_screening_frame_is_injective(rank):
-    # a screening sums a term's Q image and a symbol's class and chain in
-    # the frame; two (monomial, Y_a(v)) pairs get the same frame key only
-    # if their class and Q image times chain agree as global monomials
-    cartan = CartanData(AlgebraSpec("C", rank))
-    factor = partial(a_factor, cartan)
-    ys = [(Y_FAM, a, v) for a in range(1, rank + 1) for v in range(-4, 5)]
-    b = 2
+WINDOW = range(-4, 5)  # the arguments v of the screening symbols Y_a(v)
+
+
+def _assert_frame_injective(cartan, factor, b=2):
+    """A screening sums a term's Q image and a symbol's class and chain in
+    the frame; two (monomial, Y_a(v)) pairs get the same frame key only
+    if their class and Q image times chain agree as global monomials.
+    The monomials are 300 random ones, and every Y_a(v)^-e Y_a(v + t)^e,
+    e = +-b, whose Q image has the digit 2e at Q_a(v + t/2): the frame's
+    bound q = 2b exactly."""
+    n = cartan.algebra.n
+    ys = [(Y_FAM, a, v) for a in range(1, n + 1) for v in WINDOW]
     frame = ring._screening_frame(set(ys), 2 * b, cartan, factor)
     assert set(frame) == set(ys)
 
@@ -419,10 +423,15 @@ def test_screening_frame_is_injective(rank):
         below = (Y_FAM, a, v - t)
         chains[y] = (chains[below] * factor(a, v - t // 2) if below in chains
                      else ONE)
-    rng = random.Random(rank)
+    rng = random.Random(n)
+    monomials = [{y: rng.choice((-b, -1, 1, b)) for y in rng.sample(ys, 3)}
+                 for _ in range(300)]
+    for _, a, v in ys:
+        up = (Y_FAM, a, v + cartan.pair2(a, a))
+        if up in frame:
+            monomials += [{(Y_FAM, a, v): -e, up: e} for e in (b, -b)]
     seen: dict = {}  # frame key -> (class, global monomial)
-    for _ in range(300):
-        exps = {y: rng.choice((-b, -1, 1, b)) for y in rng.sample(ys, 3)}
+    for exps in monomials:
         image = LaurentPoly.monomial(1, exps).to_q(cartan)
         key = sum(e * frame[y][0] for y, e in exps.items())
         for y in ys:
@@ -431,6 +440,46 @@ def test_screening_frame_is_injective(rank):
                     next((image * chains[y]).terms())[0])
             assert seen.setdefault(key + frame[y][2], glob) == glob
     assert len(set(seen.values())) == len(seen)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_screening_frame_is_injective(rank):
+    cartan = CartanData(AlgebraSpec("C", rank))
+    _assert_frame_injective(cartan, partial(a_factor, cartan))
+
+
+def _steered_factor(cartan, b):
+    """A single-term factor whose chains take opposite extreme exponents
+    at one slot.  In each class, with lowest argument v0 in WINDOW and Qk =
+    Q_a(v0 + k t/2), the chain is Q1^-b Q3^-b Q5^(1-b) at v0 + t and Q1^b
+    Q3^b Q5^b from v0 + 2t on.  So the frame's bound is B = 3b for q = 2b,
+    and Y_a(v0 + t)^-+b Y_a(v0 + 2t)^+-b, at v0 + 2t and at v0 + t, take
+    the digits B and -B at Q3 and differ by 1 at Q5, Q3's neighbouring
+    slot: in radix 2B these two keys would be equal."""
+    def factor(a, h):
+        t = cartan.pair2(a, a)
+        w = h - t // 2  # the step runs from w to w + t
+        v0 = WINDOW[0] + (w - WINDOW[0]) % t
+        q1, q3, q5 = (vk(Q_FAM, a, v0 + k * t // 2) for k in (1, 3, 5))
+        first = {q1: -b, q3: -b, q5: 1 - b}
+        steps = [first, {x: b - e for x, e in first.items()}]
+        k = (w - v0) // t
+        return LaurentPoly.monomial(1, steps[k] if k < 2 else {})
+    return factor
+
+
+@pytest.mark.parametrize("series, rank",
+                         [("C", 2), ("C", 3), ("B", 3), ("D", 4)])
+def test_screening_frame_is_injective_at_its_bound(series, rank):
+    # every digit of a frame key lies in [-B, B], B the images' bound q
+    # plus the largest chain exponent, so a slot needs radix 2B + 1.  A_a
+    # chains are Q images, so two pairs' keys differ by a Q image as well,
+    # whose line sums vanish; at these ranks no alias of radix 2B has that
+    # form, and the steered chains, which are not Q images, reach it
+    cartan = CartanData(AlgebraSpec(series, rank))
+    for b in (1, 2):
+        _assert_frame_injective(cartan, partial(a_factor, cartan), b)
+        _assert_frame_injective(cartan, _steered_factor(cartan, b), b)
 
 
 def test_screen_all_keeps_classes_apart(c2):
