@@ -17,15 +17,15 @@ word's key a C-level sum of its partial keys.
 
 Overflow guard.  A digit sum past EXP_MAX would carry into the next slot
 and alias another monomial.  Every polynomial therefore carries an upper
-bound on |e| over its terms: exact for a monomial, the maximum under
-sums, the sum under products, the largest template exponent times the
-word length for ``Words`` (``Words.bound``), twice the bound under
+bound on |e| over its terms, for products alone: exact for a monomial,
+the maximum under sums, the sum under products.  A product whose carried
+bounds pass EXP_MAX first replaces them by the exact maxima of its
+operands.  Everything else bounds the exponents its call decodes: the
+zero-test's operands (``_span``), a word sum (the largest template
+exponent once per position), and twice the largest exponent under
 ``to_q`` and in ``screenings_vanish`` (at most two Y exponents meet in a
-Q variable).
-A product or a Q image whose carried bounds pass EXP_MAX first replaces
-them by the exact maxima of its operands; ``product_sum_vanishes``
-bounds every polynomial operand exactly (``_span``).  Every bound then
-passes one guard, ``_checked``, which raises OverflowError past EXP_MAX.
+Q variable).  Every bound then passes one guard, ``_checked``, which
+raises OverflowError past EXP_MAX.
 
 Substitution.  ``shift`` (u -> u + h/2), ``to_q`` (Y_a(v) ->
 Q_a(v - t_a)/Q_a(v + t_a)) and the repacks of ``product_sum_vanishes``
@@ -41,24 +41,26 @@ so keys grow with all the variables a process has met.  The zero-test
 ``product_sum_vanishes`` therefore packs into one frame of its own: a
 mixed-radix number over the *shifted* variables the call meets, each
 digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
-4.1).  One pass bounds them.  ``_span`` gives each operand its exponent
-bound b and a range [lo, hi] per variable: b exact and [-b, b] for a
-polynomial, and b = ``Words.bound`` and ranges from the templates alone
-for ``Words``.  The two ranges of a product add, and the frame's box is
-their union over the products, with 0.  Slot i, in sorted order of the
+4.1).  Every operand takes one form, ``_operand``'s: a word sum of
+letters.  The C rows of the T-system and tt-tq enter as ``Words``; a
+polynomial p, or ``(p, half)`` for p.shift(half), is the word sum of one
+position whose letters are its own keys.  One pass bounds them:
+``_span`` gives each operand its exponent bound b and an exact range
+[lo, hi] per variable, from its letters' distinct (slot, exponent)
+pairs, each range taken with 0 and added over the positions; no word is
+formed.  The two ranges of a product add, and the frame's box is their
+union over the products, with 0.  Slot i, in sorted order of the
 variables, has the unit prod_{j<i} (hi_j - lo_j + 1), so every monomial
 in the box has exactly one key, and keys add under products.  The two
 bounds of every product pass ``_checked``, so a sum that ``product_sum``
-would refuse raises OverflowError here too.  An operand
-``(p, half)`` stands for p.shift(half): the repack is the substitution
-that sends each variable, shifted by half, to the unit of its frame
-slot, so each key is decoded once.  The C rows of the T-system and tt-tq
-enter as ``Words``, whose templates alone are repacked, at each
-position's shift, and whose word keys are C-level sums of partial keys,
-as in ``word_sum``: no row is built or decoded, and words are counted
-with multiplicity, not merged.  The map is injective and additive on the
-box, which holds every product monomial, so the sum vanishes iff it does
-on global keys.  Nothing packed in a frame outlives the call.
+would refuse raises OverflowError here too.  The repack is the
+substitution that sends each variable, shifted by a position's half, to
+the unit of its frame slot, so each letter's key is decoded once; the
+word keys are C-level sums of partial keys, as in ``word_sum``: no row
+is built, and words are counted with multiplicity, not merged.  The map
+is injective and additive on the box, which holds every product
+monomial, so the sum vanishes iff it does on global keys.  Nothing
+packed in a frame outlives the call.
 It decides one residue class of keys modulo CLASSES = 37 at a time:
 k -> k mod 37 is additive, so classes alpha and beta multiply into class
 alpha + beta, and keys of different classes never meet.  The sum
@@ -78,8 +80,8 @@ the Leibniz rule from their blocks: each factor's partial keys, marked
 at each Y_a(v) of their letters, are summed with the other factors'
 keys and counted at C level, as in the zero-test.  Its frame keeps the
 zero-test's rule with one range, [-B, B], for every slot, where B is the
-Q images' bound plus the largest chain exponent: slot i, in order of
-first use, has the unit (2B + 1)^i.
+Q images' bound, from the exponents the call decodes, plus the largest
+chain exponent: slot i, in order of first use, has the unit (2B + 1)^i.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -172,9 +174,14 @@ def _substitute(slots: list, exps: list, images: dict, image) -> int:
     return sum(map(mul, exps, map(images.__getitem__, slots)))
 
 
-def _exact_bound(t: dict, digits=_digits) -> int:
-    return max((max(map(abs, digits(k)[1]), default=0) for k in t),
+def _largest(decoded: Iterable[tuple]) -> int:
+    """The largest |e| over decoded keys, (slots, exps) each."""
+    return max((max(map(abs, exps), default=0) for _, exps in decoded),
                default=0)
+
+
+def _exact_bound(t: dict) -> int:
+    return _largest(map(_digits, t))
 
 
 def _y_arg(var: VarKey) -> tuple[int, int]:
@@ -208,10 +215,10 @@ class LaurentPoly:
 
     Immutable; all operations return fresh objects.  The zero polynomial
     has no terms.  ``_t`` maps packed keys to nonzero coefficients, ``_b``
-    bounds |exponent| over them (exactly once ``_tight`` sets ``_exact``).
+    bounds |exponent| over them for the product guard.
     """
 
-    __slots__ = ("_t", "_b", "_exact", "_plan")
+    __slots__ = ("_t", "_b", "_plan")
 
     @classmethod
     def _make(cls, t: dict, bound: int) -> "LaurentPoly":
@@ -331,19 +338,16 @@ class LaurentPoly:
         return LaurentPoly._make({_substitute(*_digits(k), images, image): c
                                   for k, c in self._t.items()}, self._b)
 
-    def _q_bound(self) -> int:
-        """Bound of the Q image's exponents; OverflowError past EXP_MAX."""
-        if 2 * self._b > EXP_MAX:
-            _tight(self)
-        return _checked(2 * self._b)
-
     def to_q(self, cartan: "CartanData") -> "LaurentPoly":
         """Replace every Y_a(u+s)^e by its Baxter-Q ratio image; rejects
-        input that already contains non-Y variables."""
-        bound = self._q_bound()
+        input that already contains non-Y variables.  The image's bound
+        is twice the largest decoded exponent (at most two Y exponents
+        meet in a Q variable); OverflowError past EXP_MAX."""
+        decoded = list(map(_digits, self._t))
+        bound = _checked(2 * _largest(decoded))
         images, image = {}, partial(_q_image, cartan)
-        return LaurentPoly._make({_substitute(*_digits(k), images, image): c
-                                  for k, c in self._t.items()}, bound)
+        return LaurentPoly._make({_substitute(*d, images, image): c for d, c
+                                  in zip(decoded, self._t.values())}, bound)
 
     def eval_rational(self, assign: dict) -> Fraction:
         """Exact rational evaluation; every variable must be assigned."""
@@ -437,20 +441,14 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()})"
 
 
-def _tight(p: LaurentPoly, digits=_digits) -> int:
-    """p's exponent bound made exact by a scan of its keys, once."""
-    if not getattr(p, "_exact", False):
-        p._b, p._exact = _exact_bound(p._t, digits), True
-    return p._b
-
-
 def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
-    """Exponent bound of a * b; raises OverflowError rather than let a
-    digit carry into its neighbour."""
-    if a._b + b._b > EXP_MAX:
-        _tight(a)
-        _tight(b)
-    return _checked(a._b + b._b)
+    """Exponent bound of a * b, the carried bounds' sum or, past EXP_MAX,
+    the exact one; raises OverflowError rather than let a digit carry
+    into its neighbour."""
+    bound = a._b + b._b
+    if bound > EXP_MAX:
+        bound = _exact_bound(a._t) + _exact_bound(b._t)
+    return _checked(bound)
 
 
 def _product_into(acc: dict, ta: dict, tb: dict, sign: int) -> None:
@@ -500,48 +498,49 @@ class Words(NamedTuple):
     halves: list
     blocks: list
 
-    def bound(self) -> int:
-        """The unchecked exponent bound of every word's product: the
-        largest template exponent once per position."""
-        return (_exact_bound(_letters(self.templates)[0].values())
-                * len(self.halves))
 
-
-def _span(x, digits=_digits) -> tuple[int, dict]:
-    """(b, {shifted VarKey: (lo, hi)}) of an operand x of
-    ``product_sum_vanishes``, (p, half) or ``Words``: every monomial of x
-    has |e| <= b, and the exponent of each variable in [lo, hi].  A
-    polynomial p has b = ``_tight(p)`` and [-b, b] at each variable of
-    its keys.  ``Words`` have b = ``Words.bound()`` and add, over their
-    positions, the least and the largest exponent over the templates,
-    with 0 where a template lacks the variable; no word is formed."""
+def _operand(x) -> tuple:
+    """The word-sum form (keys, coeffs, halves, blocks) of an operand of
+    ``product_sum_vanishes``: ``Words`` with their letters' keys and
+    coefficients, and a polynomial p, or (p, half) for p.shift(half), as
+    the word sum of one position whose letters are p's own keys, each a
+    word of its own."""
     if isinstance(x, Words):
-        exps = [dict(zip(*digits(k)))
-                for k in _letters(x.templates)[0].values()]
-        ranges = {s: (min(es), max(es)) for s in set().union(*exps)
-                  for es in [[e.get(s, 0) for e in exps]]}
-        b, halves = x.bound(), x.halves
-    else:
-        p, half = x
-        b = _tight(p, digits)
-        ranges = dict.fromkeys(chain.from_iterable(
-            digits(k)[0] for k in p._t), (-b, b))
-        halves = [half]
+        return (*_letters(x.templates), x.halves, x.blocks)
+    p, half = (x, 0) if isinstance(x, LaurentPoly) else x
+    return dict(zip(p._t, p._t)), p._t, [half], [([(k,) for k in p._t],)]
+
+
+def _span(x: tuple, digits=_digits) -> tuple[int, dict]:
+    """(b, {shifted VarKey: (lo, hi)}) of an ``_operand`` x: every
+    monomial of x has |e| <= b, and the exponent of each variable in
+    [lo, hi].  One pass over the letters' distinct (slot, exponent)
+    pairs gives each variable the least and the largest exponent of the
+    letters, each taken with 0 (a letter that lacks the variable has 0
+    there); the ranges add over the positions, and b is the largest |e|
+    once per position.  No word is formed."""
+    keys, _, halves, _ = x
+    ranges: dict = {}  # slot -> (lo, hi)
+    for s, e in {se for k in keys.values() for se in zip(*digits(k))}:
+        lo, hi = ranges.get(s, (0, 0))
+        ranges[s] = min(lo, e), max(hi, e)
     span: dict = {}
     for h in halves:
         for s, (lo, hi) in ranges.items():
             f, i, v = _VAR[s]
             before = span.get((f, i, v + h), (0, 0))
             span[f, i, v + h] = before[0] + lo, before[1] + hi
-    return b, span
+    return max((max(-lo, hi) for lo, hi in ranges.values()),
+               default=0) * len(halves), span
 
 
 def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
     in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly p, a pair (p, half) for
-    p.shift(half), or ``Words``; p is taken as (p, 0) on entry.  Each
-    product's bound, A's ``_span`` bound plus B's, passes ``_checked``.
+    p.shift(half), or ``Words``, each taken in its ``_operand`` form on
+    entry.  Each product's bound, A's ``_span`` bound plus B's, passes
+    ``_checked``.
     The frame's box is, per shifted variable, the union over triples of
     A's ``_span`` range plus B's, with 0; each slot, in sorted order, is
     one mixed-radix digit as wide as its range.  Frame keys mod CLASSES
@@ -550,10 +549,7 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
     class-(gamma - alpha) part does: iff ``_count_blocks`` counts its two
     sides equal on the parts' keys, grouped by coefficient, the fewer
     groups as alpha."""
-    def operand(x):  # p as (p, 0); (p, half) and Words as they are
-        return (x, 0) if isinstance(x, LaurentPoly) else x
-
-    triples = [(sign, operand(a), operand(b)) for sign, a, b in triples]
+    triples = [(sign, _operand(a), _operand(b)) for sign, a, b in triples]
     digits = cache(_digits)  # one decode per key for the box and repack
     box: dict = {}  # shifted VarKey -> [lo, hi] over every product, with 0
     for _, a, b in triples:
@@ -575,15 +571,9 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
             place[v[0], v[1], v[2] + half]))
 
     def pack(x) -> list:
-        if isinstance(x, Words):
-            keys, coeffs = _letters(x.templates)
-            groups = _words_into([{c: key(k, h) for c, k in keys.items()}
-                                  for h in x.halves], coeffs, x.blocks)
-        else:
-            p, half = x
-            groups = {}  # coefficient -> frame keys
-            for k, c in p._t.items():
-                groups.setdefault(c, []).append(key(k, half))
+        keys, coeffs, halves, blocks = x
+        groups = _words_into([{c: key(k, h) for c, k in keys.items()}
+                              for h in halves], coeffs, blocks)
         parts = [{} for _ in range(CLASSES)]
         for c, ks in groups.items():  # each key to its class, at C level
             lists = [part.setdefault(c, []) for part in parts]
@@ -640,20 +630,22 @@ def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
     ``screening.canonicalize``.  A term c M and a variable Y_a(v) of M
     with exponent e add e * c * (the chain's coefficient) at (M's Q
     image) * (the chain at v) * (v's class) in node a's sum.  Only the Q
-    images' bound is guarded, as ``to_q`` guards it (for ``Words``, twice
-    ``Words.bound``).  A non-Y variable is refused with ValueError.
+    images' bound is guarded, as ``to_q`` guards it: twice the largest
+    exponent decoded (for ``Words``, the templates' largest once per
+    position).  A non-Y variable is refused with ValueError.
     """
     if isinstance(p, Words):
         return _words_screened(p, cartan, factor)
-    decoded = [(c, *_digits(k)) for k, c in p._t.items()]
-    frame = _screening_frame({_VAR[s] for _, slots, _ in decoded
-                              for s in slots}, p._q_bound(), cartan, factor)
+    decoded = list(map(_digits, p._t))
+    frame = _screening_frame({_VAR[s] for slots, _ in decoded
+                              for s in slots}, _checked(2 * _largest(decoded)),
+                             cartan, factor)
     accs = {a: {} for a in range(1, cartan.algebra.n + 1)}
     # slot of Y_a(v) -> (its class and chain, packed; coefficient; acc)
     step = {_SLOT[v]: (offset, scale, accs[a])
             for v, (_, a, offset, scale) in frame.items()}
     images = {_SLOT[v]: f[0] for v, f in frame.items()}
-    for c, slots, exps in decoded:
+    for c, (slots, exps) in zip(p._t.values(), decoded):
         k = _substitute(slots, exps, images, None)
         for s, e in zip(slots, exps):
             offset, scale, acc = step[s]
@@ -712,9 +704,9 @@ def _words_screened(p: Words, cartan: "CartanData", factor) -> dict:
     at = [{c: [((f, i, v + h), e) for s, e in zip(*_digits(k))
                for f, i, v in [_VAR[s]]] for c, k in keys.items()}
           for h in p.halves]
+    q = _checked(2 * _span(_operand(p))[0])  # the Q images' bound
     frame = _screening_frame({v for pos in at for vs in pos.values()
-                              for v, _ in vs}, _checked(2 * p.bound()),
-                             cartan, factor)
+                              for v, _ in vs}, q, cartan, factor)
     ks = [{c: sum(e * frame[v][0] for v, e in vs) for c, vs in pos.items()}
           for pos in at]
     marks = [{c: [(frame[v][1], frame[v][2], e * frame[v][3]) for v, e in vs]
@@ -809,7 +801,7 @@ def word_sum(words: Words) -> LaurentPoly:
     ``(ws,)``; every word must have length ``len(halves)``.
     ``_count_blocks`` counts the words' keys, each plus the key 0 of the
     unit."""
-    bound = _checked(words.bound())
+    bound = _checked(_span(_operand(words))[0])
     templates, halves, blocks = words
     keys = [_letters({c: t.shift(h) for c, t in templates.items()})[0]
             for h in halves]

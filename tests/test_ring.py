@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 from unittest import mock
@@ -998,8 +999,8 @@ def test_class_modulus_splits_every_frame_width():
                            lambda t: relations.append(list(t)) or True):
         characters.verify_tt_tq(3, 8)
 
-    def bound(x):  # _span's bound of an operand, a bare p taken as (p, 0)
-        return ring._span((x, 0) if isinstance(x, LaurentPoly) else x)[0]
+    def bound(x):  # _span's bound of an operand, in its _operand form
+        return ring._span(ring._operand(x))[0]
 
     wide = [t for t in relations if max(
         bound(a) + bound(b) for _, a, b in t).bit_length() + 1 == 5]
@@ -1020,19 +1021,36 @@ def test_class_modulus_splits_every_frame_width():
 
 
 def test_span_scans_a_polynomial_once():
-    # a polynomial paired with Words is bounded exactly; its keys are
-    # scanned on the first call only, and later calls read the bound
+    # a polynomial paired with Words is bounded exactly from the keys the
+    # call decodes, each once for the box and the repack, and its keys are
+    # never scanned for a bound of their own
     words = characters._row_operands(2)(2, 0)
     p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
     assert p._b == 5  # the carried bound of the product
     assert product_sum_vanishes([(1, words, p), (-1, p, words)])
-    assert p._b == 1
+    decoded = Counter()
+    digits = ring._digits
     with mock.patch.object(ring, "_exact_bound",
-                           wraps=ring._exact_bound) as scan:
-        assert ring._span((p, 3))[0] == 1
+                           wraps=ring._exact_bound) as scan, \
+            mock.patch.object(ring, "_digits",
+                              lambda k: decoded.update([k]) or digits(k)):
+        assert ring._span(ring._operand((p, 3)))[0] == 1
+        decoded.clear()
         assert product_sum_vanishes([(1, words, (p, 3)), (-1, (p, 3), words)])
-    assert scan.call_count and all(
-        call.args[0] is not p._t for call in scan.call_args_list)
+    assert all(decoded[k] == 1 for k in p._t)
+    assert all(call.args[0] is not p._t for call in scan.call_args_list)
+
+
+def test_polynomial_bounds_come_from_decoded_exponents():
+    # the carried bound 5 of the product is loose: p's exponents are 0
+    # and 1, and its zero-test ranges and Q image are sized from those
+    p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
+    assert p._b == 5
+    assert ring._span(ring._operand((p, 0))) == (
+        1, {(Y_FAM, 1, 0): (0, 1), (Y_FAM, 2, 1): (0, 1)})
+    assert ring._span(ring._operand((p, 3)))[1] == {
+        (Y_FAM, 1, 3): (0, 1), (Y_FAM, 2, 4): (0, 1)}
+    assert p.to_q(CartanData(AlgebraSpec("C", 2)))._b == 2
 
 
 def test_product_sum_vanishes_counts_multiplicities():

@@ -2,6 +2,7 @@
 
 import random
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,17 @@ def test_screening_within_term_cancellation(c2):
     assert sym[0] == Qv(1, -1) * Qv(1, 3, -1) + (-6) * (
         Y(1, 0, 2) * Y(2, 5, -1)).to_q(c2)
     assert screen_all(p, c2) == _o_verdicts(p, c2) == {1: False, 2: False}
+
+
+def test_screening_frame_is_sized_from_decoded_exponents(c2):
+    # p carries the bound 5 of its product, but its exponents are 0 and 1,
+    # so the Q images the frame holds have exponents up to 2
+    p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
+    assert p._b == 5
+    with mock.patch.object(ring, "_screening_frame",
+                           wraps=ring._screening_frame) as frame:
+        assert screen_all(p, c2) == _o_verdicts(p, c2)
+    assert [call.args[1] for call in frame.call_args_list] == [2]
 
 
 def test_screening_rejects_non_y_variables(c2):
@@ -601,7 +613,7 @@ def test_words_screening_guards_like_the_built_row():
             screen_all(row, cartan)
         with pytest.raises(OverflowError):
             screen_all(word_sum(row), cartan)
-    # Words.bound is not replaced by the exact one, which would need
+    # a word sum's bound is not replaced by the exact one, which would need
     # the words: apart, the two letters' exponents never meet
     apart = Words({1: Y(1, 0, 8192)}, [0, 5], [([(1,)], [(1,)])])
     with pytest.raises(OverflowError):
