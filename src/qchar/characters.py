@@ -2,15 +2,21 @@
 
 All characters are stored base-point normalized (argument u); shifts
 are applied at use sites in half-units.
+
+The T-system is decided in free symbols t_b(h) (``ring``'s family ``T``):
+t_b(h) -> T^(b)_1(u + h/2) is a ring map, so a formal zero is a zero on
+Y.  The first convolution of tt-tq on Y, rows as tableau words, fixes
+each row from the lower rows; it is the bridge that proves each tableau
+row the image of its formal row, up to the largest one a relation uses.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Qv, Words, product_sum, product_sum_vanishes, vk, Y_FAM,
-                   ONE, ZERO)
+                   T_FAM, ONE, ZERO)
 from .classical import PointReport
 from .tableaux import gen_column_tableaux, row_blocks, weight_sum
 
@@ -20,22 +26,23 @@ def _table(n: int) -> VariableTable:
     return VariableTable(AlgebraSpec("C", n))
 
 
+def extend(n: int, a: int, entry):
+    """T^(a) for any a in Z from entry(b) = T^(b), 1 <= b <= n: T^(0) = 1,
+    T^(n+1) = 0, T^(a) = -T^(N-a), and 0 outside [0, N]."""
+    N = 2 * n + 2
+    if 1 <= a <= n:
+        return entry(a)
+    if n + 1 < a <= N:
+        return -extend(n, N - a, entry)
+    return ONE if a == 0 else ZERO
+
+
 @lru_cache(maxsize=None)
 def fundamental_poly(n: int, a: int) -> LaurentPoly:
-    """Extended fundamental character T^(a)_1(u), a in Z.
-
-    1 <= a <= n comes from the admissible column sum; other indices via
-    T^(a) + T^(N-a) = 0, T^(a<0) = 0, T^(0) = 1.
-    """
-    N = 2 * n + 2
-    if a < 0 or a > N:
-        return ZERO
-    if a == 0:
-        return ONE
-    if a == n + 1:
-        return ZERO
-    if a > n + 1:
-        return -fundamental_poly(n, N - a)
+    """Extended fundamental character T^(a)_1(u), a in Z: the admissible
+    column sum for 1 <= a <= n, any other index by ``extend``."""
+    if not 1 <= a <= n:
+        return extend(n, a, partial(fundamental_poly, n))
     # stagger: k-th letter at u + (a - 2k)/2 relative to base u
     return weight_sum([(gen_column_tableaux(n, a),)], _table(n),
                       [a - 2 * k for k in range(1, a + 1)])
@@ -171,19 +178,12 @@ def rectangle(n: int, a: int, m: int, entry, det, total, one):
     return pf if m % 2 == 0 else -pf
 
 
-def tnm_pfaffian(n: int, m: int) -> LaurentPoly:
-    """Rectangle character T^(n)_m(u) by ``rectangle``'s Pfaffian."""
-    return rectangle(n, n, m, _shifted(n), det, product_sum, ONE)
-
-
 @lru_cache(maxsize=None)
 def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
-    """T^(a)_m(u) for 0 <= a <= n, m >= 0, dispatching to the row sum
-    (a=1), the determinant (a<n) or the Pfaffian (a=n)."""
+    """T^(a)_m(u) for 0 <= a <= n, m >= 0: the row sum (a=1), else
+    ``rectangle``'s determinant (a<n) or Pfaffian (a=n)."""
     if a == 0 or m == 0:
         return ONE
-    if a == n:
-        return tnm_pfaffian(n, m)
     if a == 1:
         return row_poly(n, m)
     return rectangle(n, a, m, _shifted(n), det, product_sum, ONE)
@@ -204,55 +204,82 @@ def _bilinear_zero(triples) -> bool:
     return product_sum_vanishes(triples)
 
 
+def _convolution(row, n: int, m: int, second: bool = False) -> bool:
+    """Whether tt-tq's first convolution holds at m on Y, sum_a (-1)^a
+    T^(1)_{m-a}(u - a/2) T^(a)_1(u + (m-a)/2) = [m = 0], or the second,
+    of T^(1)_{m-a}(u + (m+a)/2) T^(a)_1(u + a/2), rows from ``row``."""
+    return _bilinear_zero([((-1) ** a, row(m - a, m + a if second else -a),
+                            (f, a if second else m - a)) for a in range(m + 1)
+                           if not (f := fundamental_poly(n, a)).is_zero]
+                          + [(-1, ONE, ONE)] * (m == 0))
+
+
 def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     """Exact symbolic check of the four discrete-Toda relation families
-    with determinant/Pfaffian values.
+    with determinant/Pfaffian values, in the symbols t_b(h).
 
     ``m_max`` bounds the relation index at the bulk nodes; ``pf_max``
-    bounds the largest long-node index T^(n)_m entering a relation.  A
-    row T^(1)_m(u + h/2) enters as its words (``_row_operands``), any
-    other T^(a)_m(u + h/2) as (T^(a)_m(u), h).
+    bounds the largest long-node index T^(n)_m entering a relation.
+    T^(a)_m(u + h/2) enters as (T^(a)_m(u), h): ``rectangle`` for a > 1,
+    a row F_m = -sum_{b>=1} (-1)^b t_b(m-b) F_{m-b}(u - b/2), F_0 = 1.
+    A relation holds iff it vanishes formally and ``_convolution`` holds
+    at every m up to the largest row index it uses.
     """
-    rep = RelationReport()
-    row, R = _row_operands(n), lambda a, m: rect_poly(n, a, m)
-    T = lambda a, m, h: row(m, h) if a == 1 else (R(a, m), h)
+    rep, row = RelationReport(), _row_operands(n)
+    t = lambda a, h: extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
+    used, bridge = [], []  # this relation's row indices; _convolution by m
+
+    @lru_cache(maxsize=None)
+    def R(a, m):
+        if a == 0 or m == 0:
+            return ONE
+        if a > 1:
+            return rectangle(n, a, m, t, det, product_sum, ONE)
+        return product_sum(((-1) ** (b + 1), t(b, m - b), R(1, m - b).shift(
+            -b)) for b in range(1, m + 1))
+
+    def T(a, m, h):
+        if a == 1:
+            used.append(m)
+        return R(a, m), h
+
+    def add(name, triples):
+        top = max(used, default=0)
+        bridge.extend(_convolution(row, n, m)
+                      for m in range(len(bridge), top + 1))
+        rep.add(name, _bilinear_zero(triples) and all(bridge[:top + 1]))
+        used.clear()
 
     def long_term(k, j, p, i, q):
-        # -T^(n-2)_k(u) T^(n)_j(u + p/2) T^(n)_i(u + q/2): T^(n-2) times
-        # a Pfaffian or, where T^(n-2) is a row, the Pfaffians multiplied
-        if n == 3:
-            return (-1, row(k, 0), (R(n, j) * R(n, i).shift(q - p), p))
-        return (-1, (R(n - 2, k).shift(-p) * R(n, j), p), T(n, i, q))
+        # -T^(n-2)_k(u) T^(n)_j(u + p/2) T^(n)_i(u + q/2)
+        (low, _), (pf, _) = T(n - 2, k, 0), T(n, j, 0)
+        return -1, low * pf.shift(p), T(n, i, q)
 
     for a in range(1, n - 1):
         for m in range(1, m_max + 1):
-            ok = _bilinear_zero([
+            add(f"bulk relation a={a} m={m}", [
                 (1, T(a, m, -1), T(a, m, 1)),
                 (-1, T(a, m + 1, 0), T(a, m - 1, 0)),
                 (-1, T(a - 1, m, 0), T(a + 1, m, 0)),
             ])
-            rep.add(f"bulk relation a={a} m={m}", ok)
     for m in range(1, pf_max + 1):
-        ok = _bilinear_zero([
+        add(f"even row relation at a=n-1, m={m}", [
             (1, T(n - 1, 2 * m, -1), T(n - 1, 2 * m, 1)),
             (-1, T(n - 1, 2 * m + 1, 0), T(n - 1, 2 * m - 1, 0)),
             long_term(2 * m, m, -1, m, 1),
         ])
-        rep.add(f"even row relation at a=n-1, m={m}", ok)
     for m in range(0, pf_max):
-        ok = _bilinear_zero([
+        add(f"odd row relation at a=n-1, m={m}", [
             (1, T(n - 1, 2 * m + 1, -1), T(n - 1, 2 * m + 1, 1)),
             (-1, T(n - 1, 2 * m + 2, 0), T(n - 1, 2 * m, 0)),
             long_term(2 * m + 1, m, 0, m + 1, 0),
         ])
-        rep.add(f"odd row relation at a=n-1, m={m}", ok)
     for m in range(1, pf_max):
-        ok = _bilinear_zero([
+        add(f"long-node relation m={m}", [
             (1, T(n, m, -2), T(n, m, 2)),
             (-1, T(n, m + 1, 0), T(n, m - 1, 0)),
             (-1, T(n - 1, 2 * m, 0), ONE),
         ])
-        rep.add(f"long-node relation m={m}", ok)
     return rep
 
 
@@ -260,23 +287,14 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     """The two bilinear convolution identities between row and
     fundamental characters, and the Baxter-function relation."""
     rep = RelationReport()
-    N = 2 * n + 2
-    cartan = CartanData(AlgebraSpec("C", n))
-    # (sign, a, T^(a)_1(u)) for the nonzero extended fundamentals
-    funds = [(-1 if a % 2 else 1, a, fundamental_poly(n, a))
-             for a in range(0, N + 1) if not fundamental_poly(n, a).is_zero]
-    row = _row_operands(n)
+    cartan, row = CartanData(AlgebraSpec("C", n)), _row_operands(n)
     for m in range(0, m_max + 1):
-        target = [(-1, ONE, ONE)] if m == 0 else []
-        first = [(sign, row(m - a, -a), (f, m - a))
-                 for sign, a, f in funds if a <= m]
-        rep.add(f"first convolution m={m}", _bilinear_zero(first + target))
-        second = [(sign, row(m - a, m + a), (f, a))
-                  for sign, a, f in funds if a <= m]
-        rep.add(f"second convolution m={m}", _bilinear_zero(second + target))
+        rep.add(f"first convolution m={m}", _convolution(row, n, m))
+        rep.add(f"second convolution m={m}", _convolution(row, n, m, True))
     rep.add("Baxter-function relation", _bilinear_zero(
-        (sign, Qv(1, 2 * a), (f.to_q(cartan), a))  # Q_1(u+a)
-        for sign, a, f in funds))
+        ((-1) ** a, Qv(1, 2 * a), (f.to_q(cartan), a))  # Q_1(u+a)
+        for a in range(2 * n + 3)
+        if not (f := fundamental_poly(n, a)).is_zero))
     return rep
 
 

@@ -2,8 +2,10 @@
 
 Variables are indexed by (family, node index, half-integer shift): ``Y``
 for the basic ring variables Y_a(u+s), ``Q`` for the Baxter functions
-Q_a(u+s).  The shift is stored as an integer count of half-units so that
-every argument occurring in the C/B/D constructions lives on one lattice.
+Q_a(u+s), and ``T`` for free symbols t_a(u+s) that stand for the
+fundamental characters T^(a)_1(u+s) in identities decided formally.
+The shift is stored as an integer count of half-units so that every
+argument occurring in the C/B/D constructions lives on one lattice.
 
 Packed keys.  The first time a process meets a variable it interns it
 to the next free *slot*.  A monomial prod_v v^(e_v) is then one Python
@@ -42,7 +44,7 @@ so keys grow with all the variables a process has met.  The zero-test
 mixed-radix number over the *shifted* variables the call meets, each
 digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
 4.1).  Every operand takes one form, ``_operand``'s: a word sum of
-letters.  The C rows of the T-system and tt-tq enter as ``Words``; a
+letters.  The C rows of tt-tq convolutions enter as ``Words``; a
 polynomial p, or ``(p, half)`` for p.shift(half), is the word sum of one
 position whose letters are its own keys.  One pass bounds them:
 ``_span`` gives each operand its exponent bound b and an exact range
@@ -108,8 +110,8 @@ from math import prod
 from operator import add, floordiv, mul
 from typing import Iterable, Iterator, NamedTuple
 
-Y_FAM, Q_FAM = 0, 1
-FAM_NAMES = {Y_FAM: "Y", Q_FAM: "Q"}
+Y_FAM, Q_FAM, T_FAM = 0, 1, 2
+FAM_NAMES = {Y_FAM: "Y", Q_FAM: "Q", T_FAM: "T"}
 
 # A VarKey is (family, index, half_shift); a decoded monomial (MonoKey) is
 # a tuple of (VarKey, nonzero exponent) pairs sorted by VarKey.

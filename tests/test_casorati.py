@@ -235,8 +235,7 @@ def test_suite_builds_no_hook_or_rectangle(n):
             calls.append((name, args))
             return real(*args)
         return record
-    names = ("h_poly", "rect_poly", "row_poly", "jacobi_trudi",
-             "tnm_pfaffian")
+    names = ("h_poly", "rect_poly", "row_poly", "jacobi_trudi")
     with mock.patch.multiple(characters, **{a: spy(a) for a in names}):
         assert run_suite(n, seed=11).ok
     assert calls == []

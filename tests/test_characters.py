@@ -14,8 +14,7 @@ from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
                         product_sum, product_sum_vanishes, word_sum)
 from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
-                              jacobi_trudi, det, pfaffian,
-                              tnm_pfaffian, rect_poly,
+                              jacobi_trudi, det, pfaffian, rect_poly,
                               verify_tsystem, verify_tt_tq,
                               verify_hseries, verify_highest_weight,
                               verify_product_formula, highest_weight_key)
@@ -141,7 +140,10 @@ def test_rectangles_match_rows_at_width_one():
 
 def test_rect_poly_dispatch():
     assert rect_poly(2, 1, 2) == jacobi_trudi(2, [1, 1], -2)
-    assert rect_poly(2, 2, 2) == tnm_pfaffian(2, 2)
+    # T^(n)_m = (-1)^m Pf [T^(n+1-j+l)(u + (j+l+1-2m)/2)]_{j,l<2m}, n = m = 2
+    assert rect_poly(2, 2, 2) == pfaffian(
+        [[fundamental_poly(2, 3 - j + l).shift(j + l - 3) for l in range(4)]
+         for j in range(4)])
     assert rect_poly(3, 2, 1) == fundamental_poly(3, 2)
 
 
@@ -170,6 +172,13 @@ def test_tsystem_rank2():
     assert rep.ok, [c for c in rep.checks if not c["ok"]]
 
 
+def test_tsystem_rank4():
+    # far past any size on Y: T^(3)_5 alone has 829,866 terms there
+    rep = verify_tsystem(4, 4, 3)
+    assert rep.ok and len(rep.checks) == 16, [
+        c for c in rep.checks if not c["ok"]]
+
+
 def _drop_first_term(p):
     mono, c = next(p.terms())
     return p - LaurentPoly.monomial(c, dict(mono))
@@ -193,14 +202,62 @@ def _shifted(operand, d):
 
 
 def _relations(n, *args):
-    """Every relation's (sign, A, B) triples of verify_tsystem(n, *args),
-    recorded instead of tested, with the names of its checks."""
+    """Every relation's formal (sign, A, B) triples of verify_tsystem(n,
+    *args), recorded instead of tested, with the names of its checks; the
+    bridge, the first convolution on Y, is taken to hold."""
     relations = []
     with mock.patch.object(characters, "_bilinear_zero",
-                           lambda triples: relations.append(list(triples))):
+                           lambda triples: relations.append(list(triples))), \
+            mock.patch.object(characters, "_convolution", lambda *_: True):
         checks = verify_tsystem(n, *args).checks
     assert len(relations) == len(checks) > 0
     return [c["identity"] for c in checks], relations
+
+
+def _y_relations(n, m_max, pf_max):
+    """The oracle: the relations of verify_tsystem(n, m_max, pf_max) on Y,
+    (the names of its checks, each relation's (sign, A, B) triples).  A
+    row T^(1)_m(u + h/2) enters as its words (``_row_operands``), any
+    other T^(a)_m(u + h/2) as (rect_poly(n, a, m), h); where T^(n-2) is a
+    row (n = 3), the long term multiplies the two Pfaffians instead."""
+    row, R = characters._row_operands(n), lambda a, m: rect_poly(n, a, m)
+    T = lambda a, m, h: row(m, h) if a == 1 else (R(a, m), h)
+
+    def long_term(k, j, p, i, q):
+        # -T^(n-2)_k(u) T^(n)_j(u + p/2) T^(n)_i(u + q/2)
+        if n == 3:
+            return (-1, row(k, 0), (R(n, j) * R(n, i).shift(q - p), p))
+        return (-1, (R(n - 2, k).shift(-p) * R(n, j), p), T(n, i, q))
+
+    names, relations = [], []
+    for a in range(1, n - 1):
+        for m in range(1, m_max + 1):
+            names.append(f"bulk relation a={a} m={m}")
+            relations.append([(1, T(a, m, -1), T(a, m, 1)),
+                              (-1, T(a, m + 1, 0), T(a, m - 1, 0)),
+                              (-1, T(a - 1, m, 0), T(a + 1, m, 0))])
+    for m in range(1, pf_max + 1):
+        names.append(f"even row relation at a=n-1, m={m}")
+        relations.append([(1, T(n - 1, 2 * m, -1), T(n - 1, 2 * m, 1)),
+                          (-1, T(n - 1, 2 * m + 1, 0), T(n - 1, 2 * m - 1, 0)),
+                          long_term(2 * m, m, -1, m, 1)])
+    for m in range(0, pf_max):
+        names.append(f"odd row relation at a=n-1, m={m}")
+        relations.append([(1, T(n - 1, 2 * m + 1, -1), T(n - 1, 2 * m + 1, 1)),
+                          (-1, T(n - 1, 2 * m + 2, 0), T(n - 1, 2 * m, 0)),
+                          long_term(2 * m + 1, m, 0, m + 1, 0)])
+    for m in range(1, pf_max):
+        names.append(f"long-node relation m={m}")
+        relations.append([(1, T(n, m, -2), T(n, m, 2)),
+                          (-1, T(n, m + 1, 0), T(n, m - 1, 0)),
+                          (-1, T(n - 1, 2 * m, 0), ONE)])
+    return names, relations
+
+
+def _largest_row(triples):
+    """The largest row index among a Y relation's ``Words`` operands."""
+    return max((len(x.halves) for _, *ops in triples for x in ops
+                if isinstance(x, Words)), default=0)
 
 
 @pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
@@ -222,39 +279,55 @@ def test_tsystem_mutants_fail(n, m_max):
                                    for s, a, b in bad).is_zero, (name, kind)
 
 
-@pytest.mark.parametrize("n, args", [(2, (5, 5)), (3, (3, 1))])
-def test_tsystem_rows_as_words_match_built_rows(n, args):
-    # each row operand, T^(1)_m(u + h/2) as words, against the operand
-    # (row_poly(n, m), h) that it replaces: the same verdict on every
-    # relation, and on the relation with its first sign flipped
-    z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
-    rows = 0
+def _phi(n, operand):
+    """A formal operand, p or (p, h), mapped to Y by the ring map t_a(v) ->
+    fundamental_poly(n, a).shift(v), then shifted by h."""
+    p, h = (operand, 0) if isinstance(operand, LaurentPoly) else operand
+    terms = []
+    for mono, c in p.terms():
+        term = LaurentPoly.const(c)
+        for (fam, a, v), e in mono:
+            assert fam == ring.T_FAM and e > 0, (fam, e)
+            for _ in range(e):
+                term = term * fundamental_poly(n, a).shift(v)
+        terms.append(term)
+    return poly_sum(terms).shift(h)
 
-    def built(x):
-        nonlocal rows
-        if not isinstance(x, Words):
-            return x
-        m = len(x.halves)
-        h = x.halves[0] + m if m else 0
-        assert x == Words(z, _row_halves(m, h), row_blocks(n, m))
-        rows += 1
-        return (row_poly(n, m), h)
 
-    for name, triples in zip(*_relations(n, *args)):
-        other = [(s, built(a), built(b)) for s, a, b in triples]
-        assert product_sum_vanishes(triples), name
-        assert product_sum_vanishes(other), name
-        (s0, a0, b0), *rest = triples
-        assert not product_sum_vanishes([(-s0, a0, b0)] + rest), name
-        assert not product_sum_vanishes([(-s0, *other[0][1:])] + other[1:]), (
-            name)
-    assert rows
+def _y_operand(n, operand):
+    """An oracle operand as a polynomial, a row built by row_poly."""
+    if not isinstance(operand, Words):
+        return _poly(operand)
+    m = len(operand.halves)
+    return row_poly(n, m).shift(operand.halves[0] + m if m else 0)
+
+
+@pytest.mark.parametrize("n, args", [(2, (3, 3)), (3, (3, 1))])
+def test_tsystem_formal_operands_map_to_y_operands(n, args):
+    # t_a(h) -> T^(a)_1(u + h/2) sends each formal operand, formal rows
+    # included, to the oracle's operand on Y; at rank 3 the oracle factors
+    # the long term otherwise, so there the products are compared
+    names, formal = _relations(n, *args)
+    y_names, oracle = _y_relations(n, *args)
+    assert names == y_names
+    for name, triples, y_triples in zip(names, formal, oracle):
+        assert len(triples) == len(y_triples) == 3, name
+        for k, ((s, a, b), (s_y, a_y, b_y)) in enumerate(zip(triples,
+                                                             y_triples)):
+            assert s == s_y, name
+            a, b = _phi(n, a), _phi(n, b)
+            a_y, b_y = _y_operand(n, a_y), _y_operand(n, b_y)
+            if n == 3 and k == 2 and "row relation" in name:
+                assert a * b == a_y * b_y, name
+            else:
+                assert (a, b) == (a_y, b_y), (name, k)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_tsystem_builds_no_row(n):
-    # rows enter verify_tsystem as words only: neither row_poly nor the
-    # a = 1 rectangle is called on its path
+    # no character is built on Y on verify_tsystem's path: its rows are
+    # formal in the relations and words in the bridge, and neither
+    # row_poly nor rect_poly is called
     def rect(k, a, m):
         assert a != 1, (a, m)
         return rect_poly(k, a, m)
@@ -277,6 +350,25 @@ def _dropped_word(blocks, length):
             out[0] = (lefts, mid, rights[1:])
         return out
     return gen
+
+
+@pytest.mark.parametrize("n, args", [(2, (3, 3)), (3, (3, 1))])
+def test_tsystem_bridge_fails_relations_that_use_a_broken_row(n, args,
+                                                              monkeypatch):
+    # a row with one word dropped breaks the first convolution on Y at its
+    # length m, which no formal zero-test sees: exactly the relations
+    # whose largest row index is at least m fail
+    names, relations = _y_relations(n, *args)
+    top = [_largest_row(triples) for triples in relations]
+    assert verify_tsystem(n, *args).ok
+    for length in range(1, max(top) + 1):
+        with monkeypatch.context() as mp:
+            mp.setattr(characters, "row_blocks",
+                       _dropped_word(characters.row_blocks, length))
+            failed = [c["identity"] for c in verify_tsystem(n, *args).checks
+                      if not c["ok"]]
+        assert failed == [x for x, m in zip(names, top) if m >= length]
+        assert failed, length
 
 
 @pytest.mark.parametrize("n, m_max", [(2, 4), (3, 3)])

@@ -325,6 +325,9 @@ def test_output_independent_of_hash_seed():
                   "--order", "8", "--format", "json"],
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
+                 # formal in t_a(h), so ranks 3 and 4 are cheap
+                 ["verify", "tsystem", "--rank", "3", "--format", "json"],
+                 ["verify", "tsystem", "--rank", "4", "--max-m", "4"],
                  ["verify", "tt-tq", "--rank", "2", "--max-m", "4"],
                  # m = 8 reaches relations with exponent bounds 8 to 15
                  ["verify", "tt-tq", "--rank", "3", "--max-m", "8"],

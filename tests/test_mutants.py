@@ -124,8 +124,13 @@ MUTANTS = {
     "tsystem": (["--rank", "2"], {
         "dropped row word": (characters, "row_blocks", _dropped_row_word),
         "dropped term of the Pfaffian T^(n)_2": (
-            characters, "tnm_pfaffian", lambda f: lambda n, m: (
-                _drop_first_term(f(n, m)) if m == 2 else f(n, m)))}),
+            characters, "rectangle", lambda f: lambda n, a, m, *ring: (
+                _drop_first_term(f(n, a, m, *ring)) if (a, m) == (n, 2)
+                else f(n, a, m, *ring))),
+        # the relations are formal in t_a(h), so only the bridge, the
+        # first convolution on Y, reads T^(1)
+        "dropped term of T^(1)": (characters, "fundamental_poly",
+                                  _dropped_term(1))}),
     "tt-tq": (["--rank", "2", "--max-m", "3"], {
         "dropped term of T^(2)": (characters, "fundamental_poly",
                                   _dropped_term(2)),

@@ -10,11 +10,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import characters, ring
+from qchar import characters, ring, screening
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
 from qchar.ring import (EXP_MAX, Q_FAM, Words, _format_shift, poly_sum,
                         product_sum, product_sum_vanishes, word_sum)
+from test_characters import _y_relations
 
 
 def small_polys():
@@ -95,6 +96,24 @@ def test_text_rendering_uses_half_units():
     assert Y(1, 3).text() == "1 * Y[1](u+3/2)"
     assert Y(2, -4).text() == "1 * Y[2](u-2)"
     assert Qv(1, 2).text() == "1 * Q[1](u+1)"
+
+
+def test_t_family_is_named_and_refused_by_the_q_maps():
+    # the free symbols t_a(h) of the formal T-system render and serialize
+    # under their own family name, and the maps defined on Y alone refuse
+    # them with the ValueError of any other non-Y variable
+    p = LaurentPoly.var(ring.T_FAM, 2, -3) * Y(1, 1)
+    assert p.text() == "1 * Y[1](u+1/2) * T[2](u-3/2)"
+    assert p.to_json() == [{"coeff": "1", "vars": [
+        {"fam": "Y", "idx": 1, "half_shift": 1, "exp": 1},
+        {"fam": "T", "idx": 2, "half_shift": -3, "exp": 1}]}]
+    cartan = CartanData(AlgebraSpec("C", 2))
+    factor = lambda a, h: screening.a_factor(cartan, a, h)
+    for x in (p, LaurentPoly.var(ring.T_FAM, 1)):
+        with pytest.raises(ValueError, match="Y-variables only, found T"):
+            x.to_q(cartan)
+        with pytest.raises(ValueError, match="Y-variables only, found T"):
+            ring.screenings_vanish(x, cartan, factor)
 
 
 def test_variable_table_column_letters():
@@ -903,20 +922,17 @@ def _built(x):
 
 
 def _largest_tsystem_relation():
-    """The relation of verify_tsystem(2, 5, 5) with the most term pairs:
-    the even row relation at m = 5."""
-    relations = []
-    with mock.patch.object(characters, "_bilinear_zero",
-                           lambda t: relations.append(list(t)) or True):
-        characters.verify_tsystem(2, 5, 5)
-    return max(relations, key=lambda t: sum(
+    """The relation of verify_tsystem(2, 5, 5) on Y with the most term
+    pairs, from the oracle that decides it there: the even row relation
+    at m = 5."""
+    return max(_y_relations(2, 5, 5)[1], key=lambda t: sum(
         _built(a).n_terms * _built(b).n_terms for _, a, b in t))
 
 
 def test_product_sum_vanishes_holds_one_class_at_a_time():
-    # the largest relation of verify_tsystem(2, 5, 5): the two counts of
-    # one class may not hold more than a quarter of the terms of its
-    # first product between them, as counts of every class would
+    # the largest relation of verify_tsystem(2, 5, 5) on Y: the two
+    # counts of one class may not hold more than a quarter of the terms
+    # of its first product between them, as counts of every class would
     triples = _largest_tsystem_relation()
     _, a, b = triples[0]
     first = (_built(a) * _built(b)).n_terms
@@ -935,10 +951,11 @@ def test_product_sum_vanishes_holds_one_class_at_a_time():
 
 
 def test_product_sum_vanishes_keys_fit_in_64_bits():
-    # the largest relation of verify_tsystem(2, 5, 5) packs 27 slots, and
-    # no product exponent in it passes |2|; each slot's digit spans only
-    # its own range, so every key and key sum that _count_blocks receives
-    # stays below 2^64 (one width for every slot took them to 2^156)
+    # the largest relation of verify_tsystem(2, 5, 5) on Y packs 27
+    # slots, and no product exponent in it passes |2|; each slot's digit
+    # spans only its own range, so every key and key sum that
+    # _count_blocks receives stays below 2^64 (one width for every slot
+    # took them to 2^156)
     triples = _largest_tsystem_relation()
     top = []  # the largest |key| and |key sum| of each block
     count = ring._count_blocks
