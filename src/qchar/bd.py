@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Words, Y_FAM, product_sum_vanishes, vk, ONE)
+                   Words, Y_FAM, sums_vanish, vk, ONE)
 from .diffop import DiffOp, prod
 from .screening import in_kernel, screen_all, screen_operator_all
 from .characters import RelationReport
@@ -234,9 +234,11 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     L^{-1} is never built: its T_m are ``tm_blocks``, so "L times inverse
     is 1" compares two independent statements, one zero-test of sum_i
     L_i T_{(k-i)/2}(u + i) = [k = 0] per D-degree k, and each T_m is
-    screened from its blocks.  The T^a checks read L's own per-node
-    verdicts up to the inverse's truncation.  +-T^a(u+a) and T_m(u+m) are
-    screened unshifted: a shift by h moves every screening symbol and its
+    screened from its blocks.  The zero-tests share one frame, degree k's
+    shifted by -k (a ring automorphism fixing 1): T_j stands at u - 2j in
+    every one.  The T^a checks read L's own per-node verdicts up to the
+    inverse's truncation.  +-T^a(u+a) and T_m(u+m) are screened
+    unshifted: a shift by h moves every screening symbol and its
     coefficient by h.  ``order`` defaults to ``default_order(n)``."""
     algebra = AlgebraSpec(series, n)
     if order is None:
@@ -251,16 +253,12 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     table = VariableTable(algebra)
     z = {c: table.z(c) for c in range(1, 2 * n + 1)} | (
         {0: table.z0()} if series == "B" else {})
-    blocks = [tm_blocks(algebra, m) for m in range(inv_order // 2 + 1)]
-
-    def tm(m: int, half: int) -> Words:  # T_m(u + half/2)
-        return Words(z, [half + 4 * j for j in range(m)], blocks[m])
-    rep.add("L times inverse is 1 to truncation", all(
-        product_sum_vanishes([(1, c, tm((k - i) // 2, 2 * i))
-                              for i, c in L.coeffs.items()
-                              if i <= k and (k - i) % 2 == 0]
-                             + [(-1, ONE, ONE)] * (k == 0))
-        for k in range(inv_order + 1)))
+    tm = [Words(z, [4 * j for j in range(m)], tm_blocks(algebra, m))
+          for m in range(inv_order // 2 + 1)]  # T_m(u)
+    rep.add("L times inverse is 1 to truncation", all(sums_vanish(
+        [(1, (c, -2 * k), (tm[(k - i) // 2], 2 * (i - k)))
+         for i, c in L.coeffs.items() if i <= k and (k - i) % 2 == 0]
+        + [(-1, ONE, ONE)] * (k == 0) for k in range(inv_order + 1))))
     expand = verify_b_expansion if series == "B" else verify_d_expansion
     rep.add("middle-factor expansion",
             expand(n, min(order, EXPANSION_ORDER[series])))
@@ -270,7 +268,7 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     l_reps = verify_bd_screening(L, cartan)
     for krep in l_reps:
         rep.add(f"operator kernel under node {krep.node_a}", krep.zero)
-    tm_verdicts = [screen_all(tm(m, 0), cartan)
+    tm_verdicts = [screen_all(tm[m], cartan)
                    for m in range(1, inv_order // 2 + 1)]
     for l_rep in l_reps:
         a = l_rep.node_a

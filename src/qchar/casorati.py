@@ -27,7 +27,7 @@ from math import prod
 
 from . import characters, diffop
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Q_FAM)
+                   Q_FAM, _y_arg)
 from .classical import (clear_row, det_frac, det_int,
                         PointReport as GridReport)
 
@@ -92,9 +92,10 @@ class _ShiftedValues:
         return True
 
     def __getitem__(self, var) -> Fraction:
-        fam, a, half = var
-        read = self.qa.value if fam == Q_FAM else self.qa.y_value
-        return read(a, half + self.half)
+        if var[0] == Q_FAM:
+            return self.qa.value(var[1], var[2] + self.half)
+        a, half = _y_arg(var)  # ValueError for any other family
+        return self.qa.y_value(a, half + self.half)
 
 
 class CharacterValues:

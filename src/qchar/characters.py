@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, Words, product_sum, product_sum_vanishes, vk, Y_FAM,
+                   Qv, Words, product_sum, sums_vanish, vk, Y_FAM,
                    T_FAM, ONE, ZERO)
 from .classical import PointReport
 from .tableaux import gen_column_tableaux, row_blocks, weight_sum
@@ -48,19 +48,19 @@ def fundamental_poly(n: int, a: int) -> LaurentPoly:
                       [a - 2 * k for k in range(1, a + 1)])
 
 
-def _row_halves(m: int, half: int = 0) -> list:
-    """Where the letters of T^(1)_m(u + half/2) stand: the k-th at
-    argument u + (2k - m - 2 + half)/2."""
-    return [2 * k - m - 2 + half for k in range(1, m + 1)]
+def _row_halves(m: int) -> list:
+    """Where the letters of T^(1)_m(u) stand: the k-th at argument
+    u + (2k - m - 2)/2."""
+    return [2 * k - m - 2 for k in range(1, m + 1)]
 
 
 def _row_operands(n: int):
-    """row(m, half): T^(1)_m(u + half/2) as a zero-test operand, the
-    ``Words`` of ``row_blocks(n, m)`` over the letter templates at u,
-    placed by ``_row_halves``, so that no row is built or decoded."""
+    """row(m): T^(1)_m(u) as a zero-test operand, the ``Words`` of
+    ``row_blocks(n, m)`` over the letter templates at u, placed by
+    ``_row_halves``, one object per m: no row is built or decoded."""
     z = {c: _table(n).z(c) for c in range(1, 2 * n + 1)}
-    blocks = lru_cache(maxsize=None)(lambda m: row_blocks(n, m))
-    return lambda m, half: Words(z, _row_halves(m, half), blocks(m))
+    return lru_cache(maxsize=None)(
+        lambda m: Words(z, _row_halves(m), row_blocks(n, m)))
 
 
 @lru_cache(maxsize=None)
@@ -198,20 +198,24 @@ class RelationReport(PointReport):
         self.checks.append({"identity": name, "ok": bool(ok), "detail": ""})
 
 
-def _bilinear_zero(triples) -> bool:
-    """``product_sum_vanishes``, under the one name that the relation
-    checks call and that tests and ``bench/tracer.py`` patch."""
-    return product_sum_vanishes(triples)
+def _bilinear_zero(sums) -> list[bool]:
+    """``sums_vanish``, under the one name that the relation checks call
+    and that tests and ``bench/tracer.py`` patch."""
+    return sums_vanish(sums)
 
 
-def _convolution(row, n: int, m: int, second: bool = False) -> bool:
-    """Whether tt-tq's first convolution holds at m on Y, sum_a (-1)^a
-    T^(1)_{m-a}(u - a/2) T^(a)_1(u + (m-a)/2) = [m = 0], or the second,
-    of T^(1)_{m-a}(u + (m+a)/2) T^(a)_1(u + a/2), rows from ``row``."""
-    return _bilinear_zero([((-1) ** a, row(m - a, m + a if second else -a),
-                            (f, a if second else m - a)) for a in range(m + 1)
-                           if not (f := fundamental_poly(n, a)).is_zero]
-                          + [(-1, ONE, ONE)] * (m == 0))
+def _convolution(n: int, top: int, s: int = 1) -> list:
+    """Whether tt-tq's first (s = 1) or second (s = -1) convolution holds
+    on Y at m = 0..top, in one frame: sum_a (-1)^a T^(1)_{m-a}(u - a/2)
+    T^(a)_1(u + (m-a)/2) = [m = 0], or with T^(1)_{m-a}(u + (m+a)/2)
+    T^(a)_1(u + a/2).  The sum at m is shifted by m or -2m half units (a
+    ring automorphism fixing 1), so row k stands at u + s*k/2 in all."""
+    row = _row_operands(n)
+    return _bilinear_zero([[((-1) ** a, (row(m - a), s * (m - a)),
+                             (f, s * (2 * m - a))) for a in range(m + 1)
+                            if not (f := fundamental_poly(n, a)).is_zero]
+                           + [(-1, ONE, ONE)] * (m == 0)
+                           for m in range(top + 1)])
 
 
 def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
@@ -222,12 +226,12 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     bounds the largest long-node index T^(n)_m entering a relation.
     T^(a)_m(u + h/2) enters as (T^(a)_m(u), h): ``rectangle`` for a > 1,
     a row F_m = -sum_{b>=1} (-1)^b t_b(m-b) F_{m-b}(u - b/2), F_0 = 1.
-    A relation holds iff it vanishes formally and ``_convolution`` holds
-    at every m up to the largest row index it uses.
+    A relation holds iff it vanishes formally, in one frame with all the
+    others, and ``_convolution`` holds up to the largest row index it uses.
     """
-    rep, row = RelationReport(), _row_operands(n)
+    rep = RelationReport()
     t = lambda a, h: extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
-    used, bridge = [], []  # this relation's row indices; _convolution by m
+    used, relations = [], []  # row indices; (name, triples, largest one)
 
     @lru_cache(maxsize=None)
     def R(a, m):
@@ -244,10 +248,7 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
         return R(a, m), h
 
     def add(name, triples):
-        top = max(used, default=0)
-        bridge.extend(_convolution(row, n, m)
-                      for m in range(len(bridge), top + 1))
-        rep.add(name, _bilinear_zero(triples) and all(bridge[:top + 1]))
+        relations.append((name, triples, max(used, default=0)))
         used.clear()
 
     def long_term(k, j, p, i, q):
@@ -280,6 +281,10 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
             (-1, T(n, m + 1, 0), T(n, m - 1, 0)),
             (-1, T(n - 1, 2 * m, 0), ONE),
         ])
+    bridge = _convolution(n, max([0] + [top for *_, top in relations]))
+    formal = _bilinear_zero([triples for _, triples, _ in relations])
+    for (name, _, top), ok in zip(relations, formal):
+        rep.add(name, ok and all(bridge[:top + 1]))
     return rep
 
 
@@ -287,14 +292,15 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     """The two bilinear convolution identities between row and
     fundamental characters, and the Baxter-function relation."""
     rep = RelationReport()
-    cartan, row = CartanData(AlgebraSpec("C", n)), _row_operands(n)
-    for m in range(0, m_max + 1):
-        rep.add(f"first convolution m={m}", _convolution(row, n, m))
-        rep.add(f"second convolution m={m}", _convolution(row, n, m, True))
-    rep.add("Baxter-function relation", _bilinear_zero(
+    cartan = CartanData(AlgebraSpec("C", n))
+    first, second = (_convolution(n, m_max, s) for s in (1, -1))
+    for m, (one, two) in enumerate(zip(first, second)):
+        rep.add(f"first convolution m={m}", one)
+        rep.add(f"second convolution m={m}", two)
+    rep.add("Baxter-function relation", _bilinear_zero([[
         ((-1) ** a, Qv(1, 2 * a), (f.to_q(cartan), a))  # Q_1(u+a)
         for a in range(2 * n + 3)
-        if not (f := fundamental_poly(n, a)).is_zero))
+        if not (f := fundamental_poly(n, a)).is_zero]])[0])
     return rep
 
 

@@ -30,8 +30,8 @@ Q variable).  Every bound then passes one guard, ``_checked``, which
 raises OverflowError past EXP_MAX.
 
 Substitution.  ``shift`` (u -> u + h/2), ``to_q`` (Y_a(v) ->
-Q_a(v - t_a)/Q_a(v + t_a)) and the repacks of ``product_sum_vanishes``
-and ``screenings_vanish`` rewrite monomials one way: ``_substitute``
+Q_a(v - t_a)/Q_a(v + t_a)) and the repacks of ``sums_vanish`` and
+``screenings_vanish`` rewrite monomials one way: ``_substitute``
 takes a decoded key and returns sum e * image(var), computing each
 slot's image once per call.  Each of these maps is injective on
 monomials (a shift permutes the variables, and e(w + t) - e(w - t) = 0
@@ -40,36 +40,37 @@ coefficient is merged.
 
 Local packing.  A key carries 16 bits for every slot up to its highest,
 so keys grow with all the variables a process has met.  The zero-test
-``product_sum_vanishes`` therefore packs into one frame of its own: a
+``sums_vanish`` therefore packs a family of sums into one frame: a
 mixed-radix number over the *shifted* variables the call meets, each
 digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
-4.1).  Every operand takes one form, ``_operand``'s: a word sum of
-letters.  The C rows of tt-tq convolutions enter as ``Words``; a
-polynomial p, or ``(p, half)`` for p.shift(half), is the word sum of one
+4.1).  Every operand, x or ``(x, half)`` for x shifted by half, takes
+one form, ``_operand``'s, a word sum of letters: x is ``Words``, as the
+C rows of tt-tq convolutions enter, or a polynomial, the word sum of one
 position whose letters are its own keys.  One pass bounds them:
 ``_span`` gives each operand its exponent bound b and an exact range
 [lo, hi] per variable, from its letters' distinct (slot, exponent)
 pairs, each range taken with 0 and added over the positions; no word is
 formed.  The two ranges of a product add, and the frame's box is their
-union over the products, with 0.  Slot i, in sorted order of the
-variables, has the unit prod_{j<i} (hi_j - lo_j + 1), so every monomial
-in the box has exactly one key, and keys add under products.  The two
-bounds of every product pass ``_checked``, so a sum that ``product_sum``
-would refuse raises OverflowError here too.  The repack is the
-substitution that sends each variable, shifted by a position's half, to
-the unit of its frame slot, so each letter's key is decoded once; the
-word keys are C-level sums of partial keys, as in ``word_sum``: no row
-is built, and words are counted with multiplicity, not merged.  The map
-is injective and additive on the box, which holds every product
-monomial, so the sum vanishes iff it does on global keys.  Nothing
-packed in a frame outlives the call.
-It decides one residue class of keys modulo CLASSES = 37 at a time:
-k -> k mod 37 is additive, so classes alpha and beta multiply into class
-alpha + beta, and keys of different classes never meet.  The sum
-vanishes iff each class's part does.  2 has order 36 mod 37, so it
-generates the units mod 37, and no radix from 2 to 36 is 1 mod 37: a
-slot's unit never shares the class of the unit below it, as it would if
-keys were classed by total degree.
+union over the products of every sum, with 0.  Slot i, in sorted order
+of the variables, has the unit prod_{j<i} (hi_j - lo_j + 1), so every
+monomial in the box has exactly one key, and keys add under products.
+The two bounds of every product pass ``_checked``, so a sum that
+``product_sum`` would refuse raises OverflowError here too.  The repack
+is the substitution that sends each variable, shifted by a position's
+half, to the unit of its frame slot, so each letter's key is decoded
+once; the word keys are C-level sums of partial keys, as in
+``word_sum``: no row is built, and words are counted with multiplicity,
+not merged.  The map is injective and additive on the box, which holds
+every product monomial, so each sum vanishes iff it does on global keys.
+A shift is a ring automorphism fixing 1, so callers shift their sums to
+share operands, and each operand, the same object at the same half, is
+packed once per call.  Nothing packed outlives the call.  Each sum is
+decided one residue class of keys modulo CLASSES = 37 at a time, as the
+map k -> k mod 37 is additive: classes alpha and beta multiply into
+class alpha + beta, and keys of different classes never meet.  Since 2
+has order 36 mod 37, it generates the units mod 37, and no radix from 2
+to 36 is 1 mod 37: a slot's unit never shares the class of the unit
+below it, as it would if keys were classed by total degree.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial or of ``Words`` canonicalizes to zero.
@@ -119,7 +120,7 @@ VarKey = tuple
 MonoKey = tuple
 
 EXP_MAX = 2 ** 15 - 1
-CLASSES = 37  # residue classes of frame keys in product_sum_vanishes
+CLASSES = 37  # residue classes of frame keys in sums_vanish
 
 _SLOT: dict = {}   # VarKey -> slot, in the order this process met them
 _VAR: list = []    # slot -> VarKey
@@ -190,7 +191,7 @@ def _y_arg(var: VarKey) -> tuple[int, int]:
     """(index, half) of a Y variable; ValueError for any other family."""
     f, i, h = var
     if f != Y_FAM:
-        raise ValueError(f"to_q expects Y-variables only, found {FAM_NAMES[f]}")
+        raise ValueError(f"expected Y-variables only, found {FAM_NAMES[f]}")
     return i, h
 
 
@@ -493,7 +494,7 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
 class Words(NamedTuple):
     """A word sum: over the words of ``blocks`` (see ``_words_into``), the
     products prod_k templates[word[k]].shift(halves[k]) of single-term
-    templates.  ``word_sum`` builds it, ``product_sum_vanishes`` and
+    templates.  ``word_sum`` builds it, ``sums_vanish`` and
     ``screenings_vanish`` take it as it is."""
 
     templates: dict
@@ -503,14 +504,14 @@ class Words(NamedTuple):
 
 def _operand(x) -> tuple:
     """The word-sum form (keys, coeffs, halves, blocks) of an operand of
-    ``product_sum_vanishes``: ``Words`` with their letters' keys and
-    coefficients, and a polynomial p, or (p, half) for p.shift(half), as
-    the word sum of one position whose letters are p's own keys, each a
-    word of its own."""
+    ``sums_vanish``, x or (x, half) for x shifted by half: ``Words`` with
+    their letters' keys and coefficients, each position moved by half,
+    and a polynomial p as the word sum of one position at half whose
+    letters are p's own keys, each a word of its own."""
+    x, half = x if type(x) is tuple else (x, 0)
     if isinstance(x, Words):
-        return (*_letters(x.templates), x.halves, x.blocks)
-    p, half = (x, 0) if isinstance(x, LaurentPoly) else x
-    return dict(zip(p._t, p._t)), p._t, [half], [([(k,) for k in p._t],)]
+        return (*_letters(x.templates), [h + half for h in x.halves], x.blocks)
+    return dict(zip(x._t, x._t)), x._t, [half], [([(k,) for k in x._t],)]
 
 
 def _span(x: tuple, digits=_digits) -> tuple[int, dict]:
@@ -536,31 +537,37 @@ def _span(x: tuple, digits=_digits) -> tuple[int, dict]:
                default=0) * len(halves), span
 
 
-def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
-    """Whether the sum of sign * A * B over (sign, A, B) is zero, decided
-    in one frame of this call (see "Local packing" in the module
-    docstring).  An operand is a LaurentPoly p, a pair (p, half) for
-    p.shift(half), or ``Words``, each taken in its ``_operand`` form on
-    entry.  Each product's bound, A's ``_span`` bound plus B's, passes
-    ``_checked``.
-    The frame's box is, per shifted variable, the union over triples of
-    A's ``_span`` range plus B's, with 0; each slot, in sorted order, is
-    one mixed-radix digit as wide as its range.  Frame keys mod CLASSES
-    add under products, so the sum vanishes iff, for each class gamma,
-    the sum over triples and alpha of A's class-alpha part times B's
-    class-(gamma - alpha) part does: iff ``_count_blocks`` counts its two
-    sides equal on the parts' keys, grouped by coefficient, the fewer
-    groups as alpha."""
-    triples = [(sign, _operand(a), _operand(b)) for sign, a, b in triples]
+def _identity(x) -> tuple:
+    """(id, half) of an operand: the same object at the same half."""
+    return (id(x[0]), x[1]) if type(x) is tuple else (id(x), 0)
+
+
+def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
+    """For each sum of sign * A * B over (sign, A, B), whether it is zero,
+    all in one frame of this call (see "Local packing" in the module
+    docstring).  An operand is a LaurentPoly or ``Words`` x, or (x, half)
+    for x shifted by half.  Each distinct one, by ``_identity``, is
+    bounded once, packed once at its first sum, and dropped after its
+    last.  Each product's bound, A's ``_span`` bound plus B's, passes
+    ``_checked``.  Class gamma of a sum, up to the first that fails,
+    takes over its triples and alpha A's class-alpha keys times B's
+    class-(gamma - alpha) keys, by coefficient, A the operand with fewer
+    groups, and ``_count_blocks`` counts the two sides."""
+    sums = [list(t) for t in sums]  # held, so that no id is reused
+    ops = {_identity(x): x for t in sums for _, *xs in t for x in xs}
+    last = {k: i for i, t in enumerate(sums)  # the last sum using each
+            for _, *xs in t for k in map(_identity, xs)}
     digits = cache(_digits)  # one decode per key for the box and repack
+    spans = {k: _span(_operand(x), digits) for k, x in ops.items()}
     box: dict = {}  # shifted VarKey -> [lo, hi] over every product, with 0
-    for _, a, b in triples:
-        (b_a, sa), (b_b, sb) = _span(a, digits), _span(b, digits)
+    for _, a, b in chain.from_iterable(sums):
+        (b_a, sa), (b_b, sb) = spans[_identity(a)], spans[_identity(b)]
         _checked(b_a + b_b)  # OverflowError past EXP_MAX
         for v in sa.keys() | sb.keys():
             (lo_a, hi_a), (lo_b, hi_b) = sa.get(v, (0, 0)), sb.get(v, (0, 0))
             r = box.setdefault(v, [0, 0])
             r[0], r[1] = min(r[0], lo_a + lo_b), max(r[1], hi_a + hi_b)
+    del spans
     place: dict = {}  # shifted VarKey -> its local unit
     unit = 1
     for v in sorted(box):
@@ -572,8 +579,8 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
         return _substitute(*digits(k), at.setdefault(half, {}), lambda v: (
             place[v[0], v[1], v[2] + half]))
 
-    def pack(x) -> list:
-        keys, coeffs, halves, blocks = x
+    def pack(x) -> dict:  # alpha -> {coefficient: keys} of class alpha
+        keys, coeffs, halves, blocks = _operand(x)
         groups = _words_into([{c: key(k, h) for c, k in keys.items()}
                               for h in halves], coeffs, blocks)
         parts = [{} for _ in range(CLASSES)]
@@ -581,23 +588,31 @@ def product_sum_vanishes(triples: Iterable[tuple]) -> bool:
             lists = [part.setdefault(c, []) for part in parts]
             deque(map(list.append, map(lists.__getitem__, map(
                 CLASSES.__rmod__, ks)), ks), maxlen=0)
-        return [{c: ks for c, ks in part.items() if ks} for part in parts]
+        return {alpha: x for alpha, part in enumerate(parts)
+                if (x := {c: ks for c, ks in part.items() if ks})}
 
-    packed = []  # (sign, one operand's nonempty classes, the other's)
-    for sign, a, b in triples:
-        a, b = sorted((pack(a), pack(b)), key=lambda x: sum(map(len, x)))
-        packed.append((sign, [(al, x) for al, x in enumerate(a) if x], b))
-    for gamma in range(CLASSES):
+    def vanishes(packed: list, gamma: int) -> bool:  # class gamma of a sum
         blocks: dict = {}  # m -> [(keys, keys)] whose sums carry m each
         for sign, a, b in packed:
             for alpha, x in a:
-                y = b[gamma - alpha]  # a negative index wraps modulo CLASSES
-                for c1, k1 in x.items():
-                    for c2, k2 in y.items():
-                        blocks.setdefault(sign * c1 * c2, []).append((k1, k2))
-        if not dict.__eq__(*_count_blocks(blocks)):
-            return False
-    return True
+                y = b.get((gamma - alpha) % CLASSES, {})
+                for (c1, k1), (c2, k2) in product(x.items(), y.items()):
+                    blocks.setdefault(sign * c1 * c2, []).append((k1, k2))
+        return dict.__eq__(*_count_blocks(blocks))
+
+    packs: dict = {}  # identity -> pack(operand), from its first sum on
+    out = []
+    for i, t in enumerate(sums):
+        packed = []  # (sign, A's classes as items, B's classes)
+        for sign, *xs in t:
+            ks = list(map(_identity, xs))
+            packs.update((k, pack(ops[k])) for k in ks if k not in packs)
+            a, b = sorted(map(packs.get, ks),
+                          key=lambda x: sum(map(len, x.values())))
+            packed.append((sign, a.items(), b))
+        packs = {k: x for k, x in packs.items() if last[k] > i}
+        out.append(all(vanishes(packed, g) for g in range(CLASSES)))
+    return out
 
 
 def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:

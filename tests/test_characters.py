@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qchar import characters, ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
-                        product_sum, product_sum_vanishes, word_sum)
+                        product_sum, sums_vanish, word_sum)
 from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
                               jacobi_trudi, det, pfaffian, rect_poly,
                               verify_tsystem, verify_tt_tq,
@@ -22,6 +22,13 @@ from qchar.diffop import build_L_C
 from qchar.tableaux import (gen_column_tableaux, gen_row_tableaux, gen_W,
                             gen_x_tableaux, row_blocks, tableau_weight,
                             weight_sum)
+from test_mutants import MUTANTS
+
+
+def product_sum_vanishes(triples):
+    """Whether one sum of (sign, A, B) triples vanishes: the tests'
+    shorthand for its verdict in a batch of one."""
+    return sums_vanish([triples])[0]
 
 
 def per_letter_weight(t, template, halves):
@@ -184,21 +191,23 @@ def _drop_first_term(p):
     return p - LaurentPoly.monomial(c, dict(mono))
 
 
+def _at(operand):
+    """(x, half) of a zero-test operand: x, or (x, half) for x shifted by
+    half, x a polynomial or Words."""
+    return operand if type(operand) is tuple else (operand, 0)
+
+
 def _poly(operand):
-    """The polynomial a zero-test operand stands for: p, (p, half) for
-    p.shift(half), or Words, built by word_sum."""
-    if isinstance(operand, Words):
-        return word_sum(operand)
-    return operand.shift(0) if isinstance(operand, LaurentPoly) else (
-        operand[0].shift(operand[1]))
+    """The polynomial a zero-test operand stands for, Words built by
+    word_sum."""
+    x, half = _at(operand)
+    return (word_sum(x) if isinstance(x, Words) else x).shift(half)
 
 
 def _shifted(operand, d):
     """The operand shifted by d half-units more."""
-    if isinstance(operand, Words):
-        return operand._replace(halves=[h + d for h in operand.halves])
-    return (operand, d) if isinstance(operand, LaurentPoly) else (
-        operand[0], operand[1] + d)
+    x, half = _at(operand)
+    return x, half + d
 
 
 def _relations(n, *args):
@@ -206,9 +215,14 @@ def _relations(n, *args):
     *args), recorded instead of tested, with the names of its checks; the
     bridge, the first convolution on Y, is taken to hold."""
     relations = []
-    with mock.patch.object(characters, "_bilinear_zero",
-                           lambda triples: relations.append(list(triples))), \
-            mock.patch.object(characters, "_convolution", lambda *_: True):
+
+    def record(sums):
+        relations.extend(map(list, sums))
+        return [True] * len(relations)
+
+    with mock.patch.object(characters, "_bilinear_zero", record), \
+            mock.patch.object(characters, "_convolution",
+                              lambda n, top: [True] * (top + 1)):
         checks = verify_tsystem(n, *args).checks
     assert len(relations) == len(checks) > 0
     return [c["identity"] for c in checks], relations
@@ -221,12 +235,12 @@ def _y_relations(n, m_max, pf_max):
     other T^(a)_m(u + h/2) as (rect_poly(n, a, m), h); where T^(n-2) is a
     row (n = 3), the long term multiplies the two Pfaffians instead."""
     row, R = characters._row_operands(n), lambda a, m: rect_poly(n, a, m)
-    T = lambda a, m, h: row(m, h) if a == 1 else (R(a, m), h)
+    T = lambda a, m, h: (row(m) if a == 1 else R(a, m), h)
 
     def long_term(k, j, p, i, q):
         # -T^(n-2)_k(u) T^(n)_j(u + p/2) T^(n)_i(u + q/2)
         if n == 3:
-            return (-1, row(k, 0), (R(n, j) * R(n, i).shift(q - p), p))
+            return (-1, row(k), (R(n, j) * R(n, i).shift(q - p), p))
         return (-1, (R(n - 2, k).shift(-p) * R(n, j), p), T(n, i, q))
 
     names, relations = [], []
@@ -256,8 +270,8 @@ def _y_relations(n, m_max, pf_max):
 
 def _largest_row(triples):
     """The largest row index among a Y relation's ``Words`` operands."""
-    return max((len(x.halves) for _, *ops in triples for x in ops
-                if isinstance(x, Words)), default=0)
+    return max((len(x.halves) for _, *ops in triples
+                for x, _ in map(_at, ops) if isinstance(x, Words)), default=0)
 
 
 @pytest.mark.parametrize("n, m_max", [(2, 3), (3, 1)])
@@ -393,6 +407,54 @@ def test_tt_tq_mutants_fail(n, m_max, monkeypatch):
                        if "convolution" in c["identity"]), kind
 
 
+def _convolutions_one_by_one(n, top, s):
+    """The oracle: tt-tq's first (s = 1) or second (s = -1) convolution at
+    each m <= top as it is stated, unshifted, each sum decided in a frame
+    of its own."""
+    row = characters._row_operands(n)
+    return [product_sum_vanishes(
+        [((-1) ** a, (row(m - a), -a if s > 0 else m + a),
+          (f, m - a if s > 0 else a)) for a in range(m + 1)
+         if not (f := characters.fundamental_poly(n, a)).is_zero]
+        + [(-1, ONE, ONE)] * (m == 0)) for m in range(top + 1)]
+
+
+@pytest.mark.parametrize("n, top", [(2, 6), (3, 5)])
+def test_shifted_convolutions_match_unshifted_ones(n, top, monkeypatch):
+    # each family's sums are shifted so that they share their rows, and a
+    # shift is a ring automorphism: the verdict at every m is that of the
+    # convolution as stated, on a clean run and under every tt-tq mutant
+    # of the suite, each of which fails both families
+    for kind, mutant in {"clean": None, **MUTANTS["tt-tq"][1]}.items():
+        with monkeypatch.context() as mp:
+            if mutant:
+                module, attr, mutate = mutant
+                mp.setattr(module, attr, mutate(getattr(module, attr)))
+            for s in (1, -1):
+                got = characters._convolution(n, top, s)
+                assert got == _convolutions_one_by_one(n, top, s), (kind, s)
+                assert all(got) == (mutant is None), (kind, s)
+
+
+def test_tt_tq_packs_each_row_once_per_family(monkeypatch):
+    # every sum of a family stands T^(1)_k at the same half, so a row is
+    # packed once per family: 2 * 12 rows at rank 3 up to m = 11, where a
+    # frame per m packed 128
+    rows, packs = set(), []
+    blocks, words = characters.row_blocks, ring._words_into
+
+    def row_blocks(n, m):
+        out = blocks(n, m)
+        rows.add(id(out))
+        return out
+
+    monkeypatch.setattr(characters, "row_blocks", row_blocks)
+    monkeypatch.setattr(ring, "_words_into", lambda keys, coeffs, bs: (
+        packs.append(id(bs) in rows) or words(keys, coeffs, bs)))
+    assert verify_tt_tq(3, 11).ok
+    assert sum(packs) == 24
+
+
 def test_tt_tq_rank2():
     rep = verify_tt_tq(2, 6)
     assert rep.ok, [c for c in rep.checks if not c["ok"]]
@@ -462,7 +524,7 @@ def test_shifted_rows_built_directly(n, m, h):
     # a row built in a frame from templates at u, repacked at each
     # position's shift, equals row_poly(n, m).shift(h) repacked there
     z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
-    row = Words(z, _row_halves(m, h), row_blocks(n, m))
+    row = Words(z, _row_halves(m), row_blocks(n, m)), h
     built = row_poly(n, m)  # before the patch: word_sum counts too
     # the zero-test pairs one residue class of each row at a time with
     # ONE, packed as the keys [0]; a row's coefficients are positive, so
@@ -502,7 +564,7 @@ if sys.argv[1] == "busy":
         ring.Y(1, 1000 + i)
 # only the products inside the zero-tests count
 inside, top = [False], [0]
-count, zero_test = ring._count_blocks, characters.product_sum_vanishes
+count, zero_test = ring._count_blocks, characters.sums_vanish
 
 def record(blocks):
     if inside[0]:
@@ -510,14 +572,14 @@ def record(blocks):
                                  for xs, ys in bucket for k in (*xs, *ys)])
     return count(blocks)
 
-def tested(triples):
+def tested(sums):
     inside[0] = True
     try:
-        return zero_test(triples)
+        return zero_test(sums)
     finally:
         inside[0] = False
 
-ring._count_blocks, characters.product_sum_vanishes = record, tested
+ring._count_blocks, characters.sums_vanish = record, tested
 assert characters.verify_tt_tq(3, 4).ok
 print(top[0])
 """

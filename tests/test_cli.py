@@ -323,6 +323,10 @@ def test_output_independent_of_hash_seed():
     for args in (["character", "--rank", "2", "--rect", "2", "2"],
                  ["verify", "bd", "--algebra", "B", "--rank", "2",
                   "--order", "8", "--format", "json"],
+                 # the inverse check shares one frame across D-degrees,
+                 # each operand packed once by its identity
+                 ["verify", "bd", "--algebra", "D", "--rank", "3",
+                  "--format", "json"],
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
                  # formal in t_a(h), so ranks 3 and 4 are cheap

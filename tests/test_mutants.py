@@ -56,6 +56,15 @@ def _dropped_tm_word(f):
     return blocks
 
 
+def _shifted_rows(f):
+    """_row_operands with every row a half unit later and the
+    fundamentals where they were: row(m) answers T^(1)_m(u + 1/2)."""
+    def rows(n):
+        row = f(n)
+        return lambda m: row(m)._replace(halves=[h + 1 for h in row(m).halves])
+    return rows
+
+
 def _shifted_first_factor(f):
     """_x_factors with the first factor's coefficients shifted by a half
     unit: x_1(u + n + 1/2) for x_1(u + n)."""
@@ -134,7 +143,9 @@ MUTANTS = {
     "tt-tq": (["--rank", "2", "--max-m", "3"], {
         "dropped term of T^(2)": (characters, "fundamental_poly",
                                   _dropped_term(2)),
-        "dropped row word": (characters, "row_blocks", _dropped_row_word)}),
+        "dropped row word": (characters, "row_blocks", _dropped_row_word),
+        "rows shifted a half unit": (characters, "_row_operands",
+                                     _shifted_rows)}),
     "hseries": (["--rank", "2"], {
         "dropped term of H^(1)_6": (characters, "h_poly", lambda f: (
             lambda n, i, k: (_drop_first_term(f(n, i, k)) if (i, k) == (1, 6)

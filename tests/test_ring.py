@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qchar import characters, ring, screening
+from qchar.casorati import QAssignment
 from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
 from qchar.ring import (EXP_MAX, Q_FAM, Words, _format_shift, poly_sum,
-                        product_sum, product_sum_vanishes, word_sum)
-from test_characters import _y_relations
+                        product_sum, sums_vanish, word_sum)
+from test_characters import _poly, _y_relations, product_sum_vanishes
 
 
 def small_polys():
@@ -101,7 +102,9 @@ def test_text_rendering_uses_half_units():
 def test_t_family_is_named_and_refused_by_the_q_maps():
     # the free symbols t_a(h) of the formal T-system render and serialize
     # under their own family name, and the maps defined on Y alone refuse
-    # them with the ValueError of any other non-Y variable
+    # them with the ValueError of any other non-Y variable: the Q image,
+    # the screening and the evaluation at Q values, which reads a Y
+    # variable as its Q image
     p = LaurentPoly.var(ring.T_FAM, 2, -3) * Y(1, 1)
     assert p.text() == "1 * Y[1](u+1/2) * T[2](u-3/2)"
     assert p.to_json() == [{"coeff": "1", "vars": [
@@ -114,6 +117,8 @@ def test_t_family_is_named_and_refused_by_the_q_maps():
             x.to_q(cartan)
         with pytest.raises(ValueError, match="Y-variables only, found T"):
             ring.screenings_vanish(x, cartan, factor)
+        with pytest.raises(ValueError, match="Y-variables only, found T"):
+            QAssignment(2, seed=5).eval(x)
 
 
 def test_variable_table_column_letters():
@@ -833,22 +838,24 @@ def _classes_counted(triples):
 
 @st.composite
 def operands(draw):
-    """(operand, the LaurentPoly it stands for): a polynomial, a shifted
-    one or a Words row, whose blocks may split its words."""
-    kind = draw(st.sampled_from(("poly", "shifted", "words")))
-    if kind == "words":
+    """(operand, the LaurentPoly it stands for): a polynomial or a Words
+    row, whose blocks may split its words, either of them shifted or
+    not."""
+    words, shifted = draw(st.booleans()), draw(st.booleans())
+    if words:
         templates = draw(letter_templates())
         halves = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
         word = st.tuples(*(st.sampled_from(sorted(templates))
                            for _ in halves))
         words = draw(st.lists(word, min_size=1, max_size=6))
-        row = Words(templates, halves, draw(split_words(words, len(halves))))
-        return row, _o_word_sum(templates, halves, words)
-    p = packed(draw(tuple_polys(min_size=1)))
-    if kind == "poly":
-        return p, p
+        x = Words(templates, halves, draw(split_words(words, len(halves))))
+        p = _o_word_sum(templates, halves, words)
+    else:
+        x = p = packed(draw(tuple_polys(min_size=1)))
+    if not shifted:
+        return x, p
     h = draw(st.integers(-4, 4))
-    return (p, h), p.shift(h)
+    return (x, h), p.shift(h)
 
 
 def class_candidates():
@@ -878,6 +885,49 @@ def test_product_sum_vanishes_decides_class_by_class(triples):
     gammas = [g for gammas in calls for g in gammas]
     assert len(gammas) == len(set(gammas))
     assert len(calls) == ring.CLASSES or not verdict
+
+
+@st.composite
+def shared_sums(draw):
+    """Sums of (sign, (operand, the LaurentPoly it stands for), ...)
+    triples over one small pool of objects, ZERO and ONE among them, so
+    that an object, a polynomial or Words, recurs across sums and within
+    one sum, at one half or at several, some blocks built to cancel."""
+    pool = [(ZERO, ZERO), (ONE, ONE)] + draw(st.lists(operands().filter(
+        lambda x: isinstance(x[0], (Words, LaurentPoly))), max_size=3))
+
+    def use(i, half):
+        x, p = pool[i]
+        if half is None:
+            return x, p
+        return (x, half), p.shift(half)
+
+    sign = st.sampled_from((1, -1, 2, -3))
+    op = st.builds(use, st.integers(0, len(pool) - 1),
+                   st.one_of(st.none(), st.integers(-3, 3)))
+    plain = st.lists(st.tuples(sign, op, op), min_size=1, max_size=2)
+    swap = st.builds(lambda s, a, b: [(s, a, b), (-s, b, a)], sign, op, op)
+    one_sum = st.lists(st.one_of(plain, swap), max_size=2).map(
+        lambda blocks: sum(blocks, []))
+    return draw(st.lists(one_sum, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_sums())
+def test_sums_vanish_matches_product_sum(sums):
+    # one frame for every sum, each distinct operand (the same object at
+    # the same half) packed once by _words_into, however many triples and
+    # sums use it
+    packs = []
+    real = ring._words_into
+    with mock.patch.object(ring, "_words_into",
+                           lambda *args: packs.append(1) or real(*args)):
+        got = sums_vanish([[(s, a, b) for s, (a, _), (b, _) in t]
+                           for t in sums])
+    assert got == [product_sum([(s, a, b) for s, (_, a), (_, b) in t]).is_zero
+                   for t in sums]
+    assert len(packs) == len({ring._identity(x) for t in sums
+                              for _, *ops in t for x, _ in ops})
 
 
 def test_product_sum_vanishes_finds_a_residue_in_one_class():
@@ -913,20 +963,12 @@ def test_product_sum_vanishes_finds_a_residue_in_one_class():
     assert min(found) < 0 < max(found)
 
 
-def _built(x):
-    """The LaurentPoly an operand of product_sum_vanishes stands for; a
-    Words row built by word_sum."""
-    if isinstance(x, Words):
-        return word_sum(x)
-    return x if isinstance(x, LaurentPoly) else x[0].shift(x[1])
-
-
 def _largest_tsystem_relation():
     """The relation of verify_tsystem(2, 5, 5) on Y with the most term
     pairs, from the oracle that decides it there: the even row relation
     at m = 5."""
     return max(_y_relations(2, 5, 5)[1], key=lambda t: sum(
-        _built(a).n_terms * _built(b).n_terms for _, a, b in t))
+        _poly(a).n_terms * _poly(b).n_terms for _, a, b in t))
 
 
 def test_product_sum_vanishes_holds_one_class_at_a_time():
@@ -935,7 +977,7 @@ def test_product_sum_vanishes_holds_one_class_at_a_time():
     # of its first product between them, as counts of every class would
     triples = _largest_tsystem_relation()
     _, a, b = triples[0]
-    first = (_built(a) * _built(b)).n_terms
+    first = (_poly(a) * _poly(b)).n_terms
     top = 0
     count = ring._count_blocks
 
@@ -1007,24 +1049,26 @@ def test_class_modulus_splits_every_frame_width():
     # is its radix times the unit before it, so neighbouring units never
     # share a class; with radix 1 mod CLASSES throughout, keys would be
     # classed by their total degree alone, and a tt-tq row, a product of
-    # degree-0 letters, would barely split.  The tt-tq relations whose
-    # bound B has 2^3 <= B < 2^4 are checked to split evenly.
+    # degree-0 letters, would barely split.  The tt-tq sums whose bound B
+    # has 2^3 <= B < 2^4 are checked to split evenly in the frame of
+    # their family, which all of its sums share.
     assert all(pow(2, k, ring.CLASSES) != 1
                for k in range(1, ring.CLASSES - 1))
-    relations = []
-    with mock.patch.object(characters, "_bilinear_zero",
-                           lambda t: relations.append(list(t)) or True):
+    families = []
+
+    def recorded(sums):
+        families.append([list(t) for t in sums])
+        return [True] * len(families[-1])
+
+    with mock.patch.object(characters, "_bilinear_zero", recorded):
         characters.verify_tt_tq(3, 8)
 
     def bound(x):  # _span's bound of an operand, in its _operand form
         return ring._span(ring._operand(x))[0]
 
-    wide = [t for t in relations if max(
-        bound(a) + bound(b) for _, a, b in t).bit_length() + 1 == 5]
-    assert wide
-    count = ring._count_blocks
-    for triples in wide:
-        pairs = []  # the term pairs of each class
+    count, wide = ring._count_blocks, 0
+    for sums in families:
+        pairs = []  # the term pairs of each class, sum after sum
 
         def record(blocks):
             pairs.append(sum(len(xs) * len(ys) for bucket in blocks.values()
@@ -1032,16 +1076,23 @@ def test_class_modulus_splits_every_frame_width():
             return count(blocks)
 
         with mock.patch.object(ring, "_count_blocks", record):
-            assert product_sum_vanishes(triples)
-        assert len(pairs) == ring.CLASSES
-        assert max(pairs) <= 2 * sum(pairs) / ring.CLASSES
+            assert all(sums_vanish(sums))
+        # a sum that vanishes is counted in every class, in turn
+        assert len(pairs) == len(sums) * ring.CLASSES
+        for i, triples in enumerate(sums):
+            split = pairs[i * ring.CLASSES:(i + 1) * ring.CLASSES]
+            if max(bound(a) + bound(b)
+                   for _, a, b in triples).bit_length() + 1 == 5:
+                wide += 1
+                assert max(split) <= 2 * sum(split) / ring.CLASSES
+    assert wide
 
 
 def test_span_scans_a_polynomial_once():
     # a polynomial paired with Words is bounded exactly from the keys the
     # call decodes, each once for the box and the repack, and its keys are
     # never scanned for a bound of their own
-    words = characters._row_operands(2)(2, 0)
+    words = characters._row_operands(2)(2)
     p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
     assert p._b == 5  # the carried bound of the product
     assert product_sum_vanishes([(1, words, p), (-1, p, words)])
