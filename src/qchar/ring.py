@@ -64,13 +64,23 @@ not merged.  The map is injective and additive on the box, which holds
 every product monomial, so each sum vanishes iff it does on global keys.
 A shift is a ring automorphism fixing 1, so callers shift their sums to
 share operands, and each operand, the same object at the same half, is
-packed once per call.  Nothing packed outlives the call.  Each sum is
-decided one residue class of keys modulo CLASSES = 37 at a time, as the
-map k -> k mod 37 is additive: classes alpha and beta multiply into
-class alpha + beta, and keys of different classes never meet.  Since 2
-has order 36 mod 37, it generates the units mod 37, and no radix from 2
-to 36 is 1 mod 37: a slot's unit never shares the class of the unit
-below it, as it would if keys were classed by total degree.
+packed once per call.  Nothing packed outlives the call.  A sum of at
+most BUDGET = 2^12 term pairs, sum |A| |B| over its products from the
+packed operands' sizes, is counted at once.  A larger one is decided
+one residue class of keys modulo CLASSES = 37 at a time, as the map k
+-> k mod 37 is additive: classes alpha and beta multiply into class
+alpha + beta, and keys of different classes never meet.  The budget is
+about one class of the largest sums the checks meet (120,832 term
+pairs in tt-tq at rank 3, m = 11: 3.3k a class), so no count holds
+more than such a class, and a small sum is spared up to 37^2 slices
+per product for no saving in memory.  An operand is split into classes
+at the first large sum that uses it.  Since 2 has order 36 mod 37, it
+generates the units mod 37, and no radix from 2 to 36 is 1 mod 37: a
+slot's unit never shares the class of the unit below it, as it would if
+keys were classed by total degree.  One frame spans a whole family, so
+its keys are wider than a frame per sum would make them: 75 bits at
+most in tt-tq at rank 3 to m = 11, 58 in the rank-2 T-system to m = 5,
+where a frame per sum gives 46.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial or of ``Words`` canonicalizes to zero.
@@ -121,6 +131,7 @@ MonoKey = tuple
 
 EXP_MAX = 2 ** 15 - 1
 CLASSES = 37  # residue classes of frame keys in sums_vanish
+BUDGET = 2 ** 12  # term pairs of a sum counted at once in sums_vanish
 
 _SLOT: dict = {}   # VarKey -> slot, in the order this process met them
 _VAR: list = []    # slot -> VarKey
@@ -547,12 +558,14 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
     all in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly or ``Words`` x, or (x, half)
     for x shifted by half.  Each distinct one, by ``_identity``, is
-    bounded once, packed once at its first sum, and dropped after its
-    last.  Each product's bound, A's ``_span`` bound plus B's, passes
-    ``_checked``.  Class gamma of a sum, up to the first that fails,
-    takes over its triples and alpha A's class-alpha keys times B's
-    class-(gamma - alpha) keys, by coefficient, A the operand with fewer
-    groups, and ``_count_blocks`` counts the two sides."""
+    bounded once, packed once at its first sum, split into CLASSES
+    classes of keys at its first sum of more than BUDGET term pairs, and
+    dropped after its last.  Each product's bound, A's ``_span`` bound
+    plus B's, passes ``_checked``.  A sum of at most BUDGET pairs is one
+    class, a larger one CLASSES classes.  Class gamma, up to the first
+    that fails, takes over the triples and alpha A's class-alpha keys
+    times B's class-(gamma - alpha) keys, by coefficient, A the operand
+    with fewer groups, and ``_count_blocks`` counts the two sides."""
     sums = [list(t) for t in sums]  # held, so that no id is reused
     ops = {_identity(x): x for t in sums for _, *xs in t for x in xs}
     last = {k: i for i, t in enumerate(sums)  # the last sum using each
@@ -579,39 +592,48 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
         return _substitute(*digits(k), at.setdefault(half, {}), lambda v: (
             place[v[0], v[1], v[2] + half]))
 
-    def pack(x) -> dict:  # alpha -> {coefficient: keys} of class alpha
-        keys, coeffs, halves, blocks = _operand(x)
-        groups = _words_into([{c: key(k, h) for c, k in keys.items()}
-                              for h in halves], coeffs, blocks)
-        parts = [{} for _ in range(CLASSES)]
-        for c, ks in groups.items():  # each key to its class, at C level
-            lists = [part.setdefault(c, []) for part in parts]
-            deque(map(list.append, map(lists.__getitem__, map(
-                CLASSES.__rmod__, ks)), ks), maxlen=0)
-        return {alpha: x for alpha, part in enumerate(parts)
-                if (x := {c: ks for c, ks in part.items() if ks})}
+    def pack(op: tuple, classes: int) -> dict:  # alpha -> {c: keys}
+        if (op, 1) not in packs:
+            keys, coeffs, halves, blocks = _operand(ops[op])
+            packs[op, 1] = {0: _words_into([{c: key(k, h) for c, k in
+                                             keys.items()} for h in halves],
+                                           coeffs, blocks)}
+        if (op, classes) not in packs:  # each key to its class, at C level
+            parts = [{} for _ in range(classes)]
+            for c, ks in packs[op, 1][0].items():
+                lists = [part.setdefault(c, []) for part in parts]
+                deque(map(list.append, map(lists.__getitem__, map(
+                    classes.__rmod__, ks)), ks), maxlen=0)
+            packs[op, classes] = {alpha: y for alpha, part in enumerate(parts)
+                                  if (y := {c: ks for c, ks in part.items()
+                                            if ks})}
+        return packs[op, classes]
 
-    def vanishes(packed: list, gamma: int) -> bool:  # class gamma of a sum
+    def size(op: tuple) -> int:  # the number of keys of an operand
+        return sum(map(len, pack(op, 1)[0].values()))
+
+    def vanishes(packed: list, gamma: int, classes: int) -> bool:
         blocks: dict = {}  # m -> [(keys, keys)] whose sums carry m each
         for sign, a, b in packed:
             for alpha, x in a:
-                y = b.get((gamma - alpha) % CLASSES, {})
+                y = b.get((gamma - alpha) % classes, {})
                 for (c1, k1), (c2, k2) in product(x.items(), y.items()):
                     blocks.setdefault(sign * c1 * c2, []).append((k1, k2))
         return dict.__eq__(*_count_blocks(blocks))
 
-    packs: dict = {}  # identity -> pack(operand), from its first sum on
+    packs: dict = {}  # (identity, classes) -> pack, from its first use on
     out = []
     for i, t in enumerate(sums):
+        t = [(sign, *map(_identity, xs)) for sign, *xs in t]
+        pairs = sum(size(a) * size(b) for _, a, b in t)
+        classes = 1 if pairs <= BUDGET else CLASSES
         packed = []  # (sign, A's classes as items, B's classes)
-        for sign, *xs in t:
-            ks = list(map(_identity, xs))
-            packs.update((k, pack(ops[k])) for k in ks if k not in packs)
-            a, b = sorted(map(packs.get, ks),
+        for sign, *ks in t:
+            a, b = sorted((pack(k, classes) for k in ks),
                           key=lambda x: sum(map(len, x.values())))
             packed.append((sign, a.items(), b))
-        packs = {k: x for k, x in packs.items() if last[k] > i}
-        out.append(all(vanishes(packed, g) for g in range(CLASSES)))
+        packs = {k: x for k, x in packs.items() if last[k[0]] > i}
+        out.append(all(vanishes(packed, g, classes) for g in range(classes)))
     return out
 
 

@@ -439,18 +439,19 @@ def test_shifted_convolutions_match_unshifted_ones(n, top, monkeypatch):
 def test_tt_tq_packs_each_row_once_per_family(monkeypatch):
     # every sum of a family stands T^(1)_k at the same half, so a row is
     # packed once per family: 2 * 12 rows at rank 3 up to m = 11, where a
-    # frame per m packed 128
-    rows, packs = set(), []
+    # frame per m packed 128.  Each row is held here, so that no later
+    # list reuses the id of one that its family has dropped.
+    rows, packs = {}, []
     blocks, words = characters.row_blocks, ring._words_into
 
     def row_blocks(n, m):
         out = blocks(n, m)
-        rows.add(id(out))
+        rows[id(out)] = out
         return out
 
     monkeypatch.setattr(characters, "row_blocks", row_blocks)
     monkeypatch.setattr(ring, "_words_into", lambda keys, coeffs, bs: (
-        packs.append(id(bs) in rows) or words(keys, coeffs, bs)))
+        packs.append(rows.get(id(bs)) is bs) or words(keys, coeffs, bs)))
     assert verify_tt_tq(3, 11).ok
     assert sum(packs) == 24
 

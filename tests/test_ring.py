@@ -1,10 +1,12 @@
 """Ring axioms and representation maps for the sparse Laurent ring."""
 
+import gc
 import json
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
 from unittest import mock
 
 import pytest
@@ -875,8 +877,11 @@ def class_candidates():
 @settings(max_examples=100, deadline=None)
 @given(class_candidates())
 def test_product_sum_vanishes_decides_class_by_class(triples):
-    verdict, calls = _classes_counted([(s, a, b) for s, (a, _), (b, _)
-                                       in triples])
+    # at a budget of -1 every sum goes class by class, even one with
+    # no term pairs
+    with mock.patch.object(ring, "BUDGET", -1):
+        verdict, calls = _classes_counted([(s, a, b) for s, (a, _), (b, _)
+                                           in triples])
     assert verdict == product_sum([(s, a, b) for s, (_, a), (_, b)
                                    in triples]).is_zero
     # each count pairs the slices of one class gamma, each gamma once,
@@ -1051,7 +1056,8 @@ def test_class_modulus_splits_every_frame_width():
     # classed by their total degree alone, and a tt-tq row, a product of
     # degree-0 letters, would barely split.  The tt-tq sums whose bound B
     # has 2^3 <= B < 2^4 are checked to split evenly in the frame of
-    # their family, which all of its sums share.
+    # their family, which all of its sums share, each sum split at a
+    # budget of -1.
     assert all(pow(2, k, ring.CLASSES) != 1
                for k in range(1, ring.CLASSES - 1))
     families = []
@@ -1075,7 +1081,8 @@ def test_class_modulus_splits_every_frame_width():
                              for xs, ys in bucket))
             return count(blocks)
 
-        with mock.patch.object(ring, "_count_blocks", record):
+        with mock.patch.object(ring, "_count_blocks", record), \
+                mock.patch.object(ring, "BUDGET", -1):
             assert all(sums_vanish(sums))
         # a sum that vanishes is counted in every class, in turn
         assert len(pairs) == len(sums) * ring.CLASSES
@@ -1086,6 +1093,124 @@ def test_class_modulus_splits_every_frame_width():
                 wide += 1
                 assert max(split) <= 2 * sum(split) / ring.CLASSES
     assert wide
+
+
+def _pairs(x) -> int:
+    """The term pairs an operand x or (x, half) brings to a product: a
+    polynomial's terms, or the words of ``Words`` with multiplicity."""
+    x = x[0] if type(x) is tuple else x
+    if isinstance(x, Words):
+        return sum(prod(map(len, block)) for block in x.blocks)
+    return x.n_terms
+
+
+@pytest.mark.parametrize("budget", [0, 4, ring.BUDGET, float("inf")],
+                         ids=["zero", "four", "default", "unbounded"])
+@settings(max_examples=100, deadline=None)
+@given(shared_sums())
+def test_sums_vanish_matches_product_sum_at_any_budget(budget, sums):
+    # a sum of at most BUDGET term pairs is counted at once, a larger one
+    # class by class; at a budget of 4 one call does both, over shared
+    # operands.  Each sum is followed by a copy with its first triple
+    # doubled, which seldom vanishes.
+    sums = sums + [t + t[:1] for t in sums if t]
+    with mock.patch.object(ring, "BUDGET", budget):
+        got = sums_vanish([[(s, a, b) for s, (a, _), (b, _) in t]
+                           for t in sums])
+    assert got == [product_sum([(s, a, b) for s, (_, a), (_, b) in t]).is_zero
+                   for t in sums]
+
+
+def _counts(sums):
+    """sums_vanish(sums), and the term pairs of each _count_blocks call
+    with the classes mod CLASSES of its key sums, None for a pairing of
+    keys from more than one class."""
+    calls = []
+    count = ring._count_blocks
+
+    def record(blocks):
+        pairs, gammas = 0, set()
+        for xs, ys in chain.from_iterable(blocks.values()):
+            pairs += len(xs) * len(ys)
+            alphas, betas = ({k % ring.CLASSES for k in ks} for ks in (xs, ys))
+            gammas.add((alphas.pop() + betas.pop()) % ring.CLASSES
+                       if len(alphas) == len(betas) == 1 else None)
+        calls.append((pairs, gammas))
+        return count(blocks)
+
+    with mock.patch.object(ring, "_count_blocks", record):
+        return sums_vanish(sums), calls
+
+
+def _budget_sums():
+    """Two vanishing sums, of exactly BUDGET term pairs and of one more."""
+    def terms(n):  # a polynomial of n terms
+        return poly_sum(Y(1, 0, e) for e in range(-(n // 2), n - n // 2))
+
+    half, s = ring.BUDGET // 2, 1 + Y(2, 1)  # s * s has 3 terms
+    p, q = terms(half), terms(half - 3)
+    return ([(1, p, ONE), (-1, p, ONE)],
+            [(1, q, ONE), (-1, q, ONE), (1, s, s), (-1, s * s, ONE)])
+
+
+def test_sums_vanish_counts_the_budget_at_once():
+    # a vanishing sum of exactly BUDGET term pairs, or of none, is counted
+    # in one call, and one of a pair more in CLASSES calls, one class each
+    exact, over = _budget_sums()
+    assert _counts([[(1, ONE, ZERO)]]) == ([True], [(0, set())])
+    assert sum(_pairs(a) * _pairs(b) for _, a, b in exact) == ring.BUDGET
+    assert sum(_pairs(a) * _pairs(b) for _, a, b in over) == ring.BUDGET + 1
+    assert _counts([exact]) == ([True], [(ring.BUDGET, {None})])
+    verdicts, calls = _counts([over])
+    assert verdicts == [True] and len(calls) == ring.CLASSES
+    assert sum(pairs for pairs, _ in calls) == ring.BUDGET + 1
+    assert all(gammas <= {g} for g, (_, gammas) in enumerate(calls))
+
+
+def test_sums_vanish_leaves_no_cycles():
+    # nothing that a call packs refers back to itself, so all of it is
+    # freed when the call returns, not at the next cyclic collection
+    sums = _budget_sums()
+    gc.collect()
+    gc.disable()
+    try:
+        assert sums_vanish(sums) == [True, True]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: characters.verify_tsystem(2, 5, 5),
+    lambda: characters.verify_tt_tq(3, 11)], ids=["tsystem", "tt-tq"])
+def test_sums_vanish_counts_at_most_the_budget_at_once(verify):
+    # every sum of these checks vanishes.  One of at most BUDGET term
+    # pairs takes one _count_blocks call with all its pairs, a larger one
+    # CLASSES calls, call gamma with the pairs of class gamma alone, so no
+    # call holds more than the budget unless it is one class of a larger
+    # sum.  Both kinds of sum occur.
+    sizes, calls = [], []  # the term pairs of each sum; of each call
+
+    def recorded(sums):
+        sums = [list(t) for t in sums]
+        sizes.extend(sum(_pairs(a) * _pairs(b) for _, a, b in t)
+                     for t in sums)
+        verdicts, counted = _counts(sums)
+        calls.extend(counted)
+        return verdicts
+
+    with mock.patch.object(characters, "_bilinear_zero", recorded):
+        assert verify().ok
+    assert min(sizes) <= ring.BUDGET < max(sizes)
+    calls = iter(calls)
+    for size in sizes:
+        if size <= ring.BUDGET:
+            assert next(calls)[0] == size
+        else:
+            split = [next(calls) for _ in range(ring.CLASSES)]
+            assert sum(pairs for pairs, _ in split) == size
+            assert all(gammas <= {g} for g, (_, gammas) in enumerate(split))
+    assert next(calls, None) is None
 
 
 def test_span_scans_a_polynomial_once():
