@@ -122,24 +122,23 @@ def det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
 def pfaffian(mat: list, total=product_sum, one=ONE):
     """Pfaffian of an antisymmetric even-size matrix by memoized first-row
     expansion; ``total`` sums (sign, a, b) as sign * a * b, ``one`` is 1."""
-    size = len(mat)
-    if size % 2 != 0:
+    if len(mat) % 2 != 0:
         raise ValueError("pfaffian needs even size")
-    memo: dict = {}
+    return _pfaffian_minor(mat, total, {(): one}, tuple(range(len(mat))))
 
-    def rec(idx: tuple):
-        if not idx:
-            return one
-        if idx in memo:
-            return memo[idx]
+
+def _pfaffian_minor(mat: list, total, memo: dict, idx: tuple):
+    """The Pfaffian of ``mat`` on the rows and columns ``idx``, memoized in
+    ``memo``; a module function, so that no closure refers to itself and
+    the memo is freed with its last reference."""
+    if idx not in memo:
         i0, rest = idx[0], idx[1:]
-        acc = memo[idx] = total(
+        memo[idx] = total(
             (-1 if pos % 2 else 1, mat[i0][j],
-             rec(tuple(x for x in rest if x != j)))
+             _pfaffian_minor(mat, total, memo,
+                             tuple(x for x in rest if x != j)))
             for pos, j in enumerate(rest))
-        return acc
-
-    return rec(tuple(range(size)))
+    return memo[idx]
 
 
 def jt_array(cols: list, half: int, entry) -> list:
@@ -232,15 +231,22 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     rep = RelationReport()
     t = lambda a, h: extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
     used, relations = [], []  # row indices; (name, triples, largest one)
+    # plain memos, rows built bottom-up: an lru_cache'd R calling itself
+    # would form a cycle and hold every value until the next collection
+    rows, rects = [ONE], {}  # F_0, F_1, ...; (a, m) -> T^(a)_m(u), a > 1
 
-    @lru_cache(maxsize=None)
     def R(a, m):
         if a == 0 or m == 0:
             return ONE
         if a > 1:
-            return rectangle(n, a, m, t, det, product_sum, ONE)
-        return product_sum(((-1) ** (b + 1), t(b, m - b), R(1, m - b).shift(
-            -b)) for b in range(1, m + 1))
+            if (a, m) not in rects:
+                rects[a, m] = rectangle(n, a, m, t, det, product_sum, ONE)
+            return rects[a, m]
+        for k in range(len(rows), m + 1):
+            rows.append(product_sum(((-1) ** (b + 1), t(b, k - b),
+                                     rows[k - b].shift(-b))
+                                    for b in range(1, k + 1)))
+        return rows[m]
 
     def T(a, m, h):
         if a == 1:

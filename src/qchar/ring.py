@@ -50,10 +50,13 @@ position whose letters are its own keys.  One pass bounds them:
 ``_span`` gives each operand its exponent bound b and an exact range
 [lo, hi] per variable, from its letters' distinct (slot, exponent)
 pairs, each range taken with 0 and added over the positions; no word is
-formed.  The two ranges of a product add, and the frame's box is their
-union over the products of every sum, with 0.  Slot i, in sorted order
-of the variables, has the unit prod_{j<i} (hi_j - lo_j + 1), so every
-monomial in the box has exactly one key, and keys add under products.
+formed.  It scans each object once: an operand (x, half) takes x's
+ranges re-keyed to the variables shifted by half, as a shift only
+renames variables.  The two ranges of a product add, and the frame's
+box is their union over the products of every sum, with 0.  Slot i, in
+sorted order of the variables, has the unit prod_{j<i} (hi_j - lo_j +
+1), so every monomial in the box has exactly one key, and keys add
+under products.
 The two bounds of every product pass ``_checked``, so a sum that
 ``product_sum`` would refuse raises OverflowError here too.  The repack
 is the substitution that sends each variable, shifted by a position's
@@ -67,20 +70,25 @@ share operands, and each operand, the same object at the same half, is
 packed once per call.  Nothing packed outlives the call.  A sum of at
 most BUDGET = 2^12 term pairs, sum |A| |B| over its products from the
 packed operands' sizes, is counted at once.  A larger one is decided
-one residue class of keys modulo CLASSES = 37 at a time, as the map k
--> k mod 37 is additive: classes alpha and beta multiply into class
-alpha + beta, and keys of different classes never meet.  The budget is
-about one class of the largest sums the checks meet (120,832 term
-pairs in tt-tq at rank 3, m = 11: 3.3k a class), so no count holds
-more than such a class, and a small sum is spared up to 37^2 slices
-per product for no saving in memory.  An operand is split into classes
-at the first large sum that uses it.  Since 2 has order 36 mod 37, it
-generates the units mod 37, and no radix from 2 to 36 is 1 mod 37: a
-slot's unit never shares the class of the unit below it, as it would if
-keys were classed by total degree.  One frame spans a whole family, so
-its keys are wider than a frame per sum would make them: 75 bits at
-most in tt-tq at rank 3 to m = 11, 58 in the rank-2 T-system to m = 5,
-where a frame per sum gives 46.
+one residue class of keys modulo p at a time, as the map k -> k mod p
+is additive: classes alpha and beta multiply into class alpha + beta,
+and keys of different classes never meet.  ``_modulus`` takes p from
+the sum's term pairs and the frame's radices: the least prime p >=
+pairs / BUDGET such that no radix is 0 or 1 mod p, at most CLASSES =
+37.  So each count holds about BUDGET pairs, and a product is put
+together from at most p^2 slices, no more classes than its size needs.
+A radix 0 mod p would send every unit above it to class 0, and one 1
+mod p gives a slot's unit the class of the unit below it; with radix 1
+mod p throughout, keys would be classed by total degree alone (modulo
+31, a frame of 5-bit digits, radix 32, put 20 % of one tt-tq sum's pairs
+in one class).  A frame with every radix from 2 to 5, as the tt-tq
+and D5 frames have, gives p >= 7.  The cap keeps the slices per product
+of the largest sums at 37^2; 2 has order 36 mod 37, so no radix from 2
+to 36 is 1 mod 37.  An operand is split into p classes at the first sum
+of that p that uses it.  One frame spans a whole family, so its keys
+are wider than a frame per sum would make them: 75 bits at most in
+tt-tq at rank 3 to m = 11, 58 in the rank-2 T-system to m = 5, where a
+frame per sum gives 46.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial or of ``Words`` canonicalizes to zero.
@@ -130,7 +138,7 @@ VarKey = tuple
 MonoKey = tuple
 
 EXP_MAX = 2 ** 15 - 1
-CLASSES = 37  # residue classes of frame keys in sums_vanish
+CLASSES = 37  # the most residue classes of a sum in sums_vanish
 BUDGET = 2 ** 12  # term pairs of a sum counted at once in sums_vanish
 
 _SLOT: dict = {}   # VarKey -> slot, in the order this process met them
@@ -557,21 +565,31 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
     """For each sum of sign * A * B over (sign, A, B), whether it is zero,
     all in one frame of this call (see "Local packing" in the module
     docstring).  An operand is a LaurentPoly or ``Words`` x, or (x, half)
-    for x shifted by half.  Each distinct one, by ``_identity``, is
-    bounded once, packed once at its first sum, split into CLASSES
-    classes of keys at its first sum of more than BUDGET term pairs, and
-    dropped after its last.  Each product's bound, A's ``_span`` bound
-    plus B's, passes ``_checked``.  A sum of at most BUDGET pairs is one
-    class, a larger one CLASSES classes.  Class gamma, up to the first
-    that fails, takes over the triples and alpha A's class-alpha keys
-    times B's class-(gamma - alpha) keys, by coefficient, A the operand
-    with fewer groups, and ``_count_blocks`` counts the two sides."""
+    for x shifted by half.  Each object is bounded once, by ``_span``.
+    Each distinct operand, by ``_identity``, is packed once at its first
+    sum, split into p classes of keys at its first sum of p > 1 classes,
+    and dropped after its last.  Each product's bound, A's ``_span``
+    bound plus B's, passes ``_checked``.  A sum's class count p is
+    ``_modulus`` of its term pairs and the frame's radices: 1 for at
+    most BUDGET pairs, and for more about pairs / BUDGET, at most
+    CLASSES.  Class gamma, up to the first that fails, takes over the
+    triples and alpha A's class-alpha keys times B's class-(gamma -
+    alpha) keys, by coefficient, A the operand with fewer groups, and
+    ``_count_blocks`` counts the two sides."""
     sums = [list(t) for t in sums]  # held, so that no id is reused
     ops = {_identity(x): x for t in sums for _, *xs in t for x in xs}
     last = {k: i for i, t in enumerate(sums)  # the last sum using each
             for _, *xs in t for k in map(_identity, xs)}
     digits = cache(_digits)  # one decode per key for the box and repack
-    spans = {k: _span(_operand(x), digits) for k, x in ops.items()}
+    scanned: dict = {}  # id -> _span of the object at half 0
+    spans: dict = {}  # identity -> _span, the object's re-keyed to its half
+    for (i, h), x in ops.items():
+        if i not in scanned:
+            scanned[i] = _span(_operand(x[0] if type(x) is tuple else x),
+                               digits)
+        b, span = scanned[i]
+        spans[i, h] = b, {(f, j, v + h): r for (f, j, v), r
+                          in span.items()} if h else span
     box: dict = {}  # shifted VarKey -> [lo, hi] over every product, with 0
     for _, a, b in chain.from_iterable(sums):
         (b_a, sa), (b_b, sb) = spans[_identity(a)], spans[_identity(b)]
@@ -586,6 +604,7 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
     for v in sorted(box):
         lo, hi = box[v]
         place[v], unit = unit, unit * (hi - lo + 1)
+    radices = {hi - lo + 1 for lo, hi in box.values()}
     at: dict = {}  # half -> {global slot: local unit of it shifted by half}
 
     def key(k: int, half: int) -> int:
@@ -626,7 +645,7 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
     for i, t in enumerate(sums):
         t = [(sign, *map(_identity, xs)) for sign, *xs in t]
         pairs = sum(size(a) * size(b) for _, a, b in t)
-        classes = 1 if pairs <= BUDGET else CLASSES
+        classes = _modulus(pairs, radices)
         packed = []  # (sign, A's classes as items, B's classes)
         for sign, *ks in t:
             a, b = sorted((pack(k, classes) for k in ks),
@@ -635,6 +654,19 @@ def sums_vanish(sums: Iterable[Iterable[tuple]]) -> list[bool]:
         packs = {k: x for k, x in packs.items() if last[k[0]] > i}
         out.append(all(vanishes(packed, g, classes) for g in range(classes)))
     return out
+
+
+def _modulus(pairs: int, radices: set) -> int:
+    """The class count p of a sum of ``pairs`` term pairs in a frame of
+    digit radices ``radices``: 1 for at most BUDGET pairs, else the least
+    prime p >= pairs / BUDGET with no radix 0 or 1 mod p, at most
+    CLASSES (CLASSES itself for a budget <= 0)."""
+    if pairs <= BUDGET:
+        return 1
+    need = -(-pairs // BUDGET) if BUDGET > 0 else CLASSES
+    return next((p for p in range(max(need, 2), CLASSES)
+                 if all(p % d for d in range(2, p))
+                 and all(r % p > 1 for r in radices)), CLASSES)
 
 
 def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
@@ -825,7 +857,8 @@ def _block_parts(keys: list, coeffs: dict, blocks: Iterable[tuple],
 def _join(parts: Iterable[dict]) -> dict:
     """{c: keys} of the words joining a partial word of each part {c:
     partial keys} in turn, each key summed at C level."""
-    groups = {1: [0]}
+    parts = iter(parts)
+    groups = next(parts, {1: [0]})  # a single part is its own join
     for part in parts:
         groups, joined = {}, groups
         for (c1, k1), (c2, k2) in product(joined.items(), part.items()):

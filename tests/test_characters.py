@@ -1,5 +1,6 @@
 """Character families: fundamentals, rows, rectangles, hook series."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -184,6 +185,33 @@ def test_tsystem_rank4():
     rep = verify_tsystem(4, 4, 3)
     assert rep.ok and len(rep.checks) == 16, [
         c for c in rep.checks if not c["ok"]]
+
+
+def test_tsystem_leaves_no_cycles():
+    # the formal rectangles, rows and Pfaffian minors of a call are held
+    # by nothing that refers back to itself, so all of them are freed
+    # when the call returns, not at the next cyclic collection.  A first
+    # call fills the module's caches, which outlive it by design.
+    assert verify_tsystem(2, 5, 5).ok
+    gc.collect()
+    gc.disable()
+    try:
+        assert verify_tsystem(2, 5, 5).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_pfaffian_leaves_no_cycles():
+    mat = [[ZERO, Y(1), Y(2), ONE], [-Y(1), ZERO, Y(3), Y(1, 2)],
+           [-Y(2), -Y(3), ZERO, Y(2, 1)], [-ONE, -Y(1, 2), -Y(2, 1), ZERO]]
+    gc.collect()
+    gc.disable()
+    try:
+        assert pfaffian(mat) == Y(1) * Y(2, 1) - Y(2) * Y(1, 2) + Y(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _drop_first_term(p):

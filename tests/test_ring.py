@@ -4,7 +4,9 @@ import gc
 import json
 import time
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product
 from math import prod
 from unittest import mock
@@ -817,25 +819,40 @@ def test_words_operand_edges():
 
 # -- one residue class of frame keys at a time ----------------------------
 
+def _modulus_spy(moduli: list):
+    """A stand-in for ring._modulus that appends each sum's class count
+    to ``moduli``."""
+    modulus = ring._modulus
+
+    def spy(pairs, radices):
+        moduli.append(modulus(pairs, radices))
+        return moduli[-1]
+    return spy
+
+
 def _classes_counted(triples):
-    """product_sum_vanishes(triples), and for each call of _count_blocks
-    the classes alpha + beta of the operand slices it pairs, where every
-    slice must hold keys of one class alpha (or beta) only."""
-    calls = []
+    """product_sum_vanishes(triples), the sum's class count p, and for
+    each call of _count_blocks the classes alpha + beta mod p of the
+    operand slices it pairs, where every slice must hold keys of one
+    class alpha (or beta) only."""
+    calls, moduli = [], []
     count = ring._count_blocks
 
     def record(blocks):
-        gammas = set()
+        p, gammas = moduli[-1], set()
         for bucket in blocks.values():
             for xs, ys in bucket:
-                (alpha,), (beta,) = ({k % ring.CLASSES for k in keys}
+                (alpha,), (beta,) = ({k % p for k in keys}
                                      for keys in (xs, ys))
-                gammas.add((alpha + beta) % ring.CLASSES)
+                gammas.add((alpha + beta) % p)
         calls.append(gammas)
         return count(blocks)
 
-    with mock.patch.object(ring, "_count_blocks", record):
-        return product_sum_vanishes(triples), calls
+    with mock.patch.object(ring, "_count_blocks", record), \
+            mock.patch.object(ring, "_modulus", _modulus_spy(moduli)):
+        verdict = product_sum_vanishes(triples)
+    (p,) = moduli
+    return verdict, p, calls
 
 
 @st.composite
@@ -877,19 +894,23 @@ def class_candidates():
 @settings(max_examples=100, deadline=None)
 @given(class_candidates())
 def test_product_sum_vanishes_decides_class_by_class(triples):
-    # at a budget of -1 every sum goes class by class, even one with
-    # no term pairs
-    with mock.patch.object(ring, "BUDGET", -1):
-        verdict, calls = _classes_counted([(s, a, b) for s, (a, _), (b, _)
-                                           in triples])
-    assert verdict == product_sum([(s, a, b) for s, (_, a), (_, b)
-                                   in triples]).is_zero
-    # each count pairs the slices of one class gamma, each gamma once,
-    # and a sum vanishes only once every class has been counted
-    assert all(len(gammas) <= 1 for gammas in calls)
-    gammas = [g for gammas in calls for g in gammas]
-    assert len(gammas) == len(set(gammas))
-    assert len(calls) == ring.CLASSES or not verdict
+    # at a budget of -1 every sum goes class by class, even one with no
+    # term pairs, in CLASSES classes; at a budget of 1 every sum of two
+    # pairs or more does, in as many classes as the rule picks for it
+    want = product_sum([(s, a, b) for s, (_, a), (_, b) in triples]).is_zero
+    for budget in (-1, 1):
+        with mock.patch.object(ring, "BUDGET", budget):
+            verdict, p, calls = _classes_counted([(s, a, b) for s, (a, _),
+                                                  (b, _) in triples])
+        assert verdict == want
+        assert p == ring.CLASSES or budget > 0
+        # each count pairs the slices of one class gamma, each gamma
+        # once, and a sum vanishes only once each of its p classes has
+        # been counted
+        assert all(len(gammas) <= 1 for gammas in calls)
+        gammas = [g for gammas in calls for g in gammas]
+        assert len(gammas) == len(set(gammas))
+        assert len(calls) == p or not verdict
 
 
 @st.composite
@@ -1048,16 +1069,18 @@ def test_product_sum_vanishes_words_ranges_keep_both_sides():
 
 
 def test_class_modulus_splits_every_frame_width():
-    # 2 has order CLASSES - 1, so it generates the units mod CLASSES and
-    # every radix from 2 to CLASSES - 1 is a power 2^k with 0 < k <
-    # CLASSES - 1: no such radix is 1 mod CLASSES.  A frame slot's unit
-    # is its radix times the unit before it, so neighbouring units never
-    # share a class; with radix 1 mod CLASSES throughout, keys would be
-    # classed by their total degree alone, and a tt-tq row, a product of
-    # degree-0 letters, would barely split.  The tt-tq sums whose bound B
-    # has 2^3 <= B < 2^4 are checked to split evenly in the frame of
-    # their family, which all of its sums share, each sum split at a
-    # budget of -1.
+    # A frame slot's unit is its radix times the unit before it, so no
+    # radix may be 0 mod p, which sends every unit above it to class 0,
+    # or 1 mod p, which gives a unit the class of the unit below it;
+    # with radix 1 mod p throughout, keys would be classed by their
+    # total degree alone, and a tt-tq row, a product of degree-0
+    # letters, would barely split.  The rule picks no such p below the
+    # cap, and at the cap 2 has order CLASSES - 1, so it generates the
+    # units mod CLASSES and no radix from 2 to CLASSES - 1 is 1 mod
+    # CLASSES.  The tt-tq sums whose bound B has 2^3 <= B < 2^4 are
+    # checked to split evenly in the frame of their family, which all of
+    # its sums share, each sum in its own p classes at the default budget
+    # and in CLASSES classes at a budget of -1.
     assert all(pow(2, k, ring.CLASSES) != 1
                for k in range(1, ring.CLASSES - 1))
     families = []
@@ -1073,8 +1096,8 @@ def test_class_modulus_splits_every_frame_width():
         return ring._span(ring._operand(x))[0]
 
     count, wide = ring._count_blocks, 0
-    for sums in families:
-        pairs = []  # the term pairs of each class, sum after sum
+    for sums, budget in product(families, (-1, ring.BUDGET)):
+        pairs, moduli = [], []  # the term pairs of each class; each p
 
         def record(blocks):
             pairs.append(sum(len(xs) * len(ys) for bucket in blocks.values()
@@ -1082,16 +1105,18 @@ def test_class_modulus_splits_every_frame_width():
             return count(blocks)
 
         with mock.patch.object(ring, "_count_blocks", record), \
-                mock.patch.object(ring, "BUDGET", -1):
+                mock.patch.object(ring, "_modulus", _modulus_spy(moduli)), \
+                mock.patch.object(ring, "BUDGET", budget):
             assert all(sums_vanish(sums))
-        # a sum that vanishes is counted in every class, in turn
-        assert len(pairs) == len(sums) * ring.CLASSES
-        for i, triples in enumerate(sums):
-            split = pairs[i * ring.CLASSES:(i + 1) * ring.CLASSES]
+        # a sum that vanishes is counted in each of its classes, in turn
+        assert len(moduli) == len(sums) and len(pairs) == sum(moduli)
+        splits = iter(pairs)
+        for triples, p in zip(sums, moduli):
+            split = [next(splits) for _ in range(p)]
             if max(bound(a) + bound(b)
                    for _, a, b in triples).bit_length() + 1 == 5:
                 wide += 1
-                assert max(split) <= 2 * sum(split) / ring.CLASSES
+                assert p > 1 and max(split) <= 2 * sum(split) / p
     assert wide
 
 
@@ -1122,24 +1147,26 @@ def test_sums_vanish_matches_product_sum_at_any_budget(budget, sums):
 
 
 def _counts(sums):
-    """sums_vanish(sums), and the term pairs of each _count_blocks call
-    with the classes mod CLASSES of its key sums, None for a pairing of
-    keys from more than one class."""
-    calls = []
+    """sums_vanish(sums), the term pairs of each _count_blocks call with
+    the classes mod p of its key sums (None for a pairing of keys from
+    more than one class), where p is the class count of its sum, and the
+    class count of each sum."""
+    calls, moduli = [], []
     count = ring._count_blocks
 
     def record(blocks):
-        pairs, gammas = 0, set()
+        p, pairs, gammas = moduli[-1], 0, set()
         for xs, ys in chain.from_iterable(blocks.values()):
             pairs += len(xs) * len(ys)
-            alphas, betas = ({k % ring.CLASSES for k in ks} for ks in (xs, ys))
-            gammas.add((alphas.pop() + betas.pop()) % ring.CLASSES
+            alphas, betas = ({k % p for k in ks} for ks in (xs, ys))
+            gammas.add((alphas.pop() + betas.pop()) % p
                        if len(alphas) == len(betas) == 1 else None)
         calls.append((pairs, gammas))
         return count(blocks)
 
-    with mock.patch.object(ring, "_count_blocks", record):
-        return sums_vanish(sums), calls
+    with mock.patch.object(ring, "_count_blocks", record), \
+            mock.patch.object(ring, "_modulus", _modulus_spy(moduli)):
+        return sums_vanish(sums), calls, moduli
 
 
 def _budget_sums():
@@ -1154,15 +1181,16 @@ def _budget_sums():
 
 
 def test_sums_vanish_counts_the_budget_at_once():
-    # a vanishing sum of exactly BUDGET term pairs, or of none, is counted
-    # in one call, and one of a pair more in CLASSES calls, one class each
+    # a vanishing sum of exactly BUDGET term pairs, or of none, is one
+    # class, counted in one call, and one of a pair more is split into p
+    # > 1 classes, counted in p calls, one class each
     exact, over = _budget_sums()
-    assert _counts([[(1, ONE, ZERO)]]) == ([True], [(0, set())])
+    assert _counts([[(1, ONE, ZERO)]]) == ([True], [(0, set())], [1])
     assert sum(_pairs(a) * _pairs(b) for _, a, b in exact) == ring.BUDGET
     assert sum(_pairs(a) * _pairs(b) for _, a, b in over) == ring.BUDGET + 1
-    assert _counts([exact]) == ([True], [(ring.BUDGET, {None})])
-    verdicts, calls = _counts([over])
-    assert verdicts == [True] and len(calls) == ring.CLASSES
+    assert _counts([exact]) == ([True], [(ring.BUDGET, {0})], [1])
+    verdicts, calls, (p,) = _counts([over])
+    assert verdicts == [True] and p > 1 and len(calls) == p
     assert sum(pairs for pairs, _ in calls) == ring.BUDGET + 1
     assert all(gammas <= {g} for g, (_, gammas) in enumerate(calls))
 
@@ -1180,37 +1208,145 @@ def test_sums_vanish_leaves_no_cycles():
         gc.enable()
 
 
-@pytest.mark.parametrize("verify", [
+CHECKS = pytest.mark.parametrize("verify", [
     lambda: characters.verify_tsystem(2, 5, 5),
     lambda: characters.verify_tt_tq(3, 11)], ids=["tsystem", "tt-tq"])
-def test_sums_vanish_counts_at_most_the_budget_at_once(verify):
-    # every sum of these checks vanishes.  One of at most BUDGET term
-    # pairs takes one _count_blocks call with all its pairs, a larger one
-    # CLASSES calls, call gamma with the pairs of class gamma alone, so no
-    # call holds more than the budget unless it is one class of a larger
-    # sum.  Both kinds of sum occur.
-    sizes, calls = [], []  # the term pairs of each sum; of each call
+
+
+def _traffic(verify):
+    """The term pairs of each sum that ``verify`` decides, each
+    _count_blocks call as ``_counts`` gives it, and each sum's class
+    count, once ``verify`` has passed."""
+    sizes, calls, moduli = [], [], []
 
     def recorded(sums):
         sums = [list(t) for t in sums]
         sizes.extend(sum(_pairs(a) * _pairs(b) for _, a, b in t)
                      for t in sums)
-        verdicts, counted = _counts(sums)
+        verdicts, counted, ps = _counts(sums)
         calls.extend(counted)
+        moduli.extend(ps)
         return verdicts
 
     with mock.patch.object(characters, "_bilinear_zero", recorded):
         assert verify().ok
+    return sizes, calls, moduli
+
+
+@CHECKS
+def test_sums_vanish_counts_at_most_the_budget_at_once(verify):
+    # every sum of these checks vanishes.  One of at most BUDGET term
+    # pairs is one class, a single _count_blocks call with all its pairs;
+    # a larger one is split into p > 1 classes, p calls, call gamma with
+    # the pairs of class gamma alone, in even shares.  Both kinds of sum
+    # occur.
+    sizes, calls, moduli = _traffic(verify)
     assert min(sizes) <= ring.BUDGET < max(sizes)
     calls = iter(calls)
-    for size in sizes:
+    for size, p in zip(sizes, moduli, strict=True):
         if size <= ring.BUDGET:
-            assert next(calls)[0] == size
+            assert p == 1 and next(calls)[0] == size
         else:
-            split = [next(calls) for _ in range(ring.CLASSES)]
-            assert sum(pairs for pairs, _ in split) == size
+            split = [next(calls) for _ in range(p)]
+            assert p > 1 and sum(pairs for pairs, _ in split) == size
             assert all(gammas <= {g} for g, (_, gammas) in enumerate(split))
+            assert max(pairs for pairs, _ in split) <= 2 * size / p
     assert next(calls, None) is None
+
+
+@CHECKS
+def test_sums_vanish_counts_stay_within_twice_the_budget(verify):
+    # a sum of more than BUDGET term pairs takes about pairs / BUDGET
+    # classes, so none of its counts holds more than 2 * BUDGET pairs
+    # unless the cap binds, for a sum of more than CLASSES * BUDGET
+    sizes, calls, moduli = _traffic(verify)
+    calls = iter(calls)
+    split = False
+    for size, p in zip(sizes, moduli, strict=True):
+        counts = [pairs for pairs, _ in (next(calls) for _ in range(p))]
+        split |= p > 1
+        assert (max(counts) <= 2 * ring.BUDGET
+                or size > ring.CLASSES * ring.BUDGET)
+    assert split
+
+
+def test_class_count_follows_the_pairs_and_the_radices():
+    budget = ring.BUDGET
+    # the budget boundary: a sum of at most BUDGET pairs is one class;
+    # one more pair needs p >= 2, but every radix is 0 or 1 mod 2 and
+    # the radix 3 is 0 mod 3, so radices 2 and 3 leave 5, and radices 2
+    # to 5, with 5 = 0 mod 5, leave 7
+    assert ring._modulus(0, {2, 3}) == ring._modulus(budget, {2, 3}) == 1
+    assert ring._modulus(budget + 1, {2, 3}) == 5
+    assert ring._modulus(budget + 1, {2, 3, 4, 5}) == 7
+    assert ring._modulus(2 * budget + 1, {2}) == 3
+    assert ring._modulus(7 * budget + 1, {2, 3, 4, 5}) == 11
+    # radices 2 to 12 rule out every prime up to 11
+    assert ring._modulus(budget + 1, set(range(2, 13))) == 13
+    # the cap: no prime above CLASSES, and CLASSES once the rule finds
+    # none below it
+    assert ring._modulus(29 * budget + 1, {2, 3, 4, 5}) == 31
+    assert ring._modulus(31 * budget + 1, {2, 3, 4, 5}) == ring.CLASSES
+    assert ring._modulus(10 ** 9, {2, 3, 4, 5}) == ring.CLASSES
+    assert ring._modulus(budget + 1, set(range(2, 37))) == ring.CLASSES
+    # a budget of 0 splits every sum of a pair or more at the cap, and one
+    # of -1 every sum, of no pairs too
+    with mock.patch.object(ring, "BUDGET", 0):
+        assert ring._modulus(0, {2}) == 1
+        assert ring._modulus(1, {2}) == ring.CLASSES
+    with mock.patch.object(ring, "BUDGET", -1):
+        assert ring._modulus(0, {2}) == ring.CLASSES
+
+
+def test_class_count_skips_a_prime_that_a_radix_is_1_mod():
+    # 70 monomials of total degree 0, each exponent in [-2, 1]: p * p
+    # takes every exponent in [-4, 2], so every radix is 7, 1 mod 3.
+    # The 9,800 term pairs of p * p - p * p would want 3 classes, but
+    # mod 3 every unit is 1 and every key of degree 0 lands in class 0;
+    # the rule takes 5, where the classes share the pairs evenly.
+    exps = [e for e in product(range(-2, 2), repeat=5) if sum(e) == 0]
+    p = poly_sum(LaurentPoly.monomial(1, {vk(Y_FAM, i + 1): x
+                                          for i, x in enumerate(e)})
+                 for e in exps[:70])
+    sums = [[(1, p, p), (-1, p, p)]]
+    radices = []
+    modulus = ring._modulus
+    with mock.patch.object(ring, "_modulus", lambda pairs, rs: (
+            radices.append(rs) or modulus(pairs, rs))):
+        verdicts, calls, moduli = _counts(sums)
+    assert radices == [{7}] and -(-9800 // ring.BUDGET) == 3
+    assert verdicts == [True] and moduli == [5] and len(calls) == 5
+    split = [pairs for pairs, _ in calls]
+    assert sum(split) == 9800 and max(split) <= 2 * 9800 / 5
+
+
+def test_join_leaves_the_partial_keys_as_they_are():
+    # _join starts from its first part, so the words of a block of one
+    # factor are that factor's memoized partial keys themselves; neither
+    # _words_into nor _words_screened may change them.  The first block
+    # recurs as the last, where _block_parts reads it from its memo.
+    cartan = CartanData(AlgebraSpec("C", 2))
+    z = {c: VariableTable(cartan.algebra).z(c) for c in range(1, 5)}
+    pairs = [(1, 2), (3, 4), (2, 2)]
+    blocks = [(pairs,), ([(1,), (3,)], [(2,), (4,)]), (list(pairs),)]
+    words = Words(z, [0, 2], blocks)
+    seen = []  # (partial keys as yielded, a copy taken then)
+    parts_of = ring._block_parts
+
+    def record(*args):
+        for parts in parts_of(*args):
+            seen.append((parts, deepcopy(parts)))
+            yield parts
+
+    factor = partial(screening.a_factor, cartan)
+    with mock.patch.object(ring, "_block_parts", record):
+        built = word_sum(words)
+        screened = ring.screenings_vanish(words, cartan, factor)
+    flat = [sum(w, ()) for block in blocks for w in product(*block)]
+    assert built == _o_word_sum(z, [0, 2], flat)
+    assert screened == ring.screenings_vanish(built, cartan, factor)
+    assert len(seen) == 2 * len(blocks)
+    assert all(parts == copy for parts, copy in seen)
 
 
 def test_span_scans_a_polynomial_once():
