@@ -91,18 +91,15 @@ tt-tq at rank 3 to m = 11, 58 in the rank-2 T-system to m = 5, where a
 frame per sum gives 46.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
-the screening of a polynomial or of ``Words`` canonicalizes to zero.
-Its frame holds the Q variables of the images and of the A_a chains,
-and one slot per residue class of screening symbols, which keeps the
-classes apart.  Each class's chain is built once from the factors it is
-given.  A polynomial's (term, Y_a(v)) pairs cost one int add and one
-dict update each, in its node's accumulator.  ``Words`` are screened by
-the Leibniz rule from their blocks: each factor's partial keys, marked
-at each Y_a(v) of their letters, are summed with the other factors'
-keys and counted at C level, as in the zero-test.  Its frame keeps the
-zero-test's rule with one range, [-B, B], for every slot, where B is the
-Q images' bound, from the exponents the call decodes, plus the largest
-chain exponent: slot i, in order of first use, has the unit (2B + 1)^i.
+the screening of a polynomial canonicalizes to zero.  Its frame holds
+the Q variables of the images and of the A_a chains, and one slot per
+residue class of screening symbols, which keeps the classes apart.
+Each class's chain is built once from the factors it is given.  A
+(term, Y_a(v)) pair costs one int add and one dict update, in its
+node's accumulator.  The frame keeps the zero-test's rule with one
+range, [-B, B], for every slot, where B is the Q images' bound, from
+the exponents the call decodes, plus the largest chain exponent: slot
+i, in order of first use, has the unit (2B + 1)^i.
 
 Decoding.  Slot numbers depend on the order in which one process met
 its variables, so they never leave this module: ``terms()``, ``text()``
@@ -112,8 +109,7 @@ makes their output the same in every process.  A decode is a bias add,
 an xor and one ``int.to_bytes`` read as signed 16-bit digits: 6 to 8 us
 for a key whose top slot is 246, on a 2-core Xeon under KVM.  So every
 substitution decodes each key once, ``screenings_vanish`` once for all
-nodes (for ``Words``, only the templates), and ``eval_points`` once for
-all the points it is given.
+nodes, and ``eval_points`` once for all the points it is given.
 """
 
 from __future__ import annotations
@@ -513,8 +509,8 @@ def product_sum(triples: Iterable[tuple]) -> LaurentPoly:
 class Words(NamedTuple):
     """A word sum: over the words of ``blocks`` (see ``_words_into``), the
     products prod_k templates[word[k]].shift(halves[k]) of single-term
-    templates.  ``word_sum`` builds it, ``sums_vanish`` and
-    ``screenings_vanish`` take it as it is."""
+    templates.  ``word_sum`` builds it, ``sums_vanish`` takes it as it
+    is."""
 
     templates: dict
     halves: list
@@ -688,11 +684,11 @@ def _count_blocks(blocks: dict) -> tuple[Counter, Counter]:
     return sides
 
 
-def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
+def screenings_vanish(p: LaurentPoly, cartan: "CartanData",
                       factor) -> dict:
-    """{a: whether node a's screening of p (LaurentPoly or ``Words``)
-    canonicalizes to zero} for every node a in order, decided in one
-    frame of this call (see "Local packing" in the module docstring).
+    """{a: whether node a's screening of p canonicalizes to zero} for
+    every node a in order, decided in one frame of this call (see "Local
+    packing" in the module docstring).
 
     ``factor(a, half)`` is the single-term multiplier A_a at ``half``.
     The arguments v of node a fall into classes modulo t = pair2(a, a).
@@ -702,11 +698,8 @@ def screenings_vanish(p: LaurentPoly | Words, cartan: "CartanData",
     with exponent e add e * c * (the chain's coefficient) at (M's Q
     image) * (the chain at v) * (v's class) in node a's sum.  Only the Q
     images' bound is guarded, as ``to_q`` guards it: twice the largest
-    exponent decoded (for ``Words``, the templates' largest once per
-    position).  A non-Y variable is refused with ValueError.
+    exponent decoded.  A non-Y variable is refused with ValueError.
     """
-    if isinstance(p, Words):
-        return _words_screened(p, cartan, factor)
     decoded = list(map(_digits, p._t))
     frame = _screening_frame({_VAR[s] for slots, _ in decoded
                               for s in slots}, _checked(2 * _largest(decoded)),
@@ -766,33 +759,6 @@ def _screening_frame(ys: set, q: int, cartan: "CartanData", factor) -> dict:
         for var, (cls, coeff, exps) in chains.items()}
 
 
-def _words_screened(p: Words, cartan: "CartanData", factor) -> dict:
-    """``screenings_vanish`` of ``Words``, by the Leibniz rule: for each
-    block and factor, node a pairs the other factors' joined partial keys
-    with the factor's partial keys marked at each Y_a(v) of their
-    letters, and ``_count_blocks`` counts the pairs' sums."""
-    keys, coeffs = _letters(p.templates)
-    at = [{c: [((f, i, v + h), e) for s, e in zip(*_digits(k))
-               for f, i, v in [_VAR[s]]] for c, k in keys.items()}
-          for h in p.halves]
-    q = _checked(2 * _span(_operand(p))[0])  # the Q images' bound
-    frame = _screening_frame({v for pos in at for vs in pos.values()
-                              for v, _ in vs}, q, cartan, factor)
-    ks = [{c: sum(e * frame[v][0] for v, e in vs) for c, vs in pos.items()}
-          for pos in at]
-    marks = [{c: [(frame[v][1], frame[v][2], e * frame[v][3]) for v, e in vs]
-              for c, vs in pos.items()} for pos in at]
-    counted = {a: {} for a in range(1, cartan.algebra.n + 1)}
-    for parts in _block_parts(ks, coeffs, p.blocks, marks):
-        for g, (_, marked) in enumerate(parts):
-            others = _join(x for i, (x, _) in enumerate(parts) if i != g)
-            for a, groups in marked.items():
-                for (c1, k1), (c2, k2) in product(others.items(),
-                                                  groups.items()):
-                    counted[a].setdefault(c1 * c2, []).append((k1, k2))
-    return {a: dict.__eq__(*_count_blocks(x)) for a, x in counted.items()}
-
-
 def _letters(templates: dict) -> tuple[dict, dict]:
     """The packed key and the coefficient of each single-term template."""
     keys, coeffs = {}, {}
@@ -809,23 +775,12 @@ def _words_into(keys: list, coeffs: dict, blocks: Iterable[tuple]) -> dict:
     the words of ``blocks``, the k-th letter with key keys[k][letter] and
     coefficient coeffs[letter].  A block is a tuple of factors, lists
     of partial words of one length each, and its words join one partial
-    word of each factor in turn, each key a C-level sum of partial keys,
-    each partial key summed once, one int add per letter."""
-    out: dict = {}
-    for parts in _block_parts(keys, coeffs, blocks):
-        for c, ks in _join(plain for plain, _ in parts).items():
-            out.setdefault(c, []).extend(ks)
-    return out
-
-
-def _block_parts(keys: list, coeffs: dict, blocks: Iterable[tuple],
-                 marks: list | None = None) -> Iterator[list]:
-    """For each block of ``_words_into`` with words, each factor's partial
-    keys {c: keys} and, marked by each (a, offset, x) in marks[k][letter]
-    of their letters, {a: {c * x: keys + offset}}, formed once per factor
-    and offset."""
+    word of each factor in turn, each key a C-level sum of partial keys.
+    Each factor's partial keys {c: keys} are formed once per factor and
+    offset, one int add per letter."""
     pick, coeff = dict.__getitem__, coeffs.__getitem__
     memo: dict = {}  # (factor, offset) -> its partial keys
+    out: dict = {}
     for block in filter(all, blocks):  # an empty factor has no words
         widths = [len(f[0]) for f in block]
         if sum(widths) != len(keys) or any(
@@ -838,20 +793,15 @@ def _block_parts(keys: list, coeffs: dict, blocks: Iterable[tuple],
             part = memo.get((tuple(f), at))
             if part is None:
                 ks = keys[at:at + w]
-                plain, marked = {}, {}
+                part = memo[tuple(f), at] = {}
                 for p in f:
-                    plain.setdefault(prod(map(coeff, p)), []).append(
+                    part.setdefault(prod(map(coeff, p)), []).append(
                         sum(map(pick, ks, p)))
-                for p in f if marks else ():
-                    k, c = sum(map(pick, ks, p)), prod(map(coeff, p))
-                    for ms in map(pick, marks[at:at + w], p):
-                        for a, offset, x in ms:
-                            marked.setdefault(a, {}).setdefault(
-                                c * x, []).append(k + offset)
-                part = memo[tuple(f), at] = plain, marked
             parts.append(part)
             at += w
-        yield parts
+        for c, ks in _join(parts).items():
+            out.setdefault(c, []).extend(ks)
+    return out
 
 
 def _join(parts: Iterable[dict]) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from .ring import (LaurentPoly, CartanData, Q_FAM, Y_FAM, Words, poly_sum,
+from .ring import (LaurentPoly, CartanData, Q_FAM, Y_FAM, poly_sum,
                    product_sum, screenings_vanish, vk)
 from .diffop import DiffOp
 
@@ -80,10 +80,10 @@ def canonicalize(a: int, sym: dict, cartan: CartanData) -> dict:
     return out
 
 
-def screen_all(p: LaurentPoly | Words, cartan: CartanData) -> dict:
+def screen_all(p: LaurentPoly, cartan: CartanData) -> dict:
     """{a: whether S_a p vanishes} for every node a in order, decided at
     once on call-local keys with the chains built from ``a_factor``
-    (``ring.screenings_vanish``); ``Words`` are screened from blocks."""
+    (``ring.screenings_vanish``)."""
     return screenings_vanish(p, cartan, partial(a_factor, cartan))
 
 

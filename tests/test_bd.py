@@ -47,6 +47,12 @@ def tm_poly(algebra, m):
     return word_sum(tm_words(algebra, m))
 
 
+def _reference(p, cartan):
+    """Per-node verdicts of the reference route on a built polynomial."""
+    return {a: not canonicalize(a, apply_screening(a, p, cartan), cartan)
+            for a in range(1, cartan.algebra.n + 1)}
+
+
 def extract_Tm(L: DiffOp) -> dict:
     """Coefficients of L^{-1} = 1 + sum_m T_m(u+m) D^{2m}, renormalized
     to base point u: returns {m: T_m(u)}."""
@@ -222,19 +228,14 @@ def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
         return real_screen(p, cartan)
     monkeypatch.setattr(bd, "build_series_L", build_spy)
     monkeypatch.setattr(screening, "screen_all", screen_spy)
-    monkeypatch.setattr(bd, "screen_all", screen_spy)
     assert run_suite(series, n).ok
     assert len(built) == 1
     L = built[0]
-    spec = AlgebraSpec(series, n)
-    # the block lemmas screen their pieces through in_kernel first; each
-    # T_m, m >= 1, is screened as Words, at u, up to the capped truncation
+    # the block lemmas screen their pieces through in_kernel first; no
+    # T_m is screened, as its verdicts follow from L's and the inverse's
     pieces = ([b_f(n), b_k(n), b_h(n)] if series == "B"
               else [d_h(n, n), d_k(n, n)])
-    assert screened == (pieces
-                        + [L.coeffs[j] for j in sorted(L.coeffs)]
-                        + [tm_words(spec, m)
-                           for m in range(1, min(L.order, 12) // 2 + 1)])
+    assert screened == pieces + [L.coeffs[j] for j in sorted(L.coeffs)]
 
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3), ("D", 5)])
@@ -284,3 +285,81 @@ def test_failing_suite_never_takes_the_reference_route(monkeypatch, series,
     failed = [c["identity"] for c in run_suite(series, n).checks
               if not c["ok"]]
     assert failed and all("kernel" in name for name in failed)
+
+
+# -- each T_m verdict is the conjunction of "L times inverse is 1" and L's
+# own verdicts; screening the built T_m is the oracle --
+
+SUITE_RANKS = [("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4), ("D", 5)]
+SHIFTED_A = MUTANTS["bd"][1]["A_a argument shifted one unit"]
+
+
+def _verdicts(rep, prefix):
+    """{a: ok} of the suite's checks "<prefix> a", node by node."""
+    return {int(c["identity"][len(prefix):]): c["ok"] for c in rep.checks
+            if c["identity"].startswith(prefix)}
+
+
+def _screened(spec, order, route):
+    """{a: whether every T_m that a suite run at ``order`` certifies, 1 <=
+    2m <= its capped truncation, built by ``word_sum``, is in the kernel
+    of node a}, by ``route(p, cartan)``."""
+    cartan = CartanData(spec)
+    verdicts = [route(tm_poly(spec, m), cartan)
+                for m in range(1, min(order, 12) // 2 + 1)]
+    return {a: all(v[a] for v in verdicts) for a in range(1, spec.n + 1)}
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=("A_a", "shifted"))
+@pytest.mark.parametrize("series,n", SUITE_RANKS)
+def test_tm_verdicts_match_screening_the_built_coefficients(
+        monkeypatch, series, n, shifted):
+    # with A_a shifted by one unit the screening is still a twisted
+    # derivation that commutes with shifts, so the certificate and the
+    # direct screening must agree on the nodes it breaks as well; at
+    # order 2 the one certified T_m rests on L's top coefficient alone
+    if shifted:
+        module, attr, mutate = SHIFTED_A
+        monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    spec = AlgebraSpec(series, n)
+    for order in (2, bd.default_order(n)):
+        got = _verdicts(run_suite(series, n, order),
+                        "all T_m coefficients in kernel of node ")
+        assert list(got) == list(range(1, n + 1))
+        assert got == _screened(spec, order, screen_all)
+        if (series, n) in (("B", 2), ("D", 3)):  # the smallest ranks
+            assert got == _screened(spec, order, _reference)
+        assert all(got.values()) != shifted
+
+
+@pytest.mark.parametrize("series,n", SUITE_RANKS)
+def test_dropped_tm_word_fails_the_inverse_and_every_tm_check(
+        monkeypatch, series, n):
+    module, attr, mutate = MUTANTS["bd"][1]["one dropped word of T_1"]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    rep = run_suite(series, n)
+    failed = {c["identity"] for c in rep.checks if not c["ok"]}
+    assert failed == {"L times inverse is 1 to truncation"} | {
+        f"all T_m coefficients in kernel of node {a}"
+        for a in range(1, n + 1)}
+
+
+@pytest.mark.parametrize("series,n", SUITE_RANKS)
+def test_shifted_a_factor_fails_the_ta_and_tm_checks_of_the_nodes_it_breaks(
+        monkeypatch, series, n):
+    module, attr, mutate = SHIFTED_A
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    spec = AlgebraSpec(series, n)
+    cartan = CartanData(spec)
+    for order in (2, bd.default_order(n)):
+        rep = run_suite(series, n, order)
+        L = build_series_L(spec, order)
+        broken = {a for j, c in L.coeffs.items() if j <= min(order, 12)
+                  for a, ok in screen_all(c, cartan).items() if not ok}
+        assert broken
+        for prefix in ("all T^a coefficients in kernel of node ",
+                       "all T_m coefficients in kernel of node "):
+            got = _verdicts(rep, prefix)
+            assert {a for a, ok in got.items() if not ok} == broken, prefix
+        assert [c["ok"] for c in rep.checks if c["identity"]
+                == "L times inverse is 1 to truncation"] == [True]

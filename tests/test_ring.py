@@ -6,7 +6,6 @@ import time
 from collections import Counter
 from copy import deepcopy
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product
 from math import prod
 from unittest import mock
@@ -1323,29 +1322,25 @@ def test_class_count_skips_a_prime_that_a_radix_is_1_mod():
 def test_join_leaves_the_partial_keys_as_they_are():
     # _join starts from its first part, so the words of a block of one
     # factor are that factor's memoized partial keys themselves; neither
-    # _words_into nor _words_screened may change them.  The first block
-    # recurs as the last, where _block_parts reads it from its memo.
-    cartan = CartanData(AlgebraSpec("C", 2))
-    z = {c: VariableTable(cartan.algebra).z(c) for c in range(1, 5)}
+    # _join nor _words_into may change them.  The first block recurs as
+    # the last, where _words_into reads its partial keys from its memo.
+    z = {c: VariableTable(AlgebraSpec("C", 2)).z(c) for c in range(1, 5)}
     pairs = [(1, 2), (3, 4), (2, 2)]
     blocks = [(pairs,), ([(1,), (3,)], [(2,), (4,)]), (list(pairs),)]
-    words = Words(z, [0, 2], blocks)
-    seen = []  # (partial keys as yielded, a copy taken then)
-    parts_of = ring._block_parts
+    seen = []  # (partial keys as joined, a copy taken then)
+    join = ring._join
 
-    def record(*args):
-        for parts in parts_of(*args):
-            seen.append((parts, deepcopy(parts)))
-            yield parts
+    def record(parts):
+        parts = list(parts)
+        seen.append((parts, deepcopy(parts)))
+        return join(parts)
 
-    factor = partial(screening.a_factor, cartan)
-    with mock.patch.object(ring, "_block_parts", record):
-        built = word_sum(words)
-        screened = ring.screenings_vanish(words, cartan, factor)
+    with mock.patch.object(ring, "_join", record):
+        built = word_sum(Words(z, [0, 2], blocks))
     flat = [sum(w, ()) for block in blocks for w in product(*block)]
     assert built == _o_word_sum(z, [0, 2], flat)
-    assert screened == ring.screenings_vanish(built, cartan, factor)
-    assert len(seen) == 2 * len(blocks)
+    assert len(seen) == len(blocks)
+    assert seen[0][0][0] is seen[-1][0][0]
     assert all(parts == copy for parts, copy in seen)
 
 
