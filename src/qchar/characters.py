@@ -5,18 +5,24 @@ are applied at use sites in half-units.
 
 The T-system is decided in free symbols t_b(h) (``ring``'s family ``T``):
 t_b(h) -> T^(b)_1(u + h/2) is a ring map, so a formal zero is a zero on
-Y.  The first convolution of tt-tq on Y, rows as tableau words, fixes
-each row from the lower rows; it is the bridge that proves each tableau
-row the image of its formal row, up to the largest one a relation uses.
+Y.  tt-tq's convolutions are L_z^-1 L_z = L_z L_z^-1 = 1 for the
+factorized operator L_z, whose coefficients are the fundamentals and its
+inverse's the rows (``_operator_premises``).  The first fixes each row
+from the lower rows: it is the bridge that proves each tableau row the
+image of its formal row, up to the largest one a relation uses.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from itertools import accumulate, combinations_with_replacement, product
+from math import prod
+from operator import and_
 
+from . import diffop
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
-                   Qv, Words, product_sum, sums_vanish, vk, Y_FAM,
-                   T_FAM, ONE, ZERO)
+                   Qv, product_sum, sums_vanish, vk, Y_FAM, T_FAM, ONE,
+                   ZERO)
 from .classical import PointReport
 from .tableaux import gen_column_tableaux, row_blocks, weight_sum
 
@@ -52,15 +58,6 @@ def _row_halves(m: int) -> list:
     """Where the letters of T^(1)_m(u) stand: the k-th at argument
     u + (2k - m - 2)/2."""
     return [2 * k - m - 2 for k in range(1, m + 1)]
-
-
-def _row_operands(n: int):
-    """row(m): T^(1)_m(u) as a zero-test operand, the ``Words`` of
-    ``row_blocks(n, m)`` over the letter templates at u, placed by
-    ``_row_halves``, one object per m: no row is built or decoded."""
-    z = {c: _table(n).z(c) for c in range(1, 2 * n + 1)}
-    return lru_cache(maxsize=None)(
-        lambda m: Words(z, _row_halves(m), row_blocks(n, m)))
 
 
 @lru_cache(maxsize=None)
@@ -203,18 +200,43 @@ def _bilinear_zero(sums) -> list[bool]:
     return sums_vanish(sums)
 
 
-def _convolution(n: int, top: int, s: int = 1) -> list:
-    """Whether tt-tq's first (s = 1) or second (s = -1) convolution holds
-    on Y at m = 0..top, in one frame: sum_a (-1)^a T^(1)_{m-a}(u - a/2)
-    T^(a)_1(u + (m-a)/2) = [m = 0], or with T^(1)_{m-a}(u + (m+a)/2)
-    T^(a)_1(u + a/2).  The sum at m is shifted by m or -2m half units (a
-    ring automorphism fixing 1), so row k stands at u + s*k/2 in all."""
-    row = _row_operands(n)
-    return _bilinear_zero([[((-1) ** a, (row(m - a), s * (m - a)),
-                             (f, s * (2 * m - a))) for a in range(m + 1)
-                            if not (f := fundamental_poly(n, a)).is_zero]
-                           + [(-1, ONE, ONE)] * (m == 0)
-                           for m in range(top + 1)])
+def _operator_premises(n: int, top: int) -> list:
+    """For m = 0..top, whether tt-tq's two convolutions hold at every m'
+    <= m, read from L_z = ``build_L_C(n, "zFactored")``: with T^(1)_k(u
+    + k/2) at D^k, they are L_z^-1 L_z = 1 and L_z L_z^-1 = 1 at D^m'.  So
+    they hold if, for every a, k <= m, (i) L_z's D^a coefficient is (-1)^a
+    T^(a)_1(u + a/2) and (ii) ``row_blocks(n, k)``, ``_row_halves(k)``
+    moved by k half units, are the words of L_z^-1 at D^k, letter p at u
+    + p - 1.  L_z^-1 inverts the (1 - c D^d) of ``diffop._z_factors`` in
+    reverse order, c = z_{w_1}(u) ... z_{w_d}(u + d - 1) for a word w, and
+    (1 - c D^d)^-1 = sum_j c(u) c(u + d) ... c(u + (j-1)d) D^{dj}: a run of
+    degree-1 factors gives the weakly increasing runs over its letters, a
+    factor of degree d > 1 gives w^j.  (ii) compares lists only."""
+    L, z, parts = diffop.build_L_C(n, "zFactored"), _table(n).z, []
+    for d, c in reversed(diffop._z_factors(n)):
+        word = next((w for w in product(range(1, 2 * n + 1), repeat=d)
+                     if c == prod((z(l, 2 * i) for i, l in enumerate(w)),
+                                  start=ONE)), None)
+        if word is None:  # L_z^-1 is no word sum: nothing is certified
+            return [False] * (top + 1)
+        if d > 1 or not parts or parts[-1][0] > 1:
+            parts.append((d, list(word)))
+        else:  # one more letter of a run of degree-1 factors
+            parts[-1][1].append(*word)
+    words = lambda d, w, s: (list(combinations_with_replacement(w, s))
+                             if d == 1 else [tuple(w) * (s // d)])
+    lengths = lambda block: [len(w) for run in block for w in run[:1]]
+
+    def holds(m):  # (i) at a = m and (ii) at k = m
+        splits = [split for split in product(*(range(0, m + 1, d)
+                                               for d, _ in parts))
+                  if sum(split) == m]  # in the order of their lengths
+        return (L.coeff(m) == (-1) ** m * fundamental_poly(n, m).shift(m)
+                and [h + m for h in _row_halves(m)] == list(range(0, 2 * m, 2))
+                and sorted(row_blocks(n, m), key=lengths) == [
+                    tuple(words(d, w, s) for (d, w), s in zip(parts, split))
+                    for split in splits])
+    return list(accumulate(map(holds, range(top + 1)), and_))
 
 
 def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
@@ -226,7 +248,7 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     T^(a)_m(u + h/2) enters as (T^(a)_m(u), h): ``rectangle`` for a > 1,
     a row F_m = -sum_{b>=1} (-1)^b t_b(m-b) F_{m-b}(u - b/2), F_0 = 1.
     A relation holds iff it vanishes formally, in one frame with all the
-    others, and ``_convolution`` holds up to the largest row index it uses.
+    others, and the ``_operator_premises`` hold up to its largest row.
     """
     rep = RelationReport()
     t = lambda a, h: extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
@@ -287,22 +309,23 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
             (-1, T(n, m + 1, 0), T(n, m - 1, 0)),
             (-1, T(n - 1, 2 * m, 0), ONE),
         ])
-    bridge = _convolution(n, max([0] + [top for *_, top in relations]))
+    bridge = _operator_premises(n, max([0] + [top for *_, top in relations]))
     formal = _bilinear_zero([triples for _, triples, _ in relations])
     for (name, _, top), ok in zip(relations, formal):
-        rep.add(name, ok and all(bridge[:top + 1]))
+        rep.add(name, ok and bridge[top])
     return rep
 
 
 def verify_tt_tq(n: int, m_max: int) -> RelationReport:
-    """The two bilinear convolution identities between row and
-    fundamental characters, and the Baxter-function relation."""
+    """The two bilinear convolutions between rows and fundamentals,
+    sum_a (-1)^a T^(1)_{m-a}(u - a/2) T^(a)_1(u + (m-a)/2) = [m = 0] and
+    sum_a (-1)^a T^(a)_1(u + a/2) T^(1)_{m-a}(u + (m+a)/2) = [m = 0],
+    from ``_operator_premises``, and the Baxter-function relation."""
     rep = RelationReport()
     cartan = CartanData(AlgebraSpec("C", n))
-    first, second = (_convolution(n, m_max, s) for s in (1, -1))
-    for m, (one, two) in enumerate(zip(first, second)):
-        rep.add(f"first convolution m={m}", one)
-        rep.add(f"second convolution m={m}", two)
+    for m, ok in enumerate(_operator_premises(n, m_max)):
+        rep.add(f"first convolution m={m}", ok)
+        rep.add(f"second convolution m={m}", ok)
     rep.add("Baxter-function relation", _bilinear_zero([[
         ((-1) ** a, Qv(1, 2 * a), (f.to_q(cartan), a))  # Q_1(u+a)
         for a in range(2 * n + 3)

@@ -162,11 +162,7 @@ def build_L_C(n: int, form: str = "xFactored",
                    for i in range(N, 0, -1)]
         return prod(factors)
     if form == "zFactored":
-        factors = [lin0(table.z(bar(a, n), 0)) for a in range(1, n + 1)]
-        mid = table.z(bar(n, n), 0) * table.z(n, 2)
-        factors.append(DiffOp({0: ONE, 2: -mid}))
-        factors += [lin0(table.z(a, 0)) for a in range(n, 0, -1)]
-        return prod(factors)
+        return prod([DiffOp({0: ONE, d: -c}) for d, c in _z_factors(n)])
     if form == "zReversed":
         factors = [lin1(table.z(a, 2 * (n + 1 - a))) for a in range(1, n + 1)]
         mid = table.z(bar(n, n), -2) * table.z(n, 0)
@@ -175,6 +171,16 @@ def build_L_C(n: int, form: str = "xFactored",
                     for a in range(n, 0, -1)]
         return prod(factors)
     raise ValueError(f"unknown form {form!r}")
+
+
+def _z_factors(n: int) -> list:
+    """The factors (1 - c D^d) of the zFactored operator as (d, c), in
+    product order: z_abar for a = 1..n, z_nbar(u) z_n(u+1) at D^2, then
+    z_a for a = n..1."""
+    table = VariableTable(AlgebraSpec("C", n))
+    mid = table.z(bar(n, n), 0) * table.z(n, 2)
+    return ([(1, table.z(bar(a, n), 0)) for a in range(1, n + 1)] + [(2, mid)]
+            + [(1, table.z(a, 0)) for a in range(n, 0, -1)])
 
 
 def _x_factors(n: int, eps: EpsilonChoice) -> list:

@@ -45,8 +45,8 @@ mixed-radix number over the *shifted* variables the call meets, each
 digit as wide as that variable's exponents need (Knuth, TAOCP vol. 2,
 4.1).  Every operand, x or ``(x, half)`` for x shifted by half, takes
 one form, ``_operand``'s, a word sum of letters: x is ``Words``, as the
-C rows of tt-tq convolutions enter, or a polynomial, the word sum of one
-position whose letters are its own keys.  One pass bounds them:
+B/D T_m of "L times inverse is 1" enter, or a polynomial, the word sum of
+one position whose letters are its own keys.  One pass bounds them:
 ``_span`` gives each operand its exponent bound b and an exact range
 [lo, hi] per variable, from its letters' distinct (slot, exponent)
 pairs, each range taken with 0 and added over the positions; no word is
@@ -80,15 +80,15 @@ together from at most p^2 slices, no more classes than its size needs.
 A radix 0 mod p would send every unit above it to class 0, and one 1
 mod p gives a slot's unit the class of the unit below it; with radix 1
 mod p throughout, keys would be classed by total degree alone (modulo
-31, a frame of 5-bit digits, radix 32, put 20 % of one tt-tq sum's pairs
-in one class).  A frame with every radix from 2 to 5, as the tt-tq
-and D5 frames have, gives p >= 7.  The cap keeps the slices per product
-of the largest sums at 37^2; 2 has order 36 mod 37, so no radix from 2
-to 36 is 1 mod 37.  An operand is split into p classes at the first sum
-of that p that uses it.  One frame spans a whole family, so its keys
-are wider than a frame per sum would make them: 75 bits at most in
-tt-tq at rank 3 to m = 11, 58 in the rank-2 T-system to m = 5, where a
-frame per sum gives 46.
+31, a frame of 5-bit digits, radix 32, put 20 % of one sum's pairs of
+tt-tq on Y in one class).  A frame with every radix from 2 to 5, as the
+frames of tt-tq on Y and of D5 have, gives p >= 7.  The cap keeps the
+slices per product of the largest sums at 37^2; 2 has order 36 mod 37,
+so no radix from 2 to 36 is 1 mod 37.  An operand is split into p
+classes at the first sum of that p that uses it.  One frame spans a
+whole family, so its keys are wider than a frame per sum would make
+them: 75 bits at most in tt-tq on Y at rank 3 to m = 11, 58 in the
+rank-2 T-system to m = 5, where a frame per sum gives 46.
 
 ``screenings_vanish`` decides in the same way, node by node, whether
 the screening of a polynomial canonicalizes to zero.  Its frame holds

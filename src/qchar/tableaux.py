@@ -59,9 +59,10 @@ def row_blocks(n: int, m: int) -> list[tuple]:
     """The length-m rows as blocks (lefts, [(nbar, n)^k], rights), one per
     k and r: lefts are the weakly increasing runs of r plain letters and
     rights those of m - 2k - r barred letters.  This is the word set of
-    the inverse of the factorized operator, T^(1)_m = sum_{r+2k+s=m}
-    h_r(plain) (nbar n)^k h_s(barred), which is strictly smaller than
-    allowing arbitrary (nbar, n) descents once rows reach length 3."""
+    the inverse of the factorized operator at D^m, as
+    ``characters._operator_premises`` checks from its factors:
+    T^(1)_m = sum_{r+2k+s=m} h_r(plain) (nbar n)^k h_s(barred), strictly
+    smaller than arbitrary (nbar, n) descents from length 3 on."""
     if m < 0:
         raise ValueError("row length must be >= 0")
     nb = bar(n, n)

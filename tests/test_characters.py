@@ -1,16 +1,19 @@
 """Character families: fundamentals, rows, rectangles, hook series."""
 
+import functools
 import gc
+import operator
 import os
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import characters, ring
+from qchar import characters, diffop, ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
                         product_sum, sums_vanish, word_sum)
@@ -23,7 +26,7 @@ from qchar.diffop import build_L_C
 from qchar.tableaux import (gen_column_tableaux, gen_row_tableaux, gen_W,
                             gen_x_tableaux, row_blocks, tableau_weight,
                             weight_sum)
-from test_mutants import MUTANTS
+from test_mutants import MUTANTS, _clear_caches, _middle_z_n_at_u
 
 
 def product_sum_vanishes(triples):
@@ -238,10 +241,34 @@ def _shifted(operand, d):
     return x, half + d
 
 
+def _row_operands(n):
+    """row(m): T^(1)_m(u) as a zero-test operand, the ``Words`` of
+    ``row_blocks(n, m)`` over the letter templates at u, placed by
+    ``_row_halves``, one object per m: no row is built or decoded."""
+    z = {c: characters._table(n).z(c) for c in range(1, 2 * n + 1)}
+    return functools.lru_cache(maxsize=None)(lambda m: Words(
+        z, characters._row_halves(m), characters.row_blocks(n, m)))
+
+
+def _convolution(n, top, s=1):
+    """The oracle on Y: whether tt-tq's first (s = 1) or second (s = -1)
+    convolution holds at m = 0..top, in one frame: sum_a (-1)^a
+    T^(1)_{m-a}(u - a/2) T^(a)_1(u + (m-a)/2) = [m = 0], or with
+    T^(1)_{m-a}(u + (m+a)/2) T^(a)_1(u + a/2).  The sum at m is shifted by
+    m or -2m half units (a ring automorphism fixing 1), so row k stands
+    at u + s*k/2 in all."""
+    row = _row_operands(n)
+    return characters._bilinear_zero(
+        [[((-1) ** a, (row(m - a), s * (m - a)), (f, s * (2 * m - a)))
+          for a in range(m + 1)
+          if not (f := characters.fundamental_poly(n, a)).is_zero]
+         + [(-1, ONE, ONE)] * (m == 0) for m in range(top + 1)])
+
+
 def _relations(n, *args):
     """Every relation's formal (sign, A, B) triples of verify_tsystem(n,
     *args), recorded instead of tested, with the names of its checks; the
-    bridge, the first convolution on Y, is taken to hold."""
+    bridge, the operator's premises, is taken to hold."""
     relations = []
 
     def record(sums):
@@ -249,7 +276,7 @@ def _relations(n, *args):
         return [True] * len(relations)
 
     with mock.patch.object(characters, "_bilinear_zero", record), \
-            mock.patch.object(characters, "_convolution",
+            mock.patch.object(characters, "_operator_premises",
                               lambda n, top: [True] * (top + 1)):
         checks = verify_tsystem(n, *args).checks
     assert len(relations) == len(checks) > 0
@@ -262,7 +289,7 @@ def _y_relations(n, m_max, pf_max):
     row T^(1)_m(u + h/2) enters as its words (``_row_operands``), any
     other T^(a)_m(u + h/2) as (rect_poly(n, a, m), h); where T^(n-2) is a
     row (n = 3), the long term multiplies the two Pfaffians instead."""
-    row, R = characters._row_operands(n), lambda a, m: rect_poly(n, a, m)
+    row, R = _row_operands(n), lambda a, m: rect_poly(n, a, m)
     T = lambda a, m, h: (row(m) if a == 1 else R(a, m), h)
 
     def long_term(k, j, p, i, q):
@@ -418,18 +445,27 @@ def test_tt_tq_mutants_fail(n, m_max, monkeypatch):
     rep = verify_tt_tq(n, m_max)
     assert rep.ok and len(rep.checks) == 2 * m_max + 3
     funds, rows = characters.fundamental_poly, characters.row_blocks
+    halves = characters._row_halves
     mutants = {
-        "dropped term of T^(2)": ("fundamental_poly", lambda k, a: (
-            _drop_first_term(funds(k, a)) if a == 2 else funds(k, a))),
-        "flipped sign of T^(1)": ("fundamental_poly", lambda k, a: (
-            -funds(k, a) if a == 1 else funds(k, a))),
-        "half-unit shift of T^(1)": ("fundamental_poly", lambda k, a: (
-            funds(k, a).shift(1) if a == 1 else funds(k, a))),
-        "dropped row word": ("row_blocks", _dropped_word(rows, 2)),
+        "dropped term of T^(2)": (
+            characters, "fundamental_poly", lambda k, a: (
+                _drop_first_term(funds(k, a)) if a == 2 else funds(k, a))),
+        "flipped sign of T^(1)": (
+            characters, "fundamental_poly", lambda k, a: (
+                -funds(k, a) if a == 1 else funds(k, a))),
+        "half-unit shift of T^(1)": (
+            characters, "fundamental_poly", lambda k, a: (
+                funds(k, a).shift(1) if a == 1 else funds(k, a))),
+        "dropped row word": (characters, "row_blocks",
+                             _dropped_word(rows, 2)),
+        "rows shifted a half unit": (characters, "_row_halves", lambda m: [
+            h + 1 for h in halves(m)]),
+        "middle factor's z_n at u": (diffop, "_z_factors",
+                                      _middle_z_n_at_u(diffop._z_factors)),
     }
-    for kind, (attr, patched) in mutants.items():
+    for kind, (module, attr, patched) in mutants.items():
         with monkeypatch.context() as mp:
-            mp.setattr(characters, attr, patched)
+            mp.setattr(module, attr, patched)
             checks = verify_tt_tq(n, m_max).checks
         assert not all(c["ok"] for c in checks
                        if "convolution" in c["identity"]), kind
@@ -439,7 +475,7 @@ def _convolutions_one_by_one(n, top, s):
     """The oracle: tt-tq's first (s = 1) or second (s = -1) convolution at
     each m <= top as it is stated, unshifted, each sum decided in a frame
     of its own."""
-    row = characters._row_operands(n)
+    row = _row_operands(n)
     return [product_sum_vanishes(
         [((-1) ** a, (row(m - a), -a if s > 0 else m + a),
           (f, m - a if s > 0 else a)) for a in range(m + 1)
@@ -447,28 +483,76 @@ def _convolutions_one_by_one(n, top, s):
         + [(-1, ONE, ONE)] * (m == 0)) for m in range(top + 1)]
 
 
+# the tt-tq mutants that the oracle on Y reads; the operator's factors
+# are no part of the identity on Y
+Y_MUTANTS = {name: m for name, m in MUTANTS["tt-tq"][1].items()
+             if m[0] is characters}
+
+
 @pytest.mark.parametrize("n, top", [(2, 6), (3, 5)])
 def test_shifted_convolutions_match_unshifted_ones(n, top, monkeypatch):
-    # each family's sums are shifted so that they share their rows, and a
-    # shift is a ring automorphism: the verdict at every m is that of the
-    # convolution as stated, on a clean run and under every tt-tq mutant
-    # of the suite, each of which fails both families
-    for kind, mutant in {"clean": None, **MUTANTS["tt-tq"][1]}.items():
+    # the oracle shifts each family's sums so that they share their rows,
+    # and a shift is a ring automorphism: its verdict at every m is that
+    # of the convolution as stated, on a clean run and under every tt-tq
+    # mutant of the suite that it reads, each of which fails both families
+    for kind, mutant in {"clean": None, **Y_MUTANTS}.items():
         with monkeypatch.context() as mp:
             if mutant:
                 module, attr, mutate = mutant
                 mp.setattr(module, attr, mutate(getattr(module, attr)))
             for s in (1, -1):
-                got = characters._convolution(n, top, s)
+                got = _convolution(n, top, s)
                 assert got == _convolutions_one_by_one(n, top, s), (kind, s)
                 assert all(got) == (mutant is None), (kind, s)
+        _clear_caches()
+
+
+def _running(verdicts):
+    """Whether the verdicts up to m all hold, for each m."""
+    return list(accumulate(verdicts, operator.and_))
+
+
+@pytest.mark.parametrize("n, top, mutants", [
+    (2, 12, Y_MUTANTS), (3, 16, Y_MUTANTS), (4, 10, {})],
+    ids=["rank2", "rank3", "rank4-clean"])
+def test_operator_premises_match_the_oracle(n, top, mutants, monkeypatch):
+    # the premises at m certify both convolutions at every m' <= m: the
+    # verdict at each m is the oracle's on Y, both families held up to m,
+    # on a clean run and under every tt-tq mutant that the oracle reads.
+    # A per-m verdict could differ: a row broken at length k enters the
+    # convolution at m = k + n + 1 only through T^(n+1) = 0.
+    for kind, mutant in {"clean": None, **mutants}.items():
+        _clear_caches()
+        with monkeypatch.context() as mp:
+            if mutant:
+                module, attr, mutate = mutant
+                mp.setattr(module, attr, mutate(getattr(module, attr)))
+            got = characters._operator_premises(n, top)
+            assert got == _running(_convolution(n, top, 1)), kind
+            assert got == _running(_convolution(n, top, -1)), kind
+            assert all(got) == (mutant is None), kind
+    _clear_caches()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_operator_premises_fail_a_broken_factor(n, monkeypatch):
+    # a middle factor z_nbar(u) z_n(u) is no word at u, u + 1: the premises
+    # fail at every m, and so does premise (i) alone, the D^2 coefficient
+    # of the operator; the rows and fundamentals are untouched, so the
+    # oracle on Y still holds
+    monkeypatch.setattr(diffop, "_z_factors",
+                        _middle_z_n_at_u(diffop._z_factors))
+    assert characters._operator_premises(n, 6) == [False] * 7
+    assert (build_L_C(n, "zFactored").coeff(2)
+            != fundamental_poly(n, 2).shift(2))
+    assert all(_convolution(n, 6)) and all(_convolution(n, 6, -1))
 
 
 def test_tt_tq_packs_each_row_once_per_family(monkeypatch):
-    # every sum of a family stands T^(1)_k at the same half, so a row is
-    # packed once per family: 2 * 12 rows at rank 3 up to m = 11, where a
-    # frame per m packed 128.  Each row is held here, so that no later
-    # list reuses the id of one that its family has dropped.
+    # the oracle stands T^(1)_k at the same half in every sum of a family,
+    # so a row is packed once per family: 2 * 12 rows at rank 3 up to m =
+    # 11, where a frame per m packed 128.  Each row is held here, so that
+    # no later list reuses the id of one that its family has dropped.
     rows, packs = {}, []
     blocks, words = characters.row_blocks, ring._words_into
 
@@ -480,8 +564,14 @@ def test_tt_tq_packs_each_row_once_per_family(monkeypatch):
     monkeypatch.setattr(characters, "row_blocks", row_blocks)
     monkeypatch.setattr(ring, "_words_into", lambda keys, coeffs, bs: (
         packs.append(rows.get(id(bs)) is bs) or words(keys, coeffs, bs)))
-    assert verify_tt_tq(3, 11).ok
+    assert all(_convolution(3, 11) + _convolution(3, 11, -1))
     assert sum(packs) == 24
+
+
+def test_tt_tq_rank4_runs_every_check():
+    # the default bound of the CLI at rank 4, m <= 2N = 20: 43 checks
+    rep = verify_tt_tq(4, 20)
+    assert rep.ok and len(rep.checks) == 43
 
 
 def test_tt_tq_rank2():
@@ -610,6 +700,8 @@ def tested(sums):
 
 ring._count_blocks, characters.sums_vanish = record, tested
 assert characters.verify_tt_tq(3, 4).ok
+from test_characters import _convolution  # the rows' frames, on Y
+assert all(_convolution(3, 4) + _convolution(3, 4, -1))
 print(top[0])
 """
 
@@ -617,7 +709,9 @@ print(top[0])
 def test_tt_tq_keys_independent_of_process_history():
     # a fresh process, and one that met 300 unrelated variables first:
     # on global keys the second would carry 16 bits for each of them
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    here = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
     bits = [int(subprocess.run([sys.executable, "-c", _KEY_BITS, state],
                                env=env, capture_output=True, text=True,
                                check=True).stdout)

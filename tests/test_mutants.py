@@ -11,7 +11,7 @@ after it is undone.
 import time
 
 from qchar import bd, casorati, characters, cli, diffop, screening, tableaux
-from qchar.ring import LaurentPoly
+from qchar.ring import AlgebraSpec, LaurentPoly, VariableTable, bar
 
 
 def _drop_first_term(p):
@@ -57,12 +57,19 @@ def _dropped_tm_word(f):
 
 
 def _shifted_rows(f):
-    """_row_operands with every row a half unit later and the
-    fundamentals where they were: row(m) answers T^(1)_m(u + 1/2)."""
-    def rows(n):
-        row = f(n)
-        return lambda m: row(m)._replace(halves=[h + 1 for h in row(m).halves])
-    return rows
+    """_row_halves with every letter a half unit later and the
+    fundamentals where they were: the rows read T^(1)_m(u + 1/2)."""
+    return lambda m: [h + 1 for h in f(m)]
+
+
+def _middle_z_n_at_u(f):
+    """_z_factors with the middle factor's z_n at u instead of u + 1:
+    z_nbar(u) z_n(u) at D^2."""
+    def factors(n):
+        z = VariableTable(AlgebraSpec("C", n)).z
+        return [(d, z(bar(n, n), 0) * z(n, 0) if d == 2 else c)
+                for d, c in f(n)]
+    return factors
 
 
 def _shifted_first_factor(f):
@@ -137,15 +144,19 @@ MUTANTS = {
                 _drop_first_term(f(n, a, m, *ring)) if (a, m) == (n, 2)
                 else f(n, a, m, *ring))),
         # the relations are formal in t_a(h), so only the bridge, the
-        # first convolution on Y, reads T^(1)
+        # operator's premises, reads T^(1)
         "dropped term of T^(1)": (characters, "fundamental_poly",
-                                  _dropped_term(1))}),
+                                  _dropped_term(1)),
+        "middle factor's z_n at u": (diffop, "_z_factors",
+                                     _middle_z_n_at_u)}),
     "tt-tq": (["--rank", "2", "--max-m", "3"], {
         "dropped term of T^(2)": (characters, "fundamental_poly",
                                   _dropped_term(2)),
         "dropped row word": (characters, "row_blocks", _dropped_row_word),
-        "rows shifted a half unit": (characters, "_row_operands",
-                                     _shifted_rows)}),
+        "rows shifted a half unit": (characters, "_row_halves",
+                                     _shifted_rows),
+        "middle factor's z_n at u": (diffop, "_z_factors",
+                                     _middle_z_n_at_u)}),
     "hseries": (["--rank", "2"], {
         "dropped term of H^(1)_6": (characters, "h_poly", lambda f: (
             lambda n, i, k: (_drop_first_term(f(n, i, k)) if (i, k) == (1, 6)

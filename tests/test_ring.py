@@ -19,7 +19,8 @@ from qchar.ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                         Y, Qv, vk, Y_FAM, acc_product, ONE, ZERO)
 from qchar.ring import (EXP_MAX, Q_FAM, Words, _format_shift, poly_sum,
                         product_sum, sums_vanish, word_sum)
-from test_characters import _poly, _y_relations, product_sum_vanishes
+from test_characters import (_convolution, _poly, _row_operands,
+                             _y_relations, product_sum_vanishes)
 
 
 def small_polys():
@@ -1076,10 +1077,10 @@ def test_class_modulus_splits_every_frame_width():
     # letters, would barely split.  The rule picks no such p below the
     # cap, and at the cap 2 has order CLASSES - 1, so it generates the
     # units mod CLASSES and no radix from 2 to CLASSES - 1 is 1 mod
-    # CLASSES.  The tt-tq sums whose bound B has 2^3 <= B < 2^4 are
-    # checked to split evenly in the frame of their family, which all of
-    # its sums share, each sum in its own p classes at the default budget
-    # and in CLASSES classes at a budget of -1.
+    # CLASSES.  The sums of tt-tq's oracle on Y whose bound B has 2^3 <=
+    # B < 2^4 are checked to split evenly in the frame of their family,
+    # which all of its sums share, each sum in its own p classes at the
+    # default budget and in CLASSES classes at a budget of -1.
     assert all(pow(2, k, ring.CLASSES) != 1
                for k in range(1, ring.CLASSES - 1))
     families = []
@@ -1089,7 +1090,8 @@ def test_class_modulus_splits_every_frame_width():
         return [True] * len(families[-1])
 
     with mock.patch.object(characters, "_bilinear_zero", recorded):
-        characters.verify_tt_tq(3, 8)
+        _convolution(3, 8)
+        _convolution(3, 8, -1)
 
     def bound(x):  # _span's bound of an operand, in its _operand form
         return ring._span(ring._operand(x))[0]
@@ -1208,8 +1210,9 @@ def test_sums_vanish_leaves_no_cycles():
 
 
 CHECKS = pytest.mark.parametrize("verify", [
-    lambda: characters.verify_tsystem(2, 5, 5),
-    lambda: characters.verify_tt_tq(3, 11)], ids=["tsystem", "tt-tq"])
+    lambda: characters.verify_tsystem(2, 5, 5).ok,
+    lambda: all(_convolution(3, 11) + _convolution(3, 11, -1))],
+    ids=["tsystem", "tt-tq"])
 
 
 def _traffic(verify):
@@ -1228,7 +1231,7 @@ def _traffic(verify):
         return verdicts
 
     with mock.patch.object(characters, "_bilinear_zero", recorded):
-        assert verify().ok
+        assert verify()
     return sizes, calls, moduli
 
 
@@ -1348,7 +1351,7 @@ def test_span_scans_a_polynomial_once():
     # a polynomial paired with Words is bounded exactly from the keys the
     # call decodes, each once for the box and the repack, and its keys are
     # never scanned for a bound of their own
-    words = characters._row_operands(2)(2)
+    words = _row_operands(2)(2)
     p = Y(1, 0, 3) * Y(1, 0, -2) + Y(2, 1)
     assert p._b == 5  # the carried bound of the product
     assert product_sum_vanishes([(1, words, p), (-1, p, words)])

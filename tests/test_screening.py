@@ -550,8 +550,8 @@ def _cancelled(row):
 @given(letter_templates((1, -1, 2, -3)),
        st.lists(st.integers(-3, 3), max_size=4),
        st.sampled_from(("C", "B", "D")), st.data())
-def test_words_screening_matches_the_built_row(templates, halves, series,
-                                               data):
+def test_built_word_sum_screening_matches_the_reference(templates, halves,
+                                                         series, data):
     # blocks with empty factors, repeated words and, through the signed
     # coefficients, words that cancel
     cartan = CartanData(AlgebraSpec(series, 3))
@@ -566,7 +566,7 @@ def test_words_screening_matches_the_built_row(templates, halves, series,
 
 
 @pytest.mark.parametrize("series,n", [("B", 3), ("D", 4)])
-def test_words_screening_of_tm_sees_a_dropped_word_and_a_moved_factor(
+def test_built_word_sum_screening_of_tm_sees_a_dropped_word_and_a_moved_factor(
         series, n, monkeypatch):
     spec = AlgebraSpec(series, n)
     cartan = CartanData(spec)
@@ -590,7 +590,7 @@ def test_words_screening_of_tm_sees_a_dropped_word_and_a_moved_factor(
     assert failed
 
 
-def test_words_screening_guards_like_the_built_row():
+def test_built_word_sum_screening_guards_its_exponents():
     cartan = CartanData(AlgebraSpec("C", 3))
     half = EXP_MAX // 2
     # a built word sum at the edge fits; the Q images double its bound
