@@ -3,11 +3,12 @@
 All characters are stored base-point normalized (argument u); shifts
 are applied at use sites in half-units.
 
-The T-system is decided in free symbols t_b(h) (``ring``'s family ``T``):
-t_b(h) -> T^(b)_1(u + h/2) is a ring map, so a formal zero is a zero on
-Y.  tt-tq's convolutions are L_z^-1 L_z = L_z L_z^-1 = 1 for the
-factorized operator L_z, whose coefficients are the fundamentals and its
-inverse's the rows (``_operator_premises``).  The first fixes each row
+The T-system and the hooks' determinants and product formula are decided
+in free symbols t_b(h) (``ring``'s family ``T``): t_b(h) -> T^(b)_1(u +
+h/2) is a ring map, so a formal zero is a zero on Y.  ``hook_rows`` builds
+hooks in either ring.  tt-tq's convolutions are L_z^-1 L_z = L_z L_z^-1 =
+1 for the factorized operator L_z, whose coefficients are the fundamentals
+and its inverse's the rows (``_operator_premises``).  The first fixes each row
 from the lower rows: it is the bridge that proves each tableau row the
 image of its formal row, up to the largest one a relation uses.
 """
@@ -80,19 +81,22 @@ def hook_step(n: int, i: int, fund, prev):
     return out - prev(i - 1, 1) if i else out
 
 
-@lru_cache(maxsize=None)
-def h_poly(n: int, i: int, k: int) -> LaurentPoly:
-    """H^(i)_k(u), base-point normalized, by ``hook_step``."""
-    if i < 0:
-        return ZERO
-    if i > 2 * n + 1:
-        raise ValueError(f"i out of range: {i}")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return ONE if i == 0 else ZERO
-    return hook_step(n, i, fundamental_poly(n, i),
-                     lambda j, half: h_poly(n, j, k - 1).shift(half))
+def hook_rows(n: int, k_max: int, fund) -> list:
+    """[[H^(i)_k(u) for i < N] for k <= k_max] by ``hook_step``, bottom-up
+    from fund(a) = T^(a)_1(u) in any ring whose elements have ``.shift``:
+    fund = partial(fundamental_poly, n) gives the hooks on Y."""
+    N = 2 * n + 2
+    funds, rows = [fund(i) for i in range(N)], [[ONE] + [ZERO] * (N - 1)]
+    for _ in range(k_max):
+        prev = rows[-1]
+        rows.append([hook_step(n, i, funds[i], lambda j, h: prev[j].shift(h))
+                     for i in range(N)])
+    return rows
+
+
+def _t(n: int, a: int, h: int) -> LaurentPoly:
+    """t_a(h), the free symbol for T^(a)_1(u + h/2), any a by ``extend``."""
+    return extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
 
 
 # --- determinants and Pfaffians over the ring -------------------------
@@ -146,17 +150,6 @@ def jt_array(cols: list, half: int, entry) -> list:
             for j, c in zip(size, cols)]
 
 
-def _shifted(n: int):
-    """entry(a, half) = T^(a)_1(u + half/2), the polynomial."""
-    return lambda a, half: fundamental_poly(n, a).shift(half)
-
-
-def jacobi_trudi(n: int, cols: list, half: int) -> LaurentPoly:
-    """``det`` of ``jt_array(cols, half)`` of shifted fundamentals; the hook
-    H^(i)_k, k >= N, is ``-jacobi_trudi(n, [N-i] + [1] * (k-N), N-2-i)``."""
-    return det(jt_array(cols, half, _shifted(n)))
-
-
 def rectangle(n: int, a: int, m: int, entry, det, total, one):
     """T^(a)_m(u), 1 <= a <= n, from entry(b, h) = T^(b)_1(u + h/2): ``det``
     of the dual Jacobi-Trudi array (a < n), or (-1)^m ``pfaffian(mat, total,
@@ -182,7 +175,8 @@ def rect_poly(n: int, a: int, m: int) -> LaurentPoly:
         return ONE
     if a == 1:
         return row_poly(n, m)
-    return rectangle(n, a, m, _shifted(n), det, product_sum, ONE)
+    return rectangle(n, a, m, lambda b, h: fundamental_poly(n, b).shift(h),
+                     det, product_sum, ONE)
 
 
 # --- functional-relation verification ---------------------------------
@@ -251,7 +245,7 @@ def verify_tsystem(n: int, m_max: int, pf_max: int) -> RelationReport:
     others, and the ``_operator_premises`` hold up to its largest row.
     """
     rep = RelationReport()
-    t = lambda a, h: extend(n, a, lambda b: LaurentPoly.var(T_FAM, b, h))
+    t = partial(_t, n)
     used, relations = [], []  # row indices; (name, triples, largest one)
     # plain memos, rows built bottom-up: an lru_cache'd R calling itself
     # would form a cycle and hold every value until the next collection
@@ -333,17 +327,14 @@ def verify_tt_tq(n: int, m_max: int) -> RelationReport:
     return rep
 
 
-def companion_matrix(n: int, half: int) -> list[list[LaurentPoly]]:
-    """N x N one-step transfer matrix: subdiagonal 1's and a last column
-    of signed shifted fundamentals."""
+def companion_matrix(n: int, half: int, entry) -> list[list[LaurentPoly]]:
+    """N x N one-step transfer matrix at u + half/2 from entry(a, h) =
+    T^(a)_1(u + h/2): subdiagonal 1's and a last column of signed shifted
+    fundamentals."""
     N = 2 * n + 2
-    mat = [[ZERO for _ in range(N)] for _ in range(N)]
-    for i in range(1, N):
-        mat[i][i - 1] = ONE
-    for i in range(N):
-        sign = -1 if i % 2 else 1
-        mat[i][N - 1] = sign * fundamental_poly(n, i).shift(half + i)
-    return mat
+    return [[(-1) ** i * entry(i, half + i) if j == N - 1
+             else ONE if j == i - 1 else ZERO for j in range(N)]
+            for i in range(N)]
 
 
 def _mat_mul(A, B):
@@ -356,17 +347,16 @@ def _mat_mul(A, B):
 def verify_product_formula(n: int, k_max: int) -> list[bool]:
     """For k = 1..k_max, whether the ordered product of k one-step
     transfer matrices equals the k-step hook matrix [(-1)^i H^(i)_{k+j}(u
-    + i/2)]_{i,j<N}.  One running product; the hook matrix for k + 1 is
-    the one for k moved one column left, so each k adds one column."""
-    N = 2 * n + 2
-    column = lambda c: [(-1) ** i * h_poly(n, i, c).shift(i) for i in range(N)]
-    hooks = list(map(column, range(N)))  # the columns k - 1 + j
-    prod, out = companion_matrix(n, 0), []
+    + i/2)]_{i,j<N}, in the symbols t_a(h): one running product, the
+    hooks from ``hook_rows``."""
+    N, t = 2 * n + 2, partial(_t, n)
+    hooks = hook_rows(n, k_max + N - 1, partial(t, h=0))
+    prod, out = companion_matrix(n, 0, t), []
     for k in range(1, k_max + 1):
         if k > 1:
-            prod = _mat_mul(prod, companion_matrix(n, 2 * k - 2))
-        hooks = hooks[1:] + [column(k + N - 1)]
-        out.append(prod == [list(row) for row in zip(*hooks)])
+            prod = _mat_mul(prod, companion_matrix(n, 2 * k - 2, t))
+        out.append(prod == [[(-1) ** i * hooks[k + j][i].shift(i)
+                             for j in range(N)] for i in range(N)])
     return out
 
 
@@ -400,25 +390,28 @@ def verify_highest_weight(n: int, k_min: int, k_max: int) -> RelationReport:
     with coefficient exactly 1."""
     N = 2 * n + 2
     rep = RelationReport()
+    hooks = hook_rows(n, k_max, partial(fundamental_poly, n))
     for k in range(k_min, k_max + 1):
         for i in range(0, N):
             sigma = 1 if i <= n else -1
-            p = h_poly(n, i, k).shift(i)
+            p = hooks[k][i].shift(i)
             c = p.coeff_of(highest_weight_key(n, i, k))
             rep.add(f"leading monomial of H^({i})_{k}", sigma * c == 1)
     return rep
 
 
 def verify_hseries(n: int, k_extra: int = 3, prod_k_max: int | None = None) -> RelationReport:
-    """Recursion output equals the hook determinant for N <= k <= N+k_extra,
-    and the ordered product of one-step transfer matrices equals the
-    k-step hook matrix."""
-    N = 2 * n + 2
+    """Recursion output equals the hook determinant -det(``jt_array([N-i] +
+    [1] * (k-N), N-2-i)``) for N <= k <= N+k_extra, and the ordered product
+    of one-step transfer matrices equals the k-step hook matrix, both in
+    the symbols t_a(h)."""
+    N, t = 2 * n + 2, partial(_t, n)
     rep = RelationReport()
+    hooks = hook_rows(n, N + k_extra, partial(t, h=0))
     for k in range(N, N + k_extra + 1):
         for i in range(0, N):
-            rep.add(f"hook determinant for H^({i})_{k}", h_poly(n, i, k)
-                    == -jacobi_trudi(n, [N - i] + [1] * (k - N), N - 2 - i))
+            rep.add(f"hook determinant for H^({i})_{k}", hooks[k][i]
+                    == -det(jt_array([N - i] + [1] * (k - N), N - 2 - i, t)))
     if prod_k_max is None:
         prod_k_max = N + 2
     for k, ok in enumerate(verify_product_formula(n, prod_k_max), 1):

@@ -230,16 +230,17 @@ def verify_hook_decomposition(n: int, k_min: int, k_max: int,
                               seed: int) -> PointReport:
     """Classical image of every H^(i)_k equals its signed hook-character
     sum at exact random torus points."""
-    from .characters import h_poly
+    from .characters import fundamental_poly, hook_rows
     N = 2 * n + 2
     rng = random.Random(seed)
     rep = PointReport()
     pts = [ClassicalPoint.random(n, rng) for _ in range(_N_POINTS)]
+    hooks = hook_rows(n, k_max, lambda a: fundamental_poly(n, a))
     for k in range(k_min, k_max + 1):
         for i in range(0, N):
             terms = hook_decomposition(n, i, k)
             ok = all(h == _hook_sum(n, terms, pt) for h, pt in
-                     zip(h_poly(n, i, k).eval_points(pts), pts))
+                     zip(hooks[k][i].eval_points(pts), pts))
             rep.add(f"hook content of H^({i})_{k}", ok)
     return rep
 

@@ -173,7 +173,8 @@ def cmd_character(args) -> int:
         if not (0 <= i <= 2 * n + 1 and k >= 0):
             raise UsageError(f"--hseries needs 0 <= I <= {2 * n + 1} "
                              f"and K >= 0")
-        label, p = (i, k), characters.h_poly(n, i, k)
+        label, p = (i, k), characters.hook_rows(
+            n, k, lambda a: characters.fundamental_poly(n, a))[k][i]
         hw = characters.highest_weight_key(n, i, k)
         sigma, shift = (1 if i <= n else -1), i
     _emit({"series": "C", "rank": n, "label": [kind, *label],

@@ -16,6 +16,7 @@ from qchar.casorati import (QAssignment, build_grid, mu_from_indices,
                             transpose, skew_ssyt, run_suite,
                             default_index_sets, verify_free_skew_lemma,
                             GridReport)
+from test_characters import h_poly
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +216,7 @@ def test_character_values_match_built_characters(n):
         halves = [i - 1] + [i + 2 * g for g in range(3)]
         for k in range(N, N + 4):
             assert [chars.hook(i, k, h) for h in halves] == qa.eval_many(
-                characters.h_poly(n, i, k), halves), (i, k)
+                h_poly(n, i, k), halves), (i, k)
     halves = range(-1, 2 * N + 1)
     for a in range(1, n + 1):
         for m in range(1, 4):
@@ -235,7 +236,7 @@ def test_suite_builds_no_hook_or_rectangle(n):
             calls.append((name, args))
             return real(*args)
         return record
-    names = ("h_poly", "rect_poly", "row_poly", "jacobi_trudi")
+    names = ("hook_rows", "rect_poly", "row_poly")
     with mock.patch.multiple(characters, **{a: spy(a) for a in names}):
         assert run_suite(n, seed=11).ok
     assert calls == []
@@ -532,18 +533,15 @@ def _mutate_fundamentals(monkeypatch, basis, mutate):
 def test_hook_ratio_fails_on_mutated_hooks(basis2, monkeypatch, mutate):
     args = (casorati.verify_hook_ratio, 2, 9, basis2, range(3))
     assert all(c["ok"] for c in _checks(*args))
-    h = characters.h_poly
-    hooks = {(i, k): h(2, i, k) for k in range(6, 10) for i in range(6)}
+    rows = lambda: characters.hook_rows(  # reads the patched fundamentals
+        2, 9, lambda a: characters.fundamental_poly(2, a))
+    hooks = rows()
     _mutate_fundamentals(monkeypatch, basis2, mutate)
     # a mutant that leaves a hook unchanged (zero, or constant under a
-    # shift) cannot fail its check; the hooks built from the mutated
-    # fundamentals are dropped from the cache again
-    h.cache_clear()
-    try:
-        unchanged = {f"hook minor ratio i={i} k={k}"
-                     for (i, k), p in hooks.items() if h(2, i, k) == p}
-    finally:
-        h.cache_clear()
+    # shift) cannot fail its check
+    unchanged = {f"hook minor ratio i={i} k={k}" for k, (row, old) in
+                 enumerate(zip(rows(), hooks)) if k >= 6
+                 for i in range(6) if row[i] == old[i]}
     assert len(unchanged) <= 2
     assert {c["identity"] for c in _checks(*args) if c["ok"]} == unchanged
 

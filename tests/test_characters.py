@@ -17,8 +17,8 @@ from qchar import characters, diffop, ring
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, VariableTable,
                         Words, Y, vk, Y_FAM, ONE, ZERO, poly_sum,
                         product_sum, sums_vanish, word_sum)
-from qchar.characters import (_row_halves, fundamental_poly, row_poly, h_poly,
-                              jacobi_trudi, det, pfaffian, rect_poly,
+from qchar.characters import (_row_halves, fundamental_poly, row_poly,
+                              hook_rows, det, jt_array, pfaffian, rect_poly,
                               verify_tsystem, verify_tt_tq,
                               verify_hseries, verify_highest_weight,
                               verify_product_formula, highest_weight_key)
@@ -143,14 +143,35 @@ def test_det_and_pfaffian_match_expansion_oracle(mat):
         assert pfaffian(anti) == _pfaffian_oracle(anti, list(range(k)))
 
 
+def y_entry(n):
+    """entry(a, h) = T^(a)_1(u + h/2), the shifted fundamental on Y."""
+    return lambda a, h: fundamental_poly(n, a).shift(h)
+
+
+@functools.lru_cache(maxsize=None)
+def h_poly(n, i, k):
+    """The Y oracle for hooks: H^(i)_k(u), top-down and cached, by the
+    first-order recursion H^(i)_{k+1}(u) = -T^(i)_1(u) H^(N-1)_k(u +
+    (N+1-i)/2) - H^(i-1)_k(u + 1/2), H^(-1) = 0, written out apart from
+    ``hook_step``."""
+    N = 2 * n + 2
+    if i < 0:
+        return ZERO
+    if k == 0:
+        return ONE if i == 0 else ZERO
+    return (-(fundamental_poly(n, i)
+              * h_poly(n, N - 1, k - 1).shift(N + 1 - i))
+            - h_poly(n, i - 1, k - 1).shift(1))
+
+
 def test_rectangles_match_rows_at_width_one():
     # the a=1 rectangle determinant reproduces the tableau row sum
     for m in range(1, 4):
-        assert jacobi_trudi(2, [1] * m, -m) == row_poly(2, m)
+        assert det(jt_array([1] * m, -m, y_entry(2))) == row_poly(2, m)
 
 
 def test_rect_poly_dispatch():
-    assert rect_poly(2, 1, 2) == jacobi_trudi(2, [1, 1], -2)
+    assert rect_poly(2, 1, 2) == det(jt_array([1, 1], -2, y_entry(2)))
     # T^(n)_m = (-1)^m Pf [T^(n+1-j+l)(u + (j+l+1-2m)/2)]_{j,l<2m}, n = m = 2
     assert rect_poly(2, 2, 2) == pfaffian(
         [[fundamental_poly(2, 3 - j + l).shift(j + l - 3) for l in range(4)]
@@ -161,21 +182,50 @@ def test_rect_poly_dispatch():
 def test_hook_recursion_seeds():
     n = 2
     N = 6
+    rows = hook_rows(n, N, functools.partial(fundamental_poly, n))
     for i in range(0, N):
         for k in range(0, N):
             want = ((-1) ** i) * ONE if i == k else ZERO
-            assert h_poly(n, i, k) == want
+            assert h_poly(n, i, k) == rows[k][i] == want
     for i in range(0, N):
-        assert h_poly(n, i, N) == fundamental_poly(n, i)
+        assert h_poly(n, i, N) == rows[N][i] == fundamental_poly(n, i)
 
 
 def test_hook_determinant_matches_recursion():
+    # verify_hseries's formal checks at rank 2, restated on Y with the
+    # hooks of the oracle
     n = 2
     N = 6
-    for k in (N, N + 1):
+    for k in range(N, N + 4):
         for i in range(0, N):
-            assert h_poly(n, i, k) == -jacobi_trudi(
-                n, [N - i] + [1] * (k - N), N - 2 - i)
+            assert h_poly(n, i, k) == -det(jt_array(
+                [N - i] + [1] * (k - N), N - 2 - i, y_entry(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hook_rows_on_y_match_the_oracle(n):
+    N = 2 * n + 2
+    rows = hook_rows(n, 2 * N, functools.partial(fundamental_poly, n))
+    assert len(rows) == 2 * N + 1
+    assert rows == [[h_poly(n, i, k) for i in range(N)]
+                    for k in range(2 * N + 1)]
+    h_poly.cache_clear()  # frees the rank-3 hooks, which no other test reads
+
+
+def test_hook_rows_leave_no_cycles():
+    # each row is built from the last by a lambda that is called at once
+    # and kept by nothing, so a call frees all it built when it returns.
+    # A first call fills the module's caches, which outlive it by design.
+    fund = functools.partial(fundamental_poly, 2)
+    hook_rows(2, 8, fund)
+    gc.collect()
+    gc.disable()
+    try:
+        assert hook_rows(2, 8, fund)[8][1] == h_poly(2, 1, 8)
+        assert verify_hseries(2).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_tsystem_rank2():
@@ -580,19 +630,36 @@ def test_tt_tq_rank2():
 
 
 def test_product_formula_small():
-    # the running product and hook window against each k from scratch:
-    # k companion matrices multiplied out, the k-step hook matrix built
+    # the formal running product against each k from scratch on Y: k
+    # companion matrices of shifted fundamentals multiplied out, the
+    # k-step hook matrix built from the oracle
     n, N = 2, 6
     scratch = []
     for k in range(1, 7):
-        prod = characters.companion_matrix(n, 0)
+        prod = characters.companion_matrix(n, 0, y_entry(n))
         for s in range(1, k):
-            prod = characters._mat_mul(prod,
-                                       characters.companion_matrix(n, 2 * s))
+            prod = characters._mat_mul(prod, characters.companion_matrix(
+                n, 2 * s, y_entry(n)))
         scratch.append(prod == [[(-1) ** i * h_poly(n, i, k + j).shift(i)
                                  for j in range(N)] for i in range(N)])
     assert verify_product_formula(n, 6) == scratch == [True] * 6
     assert verify_product_formula(n, 0) == []
+
+
+def test_product_formula_rank4_and_hseries_rank3():
+    # on Y, the rank-3 hook tower alone took 7 s and 316 MB; in the
+    # symbols t_a(h) both take about a second
+    assert verify_product_formula(4, 12) == [True] * 12
+    rep = verify_hseries(3)
+    assert rep.ok and len(rep.checks) == 4 * 8 + 10
+
+
+def test_dropped_hook_term_fails_its_hook_determinant(monkeypatch):
+    module, attr, mutate = MUTANTS["hseries"][1]["dropped term of H^(1)_6"]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    failed = [c["identity"] for c in verify_hseries(2).checks
+              if not c["ok"]]
+    assert "hook determinant for H^(1)_6" in failed
 
 
 def test_hseries_wrapper_counts():

@@ -361,6 +361,7 @@ REPORT_RUNS = {
     "verify_tsystem": ["verify", "tsystem", "--rank", "2", "--max-m", "2"],
     "verify_tt-tq": ["verify", "tt-tq", "--rank", "2", "--max-m", "3"],
     "verify_hseries": ["verify", "hseries", "--rank", "2"],
+    "verify_hseries_r3": ["verify", "hseries", "--rank", "3"],
     "verify_hookchi": ["verify", "hookchi", "--rank", "2", "--seed", "9"],
     "verify_casorati": ["verify", "casorati", "--rank", "2", "--seed", "11"],
     "verify_nnsy": ["verify", "nnsy", "--rank", "2", "--seed", "11"],
@@ -370,6 +371,9 @@ REPORT_RUNS = {
                          "--rank", "3", "--order", "6"],
     "verify_product-formula": ["verify", "product-formula", "--rank", "2",
                                "--max-m", "3"],
+    "verify_product-formula_r3": ["verify", "product-formula", "--rank", "3"],
+    "character_hseries_r2": ["character", "--rank", "2", "--hseries", "5",
+                             "9"],
     "bd_report": ["bd", "--algebra", "D", "--rank", "3", "--order", "6"],
     "bd_coeffs": ["bd", "--algebra", "B", "--rank", "2", "--order", "6",
                   "--emit", "coeffs"],

@@ -95,11 +95,22 @@ def _keyed_by_indices(table):
 
 def _negated_entry(f):
     """companion_matrix with its subdiagonal entry [1][0] negated."""
-    def companion(n, half):
-        mat = f(n, half)
+    def companion(n, half, entry):
+        mat = f(n, half, entry)
         mat[1][0] = -mat[1][0]
         return mat
     return companion
+
+
+def _dropped_hook_term(f):
+    """hook_rows with one term of H^(1)_6 dropped, in whatever ring the
+    rows are built."""
+    def rows(n, k_max, fund):
+        out = f(n, k_max, fund)
+        if k_max >= 6:
+            out[6][1] = _drop_first_term(out[6][1])
+        return out
+    return rows
 
 
 def _flipped_bareiss(_):
@@ -158,9 +169,8 @@ MUTANTS = {
         "middle factor's z_n at u": (diffop, "_z_factors",
                                      _middle_z_n_at_u)}),
     "hseries": (["--rank", "2"], {
-        "dropped term of H^(1)_6": (characters, "h_poly", lambda f: (
-            lambda n, i, k: (_drop_first_term(f(n, i, k)) if (i, k) == (1, 6)
-                             else f(n, i, k))))}),
+        "dropped term of H^(1)_6": (characters, "hook_rows",
+                                    _dropped_hook_term)}),
     "hookchi": (["--rank", "2"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1))}),
@@ -193,7 +203,8 @@ MUTANTS = {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),
     "product-formula": (["--rank", "2", "--max-m", "3"], {
-        "h_poly recursion sign": (characters, "hook_step", _flipped_left),
+        "hook recursion sign of the H^(i-1) term flipped": (
+            characters, "hook_step", _flipped_left),
         "companion entry [1][0] negated": (characters, "companion_matrix",
                                            _negated_entry)}),
 }

@@ -16,7 +16,7 @@ from qchar.screening import (a_factor, apply_screening, canonicalize,
                              in_kernel, screen_all, screen_operator,
                              screen_operator_all)
 from qchar.diffop import DiffOp, build_L_C
-from qchar.characters import fundamental_poly, row_poly, h_poly
+from qchar.characters import fundamental_poly, row_poly, hook_rows
 from qchar.bd import build_series_L, extract_Ta
 from test_bd import _reference, tm_poly, tm_words
 from test_ring import letter_templates, word_blocks
@@ -101,7 +101,7 @@ def test_rows_in_kernel():
 
 def test_hook_family_in_kernel():
     cartan = CartanData(AlgebraSpec("C", 2))
-    p = h_poly(2, 1, 7)
+    p = hook_rows(2, 7, lambda a: fundamental_poly(2, a))[7][1]
     for a in (1, 2):
         assert in_kernel(a, p, cartan)
 
