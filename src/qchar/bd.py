@@ -4,21 +4,21 @@ Unlike the C-series operator, these are not polynomials in D: the middle
 factor is a genuine geometric series, so everything is handled as a
 truncated series operator.  The module builds the factorized product
 L, states the coefficients T_m of its inverse as words in blocks
-(``tm_blocks``), and checks "L times inverse is 1" by zero-tests, the
-screening-kernel property of L's coefficients degree by degree, and the
-two closed-form expansions of the middle factors that drive the proofs.
-L^{-1}'s coefficients are not screened: they lie in the subring that
-the shifts of L's generate, so in every screening kernel that holds L's.
+(``tm_blocks``), and checks "L times inverse is 1" by zero-tests, L's
+screening kernels by runs of adjacent factors that hold each Y_a, and
+the two closed-form expansions of the middle factors that drive the
+proofs.  No expanded coefficient of L or L^{-1} is screened: L^{-1}'s
+lie in the subring that the shifts of L's generate.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Words, Y_FAM, sums_vanish, vk, ONE)
 from .diffop import DiffOp, prod
-from .screening import in_kernel, screen_operator_all
+from .screening import KernelReport, in_kernel, screen_all
 from .characters import RelationReport
 
 
@@ -199,11 +199,41 @@ def verify_d_expansion(n: int, order: int) -> bool:
 # largest one the suite and ``verify lemma-exp`` run by default.
 EXPANSION_ORDER = {"B": 10, "D": 12}
 
+# Below D^4 the D middle factor (1 - z_n z_nbar(u+2) D^4)^{-1} is 1, so
+# the kernel runs are read from factors built at least to D^RUN_ORDER.
+RUN_ORDER = 4
 
-def verify_bd_screening(L: DiffOp, cartan: CartanData) -> list:
-    """S_a applied coefficientwise to the truncated series operator, one
-    kernel report per node."""
-    return screen_operator_all(L, cartan)
+
+def verify_bd_screening(algebra: AlgebraSpec, order: int) -> list:
+    """One KernelReport per node for L to D^order, from the maximal runs
+    of adjacent ``series_factors`` that hold a Y_a, each multiplied out
+    and its coefficients to D^order screened once.  S_a is a derivation
+    that commutes with shifts and kills each factor without Y_a, so L_k
+    is in ker S_a if every run coefficient of degree <= k is.  One-sided:
+    ``failing`` is [d], d the least degree at which a run of node a
+    fails, and L_k is certified for k < d.  At order < RUN_ORDER node
+    n's D run would split into two pairs, neither in ker S_n."""
+    factors = series_factors(algebra, max(order, RUN_ORDER))
+    nodes = [{i for c in f.coeffs.values() for mono, _ in c.terms()
+              for (_, i, _), _ in mono} for f in factors]
+    cartan = CartanData(algebra)
+    verdicts: dict = {}  # (start, stop) -> [(D-degree, {a: ok})]
+    reps = []
+    for a in range(1, algebra.n + 1):
+        failing = []
+        for inside, run in groupby(range(len(factors)),
+                                   lambda i: a in nodes[i]):
+            if not inside:
+                continue
+            run = list(run)
+            key = (run[0], run[-1] + 1)
+            if key not in verdicts:
+                op = prod(factors[slice(*key)])
+                verdicts[key] = [(d, screen_all(op.coeffs[d], cartan))
+                                 for d in sorted(op.coeffs) if d <= order]
+            failing += [d for d, v in verdicts[key] if not v[a]]
+        reps.append(KernelReport(a, [min(failing)] if failing else []))
+    return reps
 
 
 def verify_block_lemmas(algebra: AlgebraSpec) -> RelationReport:
@@ -231,14 +261,14 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
     even-degree structure, middle-factor expansion, inverse, screening
     kernels of the operator and of every extracted coefficient.
 
-    L is the product of ``series_factors``, built and screened once.
+    L is the product of ``series_factors``, built once and not screened:
+    ``verify_bd_screening`` certifies its kernels by runs of factors.
     L^{-1} is never built: its T_m are ``tm_blocks``, so "L times inverse
     is 1" is one zero-test of sum_i L_i T_{(k-i)/2}(u + i) = [k = 0] per
     D-degree k.  The zero-tests share one frame, degree k's shifted by -k
     (a ring automorphism fixing 1): T_j stands at u - 2j in every one.
-    The T^a checks read L's own per-node verdicts up to the inverse's
-    truncation.  +-T^a(u+a) is screened unshifted: a shift by h moves
-    every screening symbol and its coefficient by h.
+    The T^a checks read those per-node verdicts up to the inverse's
+    truncation, since a shift moves each screening symbol with its term.
 
     No T_m is screened.  S_a is a derivation that commutes with shifts,
     so its kernel is a subring closed under shifts.  The k = 0 zero-test
@@ -272,7 +302,7 @@ def run_suite(series: str, n: int, order: int | None = None) -> RelationReport:
             expand(n, min(order, EXPANSION_ORDER[series])))
     for sub in verify_block_lemmas(algebra).checks:
         rep.add(sub["identity"], sub["ok"])
-    l_reps = verify_bd_screening(L, CartanData(algebra))
+    l_reps = verify_bd_screening(algebra, order)
     for krep in l_reps:
         rep.add(f"operator kernel under node {krep.node_a}", krep.zero)
     for l_rep in l_reps:

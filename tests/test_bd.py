@@ -13,7 +13,7 @@ from qchar.bd import (build_series_L, extract_Ta, series_factors, tm_blocks,
                       b_f, b_k, b_h, d_h, d_k)
 from qchar import bd, ring, screening, tableaux
 from qchar.screening import (apply_screening, canonicalize, in_kernel,
-                             screen_all)
+                             screen_all, screen_operator_all)
 from test_mutants import MUTANTS
 
 
@@ -186,9 +186,8 @@ def test_block_pieces_only_kernel_at_long_node():
 
 
 def test_screening_per_node():
-    spec = AlgebraSpec("B", 2)
-    reps = verify_bd_screening(build_series_L(spec, 8), CartanData(spec))
-    assert len(reps) == 2 and all(r.zero for r in reps)
+    reps = verify_bd_screening(AlgebraSpec("B", 2), 8)
+    assert [r.node_a for r in reps] == [1, 2] and all(r.zero for r in reps)
 
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3)])
@@ -213,9 +212,17 @@ def test_suite_inverts_the_operator_once(monkeypatch, series, n):
     assert all(c.n_terms == 1 for op in inverted for c in op.coeffs.values())
 
 
+# The maximal runs of adjacent ``series_factors`` that hold a Y_a, as
+# (start, stop), node by node: B2 has 5 factors, D3 has 7.
+RUNS = {("B", 2): {1: [(0, 2), (3, 5)], 2: [(1, 4)]},
+        ("D", 3): {1: [(0, 2), (5, 7)], 2: [(1, 3), (4, 6)], 3: [(1, 6)]}}
+
+
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3)])
 def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
                                                          n):
+    # L is built once and none of its coefficients is screened: the
+    # kernel checks screen each coefficient of each distinct run once
     built, screened = [], []
     real_build, real_screen = bd.build_series_L, screening.screen_all
 
@@ -227,21 +234,29 @@ def test_suite_builds_and_screens_each_coefficient_once(monkeypatch, series,
         screened.append(p)
         return real_screen(p, cartan)
     monkeypatch.setattr(bd, "build_series_L", build_spy)
-    monkeypatch.setattr(screening, "screen_all", screen_spy)
+    for module in (bd, screening):
+        monkeypatch.setattr(module, "screen_all", screen_spy)
     assert run_suite(series, n).ok
     assert len(built) == 1
-    L = built[0]
-    # the block lemmas screen their pieces through in_kernel first; no
-    # T_m is screened, as its verdicts follow from L's and the inverse's
+    spec, order = AlgebraSpec(series, n), bd.default_order(n)
+    factors = series_factors(spec, order)
+    runs = list(dict.fromkeys(r for rs in RUNS[series, n].values()
+                              for r in rs))
+    coeffs = [c for start, stop in runs
+              for _, c in sorted(prod(factors[start:stop]).coeffs.items())]
+    # the block lemmas screen their pieces through in_kernel first
     pieces = ([b_f(n), b_k(n), b_h(n)] if series == "B"
               else [d_h(n, n), d_k(n, n)])
-    assert screened == pieces + [L.coeffs[j] for j in sorted(L.coeffs)]
+    assert screened == pieces + coeffs
+    assert not any(p == c for p in screened
+                   for j, c in built[0].coeffs.items() if j)
 
 
 @pytest.mark.parametrize("series,n", [("B", 2), ("D", 3), ("D", 5)])
 def test_suite_never_multiplies_by_an_inverse(monkeypatch, series, n):
-    # L is multiplied out only by build_series_L and the two expansion
-    # checks; L^{-1} and its coefficients T_m are never built
+    # L is multiplied out only by build_series_L, the kernel certificate's
+    # runs and the two expansion checks; L^{-1} and its coefficients T_m
+    # are never built
     depth, products = [0], []
     real_mul = DiffOp.__mul__
 
@@ -261,8 +276,8 @@ def test_suite_never_multiplies_by_an_inverse(monkeypatch, series, n):
     def refuse(*args):
         raise AssertionError("the B/D suite built a word sum")
     monkeypatch.setattr(DiffOp, "__mul__", mul_spy)
-    for name in ("build_series_L", "verify_b_expansion",
-                 "verify_d_expansion"):
+    for name in ("build_series_L", "verify_bd_screening",
+                 "verify_b_expansion", "verify_d_expansion"):
         monkeypatch.setattr(bd, name, allowed(getattr(bd, name)))
     for module in (ring, tableaux):
         monkeypatch.setattr(module, "word_sum", refuse)
@@ -308,6 +323,31 @@ def _screened(spec, order, route):
     verdicts = [route(tm_poly(spec, m), cartan)
                 for m in range(1, min(order, 12) // 2 + 1)]
     return {a: all(v[a] for v in verdicts) for a in range(1, spec.n + 1)}
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=("A_a", "shifted"))
+@pytest.mark.parametrize("series,n", SUITE_RANKS)
+def test_run_certificate_matches_screening_the_built_operator(
+        monkeypatch, series, n, shifted):
+    # screening every coefficient of the built L at every node is the
+    # oracle of what the suite reads from the certificate: its verdict and
+    # whether every failing degree lies past the inverse's truncation; at
+    # order 2 the D middle factor truncates to 1, so runs read from the
+    # factors at that order would split node n's run into two pairs
+    if shifted:
+        module, attr, mutate = SHIFTED_A
+        monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    spec = AlgebraSpec(series, n)
+    cartan = CartanData(spec)
+    for order in (2, 4, bd.default_order(n)):
+        got, want = ([(r.node_a, r.zero,
+                       all(d > min(order, 12) for d in r.failing))
+                      for r in reps]
+                     for reps in (verify_bd_screening(spec, order),
+                                  screen_operator_all(
+                                      build_series_L(spec, order), cartan)))
+        assert got == want, order
+        assert all(zero for _, zero, _ in got) != shifted, order
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=("A_a", "shifted"))

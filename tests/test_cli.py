@@ -327,6 +327,10 @@ def test_output_independent_of_hash_seed():
                  # each operand packed once by its identity
                  ["verify", "bd", "--algebra", "D", "--rank", "3",
                   "--format", "json"],
+                 # at order 2 the kernel runs are read from factors built
+                 # at a higher order
+                 ["verify", "bd", "--algebra", "D", "--rank", "4",
+                  "--order", "2", "--format", "json"],
                  ["verify", "tsystem", "--rank", "2"],
                  ["verify", "tsystem", "--rank", "2", "--format", "json"],
                  # formal in t_a(h), so ranks 3 and 4 are cheap
@@ -367,6 +371,10 @@ REPORT_RUNS = {
     "verify_nnsy": ["verify", "nnsy", "--rank", "2", "--seed", "11"],
     "verify_bd": ["verify", "bd", "--algebra", "B", "--rank", "2",
                   "--order", "6"],
+    "verify_bd_D5": ["verify", "bd", "--algebra", "D", "--rank", "5"],
+    "verify_bd_B4": ["verify", "bd", "--algebra", "B", "--rank", "4"],
+    "verify_bd_D4_order2": ["verify", "bd", "--algebra", "D", "--rank", "4",
+                            "--order", "2"],
     "verify_lemma-exp": ["verify", "lemma-exp", "--algebra", "D",
                          "--rank", "3", "--order", "6"],
     "verify_product-formula": ["verify", "product-formula", "--rank", "2",

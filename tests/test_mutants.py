@@ -3,9 +3,10 @@ turns its exit code from 0 to 1.
 
 ``MUTANTS`` maps each suite of ``cli.SUITES`` to the arguments it runs
 with and to its mutants, each a (module, name, mutate) patch that
-replaces ``module.name`` by ``mutate(module.name)``.  The characters are
-``lru_cache``d, so the caches are cleared before a mutant runs and again
-after it is undone.
+replaces ``module.name`` by ``mutate(module.name)``.  A mutant whose
+defect shows only at other arguments carries them as a fourth entry.
+The characters are ``lru_cache``d, so the caches are cleared before a
+mutant runs and again after it is undone.
 """
 
 import time
@@ -73,10 +74,11 @@ def _middle_z_n_at_u(f):
 
 
 def _shifted_first_factor(f):
-    """_x_factors with the first factor's coefficients shifted by a half
-    unit: x_1(u + n + 1/2) for x_1(u + n)."""
-    def factors(n, eps):
-        first, *rest = f(n, eps)
+    """A factor list, ``diffop._x_factors`` or ``bd.series_factors``, with
+    the first factor's coefficients shifted by a half unit: x_1(u + n +
+    1/2) for x_1(u + n), or z_1bar(u + 1/2) for z_1bar(u)."""
+    def factors(*args):
+        first, *rest = f(*args)
         return [first.map_coeffs(lambda c: c.shift(1))] + rest
     return factors
 
@@ -198,7 +200,13 @@ MUTANTS = {
             lambda c, a, h: f(c, a, h + 2))),
         "one dropped word of T_1": (bd, "tm_blocks", _dropped_tm_word),
         "z0 admitted twice": (bd, "tm_blocks", lambda f: lambda algebra, m: (
-            f(algebra, m) + [([()], [(0, 0)], [()])] * (m == 2)))}),
+            f(algebra, m) + [([()], [(0, 0)], [()])] * (m == 2))),
+        "a factor's letter shifted by a half unit": (
+            bd, "series_factors", _shifted_first_factor),
+        # below D^4 the D middle factor is 1, which splits node n's run
+        "runs found at the requested order": (
+            bd, "RUN_ORDER", lambda _: 2,
+            ["--algebra", "D", "--rank", "4", "--order", "2"])}),
     "lemma-exp": (["--algebra", "B", "--rank", "2", "--order", "4"], {
         "f shifted by a half unit": (bd, "b_f", lambda f: (
             lambda n, half=0: f(n, half + 1)))}),
@@ -226,11 +234,15 @@ def test_mutants_turn_every_suite_from_pass_to_fail(monkeypatch, capsys):
     for suite, (argv, mutants) in MUTANTS.items():
         _clear_caches()
         assert cli.main(["verify", suite, *argv]) == 0, suite
-        for name, (module, attr, mutate) in mutants.items():
+        for name, (module, attr, mutate, *own) in mutants.items():
+            args = ["verify", suite, *(own[0] if own else argv)]
+            if own:
+                _clear_caches()
+                assert cli.main(args) == 0, (suite, name)
             with monkeypatch.context() as mp:
                 _clear_caches()
                 mp.setattr(module, attr, mutate(getattr(module, attr)))
-                code = cli.main(["verify", suite, *argv])
+                code = cli.main(args)
             _clear_caches()
             assert code == 1, (suite, name)
     capsys.readouterr()
