@@ -12,8 +12,8 @@ integers once, the basis and every free table read their minors from a
 ``MinorTable`` that runs one ``det_int`` per column set, and the tableau
 sums add integer products per denominator.  No operator product, hook or
 rectangle character is built: w_m is solved one first-order factor at
-a time, and ``CharacterValues`` derives hook and rectangle values from
-fundamental values.
+a time, and ``characters.CharacterValues`` derives hook and rectangle
+values from the assignment's values of the fundamentals.
 """
 
 from __future__ import annotations
@@ -98,30 +98,6 @@ class _ShiftedValues:
         return self.qa.y_value(a, half + self.half)
 
 
-class CharacterValues:
-    """Memoized exact values of T^(a)_1, H^(i)_k and T^(a)_m (a <= n) at
-    u0 + half/2: fund(a, half), hook(i, k, half) and rect(a, m, half).  As
-    evaluation is a ring map commuting with shifts, hooks and rectangles
-    follow from ``fund`` by ``characters.hook_step`` and ``rectangle``."""
-
-    def __init__(self, n: int, qa: QAssignment):
-        self.n = n
-        self.fund = cache(lambda a, half: qa.eval(
-            characters.fundamental_poly(n, a), half))
-        self.hook, self.rect = cache(self._hook), cache(self._rect)
-
-    def _hook(self, i: int, k: int, half: int) -> Fraction:
-        if k == 0:
-            return Fraction(i == 0)
-        return characters.hook_step(self.n, i, self.fund(i, half),
-                                    lambda j, h: self.hook(j, k - 1, half + h))
-
-    def _rect(self, a: int, m: int, half: int) -> Fraction:
-        return characters.rectangle(
-            self.n, a, m, lambda b, h: self.fund(b, half + h), det_frac,
-            lambda triples: sum(s * x * y for s, x, y in triples), 1)
-
-
 class MinorTable:
     """The Casorati minors of one table kept as rows cleared by
     ``clear_row``, memoized by absolute column tuple: [i_1, ..., i_m] at
@@ -161,7 +137,8 @@ class TriangularBasis:
         self.n = n
         self.N = 2 * n + 2
         self.qa = qa
-        self.chars = CharacterValues(n, qa)
+        self.chars = characters.CharacterValues(n, cache(
+            lambda a, half: qa.eval(characters.fundamental_poly(n, a), half)))
         self.imax = imax
         self.w, self.den = [], []
         self.minors = MinorTable(self.w, self.den)
@@ -381,26 +358,26 @@ def skew_ssyt(N: int, width: int, mu: list):
     most r + 1.  Capping the range there cuts only dead branches, so
     the fillings come in the same order as without the cap."""
     mu = list(mu) + [0] * (N - len(mu))
-    rows = [list(range(mu[r], width)) for r in range(N)]
-    cells = [(r, c) for r in range(N) for c in rows[r]]
-    filling: dict = {}
+    cells = [(r, c) for r in range(N) for c in range(mu[r], width)]
+    yield from _fillings(cells, {}, 0)
 
-    def fill(pos: int):
-        if pos == len(cells):
-            yield dict(filling)
-            return
-        r, c = cells[pos]
-        lo = 1
-        if (r, c - 1) in filling:
-            lo = max(lo, filling[(r, c - 1)])
-        if (r - 1, c) in filling:
-            lo = max(lo, filling[(r - 1, c)] + 1)
-        for v in range(lo, r + 2):
-            filling[(r, c)] = v
-            yield from fill(pos + 1)
-        filling.pop((r, c), None)
 
-    yield from fill(0)
+def _fillings(cells: list, filling: dict, pos: int):
+    """The fillings of ``skew_ssyt`` that extend ``filling`` on
+    ``cells[:pos]``; a module function, so no closure refers to itself."""
+    if pos == len(cells):
+        yield dict(filling)
+        return
+    r, c = cells[pos]
+    lo = 1
+    if (r, c - 1) in filling:
+        lo = max(lo, filling[(r, c - 1)])
+    if (r - 1, c) in filling:
+        lo = max(lo, filling[(r - 1, c)] + 1)
+    for v in range(lo, r + 2):
+        filling[(r, c)] = v
+        yield from _fillings(cells, filling, pos + 1)
+    filling.pop((r, c), None)
 
 
 def _word_sum(words, letter_value) -> Fraction:

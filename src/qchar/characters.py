@@ -15,6 +15,7 @@ image of its formal row, up to the largest one a relation uses.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, combinations_with_replacement, product
 from math import prod
@@ -24,7 +25,7 @@ from . import diffop
 from .ring import (LaurentPoly, AlgebraSpec, CartanData, VariableTable,
                    Qv, product_sum, sums_vanish, vk, Y_FAM, T_FAM, ONE,
                    ZERO)
-from .classical import PointReport
+from .classical import PointReport, det_frac
 from .tableaux import gen_column_tableaux, row_blocks, weight_sum
 
 
@@ -165,6 +166,32 @@ def rectangle(n: int, a: int, m: int, entry, det, total, one):
         raise ValueError("fundamental array is not antisymmetric")
     pf = pfaffian(mat, total, one)
     return pf if m % 2 == 0 else -pf
+
+
+class CharacterValues:
+    """Memoized exact values hook(i, k, half) of H^(i)_k and rect(a, m, half)
+    of T^(a)_m (a <= n) at u0 + half/2 from fund(a, half), the value of
+    T^(a)_1(u0 + half/2) for any a, by ``hook_step`` and ``rectangle``, as
+    evaluation is a ring map commuting with shifts; plain dict memos."""
+
+    def __init__(self, n: int, fund):
+        self.n, self.fund, self._hooks, self._rects = n, fund, {}, {}
+
+    def hook(self, i: int, k: int, half: int) -> Fraction:
+        key = i, k, half
+        if key not in self._hooks:
+            self._hooks[key] = Fraction(i == 0) if k == 0 else hook_step(
+                self.n, i, self.fund(i, half),
+                lambda j, h: self.hook(j, k - 1, half + h))
+        return self._hooks[key]
+
+    def rect(self, a: int, m: int, half: int) -> Fraction:
+        key = a, m, half
+        if key not in self._rects:
+            self._rects[key] = rectangle(
+                self.n, a, m, lambda b, h: self.fund(b, half + h), det_frac,
+                lambda triples: sum(s * x * y for s, x, y in triples), 1)
+        return self._rects[key]
 
 
 @lru_cache(maxsize=None)

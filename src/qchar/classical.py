@@ -6,7 +6,8 @@ Laurent polynomial in the torus coordinates e^{eps_b}.  Characters of
 the rank-n symplectic algebra are evaluated exactly at rational torus
 points via the Weyl determinant formula, and hook-shaped instances
 chi_{(alpha|gamma)} (width alpha+1, depth gamma+1) drive the
-decomposition checks for the hook character family.
+decomposition checks for the hook character family.  No hook is built:
+``characters.CharacterValues`` reads the images from the fundamentals'.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class ClassicalPoint:
     """Exact rational values of the torus coordinates e^{eps_b}, read
     lazily by ``LaurentPoly.eval_points`` as the assignment of beta:
     Y_a(u+s) takes e^{Lambda_a} = prod_{b<=a} e^{eps_b} whatever s, and
-    a non-Y variable is refused."""
+    a non-Y variable is refused.  Only fundamentals are evaluated here."""
 
     values: tuple
 
@@ -228,19 +229,20 @@ def hook_decomposition(n: int, i: int, k: int) -> list:
 
 def verify_hook_decomposition(n: int, k_min: int, k_max: int,
                               seed: int) -> PointReport:
-    """Classical image of every H^(i)_k equals its signed hook-character
-    sum at exact random torus points."""
-    from .characters import fundamental_poly, hook_rows
+    """The classical image of every H^(i)_k, from ``CharacterValues``, equals
+    its signed hook-character sum at exact random torus points."""
+    from .characters import CharacterValues, fundamental_poly
     N = 2 * n + 2
     rng = random.Random(seed)
     rep = PointReport()
     pts = [ClassicalPoint.random(n, rng) for _ in range(_N_POINTS)]
-    hooks = hook_rows(n, k_max, lambda a: fundamental_poly(n, a))
+    chars = [CharacterValues(n, lambda a, _, v=v: v[a]) for v in zip(
+        *(fundamental_poly(n, a).eval_points(pts) for a in range(N)))]
     for k in range(k_min, k_max + 1):
         for i in range(0, N):
             terms = hook_decomposition(n, i, k)
-            ok = all(h == _hook_sum(n, terms, pt) for h, pt in
-                     zip(hooks[k][i].eval_points(pts), pts))
+            ok = all(c.hook(i, k, 0) == _hook_sum(n, terms, pt)
+                     for c, pt in zip(chars, pts))
             rep.add(f"hook content of H^({i})_{k}", ok)
     return rep
 

@@ -1,14 +1,16 @@
 """Exact-rational minor identities on the triangular solution basis."""
 
+import gc
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qchar import casorati, characters, diffop, ring
-from qchar.classical import clear_row, det_frac
+from qchar import casorati, characters, classical, diffop, ring
+from qchar.classical import ClassicalPoint, clear_row, det_frac
 from qchar.ring import (AlgebraSpec, CartanData, LaurentPoly, Qv,
                         VariableTable, Y, Y_FAM, poly_sum, vk)
 from qchar.diffop import build_Lj_C
@@ -204,14 +206,35 @@ def test_suite_takes_one_determinant_per_column_set(n, determinants,
     assert len(calls) == sum(len(t._minors) for t in tables) == determinants
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_character_values_match_built_characters(n):
+def _assignment_values(n, qa):
+    """The suite's character values at ``qa``, from the fundamentals that
+    ``characters`` binds when a value is first read."""
+    return characters.CharacterValues(n, lambda a, half: qa.eval(
+        characters.fundamental_poly(n, a), half))
+
+
+@pytest.mark.parametrize("n,beta", [(2, False), (3, False), (2, True),
+                                    (3, True)],
+                         ids=["2", "3", "classical-2", "classical-3"])
+def test_character_values_match_built_characters(n, beta):
     # each hook and rectangle value from the fundamental values against
     # the built character evaluated at the same points: the halves that
-    # the suite reads, and -1 besides
+    # the suite reads, and -1 besides.  Under beta, which forgets shifts,
+    # each hook at half 0 from the fundamentals' values at torus points
+    # against the built hook's image there
     N = 2 * n + 2
+    if beta:
+        rng = random.Random(11)
+        pts = [ClassicalPoint.random(n, rng) for _ in range(5)]
+        chars = [characters.CharacterValues(n, lambda a, _, v=v: v[a])
+                 for v in zip(*(characters.fundamental_poly(n, a)
+                                .eval_points(pts) for a in range(N)))]
+        for i, k in itertools.product(range(N), range(N, N + 4)):
+            assert [c.hook(i, k, 0) for c in chars] == h_poly(
+                n, i, k).eval_points(pts), (i, k)
+        return
     qa = QAssignment(n, seed=11)
-    chars = casorati.CharacterValues(n, qa)
+    chars = _assignment_values(n, qa)
     for i in range(N):
         halves = [i - 1] + [i + 2 * g for g in range(3)]
         for k in range(N, N + 4):
@@ -226,8 +249,10 @@ def test_character_values_match_built_characters(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_suite_builds_no_hook_or_rectangle(n):
-    # hooks and rectangles enter the suite as values only
-    calls = []
+    # hooks and rectangles enter the suite and the classical hook
+    # contents as values only: the hook contents evaluate nothing larger
+    # than a fundamental
+    calls, sizes = [], []
 
     def spy(name):
         real = getattr(characters, name)
@@ -236,10 +261,37 @@ def test_suite_builds_no_hook_or_rectangle(n):
             calls.append((name, args))
             return real(*args)
         return record
+    real_eval = LaurentPoly.eval_points
+
+    def eval_points(p, assigns):
+        sizes.append(p.n_terms)
+        return real_eval(p, assigns)
     names = ("hook_rows", "rect_poly", "row_poly")
     with mock.patch.multiple(characters, **{a: spy(a) for a in names}):
         assert run_suite(n, seed=11).ok
+        with mock.patch.object(LaurentPoly, "eval_points", eval_points):
+            assert classical.verify_hook_decomposition(
+                n, 2 * n + 3, 2 * n + 5, 11).ok
     assert calls == []
+    assert sizes and max(sizes) <= max(
+        characters.fundamental_poly(n, a).n_terms for a in range(1, n + 1))
+
+
+def test_suite_and_hook_contents_leave_no_cycles():
+    # the memos of character values are plain dicts and the skew fillings
+    # recurse through a module function, so nothing a call builds refers
+    # back to itself and all of it is freed when the call returns.  A
+    # first call fills the module's caches, which outlive it by design.
+    run = lambda: (run_suite(2, seed=11).ok
+                   and classical.verify_hook_decomposition(2, 7, 9, 11).ok)
+    assert run()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_skew_suite_is_the_skew_part_of_the_full_suite():
@@ -525,8 +577,7 @@ def _mutate_fundamentals(monkeypatch, basis, mutate):
     memo of character values, which reads the mutant."""
     monkeypatch.setattr(characters, "fundamental_poly",
                         _outer_only(characters.fundamental_poly, mutate))
-    monkeypatch.setattr(basis, "chars",
-                        casorati.CharacterValues(basis.n, basis.qa))
+    monkeypatch.setattr(basis, "chars", _assignment_values(basis.n, basis.qa))
 
 
 @pytest.mark.parametrize("mutate", MUTANTS.values(), ids=MUTANTS)

@@ -341,7 +341,9 @@ def test_output_independent_of_hash_seed():
                  ["verify", "tt-tq", "--rank", "3", "--max-m", "8"],
                  ["verify", "screening", "--rank", "2", "--format", "json"],
                  ["verify", "casorati", "--rank", "2", "--seed", "11",
-                  "--format", "json"]):
+                  "--format", "json"],
+                 # hook contents from the fundamentals' values at points
+                 ["verify", "hookchi", "--rank", "3", "--format", "json"]):
         outs = []
         for flags, hash_seed in (([], "0"), ([], "1"), (["-O"], "0")):
             proc = subprocess.run(
@@ -367,6 +369,8 @@ REPORT_RUNS = {
     "verify_hseries": ["verify", "hseries", "--rank", "2"],
     "verify_hseries_r3": ["verify", "hseries", "--rank", "3"],
     "verify_hookchi": ["verify", "hookchi", "--rank", "2", "--seed", "9"],
+    "verify_hookchi_r3": ["verify", "hookchi", "--rank", "3"],
+    "verify_hookchi_r4": ["verify", "hookchi", "--rank", "4"],
     "verify_casorati": ["verify", "casorati", "--rank", "2", "--seed", "11"],
     "verify_nnsy": ["verify", "nnsy", "--rank", "2", "--seed", "11"],
     "verify_bd": ["verify", "bd", "--algebra", "B", "--rank", "2",

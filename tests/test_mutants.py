@@ -175,7 +175,9 @@ MUTANTS = {
                                     _dropped_hook_term)}),
     "hookchi": (["--rank", "2"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
-                                  _dropped_term(1))}),
+                                  _dropped_term(1)),
+        "hook recursion sign of the H^(i-1) term flipped": (
+            characters, "hook_step", _flipped_left)}),
     "casorati": (["--rank", "2", "--seed", "11"], {
         "dropped term of T^(1)": (characters, "fundamental_poly",
                                   _dropped_term(1)),
